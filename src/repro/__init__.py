@@ -82,7 +82,7 @@ from .search import (
     register_strategy,
     strategy_names,
 )
-from .vqe import EnergyEstimator, VQETrace, run_vqe
+from .vqe import VQETrace, run_vqe
 from .experiments import Experiment, ExperimentResult
 from .campaigns import (
     CampaignAggregate,
@@ -111,7 +111,7 @@ __all__ = [
     "CampaignSpec", "Circuit", "CliffordEstimator",
     "CliffordNoiseModel", "CliffordTableau", "DEFAULT_METHODS",
     "DensityMatrixSimulator",
-    "EnergyEstimator", "EngineConfig", "EstimateResult", "Estimator",
+    "EngineConfig", "EstimateResult", "Estimator",
     "ExactEstimator", "Executor", "Experiment", "ExperimentResult",
     "FakeHanoi", "FakeLine", "FakeMumbai", "FakeNairobi", "FakeToronto",
     "GAConfig", "InitializationMethod", "InitializationResult",

@@ -67,21 +67,8 @@ ENGINE_PRESETS = ("paper", "fast", "smoke")
 # EngineConfig <-> dict
 # ----------------------------------------------------------------------
 def engine_to_dict(config: EngineConfig) -> dict:
-    """JSON form of an :class:`EngineConfig` (nested ``ga`` included).
-
-    The deprecated ``num_processes`` knob is not shipped: campaigns
-    parallelize by sharding *tasks* (each engine stays serial inside its
-    worker so sharded runs reproduce serial numbers).
-    """
-    out = asdict(config)
-    if out.pop("num_processes", 1) > 1:
-        import warnings
-
-        warnings.warn(
-            "EngineConfig.num_processes is ignored by campaigns; shard "
-            "tasks instead (CampaignRunner(executor=...) / `repro sweep "
-            "--jobs N`)", DeprecationWarning, stacklevel=2)
-    return out
+    """JSON form of an :class:`EngineConfig` (nested ``ga`` included)."""
+    return asdict(config)
 
 
 def engine_from_dict(data: dict) -> EngineConfig:

@@ -133,12 +133,11 @@ def bound_skeleton_steps(template: Circuit, tol: float = 1e-12
     The instruction skeleton that binding + :func:`drop_identity_rotations`
     would leave, resolved once per template: explicit ``i`` gates and
     zero-angle *bound* rotations are dropped here, parameterized rotations
-    keep their first parameter index for per-point decisions.  Shared by
-    the batched binding plan (:mod:`repro.execution.estimator`) and the
-    population Clifford schedule plan
-    (:class:`repro.noise.clifford_model.CliffordCircuitPlan`) so the
-    identity-drop semantics cannot drift between the serial and batched
-    paths.
+    keep their first parameter index for per-point decisions.  The
+    skeleton of :class:`repro.noise.clifford_model.CliffordCircuitPlan`,
+    the one plan that binds single points and schedules whole
+    populations, so the identity-drop semantics cannot drift between the
+    two.
     """
     steps: list[tuple] = []
     for inst in template.instructions:

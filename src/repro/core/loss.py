@@ -21,11 +21,17 @@ import math
 
 import numpy as np
 
-from ..circuits.ansatz import cafqa_angles
-from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
+from ..circuits.ansatz import hardware_efficient_ansatz
+from ..noise.clifford_model import (
+    CliffordCircuitPlan,
+    CliffordNoiseModel,
+    conjugate_schedule,
+)
 from ..obs import REGISTRY, get_tracer
+from ..obs.kernel import kernel_event
+from ..paulis.packed_table import PackedPauliTable
 from .problem import VQEProblem
-from .transformation import embed_table, transform_table, transform_table_many
+from .transformation import embed_table, transform_table_many
 
 _LOSS_BATCHES = REGISTRY.counter(
     "repro_loss_batches_total", "Batched loss evaluate_many calls")
@@ -43,35 +49,23 @@ class ClaptonLoss:
             paper's depolarizing + readout model on the problem's device).
         noisy_weight / noiseless_weight: Term weights; the paper uses 1 + 1,
             the ablation bench sweeps them.
-        packed: Run the conjugation/walk on the word-packed Pauli layout
-            (default).  ``packed=False`` keeps the boolean-matrix oracle;
-            both produce bit-identical losses.
     """
 
     def __init__(self, problem: VQEProblem,
                  clifford_model: CliffordNoiseModel | None = None,
-                 noisy_weight: float = 1.0, noiseless_weight: float = 1.0,
-                 packed: bool = True):
+                 noisy_weight: float = 1.0, noiseless_weight: float = 1.0):
         self.problem = problem
         self.clifford_model = clifford_model or CliffordNoiseModel(
             problem.noise_model)
         self.noisy_weight = noisy_weight
         self.noiseless_weight = noiseless_weight
-        self.packed = packed
         self._skeleton = problem.skeleton()
 
     def components(self, gamma) -> tuple[float, float]:
-        """``(L_N, L_0)`` at a transformation genome."""
-        problem = self.problem
-        table = transform_table(problem.hamiltonian, gamma,
-                                problem.entanglement, packed=self.packed)
-        coeffs = problem.hamiltonian.coefficients
-        noiseless = float(coeffs @ table.expectation_all_zeros())
-        eval_table = embed_table(table, problem.positions,
-                                 problem.num_eval_qubits)
-        noisy = self.clifford_model.noisy_zero_state_energy_table(
-            self._skeleton, eval_table, coeffs)
-        return noisy, noiseless
+        """``(L_N, L_0)`` at a transformation genome (a batch of one)."""
+        noisy, noiseless = self.components_many(
+            np.asarray(gamma, dtype=np.int64)[None, :])
+        return float(noisy[0]), float(noiseless[0])
 
     def __call__(self, gamma) -> float:
         noisy, noiseless = self.components(gamma)
@@ -81,17 +75,15 @@ class ClaptonLoss:
         """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
 
         One stacked ``(P*M, n)`` transformation pass plus one stacked
-        backward noise walk through the shared skeleton replace ``P``
-        per-genome circuit rebuilds; per-genome values are bit-identical
-        to :meth:`components`.
+        backward noise walk through the shared skeleton.  Every step is
+        row-wise, so a genome's values do not depend on its batch.
         """
         problem = self.problem
         coeffs = problem.hamiltonian.coefficients
         num_terms = len(coeffs)
         stacked = transform_table_many(problem.hamiltonian,
                                        np.asarray(gammas, dtype=np.int64),
-                                       problem.entanglement,
-                                       packed=self.packed)
+                                       problem.entanglement)
         num_genomes = stacked.num_rows // num_terms
         zeros = stacked.expectation_all_zeros()
         noiseless = np.array(
@@ -128,53 +120,25 @@ class CafqaLoss:
     """
 
     def __init__(self, problem: VQEProblem, noise_aware: bool = False,
-                 clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+                 clifford_model: CliffordNoiseModel | None = None):
         self.problem = problem
         self.noise_aware = noise_aware
         self.clifford_model = clifford_model or CliffordNoiseModel(
             problem.noise_model)
-        self.packed = packed
-        from ..circuits.ansatz import hardware_efficient_ansatz
-
-        self._logical_ansatz = hardware_efficient_ansatz(
-            problem.num_logical_qubits, problem.entanglement)
+        self._logical_plan = CliffordCircuitPlan(hardware_efficient_ansatz(
+            problem.num_logical_qubits, problem.entanglement))
+        self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
         self._mapped = problem.mapped_hamiltonian()
-        self._logical_plan: CliffordCircuitPlan | None = None
-        self._eval_plan: CliffordCircuitPlan | None = None
-        if packed:
-            from ..paulis.packed_table import PackedPauliTable
-
-            # packed masters, packed once and tiled/copied per evaluation
-            self._ham_master = PackedPauliTable.from_table(
-                problem.hamiltonian.table)
-            self._mapped_master = PackedPauliTable.from_table(
-                self._mapped.table)
-        else:
-            self._ham_master = problem.hamiltonian.table
-            self._mapped_master = self._mapped.table
+        # packed once, tiled per evaluation
+        self._ham_master = PackedPauliTable.from_table(
+            problem.hamiltonian.table)
+        self._mapped_master = PackedPauliTable.from_table(self._mapped.table)
 
     def components(self, genome) -> tuple[float, float]:
-        problem = self.problem
-        theta = cafqa_angles(genome)
-        from ..circuits.ansatz import drop_identity_rotations
-        from ..noise.clifford_model import _inverse_gate_tableau
-        from ..stabilizer.tableau import apply_gate_to_table
-
-        logical_circuit = drop_identity_rotations(
-            self._logical_ansatz.bind(theta))
-        # <0|A† H A|0>: pull every term backward through the bound ansatz
-        conj = self._ham_master.copy()
-        for inst in reversed(logical_circuit.instructions):
-            apply_gate_to_table(conj, _inverse_gate_tableau(inst), inst.qubits)
-        noiseless = float(problem.hamiltonian.coefficients
-                          @ conj.expectation_all_zeros())
-        if not self.noise_aware:
-            return 0.0, noiseless
-        bound = problem.bound_ansatz(theta)
-        noisy = self.clifford_model.noisy_zero_state_energy_table(
-            bound, self._mapped_master, self._mapped.coefficients)
-        return noisy, noiseless
+        """``(L_N, L_0)`` at one genome (a batch of one)."""
+        noisy, noiseless = self.components_many(
+            np.asarray(genome, dtype=np.int64)[None, :])
+        return float(noisy[0]), float(noiseless[0])
 
     def __call__(self, genome) -> float:
         noisy, noiseless = self.components(genome)
@@ -184,15 +148,13 @@ class CafqaLoss:
         """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
 
         The population's Pauli tables are stacked into one ``(P*M, n)``
-        bit tensor and conjugated through per-genome row masks (grouped by
-        rotation level per ansatz slot); the noisy term, when enabled,
-        runs the same stacked backward walk through the transpiled
-        circuit's noise locations.  Per-genome values are bit-identical
-        to :meth:`components`.
+        word-packed table and pulled back through the logical ansatz's
+        leveled schedule (one pass per rotation slot, the genome's angle
+        as the row's level); the noisy term, when enabled, runs the same
+        stacked backward walk through the transpiled circuit's noise
+        locations.  Every step is row-wise, so a genome's values do not
+        depend on its batch.
         """
-        from ..noise.clifford_model import _inverse_gate_tableau
-        from ..stabilizer.tableau import apply_gate_to_table
-
         genomes = np.asarray(genomes, dtype=np.int64)
         if genomes.ndim != 2:
             raise ValueError("genomes must be a (P, d) integer matrix")
@@ -203,44 +165,14 @@ class CafqaLoss:
         num_genomes = len(genomes)
         coeffs = problem.hamiltonian.coefficients
         num_terms = len(coeffs)
-        if self._logical_plan is None:
-            self._logical_plan = CliffordCircuitPlan(self._logical_ansatz)
+        schedule = self._logical_plan.reverse_schedule(thetas, num_terms)
         conj = self._ham_master.tile(num_genomes)
-        if self.packed:
-            import time as _time
-
-            from ..obs.kernel import KERNEL
-            from ..stabilizer.tableau import apply_gate_levels_to_table
-
-            tracer = get_tracer()
-            before = KERNEL.snapshot() if tracer.enabled else None
-            t0 = _time.perf_counter() if tracer.enabled else 0.0
-            # packed fast path: each rotation slot's angle groups fuse
-            # into one unmasked leveled-LUT pass (bit-identical per row)
-            for item in self._logical_plan.reverse_leveled_schedule(
-                    thetas, num_terms):
-                if item[0] == "gate":
-                    _, inst, rows = item
-                    apply_gate_to_table(conj, _inverse_gate_tableau(inst),
-                                        inst.qubits, rows=rows)
-                else:
-                    _, bound_insts, qubits, level_of_row = item
-                    entries = [None] + [(_inverse_gate_tableau(b), False)
-                                        for b in bound_insts]
-                    apply_gate_levels_to_table(conj, entries, qubits,
-                                               level_of_row)
-            if before is not None:
-                # one aggregated kernel event per batched plan walk
-                delta = KERNEL.delta(before)
-                tracer.event("kernel.fused_levels",
-                             _time.perf_counter() - t0,
-                             words=delta["words"], rows=delta["rows"],
-                             passes=delta["fused_passes"])
-        else:
-            for inst, rows in self._logical_plan.reverse_schedule(thetas,
-                                                                  num_terms):
-                apply_gate_to_table(conj, _inverse_gate_tableau(inst),
-                                    inst.qubits, rows=rows)
+        # one aggregated kernel event per batched plan walk
+        with kernel_event("kernel.fused_levels", passes=True):
+            conjugate_schedule(conj, schedule)
+        # free this schedule's per-row levels before the noise walk's
+        # schedule is built: only one is ever held at a time
+        del schedule
         zeros = conj.expectation_all_zeros()
         noiseless = np.array(
             [float(coeffs @ zeros[p * num_terms:(p + 1) * num_terms])
@@ -248,13 +180,10 @@ class CafqaLoss:
         if not self.noise_aware:
             return np.zeros(num_genomes), noiseless
         mapped = self._mapped
-        if self._eval_plan is None:
-            self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
-        schedule = self._eval_plan.reverse_schedule(thetas,
-                                                    mapped.table.num_rows)
+        rows_per = mapped.table.num_rows
+        schedule = self._eval_plan.reverse_schedule(thetas, rows_per)
         values = self.clifford_model.noisy_zero_state_term_values_steps(
             schedule, self._mapped_master.tile(num_genomes))
-        rows_per = mapped.table.num_rows
         noisy = np.array(
             [float(mapped.coefficients @ values[p * rows_per:
                                                 (p + 1) * rows_per])
@@ -285,7 +214,6 @@ class NcafqaLoss(CafqaLoss):
     """
 
     def __init__(self, problem: VQEProblem,
-                 clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+                 clifford_model: CliffordNoiseModel | None = None):
         super().__init__(problem, noise_aware=True,
-                         clifford_model=clifford_model, packed=packed)
+                         clifford_model=clifford_model)

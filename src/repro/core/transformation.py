@@ -9,10 +9,16 @@ implementable in the VQE framework, as the paper emphasizes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..circuits.ansatz import clapton_transformation_circuit
+from ..circuits.ansatz import (
+    clapton_transformation_circuit,
+    transformation_slots,
+)
 from ..circuits.circuit import Circuit
+from ..obs.kernel import kernel_event
 from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 from ..paulis.table import PauliTable
@@ -27,47 +33,29 @@ def transformation_tableau(gamma, num_qubits: int,
 
 
 def transform_table(hamiltonian: PauliSum, gamma,
-                    entanglement: str = "circular", packed: bool = True):
-    """Anticonjugated term table (rows carry +-1 signs; hot-loop form).
+                    entanglement: str = "circular") -> PackedPauliTable:
+    """Anticonjugated term table of one genome (rows carry +-1 signs).
 
-    Applies the inverse transformation circuit gate by gate through the
-    LUT-based batch conjugation -- the fastest path for the GA inner loop.
-    ``packed=True`` (the default) runs the gate loop on the word-packed
-    layout and returns a :class:`PackedPauliTable`; ``packed=False`` keeps
-    the boolean-matrix oracle.  Both yield bit-identical term tables.
+    A batch of one: row block 0 of :func:`transform_table_many`.
     """
-    from ..noise.clifford_model import _inverse_gate_tableau
-    from ..stabilizer.tableau import apply_gate_to_table
-
-    circuit = clapton_transformation_circuit(gamma, hamiltonian.num_qubits,
-                                             entanglement)
-    table = (PackedPauliTable.from_table(hamiltonian.table) if packed
-             else hamiltonian.table.copy())
-    # C† P C: pull P through the inverse circuit's gates front to back
-    for inst in reversed(circuit.instructions):
-        apply_gate_to_table(table, _inverse_gate_tableau(inst), inst.qubits)
-    return table
+    return transform_table_many(
+        hamiltonian, np.asarray(gamma, dtype=np.int64)[None, :], entanglement)
 
 
 def transform_table_many(hamiltonian: PauliSum, gammas,
-                         entanglement: str = "circular",
-                         packed: bool = True):
+                         entanglement: str = "circular") -> PackedPauliTable:
     """Anticonjugated term tables of a whole genome population, stacked.
 
-    The population-batched counterpart of :func:`transform_table`: one
-    Hamiltonian table copy per genome is stacked into a ``(P*M, n)`` table
-    (genome ``p`` owns rows ``[p*M, (p+1)*M)``) and every transformation
-    slot is applied through per-genome row masks -- four masked LUT
-    conjugations per slot instead of ``P`` per-genome gate loops.  Each
-    genome's rows see exactly the gate sequence and arithmetic of the
-    serial path, so the stacked rows are bit-identical to ``P`` separate
-    :func:`transform_table` calls.  ``packed=True`` stacks uint64 words
-    instead of boolean matrices -- same bits, 8x less memory traffic.
+    One word-packed Hamiltonian table copy per genome is stacked into a
+    ``(P*M, n)`` table (genome ``p`` owns rows ``[p*M, (p+1)*M)``), and
+    each transformation slot is ONE leveled-LUT pass over the stack: the
+    genome's gene at that slot is the row's level, and level 0 is the
+    identity entry -- exactly the gates the decode of
+    :func:`~repro.circuits.ansatz.clapton_transformation_circuit` never
+    emits.  The slots run in reverse, applying each gate's inverse, so the
+    result is ``C†(gamma) P C(gamma)`` for every row.
     """
-    import math
-
-    from ..circuits.ansatz import transformation_slots
-    from ..stabilizer.tableau import apply_gate_to_table, gate_tableau
+    from ..stabilizer.tableau import apply_gate_levels_to_table, gate_tableau
 
     gammas = np.asarray(gammas, dtype=np.int64)
     if gammas.ndim != 2:
@@ -79,25 +67,12 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     if np.any((gammas < 0) | (gammas > 3)):
         raise ValueError("gamma entries must be in {0, 1, 2, 3}")
 
-    num_genomes = len(gammas)
-    table = hamiltonian.table
-    num_terms = table.num_rows
-    if packed:
-        import time as _time
-
-        from ..obs import get_tracer
-        from ..obs.kernel import KERNEL
-        from ..stabilizer.tableau import apply_gate_levels_to_table
-
-        tracer = get_tracer()
-        before = KERNEL.snapshot() if tracer.enabled else None
-        t0 = _time.perf_counter() if tracer.enabled else 0.0
-        stacked = PackedPauliTable.from_table(table).tile(num_genomes)
-        # packed fast path: the level choice becomes a LUT dimension, so
-        # each slot is ONE unmasked pass over the stacked words instead
-        # of three boolean-mask passes (identical per-row arithmetic;
-        # level 0 resolves to the identity entry, exactly the gates the
-        # serial decode never emits)
+    num_terms = hamiltonian.table.num_rows
+    # one aggregated kernel event per transformation (per-slot events
+    # would multiply span counts ~20x for no insight)
+    with kernel_event("kernel.fused_levels", passes=True):
+        stacked = PackedPauliTable.from_table(hamiltonian.table).tile(
+            len(gammas))
         for kind, qubits, gene in reversed(slots):
             if kind == "pair":
                 entries = [None,
@@ -112,48 +87,13 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
             level_of_row = np.repeat(gammas[:, gene], num_terms)
             apply_gate_levels_to_table(stacked, entries, qubits,
                                        level_of_row)
-        if before is not None:
-            # one aggregated kernel event per transformation (per-slot
-            # events would multiply span counts ~20x for no insight)
-            delta = KERNEL.delta(before)
-            tracer.event("kernel.fused_levels",
-                         _time.perf_counter() - t0,
-                         words=delta["words"], rows=delta["rows"],
-                         passes=delta["fused_passes"])
-        return stacked
-    genome_of_row = np.repeat(np.arange(num_genomes), num_terms)
-    stacked = table.tile(num_genomes)
-    # C† P C: pull P through the inverse circuit's gates front to back;
-    # level 0 is the identity slot and conjugates nothing (exactly the
-    # gates the serial decode never emits).
-    for kind, qubits, gene in reversed(slots):
-        levels = gammas[:, gene]
-        for level in (1, 2, 3):
-            members = levels == level
-            if not members.any():
-                continue
-            rows = members[genome_of_row]
-            if kind == "pair":
-                k, l = qubits
-                if level == 1:
-                    gate, targets = gate_tableau("cx"), (k, l)
-                elif level == 2:
-                    gate, targets = gate_tableau("cx"), (l, k)
-                else:
-                    gate, targets = gate_tableau("swap"), (k, l)
-            else:
-                gate = gate_tableau(kind, (-float(level * (math.pi / 2)),))
-                targets = qubits
-            apply_gate_to_table(stacked, gate, targets, rows=rows)
     return stacked
 
 
 def transform_hamiltonian(hamiltonian: PauliSum, gamma,
                           entanglement: str = "circular") -> PauliSum:
     """The transformed problem ``H(gamma)`` as a canonical PauliSum."""
-    table = transform_table(hamiltonian, gamma, entanglement)
-    if isinstance(table, PackedPauliTable):
-        table = table.to_table()
+    table = transform_table(hamiltonian, gamma, entanglement).to_table()
     return PauliSum(table, hamiltonian.coefficients.copy())
 
 

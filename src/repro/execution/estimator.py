@@ -6,13 +6,11 @@ the bound ansatz ``A'(theta)``.  This module gives them a single seam:
 
 * :class:`ExactEstimator` (``mode="exact"``) -- full density-matrix
   evolution with every modeled channel, optionally adding Gaussian noise
-  with the exact per-term sampling variance.  The successor of the old
-  ``repro.vqe.estimator.EnergyEstimator``.
+  with the exact per-term sampling variance.
 * :class:`ShotSamplingEstimator` (``mode="shots"``) -- the faithful
   hardware measurement flow: qubit-wise-commuting grouping, noisy basis
   rotations, multinomial bitstring sampling through readout confusion,
-  optional tensored readout mitigation.  Absorbs the old
-  ``repro.vqe.counts_estimator.CountsEnergyEstimator``.
+  optional tensored readout mitigation.
 * :class:`CliffordEstimator` (``mode="clifford"``) -- stabilizer fast path
   for Clifford parameter points (every theta a multiple of pi/2): the
   Pauli-channel noise projection evaluated in one backward tableau pass,
@@ -28,23 +26,21 @@ this is what amortizes circuit setup across a GA population or SPSA sweep.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..densesim.evaluator import evolve_with_noise, measurement_attenuations
-from ..noise.clifford_model import CliffordNoiseModel
+from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
 from ..noise.model import NoiseModel
+from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 
 if TYPE_CHECKING:  # annotation-only; avoids a core <-> execution cycle
     from ..core.problem import VQEProblem
-
-_TWO_PI = 2.0 * math.pi
 
 
 # ----------------------------------------------------------------------
@@ -126,89 +122,6 @@ class Estimator(Protocol):
 # ----------------------------------------------------------------------
 # Shared machinery
 # ----------------------------------------------------------------------
-class _BindingPlan:
-    """Fused bind + identity-drop plan over an ansatz template.
-
-    ``Circuit.bind`` walks every instruction substituting parameters, and
-    ``drop_identity_rotations`` walks the result again.  For batched
-    estimation both passes are folded into one precomputed plan: static
-    instructions are resolved once (explicit ``i`` gates and zero-angle
-    bound rotations dropped at plan time), and per point only the
-    parameterized rotations are re-dispatched.  Output is instruction-for-
-    instruction identical to ``problem.bound_ansatz(theta)``.
-    """
-
-    def __init__(self, template: Circuit, tol: float = 1e-12):
-        from ..circuits.ansatz import bound_skeleton_steps
-
-        self.num_qubits = template.num_qubits
-        self.num_parameters = template.num_parameters
-        self.tol = tol
-        #: (instruction, parameter index | None); None = append verbatim
-        self.steps: list[tuple] = bound_skeleton_steps(template, tol)
-
-    def bind(self, theta: np.ndarray) -> Circuit:
-        if len(theta) < self.num_parameters:
-            raise ValueError(f"need {self.num_parameters} parameter values, "
-                             f"got {len(theta)}")
-        out = Circuit(self.num_qubits)
-        instructions = out.instructions
-        tol = self.tol
-        for inst, index in self.steps:
-            if index is None:
-                instructions.append(inst)
-                continue
-            angle = float(theta[index])
-            folded = angle % _TWO_PI
-            if min(folded, _TWO_PI - folded) < tol:
-                continue
-            instructions.append(replace(inst, params=(angle,)))
-        return out
-
-    def keep_mask(self, theta: np.ndarray) -> tuple[bool, ...]:
-        """Which parameterized steps survive identity-dropping at ``theta``.
-
-        The mask is the point's circuit-structure signature: points with
-        equal masks share an instruction sequence and can be evolved as
-        one batch.
-        """
-        if len(theta) < self.num_parameters:
-            raise ValueError(f"need {self.num_parameters} parameter values, "
-                             f"got {len(theta)}")
-        mask = []
-        tol = self.tol
-        for _, index in self.steps:
-            if index is None:
-                continue
-            folded = float(theta[index]) % _TWO_PI
-            mask.append(min(folded, _TWO_PI - folded) >= tol)
-        return tuple(mask)
-
-    def steps_for(self, mask: tuple[bool, ...], thetas: np.ndarray
-                  ) -> list[tuple]:
-        """The shared instruction sequence of one structure group.
-
-        Returns ``(instruction, angles)`` pairs for the batched evolver:
-        ``angles`` is the group's ``(B,)`` per-point angle vector for kept
-        rotations and ``None`` for static instructions.  The
-        representative instruction of a rotation carries the first point's
-        angle (noise channels only read its name and qubits).
-        """
-        out = []
-        position = 0
-        for inst, index in self.steps:
-            if index is None:
-                out.append((inst, None))
-                continue
-            kept = mask[position]
-            position += 1
-            if not kept:
-                continue
-            angles = np.asarray(thetas[:, index], dtype=float)
-            out.append((replace(inst, params=(float(angles[0]),)), angles))
-        return out
-
-
 class BaseEstimator:
     """Common bookkeeping: validation, counters, the batched default."""
 
@@ -222,13 +135,12 @@ class BaseEstimator:
         if self.noise_model.num_qubits != problem.num_eval_qubits:
             raise ValueError("noise model width must match the eval register")
         self.num_evaluations = 0
-        self._plan: _BindingPlan | None = None
+        #: the bind/schedule plan over the eval ansatz, shared by a batch
+        self._plan = CliffordCircuitPlan(problem.eval_ansatz)
 
     # -- batched circuit construction ---------------------------------
     def _bound_circuit_batched(self, theta: np.ndarray) -> Circuit:
         """Bind via the shared precomputed skeleton plan."""
-        if self._plan is None:
-            self._plan = _BindingPlan(self.problem.eval_ansatz)
         return self._plan.bind(theta)
 
     # -- protocol surface ---------------------------------------------
@@ -368,8 +280,6 @@ class ExactEstimator(BaseEstimator):
         start = time.perf_counter()
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         num_points = len(thetas)
-        if self._plan is None:
-            self._plan = _BindingPlan(self.problem.eval_ansatz)
         plan = self._plan
 
         groups: dict[tuple[bool, ...], list[int]] = {}
@@ -536,73 +446,38 @@ class CliffordEstimator(BaseEstimator):
 
     def __init__(self, problem: "VQEProblem", observable: PauliSum,
                  noise_model: NoiseModel | None = None,
-                 clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+                 clifford_model: CliffordNoiseModel | None = None):
         super().__init__(problem, observable, noise_model)
         self.clifford_model = clifford_model or CliffordNoiseModel(
             self.noise_model)
-        self.packed = packed
         self._coefficients = observable.coefficients
-        self._clifford_plan = None
-        if packed:
-            from ..paulis.packed_table import PackedPauliTable
-
-            # observable packed once; every pass copies/tiles the words
-            self._observable_table = PackedPauliTable.from_table(
-                observable.table)
-        else:
-            self._observable_table = observable.table
+        # observable packed once; every pass tiles the words
+        self._observable_table = PackedPauliTable.from_table(observable.table)
 
     def with_problem(self, problem: "VQEProblem") -> "CliffordEstimator":
         """Clone over another problem (same observable and noise models)."""
         return CliffordEstimator(problem, self.observable,
                                  noise_model=self.noise_model,
-                                 clifford_model=self.clifford_model,
-                                 packed=self.packed)
-
-    def _finish(self, circuit: Circuit, start: float) -> EstimateResult:
-        if not circuit.is_clifford():
-            raise ValueError(
-                "CliffordEstimator requires a Clifford parameter point "
-                "(every angle a multiple of pi/2)")
-        values = self.clifford_model.noisy_zero_state_term_values(
-            circuit, self._observable_table)
-        value = float(self._coefficients @ values)
-        self.num_evaluations += 1
-        return EstimateResult(
-            value=value, exact_value=value, term_expectations=values,
-            variance=0.0, shots=None,
-            seconds=time.perf_counter() - start, mode=self.mode)
+                                 clifford_model=self.clifford_model)
 
     def estimate(self, theta: np.ndarray) -> EstimateResult:
-        start = time.perf_counter()
-        return self._finish(self.problem.bound_ansatz(theta), start)
-
-    def _estimate_batched(self, theta: np.ndarray) -> EstimateResult:
-        start = time.perf_counter()
-        return self._finish(self._bound_circuit_batched(theta), start)
+        """One point: row 0 of a batch of one."""
+        return self.estimate_many(np.asarray(theta, dtype=float)[None, :])[0]
 
     def estimate_many(self, thetas: np.ndarray) -> BatchResult:
         """One stacked backward tableau pass for the whole batch.
 
         The observable's term table is tiled once per point into a
-        ``(P*M, n)`` bit tensor and the Pauli-channel projection walks the
-        shared ansatz skeleton a single time, applying each point's kept
-        rotations through per-point row masks
-        (:class:`~repro.noise.clifford_model.CliffordCircuitPlan`) --
-        instead of rebuilding the bound circuit and re-running the pass
-        per point.  Per-point values are bit-identical to
-        :meth:`estimate`.
+        ``(P*M, n)`` word-packed table and the Pauli-channel projection
+        walks the plan's leveled schedule a single time, each rotation
+        slot conjugating every row by its own point's angle -- instead
+        of rebuilding the bound circuit and re-running the pass per
+        point.
         """
-        from ..noise.clifford_model import CliffordCircuitPlan
-
         start = time.perf_counter()
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         num_points = len(thetas)
-        if self._clifford_plan is None:
-            self._clifford_plan = CliffordCircuitPlan(
-                self.problem.eval_ansatz)
-        plan = self._clifford_plan
+        plan = self._plan
         if not plan.is_clifford(thetas):
             raise ValueError(
                 "CliffordEstimator requires a Clifford parameter point "

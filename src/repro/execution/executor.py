@@ -138,16 +138,13 @@ class ProcessExecutor(_PoolExecutor):
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
 
-def resolve_executor(executor: "Executor | None",
-                     num_processes: int = 1) -> tuple["Executor", bool]:
+def resolve_executor(executor: "Executor | None"
+                     ) -> tuple["Executor", bool]:
     """The engine's executor-selection rule.
 
     Returns ``(executor, owned)``: ``owned`` is True when this call created
-    the executor (the caller must close it).  ``num_processes`` is the
-    deprecated integer knob kept for backward compatibility.
+    the executor (the caller must close it).
     """
     if executor is not None:
         return executor, False
-    if num_processes > 1:
-        return ProcessExecutor(num_processes), True
     return SerialExecutor(), True

@@ -13,15 +13,8 @@ from .runners import (
 
 __all__ = [
     "ComparisonRow", "Experiment", "ExperimentResult", "FAST_ENGINE",
-    "METHODS", "MethodRun", "PAPER_ENGINE", "SMOKE_ENGINE", "bench_engine",
+    "MethodRun", "PAPER_ENGINE", "SMOKE_ENGINE", "bench_engine",
     "build_problem", "compare_initializations", "convergence_traces",
     "format_comparison_table", "sweep_relative_improvement",
 ]
 
-
-def __getattr__(name: str):
-    if name == "METHODS":  # deprecated shim; warns in .experiment
-        from .experiment import METHODS
-
-        return METHODS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

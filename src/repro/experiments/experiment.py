@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import inspect
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,20 +32,6 @@ from ..noise.model import NoiseModel
 from ..optim.engine import EngineConfig
 from ..paulis.pauli_sum import PauliSum
 from ..vqe.runner import VQETrace, run_vqe
-
-
-def __getattr__(name: str):
-    if name == "METHODS":
-        # PR-1/PR-2-era shim: the frozen tuple is now the registry's
-        # built-in trio (see repro.methods).
-        warnings.warn(
-            "METHODS is deprecated; use repro.methods.method_names() for "
-            "everything registered or repro.methods.DEFAULT_METHODS for "
-            "the built-in trio", DeprecationWarning, stacklevel=2)
-        from ..methods import DEFAULT_METHODS
-
-        return DEFAULT_METHODS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -24,18 +24,10 @@ from ..vqe.runner import VQETrace
 from .experiment import Experiment
 
 __all__ = [
-    "METHODS", "ComparisonRow", "build_problem", "compare_initializations",
+    "ComparisonRow", "build_problem", "compare_initializations",
     "convergence_traces", "format_comparison_table",
     "sweep_relative_improvement",
 ]
-
-
-def __getattr__(name: str):
-    if name == "METHODS":  # deprecated shim; warns in .experiment
-        from . import experiment
-
-        return experiment.METHODS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -120,11 +112,10 @@ def sweep_relative_improvement(hamiltonian: PauliSum,
                                executor=None) -> list[float]:
     """eta(baseline -> clapton) across a list of noise settings.
 
-    .. deprecated::
-        This is now a thin wrapper over a one-off campaign; build a
-        :class:`~repro.campaigns.CampaignSpec` and run it through
-        :class:`~repro.campaigns.CampaignRunner` instead (JSON specs,
-        sharding over executors, crash-resumable stores, reports).
+    A thin wrapper over a one-off campaign; for JSON specs, sharding over
+    executors, crash-resumable stores and reports, build a
+    :class:`~repro.campaigns.CampaignSpec` and run it through
+    :class:`~repro.campaigns.CampaignRunner` directly.
 
     The Fig. 7/8 harnesses build the noise-model list by sweeping one
     channel's strength with everything else fixed.  Numbers are identical
@@ -133,8 +124,6 @@ def sweep_relative_improvement(hamiltonian: PauliSum,
     *cells* (each engine stays serial inside its task), so parallel runs
     reproduce the serial numbers bit for bit.
     """
-    import warnings
-
     from ..campaigns.runner import CampaignRunner
     from ..campaigns.spec import CampaignSpec, TaskSpec, engine_to_dict
     from ..campaigns.store import ResultStore
@@ -142,10 +131,6 @@ def sweep_relative_improvement(hamiltonian: PauliSum,
     from ..metrics import relative_improvement
     from ..paulis.serialization import pauli_sum_to_dict
 
-    warnings.warn(
-        "sweep_relative_improvement is deprecated; declare a CampaignSpec "
-        "and run it with repro.campaigns.CampaignRunner (or `repro sweep`)",
-        DeprecationWarning, stacklevel=2)
     e0 = ground_state_energy(hamiltonian)  # one eigensolve for the sweep
     h_payload = pauli_sum_to_dict(hamiltonian)
     engine = engine_to_dict(config)

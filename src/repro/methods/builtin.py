@@ -29,20 +29,16 @@ class CafqaMethod(InitializationMethod):
                    "angles (L_0 only)")
     noise_aware = False
 
-    def __init__(self, clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+    def __init__(self, clifford_model: CliffordNoiseModel | None = None):
         self.clifford_model = clifford_model
-        self.packed = packed
 
     def num_parameters(self, problem: VQEProblem) -> int:
         return problem.num_vqe_parameters
 
     def make_loss(self, problem: VQEProblem):
         if self.noise_aware:
-            return NcafqaLoss(problem, clifford_model=self.clifford_model,
-                              packed=self.packed)
-        return CafqaLoss(problem, clifford_model=self.clifford_model,
-                         packed=self.packed)
+            return NcafqaLoss(problem, clifford_model=self.clifford_model)
+        return CafqaLoss(problem, clifford_model=self.clifford_model)
 
     def decode(self, problem: VQEProblem, genome) -> DecodedPoint:
         return DecodedPoint(vqe_hamiltonian=problem.hamiltonian,
@@ -74,12 +70,10 @@ class ClaptonMethod(InitializationMethod):
                    "L_N + L_0 (Sec. 4.1)")
 
     def __init__(self, clifford_model: CliffordNoiseModel | None = None,
-                 noisy_weight: float = 1.0, noiseless_weight: float = 1.0,
-                 packed: bool = True):
+                 noisy_weight: float = 1.0, noiseless_weight: float = 1.0):
         self.clifford_model = clifford_model
         self.noisy_weight = noisy_weight
         self.noiseless_weight = noiseless_weight
-        self.packed = packed
 
     def num_parameters(self, problem: VQEProblem) -> int:
         return problem.num_transformation_parameters
@@ -87,8 +81,7 @@ class ClaptonMethod(InitializationMethod):
     def make_loss(self, problem: VQEProblem):
         return ClaptonLoss(problem, clifford_model=self.clifford_model,
                            noisy_weight=self.noisy_weight,
-                           noiseless_weight=self.noiseless_weight,
-                           packed=self.packed)
+                           noiseless_weight=self.noiseless_weight)
 
     def decode(self, problem: VQEProblem, genome) -> DecodedPoint:
         return DecodedPoint(

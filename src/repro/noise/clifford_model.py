@@ -34,6 +34,7 @@ import numpy as np
 
 from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
+from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 from ..stabilizer.simulator import StabilizerSimulator
 from ..stabilizer.tableau import CliffordTableau, apply_gate_to_table, gate_tableau
@@ -65,12 +66,10 @@ class CliffordNoiseModel:
 
     def __init__(self, noise_model: NoiseModel,
                  include_twirled_relaxation: bool = False,
-                 include_basis_prep_error: bool = True,
-                 packed: bool = True):
+                 include_basis_prep_error: bool = True):
         self.noise_model = noise_model
         self.include_twirled_relaxation = include_twirled_relaxation
         self.include_basis_prep_error = include_basis_prep_error
-        self.packed = packed
         self._twirl_cache: dict[tuple[int, float], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -110,37 +109,21 @@ class CliffordNoiseModel:
         """Exact noisy ``<0| A~† H A~ |0>`` for a Clifford circuit ``A``.
 
         Walks the circuit in reverse (Heisenberg picture), attenuating at
-        each noise location and conjugating the whole term table through the
-        inverse gate tableau.  With ``packed=True`` (the model's default)
-        the walk runs on the word-packed layout -- bit-identical values,
-        much less memory traffic at large n.
+        each noise location and conjugating the whole word-packed term
+        table through the inverse gate tableau.
         """
-        table = hamiltonian.table
-        if self.packed:
-            from ..paulis.packed_table import PackedPauliTable
-
-            table = PackedPauliTable.from_table(table)
-        return self.noisy_zero_state_energy_table(
-            circuit, table, hamiltonian.coefficients)
-
-    def noisy_zero_state_energy_table(self, circuit: Circuit, table,
-                                      coefficients: np.ndarray) -> float:
-        """Table-level variant used by Clapton's hot loop.
-
-        Accepts a raw :class:`~repro.paulis.table.PauliTable` (rows may carry
-        +-1 signs from a preceding transformation; they fold into the
-        all-zeros expectation) so candidate evaluation avoids PauliSum
-        canonicalization overhead.
-        """
-        values = self.noisy_zero_state_term_values(circuit, table)
-        return float(np.asarray(coefficients) @ values)
+        values = self.noisy_zero_state_term_values(
+            circuit, PackedPauliTable.from_table(hamiltonian.table))
+        return float(hamiltonian.coefficients @ values)
 
     def noisy_zero_state_term_values(self, circuit: Circuit, table
                                      ) -> np.ndarray:
         """Per-term noisy expectations ``<0| A~† P_i A~ |0>`` (one pass).
 
-        The coefficient-weighted sum of these is the L_N energy; the
-        Clifford fast-path estimator exposes them individually.
+        The coefficient-weighted sum of these is the L_N energy.  ``table``
+        is a word-packed term table whose rows may carry +-1 signs from a
+        preceding transformation (they fold into the all-zeros
+        expectation).
         """
         return self.noisy_zero_state_term_values_steps(
             [(inst, None) for inst in reversed(circuit.instructions)], table)
@@ -148,20 +131,17 @@ class CliffordNoiseModel:
     def noisy_zero_state_term_values_steps(self, steps, table) -> np.ndarray:
         """The same backward pass over an explicit *reverse-order* schedule.
 
-        ``steps`` is a sequence of ``(instruction, rows)`` pairs already in
-        reverse circuit order, where ``rows`` is either ``None`` (the gate
-        applies to every table row) or a boolean row mask.  This is the
-        population-batched entry point: stack one Hamiltonian table copy
-        per genome (:meth:`~repro.paulis.table.PauliTable.tile`), build a
-        schedule whose masks select each genome's rows for its own gate
-        choices (:class:`CliffordCircuitPlan`), and all genomes' term
-        values come out of one vectorized walk.  Every arithmetic step is
-        row-wise, so masked results are bit-identical to running the
-        serial pass per genome.
-
-        ``table`` may be either representation (boolean-matrix or
-        word-packed); the walk only uses the shared column-accessor
-        surface, and packed results are bit-identical to the boolean path.
+        ``steps`` is a :meth:`CliffordCircuitPlan.reverse_schedule`:
+        ``(instruction, None)`` for a gate every row sees, and
+        ``(bound_instructions, level_of_row)`` for a rotation slot, where
+        row ``r`` sees ``bound_instructions[level_of_row[r] - 1]`` and level
+        0 drops the rotation.  This is the population-batched entry point:
+        stack one Hamiltonian table copy per genome
+        (:meth:`~repro.paulis.packed_table.PackedPauliTable.tile`) and all
+        genomes' term values come out of one vectorized walk.  A slot's
+        noise attenuates only rows with level > 0, and every arithmetic
+        step is row-wise, so a genome's values do not depend on the rest
+        of its batch.
         """
         nm = self.noise_model
         table = table.copy()
@@ -170,14 +150,18 @@ class CliffordNoiseModel:
         flips = nm.logical_flip_probs
         flip_by_code = None
         if flips is not None:
-            from .twirling import pauli_channel_attenuation
-
             probs = np.array([1.0 - sum(flips), *flips])
             f_i, f_x, f_y, f_z = pauli_channel_attenuation(probs)
             flip_by_code = np.array([f_i, f_x, f_z, f_y])
-        for inst, rows in steps:
+        for item, level_of_row in steps:
+            if level_of_row is None:
+                inst, rows, sel = item, None, slice(None)
+            else:
+                # every bound alternative shares the rotation's qubits,
+                # hence its noise
+                inst = item[0]
+                rows = sel = level_of_row > 0
             qubits = list(inst.qubits)
-            sel = slice(None) if rows is None else rows
             p = nm.gate_depol(inst)
             if p > 0:
                 touched = table.touches_any(qubits)
@@ -194,29 +178,46 @@ class CliffordNoiseModel:
                 for q in qubits:
                     by_code = self._relaxation_factors_by_code(q, duration)
                     factors[sel] *= by_code[table.codes_on(q, sel)]
-            apply_gate_to_table(table, _inverse_gate_tableau(inst),
-                                inst.qubits, rows=rows)
+            _conjugate_step(table, item, level_of_row)
         return factors * table.expectation_all_zeros()
+
+
+def conjugate_schedule(table, steps) -> None:
+    """In place, pull every row back through a reverse schedule (no noise)."""
+    for item, level_of_row in steps:
+        _conjugate_step(table, item, level_of_row)
+
+
+def _conjugate_step(table, item, level_of_row) -> None:
+    if level_of_row is None:
+        apply_gate_to_table(table, _inverse_gate_tableau(item), item.qubits)
+        return
+    # resolved at call time, so a profiler wrapping the tableau module's
+    # kernels also sees the calls made from here
+    from ..stabilizer.tableau import apply_gate_levels_to_table
+
+    entries = [None] + [(_inverse_gate_tableau(inst), False)
+                        for inst in item]
+    apply_gate_levels_to_table(table, entries, item[0].qubits, level_of_row)
 
 
 _TWO_PI = 2.0 * math.pi
 
 
 class CliffordCircuitPlan:
-    """Population schedule over a parameterized Clifford-point template.
+    """Bind and schedule plan over a parameterized ansatz template.
 
-    Precomputes, once per ansatz template, the instruction skeleton that
+    Precomputes, once per template, the instruction skeleton that
     :func:`~repro.circuits.ansatz.drop_identity_rotations` would leave after
     binding (explicit ``i`` gates and zero-angle *bound* rotations are
-    dropped at plan time), then turns a ``(P, d)`` batch of parameter points
-    into one reverse-order ``(instruction, rows)`` schedule: points sharing
-    the exact same angle at a parameterized rotation are grouped under one
-    boolean row mask, so a whole population is conjugated through
-    :meth:`CliffordNoiseModel.noisy_zero_state_term_values_steps` (or plain
-    masked :func:`~repro.stabilizer.tableau.apply_gate_to_table` calls) in
-    a handful of numpy ops per slot.  The per-point instruction sequence is
-    identical to ``drop_identity_rotations(template.bind(theta))``, so
-    batched results are bit-identical to the serial schedule.
+    dropped at plan time, :func:`~repro.circuits.ansatz.bound_skeleton_steps`).
+    Per point only the parameterized rotations are re-dispatched:
+    :meth:`bind` rebuilds one bound circuit, :meth:`keep_mask` /
+    :meth:`steps_for` group points for the batched density-matrix
+    evolver, and :meth:`reverse_schedule` turns a ``(P, d)`` batch into
+    the one leveled schedule every Clifford walk runs.  The per-point
+    instruction sequence is identical to
+    ``drop_identity_rotations(template.bind(theta))``.
     """
 
     def __init__(self, template: Circuit, tol: float = 1e-12):
@@ -234,6 +235,57 @@ class CliffordCircuitPlan:
             raise ValueError(f"need {self.num_parameters} parameter values, "
                              f"got {thetas.shape[1]}")
         return thetas
+
+    def _kept(self, angle: float) -> bool:
+        folded = angle % _TWO_PI
+        return min(folded, _TWO_PI - folded) >= self.tol
+
+    def bind(self, theta: np.ndarray) -> Circuit:
+        """The bound, identity-dropped circuit at one point."""
+        theta = self._check_thetas(theta)[0]
+        out = Circuit(self.num_qubits)
+        instructions = out.instructions
+        for inst, index in self.steps:
+            if index is None:
+                instructions.append(inst)
+                continue
+            angle = float(theta[index])
+            if self._kept(angle):
+                instructions.append(replace(inst, params=(angle,)))
+        return out
+
+    def keep_mask(self, theta: np.ndarray) -> tuple[bool, ...]:
+        """Which parameterized steps survive identity-dropping at ``theta``.
+
+        The mask is the point's circuit-structure signature: points with
+        equal masks share an instruction sequence and can be evolved as
+        one batch.
+        """
+        theta = self._check_thetas(theta)[0]
+        return tuple(self._kept(float(theta[index]))
+                     for _, index in self.steps if index is not None)
+
+    def steps_for(self, mask: tuple[bool, ...], thetas: np.ndarray
+                  ) -> list[tuple]:
+        """The shared instruction sequence of one structure group.
+
+        Returns ``(instruction, angles)`` pairs for the batched evolver:
+        ``angles`` is the group's ``(B,)`` per-point angle vector for kept
+        rotations and ``None`` for static instructions.  The
+        representative instruction of a rotation carries the first point's
+        angle (noise channels only read its name and qubits).
+        """
+        out = []
+        kept = iter(mask)
+        for inst, index in self.steps:
+            if index is None:
+                out.append((inst, None))
+                continue
+            if not next(kept):
+                continue
+            angles = np.asarray(thetas[:, index], dtype=float)
+            out.append((replace(inst, params=(float(angles[0]),)), angles))
+        return out
 
     def is_clifford(self, thetas: np.ndarray) -> bool:
         """Whether every point binds the template to a Clifford circuit."""
@@ -253,18 +305,20 @@ class CliffordCircuitPlan:
 
     def reverse_schedule(self, thetas: np.ndarray, rows_per_point: int
                          ) -> list[tuple]:
-        """``(instruction, rows)`` pairs in reverse circuit order.
+        """The population's gates as one schedule in reverse circuit order.
 
         ``rows_per_point`` is the number of stacked table rows each point
         owns (the Hamiltonian's term count M); point ``p`` owns the
-        contiguous row block ``[p*M, (p+1)*M)``.  Static instructions get
-        ``rows=None`` (every point shares them); parameterized rotations
-        get one entry per distinct kept angle with the matching row mask,
-        zero angles dropping out exactly as the serial identity-drop does.
+        contiguous row block ``[p*M, (p+1)*M)``.  A static instruction
+        comes out as ``(instruction, None)``.  A parameterized rotation
+        comes out as ``(bound_instructions, level_of_row)``: the distinct
+        kept angles as bound instructions, plus a ``(P*M,)`` unsigned
+        integer level per row, 1-based into that list, with 0 where the angle is an exact
+        identity and the rotation is dropped.  A slot no point keeps is
+        left out.
         """
         thetas = self._check_thetas(thetas)
         num_points = len(thetas)
-        point_of_row = np.repeat(np.arange(num_points), rows_per_point)
         schedule: list[tuple] = []
         for inst, index in reversed(self.steps):
             if index is None:
@@ -274,49 +328,24 @@ class CliffordCircuitPlan:
             # vectorized is_identity_angle over the whole population
             folded = angles % _TWO_PI
             kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
-            for angle in np.unique(angles[kept]):
-                members = kept & (angles == angle)
-                bound = replace(inst, params=(float(angle),))
-                schedule.append((bound, members[point_of_row]))
-        return schedule
-
-    def reverse_leveled_schedule(self, thetas: np.ndarray,
-                                 rows_per_point: int) -> list[tuple]:
-        """Reverse schedule with parameterized slots fused per level.
-
-        The packed-layout counterpart of :meth:`reverse_schedule`: static
-        instructions come out as ``("gate", inst, None)`` exactly as
-        before, but a parameterized rotation becomes one
-        ``("slot", bound_insts, qubits, level_of_row)`` entry -- the
-        distinct kept angles as bound instructions, plus a per-row level
-        index (0 = dropped/identity) -- which
-        :func:`~repro.stabilizer.tableau.apply_gate_levels_to_table`
-        applies in a single unmasked pass.  Each row is touched by
-        exactly one angle group in either schedule, so the per-row
-        arithmetic (and hence the result) is bit-identical.
-        """
-        thetas = self._check_thetas(thetas)
-        num_points = len(thetas)
-        point_of_row = np.repeat(np.arange(num_points), rows_per_point)
-        schedule: list[tuple] = []
-        for inst, index in reversed(self.steps):
-            if index is None:
-                schedule.append(("gate", inst, None))
-                continue
-            angles = thetas[:, index]
-            folded = angles % _TWO_PI
-            kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
             distinct = np.unique(angles[kept])
             if distinct.size == 0:
                 continue
-            level_of_point = np.zeros(num_points, dtype=np.int64)
+            # the narrowest integer type holding every level: a schedule
+            # keeps one level per stacked row for each slot
+            level_of_point = np.zeros(num_points,
+                                      dtype=np.min_scalar_type(distinct.size))
             bound_insts = []
             for level, angle in enumerate(distinct, start=1):
                 level_of_point[kept & (angles == angle)] = level
                 bound_insts.append(replace(inst, params=(float(angle),)))
-            schedule.append(("slot", bound_insts, list(inst.qubits),
-                             level_of_point[point_of_row]))
+            schedule.append((bound_insts,
+                             np.repeat(level_of_point, rows_per_point)))
         return schedule
+
+    #: The same method under its earlier name; ``perfbench/layers.py``
+    #: wraps both names as the plan layer.
+    reverse_leveled_schedule = reverse_schedule
 
 
 def sample_noisy_energy(circuit: Circuit, hamiltonian: PauliSum,

@@ -16,7 +16,7 @@ externally-timed work (process-pool shards, heartbeat round trips,
 idle sleeps) into the current span.  The span vocabulary, bottom up::
 
     kernel.conjugate_table  one packed conjugation walk  (kernel)
-    kernel.fused_levels     one fused leveled-LUT pass
+    kernel.fused_levels     one walk of fused leveled-LUT passes
     loss.evaluate_many      one batched loss call       (loss_eval)
     loss.shard              one executor shard, in-worker timed
     executor.map_shards     the parent's scatter/gather wait

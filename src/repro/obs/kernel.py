@@ -29,9 +29,12 @@ exposes fleet-wide word throughput.
 
 from __future__ import annotations
 
+import contextlib
 import threading
+import time
 
 from .metrics import REGISTRY
+from .tracer import get_tracer
 
 #: The snapshot/delta field order (stable; used by wire payloads too).
 FIELDS = ("words", "rows", "lut_hits", "lut_misses", "fused_passes")
@@ -76,6 +79,28 @@ class KernelCounters:
 
 #: Process singleton every packed-kernel call site increments.
 KERNEL = KernelCounters()
+
+@contextlib.contextmanager
+def kernel_event(name: str, *, passes: bool = False):
+    """Time the block as one aggregated kernel event of the current tracer.
+
+    The event carries the block's ``words`` and ``rows`` counter advance
+    (and ``passes``, the fused-pass advance, when asked for).  Nothing is
+    snapshotted or timed while tracing is off.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        yield
+        return
+    before = KERNEL.snapshot()
+    start = time.perf_counter()
+    yield
+    delta = KERNEL.delta(before)
+    tags = {"words": delta["words"], "rows": delta["rows"]}
+    if passes:
+        tags["passes"] = delta["fused_passes"]
+    tracer.event(name, time.perf_counter() - start, **tags)
+
 
 _PROM = {
     "words": REGISTRY.counter(

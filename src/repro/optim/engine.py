@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,10 +77,6 @@ class EngineConfig:
     #: serial engine while the loss evaluations -- the dominant cost --
     #: run in parallel.  Ignored under a serial executor.
     parallel_axis: str = "instances"
-    #: Deprecated: pass ``executor=ProcessExecutor(n)`` to
-    #: :func:`multi_ga_minimize` instead.  Kept as a compatibility knob;
-    #: values > 1 select a process executor with a deprecation warning.
-    num_processes: int = 1
 
     def validate(self) -> None:
         """Reject configurations the round loop cannot run to completion.
@@ -93,8 +88,7 @@ class EngineConfig:
         for name in ("num_instances", "population_size", "max_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"EngineConfig.{name} must be >= 1")
-        for name in ("generations_per_round", "top_k", "retry_rounds",
-                     "num_processes"):
+        for name in ("generations_per_round", "top_k", "retry_rounds"):
             if getattr(self, name) < 0:
                 raise ValueError(f"EngineConfig.{name} must be >= 0")
         if not 0.0 <= self.pool_fraction <= 1.0:
@@ -253,18 +247,11 @@ def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
         num_values: Genes take values ``0..num_values-1``.
         config: Engine hyperparameters.
         executor: Execution backend for the GA instances of each round;
-            defaults to :class:`~repro.execution.SerialExecutor` (or, for
-            backward compatibility, a process pool when the deprecated
-            ``config.num_processes`` exceeds 1).
+            defaults to :class:`~repro.execution.SerialExecutor`.
     """
     cfg = config or EngineConfig()
     cfg.validate()
-    if executor is None and cfg.num_processes > 1:
-        warnings.warn(
-            "EngineConfig.num_processes is deprecated; pass "
-            "executor=ProcessExecutor(n) to multi_ga_minimize instead",
-            DeprecationWarning, stacklevel=2)
-    executor, owned = resolve_executor(executor, cfg.num_processes)
+    executor, owned = resolve_executor(executor)
     try:
         return _minimize_rounds(loss_fn, genome_length, num_values, cfg,
                                 executor)

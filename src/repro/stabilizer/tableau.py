@@ -14,15 +14,13 @@ with the simulators.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ..obs import get_tracer
-from ..obs.kernel import KERNEL
+from ..obs.kernel import KERNEL, kernel_event
 from ..paulis import bitops
 from ..circuits.circuit import Circuit
 from ..circuits.gates import get_gate
@@ -111,25 +109,18 @@ class CliffordTableau:
         return cls(PauliTable(x, z))
 
     @classmethod
-    def from_circuit(cls, circuit: Circuit,
-                     packed: bool = True) -> "CliffordTableau":
+    def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
         """Tableau of a bound Clifford circuit (raises if non-Clifford).
 
-        ``packed=True`` (the default) runs the gate loop on the word-packed
-        layout; the result is bit-identical to the boolean-matrix oracle
-        (``packed=False``), which equivalence tests keep exercising.
+        The gate loop runs on the word-packed layout.
         """
         if not circuit.is_clifford():
             raise ValueError("circuit is not Clifford")
-        tableau = cls.identity(circuit.num_qubits)
-        rows = (PackedPauliTable.from_table(tableau.rows) if packed
-                else tableau.rows)
+        rows = PackedPauliTable.from_table(cls.identity(circuit.num_qubits).rows)
         for inst in circuit.instructions:
             gate = gate_tableau(inst.name, tuple(float(p) for p in inst.params))
             apply_gate_to_table(rows, gate, inst.qubits)
-        if packed:
-            return cls(rows.to_table())
-        return tableau
+        return cls(rows.to_table())
 
     # ------------------------------------------------------------------
     # Conjugation
@@ -152,20 +143,14 @@ class CliffordTableau:
             if self._packed_rows is None:
                 self._packed_rows = PackedPauliTable.from_table(self.rows)
             generators = self._packed_rows
-            tracer = get_tracer()
-            before = KERNEL.snapshot() if tracer.enabled else None
-            t0 = time.perf_counter() if tracer.enabled else 0.0
-            acc = PackedPauliTable.identity(table.num_rows, n)
-            acc.phase_exp = table.phase_exp.copy()
-            for k in range(n):
-                acc.mul_table_row_on_rows(table.z_column(k), generators, n + k)
-            for k in range(n):
-                acc.mul_table_row_on_rows(table.x_column(k), generators, k)
-            if before is not None:
-                delta = KERNEL.delta(before)
-                tracer.event("kernel.conjugate_table",
-                             time.perf_counter() - t0,
-                             words=delta["words"], rows=delta["rows"])
+            with kernel_event("kernel.conjugate_table"):
+                acc = PackedPauliTable.identity(table.num_rows, n)
+                acc.phase_exp = table.phase_exp.copy()
+                for k in range(n):
+                    acc.mul_table_row_on_rows(table.z_column(k), generators,
+                                              n + k)
+                for k in range(n):
+                    acc.mul_table_row_on_rows(table.x_column(k), generators, k)
             return acc
         acc = PauliTable.identity(table.num_rows, n)
         acc.phase_exp = table.phase_exp.copy()
@@ -258,152 +243,85 @@ def _conjugation_lut(gate: CliffordTableau
 
 
 def apply_gate_to_table(table, gate: CliffordTableau,
-                        qubits: Sequence[int],
-                        rows: np.ndarray | None = None) -> None:
-    """In place, conjugate every row of ``table`` by a small gate on ``qubits``.
+                        qubits: Sequence[int]) -> None:
+    """In place, conjugate every row of ``table`` by a 1- or 2-qubit gate.
 
     The restriction of a row to ``qubits`` is a sub-Pauli with zero phase
     exponent (operators on disjoint qubits commute), so only the sub-bits
     change and the image's phase exponent adds to the row's global phase.
     Dispatches through per-gate code lookup tables (see
-    :func:`_conjugation_lut`); the generic row-multiplication path is kept
-    for gates wider than the LUT supports.
+    :func:`_conjugation_lut`).
 
-    ``table`` may be a boolean-matrix :class:`~repro.paulis.table.PauliTable`
-    or a word-packed :class:`~repro.paulis.packed_table.PackedPauliTable`;
-    the packed kernel extracts and deposits single bit columns of the
-    uint64 words and is bit-identical to the boolean path (the oracle the
-    equivalence suite checks against).
+    ``table`` is normally a word-packed
+    :class:`~repro.paulis.packed_table.PackedPauliTable`; a boolean-matrix
+    :class:`~repro.paulis.table.PauliTable` (the layout
+    :class:`~repro.stabilizer.simulator.StabilizerSimulator` keeps its
+    tableau in) runs the same LUT on bit columns.
 
-    ``rows`` optionally restricts the conjugation to a boolean row mask --
-    the seam population-batched evaluation uses to apply each genome's gate
-    choice to only that genome's rows of a stacked table.  Masked rows see
-    exactly the arithmetic the unmasked path applies, so per-row results
-    are bit-identical either way.
+    Raises:
+        ValueError: if the gate acts on more than two qubits, or its arity
+            does not match ``qubits``.
     """
     qubits = list(qubits)
     k = gate.num_qubits
     if len(qubits) != k:
         raise ValueError("gate arity does not match qubit list")
+    if k > 2:
+        raise ValueError(f"no conjugation LUT for a {k}-qubit gate")
+    lut = _conjugation_lut(gate)
     if isinstance(table, PackedPauliTable):
-        _apply_gate_packed(table, gate, qubits, rows)
+        _apply_lut_to_words(table, lut, qubits)
         return
-    if k <= 2:
-        lut_x, lut_z, lut_dq = _conjugation_lut(gate)
-        if rows is None:
-            codes = (table.x[:, qubits[0]]
-                     + 2 * table.z[:, qubits[0]].astype(np.int64))
-            if k == 2:
-                codes = codes + 4 * (table.x[:, qubits[1]]
-                                     + 2 * table.z[:, qubits[1]].astype(np.int64))
-            for j, q in enumerate(qubits):
-                table.x[:, q] = lut_x[codes, j]
-                table.z[:, q] = lut_z[codes, j]
-            table.phase_exp += lut_dq[codes]
-            table.phase_exp %= 4
-            return
-        codes = (table.x[rows, qubits[0]]
-                 + 2 * table.z[rows, qubits[0]].astype(np.int64))
-        if k == 2:
-            codes = codes + 4 * (table.x[rows, qubits[1]]
-                                 + 2 * table.z[rows, qubits[1]].astype(np.int64))
-        for j, q in enumerate(qubits):
-            table.x[rows, q] = lut_x[codes, j]
-            table.z[rows, q] = lut_z[codes, j]
-        table.phase_exp[rows] = (table.phase_exp[rows] + lut_dq[codes]) % 4
-        return
-    if rows is not None:
-        sub = PauliTable(table.x[rows], table.z[rows], table.phase_exp[rows])
-        apply_gate_to_table(sub, gate, qubits)
-        table.x[rows] = sub.x
-        table.z[rows] = sub.z
-        table.phase_exp[rows] = sub.phase_exp
-        return
-    subx = table.x[:, qubits]
-    subz = table.z[:, qubits]
-    acc = PauliTable.identity(table.num_rows, k)
-    for j in range(k):
-        acc.mul_pauli_on_rows(subz[:, j], gate.rows.row(k + j))
-    for j in range(k):
-        acc.mul_pauli_on_rows(subx[:, j], gate.rows.row(j))
-    table.x[:, qubits] = acc.x
-    table.z[:, qubits] = acc.z
-    table.phase_exp += acc.phase_exp
+    lut_x, lut_z, lut_dq = lut
+    codes = (table.x[:, qubits[0]]
+             + 2 * table.z[:, qubits[0]].astype(np.int64))
+    if k == 2:
+        codes = codes + 4 * (table.x[:, qubits[1]]
+                             + 2 * table.z[:, qubits[1]].astype(np.int64))
+    for j, q in enumerate(qubits):
+        table.x[:, q] = lut_x[codes, j]
+        table.z[:, q] = lut_z[codes, j]
+    table.phase_exp += lut_dq[codes]
     table.phase_exp %= 4
 
 
-def _apply_gate_packed(table: PackedPauliTable, gate: CliffordTableau,
-                       qubits: list[int],
-                       rows: np.ndarray | None) -> None:
-    """The LUT conjugation kernel on the word-packed layout.
+def _apply_lut_to_words(table: PackedPauliTable, lut, columns: list[int],
+                        level_of_row: np.ndarray | None = None) -> None:
+    """The word-level LUT conjugation kernel shared by every packed pass.
 
-    Sub-Pauli codes are read straight out of the uint64 words and the image
-    bits are deposited back through per-code *pre-shifted* word
-    contributions aggregated per word, so a gate application is a handful
-    of O(M) word operations regardless of n.  A boolean row mask is
-    converted to an index array once up front: every subsequent gather and
-    scatter is an integer fancy-index on a contiguous 1-D word column,
-    roughly 10x cheaper than repeated boolean-mask indexing at population
-    scale.  The arithmetic mirrors the boolean kernel bit for bit.
+    Sub-Pauli codes are read straight out of the uint64 words and the
+    image bits are deposited back through per-code *pre-shifted* word
+    contributions aggregated per word, so a pass is a handful of O(M)
+    word operations regardless of n.  With ``level_of_row`` each row's
+    LUT index is offset by ``level * 4**k`` (the stacked alternatives of
+    :func:`_leveled_lut`).  The arithmetic mirrors the boolean kernel bit
+    for bit.
     """
-    k = gate.num_qubits
-    idx = None
-    rows_touched = table.num_rows
-    if rows is not None:
-        idx = np.flatnonzero(rows)
-        if idx.size == 0:
-            return
-        rows_touched = int(idx.size)
-    KERNEL.rows += rows_touched
-    if k > 2:
-        # generic fall-back: extract the sub-bits, run the boolean-path
-        # row multiplications, deposit the image bits back
-        KERNEL.words += rows_touched * table.num_words
-        sel = slice(None) if idx is None else idx
-        subx = np.column_stack([bitops.get_bit_i64(table.x, q, sel)
-                                for q in qubits]).astype(bool)
-        subz = np.column_stack([bitops.get_bit_i64(table.z, q, sel)
-                                for q in qubits]).astype(bool)
-        acc = PauliTable.identity(len(subx), k)
-        for j in range(k):
-            acc.mul_pauli_on_rows(subz[:, j], gate.rows.row(k + j))
-        for j in range(k):
-            acc.mul_pauli_on_rows(subx[:, j], gate.rows.row(j))
-        for j, q in enumerate(qubits):
-            bitops.set_bit(table.x, q, acc.x[:, j], sel)
-            bitops.set_bit(table.z, q, acc.z[:, j], sel)
-        table.phase_exp[sel] = (table.phase_exp[sel] + acc.phase_exp) % 4
-        return
-    lut_x, lut_z, lut_dq = _conjugation_lut(gate)
+    lut_x, lut_z, lut_dq = lut
+    k = len(columns)
+    KERNEL.rows += table.num_rows
     one = np.uint64(1)
-    # one gather per distinct word and plane, reused for code extraction
-    # and the read-modify-write deposit; code bits are read through a
-    # zero-copy int64 view so the LUT gathers index with int64 (uint64
-    # fancy indices force a bounds conversion that costs ~2.5x)
-    placements = [divmod(q, bitops.WORD_BITS) for q in qubits]
-    gathered: dict[int, tuple] = {}
+    placements = [divmod(q, bitops.WORD_BITS) for q in columns]
+    words: dict[int, tuple] = {}
     for word, _ in placements:
-        if word in gathered:
-            continue
-        colx = table.x[:, word]
-        colz = table.z[:, word]
-        if idx is None:
-            gathered[word] = (colx, colz, colx, colz,
-                              colx.view(np.int64), colz.view(np.int64))
-        else:
-            gx = colx[idx]
-            gz = colz[idx]
-            gathered[word] = (colx, colz, gx, gz,
-                              gx.view(np.int64), gz.view(np.int64))
+        if word not in words:
+            colx = table.x[:, word]
+            colz = table.z[:, word]
+            words[word] = (colx, colz,
+                           colx.view(np.int64), colz.view(np.int64))
+    # int64 throughout: zero-copy views for bit extraction and int64
+    # LUT indices (uint64 fancy indices cost a bounds conversion)
     codes = None
     for word, bit in placements:
-        xi, zi = gathered[word][4], gathered[word][5]
+        xi, zi = words[word][2], words[word][3]
         sub = ((xi >> bit) & 1) + 2 * ((zi >> bit) & 1)
         codes = sub if codes is None else codes + 4 * sub
-    # aggregate clear masks and per-code image contributions per word on
-    # the tiny pre-shifted LUTs FIRST, then gather once per word and
-    # plane (codes were fully extracted above, so same-word qubit pairs
-    # cannot corrupt each other)
+    if level_of_row is not None:
+        codes = codes + np.left_shift(level_of_row, 2 * k, dtype=np.int64)
+    # pre-shift and OR the tiny LUT columns per touched word, then gather
+    # once per word and plane -- same-word 2q gates pay 2 gathers, not 4
+    # (codes were fully extracted above, so same-word qubit pairs cannot
+    # corrupt each other)
     word_luts: dict[int, tuple] = {}
     for j, (word, bit) in enumerate(placements):
         shift = np.uint64(bit)
@@ -413,27 +331,17 @@ def _apply_gate_packed(table: PackedPauliTable, gate: CliffordTableau,
         word_luts[word] = (clear | (one << shift),
                            lx if ax is None else ax | lx,
                            lz if az is None else az | lz)
-    KERNEL.words += len(word_luts) * rows_touched
+    KERNEL.words += len(word_luts) * table.num_rows
     for word, (clear, ax, az) in word_luts.items():
-        cx = ax[codes]
-        cz = az[codes]
-        colx, colz, gx, gz = gathered[word][:4]
-        if idx is None:
-            colx &= ~clear
-            colx |= cx
-            colz &= ~clear
-            colz |= cz
-        else:
-            colx[idx] = (gx & ~clear) | cx
-            colz[idx] = (gz & ~clear) | cz
+        colx, colz = words[word][:2]
+        colx &= ~clear
+        colx |= ax[codes]
+        colz &= ~clear
+        colz |= az[codes]
     # phases stay in [0, 4), so `& 3` is the mod-4 of the boolean path
-    if idx is None:
-        phase = table.phase_exp
-        np.add(phase, lut_dq[codes], out=phase)
-        np.bitwise_and(phase, 3, out=phase)
-    else:
-        phase = table.phase_exp
-        phase[idx] = (phase[idx] + lut_dq[codes]) & 3
+    phase = table.phase_exp
+    np.add(phase, lut_dq[codes], out=phase)
+    np.bitwise_and(phase, 3, out=phase)
 
 
 #: combined multi-level LUT cache (same bounded-LRU policy as _LUT_CACHE)
@@ -507,14 +415,12 @@ def apply_gate_levels_to_table(table: PackedPauliTable, entries,
                                level_of_row: np.ndarray) -> None:
     """In place, conjugate each row by the gate alternative its level picks.
 
-    The population-batched transformation's packed fast path: instead of
-    one masked conjugation per (slot, level) -- three boolean-mask passes
-    over the stacked table -- the level becomes an extra LUT dimension
-    (:func:`_leveled_lut`) and the whole slot is a single unmasked pass:
-    extract codes from the shared columns, gather image bits at
-    ``level * 4**k + code``, deposit.  Per row the arithmetic is the exact
-    LUT application the masked path performs, so results are
-    bit-identical; there is simply no masking left to pay for.
+    The level becomes an extra LUT dimension (:func:`_leveled_lut`), so a
+    population slot -- each genome's own gate choice on shared columns --
+    is a single unmasked pass: extract codes from the columns, gather
+    image bits at ``level * 4**k + code``, deposit.  A ``None`` entry is
+    the identity, so ``[None, gate]`` with a 0/1 level applies ``gate``
+    to a row subset.
 
     Args:
         table: Word-packed stacked table (mutated in place).
@@ -522,49 +428,10 @@ def apply_gate_levels_to_table(table: PackedPauliTable, entries,
         columns: The k table columns all alternatives act on.
         level_of_row: ``(num_rows,)`` integer level of every row.
     """
-    k = len(columns)
-    lut_x, lut_z, lut_dq = _leveled_lut(entries, k)
+    columns = list(columns)
+    lut = _leveled_lut(entries, len(columns))
     KERNEL.fused_passes += 1
-    KERNEL.rows += table.num_rows
-    one = np.uint64(1)
-    placements = [divmod(q, bitops.WORD_BITS) for q in columns]
-    words: dict[int, tuple] = {}
-    for word, _ in placements:
-        if word not in words:
-            colx = table.x[:, word]
-            colz = table.z[:, word]
-            words[word] = (colx, colz,
-                           colx.view(np.int64), colz.view(np.int64))
-    # int64 throughout: zero-copy views for bit extraction and int64
-    # LUT indices (uint64 fancy indices cost a bounds conversion)
-    codes = None
-    for word, bit in placements:
-        xi, zi = words[word][2], words[word][3]
-        sub = ((xi >> bit) & 1) + 2 * ((zi >> bit) & 1)
-        codes = sub if codes is None else codes + 4 * sub
-    combined = codes + (level_of_row << (2 * k))
-    # pre-shift and OR the tiny LUT columns per touched word, then gather
-    # once per word and plane -- same-word 2q gates pay 2 gathers, not 4
-    word_luts: dict[int, tuple] = {}
-    for j, (word, bit) in enumerate(placements):
-        shift = np.uint64(bit)
-        lx = lut_x[:, j].astype(np.uint64) << shift
-        lz = lut_z[:, j].astype(np.uint64) << shift
-        clear, ax, az = word_luts.get(word, (np.uint64(0), None, None))
-        word_luts[word] = (clear | (one << shift),
-                           lx if ax is None else ax | lx,
-                           lz if az is None else az | lz)
-    KERNEL.words += len(word_luts) * table.num_rows
-    for word, (clear, ax, az) in word_luts.items():
-        colx, colz = words[word][:2]
-        colx &= ~clear
-        colx |= ax[combined]
-        colz &= ~clear
-        colz |= az[combined]
-    # phases stay in [0, 4), so `& 3` is the mod-4 of the boolean path
-    phase = table.phase_exp
-    np.add(phase, lut_dq[combined], out=phase)
-    np.bitwise_and(phase, 3, out=phase)
+    _apply_lut_to_words(table, lut, columns, level_of_row)
 
 
 def conjugate_pauli_sum(circuit: Circuit, hamiltonian) -> "PauliSum":

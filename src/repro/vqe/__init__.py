@@ -1,12 +1,9 @@
-"""The online VQE phase: energy estimation (exact and counts-based), SPSA loop."""
+"""The online VQE phase: measurement grouping and the SPSA loop."""
 
-from .estimator import EnergyEstimator
 from .grouping import MeasurementGroup, group_qubit_wise_commuting, num_measurement_bases
-from .counts_estimator import CountsEnergyEstimator
 from .runner import VQETrace, run_vqe
 
 __all__ = [
-    "CountsEnergyEstimator", "EnergyEstimator", "MeasurementGroup",
-    "VQETrace", "group_qubit_wise_commuting", "num_measurement_bases",
-    "run_vqe",
+    "MeasurementGroup", "VQETrace", "group_qubit_wise_commuting",
+    "num_measurement_bases", "run_vqe",
 ]

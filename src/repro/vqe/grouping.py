@@ -4,7 +4,7 @@ Real experiments cannot measure hundreds of Pauli terms one by one; terms
 whose single-qubit factors agree (up to identities) on every qubit share a
 measurement basis and are estimated from the same shots.  This is the
 standard qubit-wise-commuting grouping used by estimator pipelines, and the
-counts-based estimator in :mod:`repro.vqe.counts_estimator` is built on it.
+counts-based :class:`~repro.execution.ShotSamplingEstimator` is built on it.
 """
 
 from __future__ import annotations

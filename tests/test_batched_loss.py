@@ -1,30 +1,34 @@
 """Batched-vs-serial equivalence: the contract of population batching.
 
-Everything here asserts **bit-identical** floats, not allclose: the batched
-paths reuse the serial arithmetic row-by-row (masked LUT conjugation, the
-shared backward noise walk), so exact equality is the designed invariant --
-it is what lets the GA, the engine, and the estimators switch to batches
-without moving a single golden.
+Everything here asserts **bit-identical** floats, not allclose: every step
+of the packed, population-batched path is row-wise, so its values must
+equal the serial boolean oracle's (``pauli_oracle``: one genome at a time,
+gate by gate) exactly, and a genome's value must not depend on the batch
+it rides in.  That is what lets the GA, the engine, and the estimators run
+on batches without moving a single golden.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
+import pauli_oracle as oracle
 import pytest
 
 from repro.backends import FakeNairobi
+from repro.circuits import Circuit, cafqa_angles
 from repro.core import (
     CafqaLoss,
     ClaptonLoss,
     NcafqaLoss,
     VQEProblem,
-    transform_table,
     transform_table_many,
 )
 from repro.execution import ThreadExecutor, make_estimator, memoize_loss
 from repro.hamiltonians import ising_model
-from repro.noise import NoiseModel
+from repro.noise import CliffordNoiseModel, NoiseModel
 from repro.optim import EngineConfig, GAConfig, GeneticAlgorithm, multi_ga_minimize
+from repro.paulis import PauliString
 
 
 def logical_problem(n=4):
@@ -36,6 +40,18 @@ def logical_problem(n=4):
 
 def transpiled_problem(n=4):
     return VQEProblem.from_backend(ising_model(n, 1.0), FakeNairobi())
+
+
+def flip_problem(n=4):
+    """Logical flips and relaxation on: the walk's per-slot code masks."""
+    nm = NoiseModel.uniform(n, depol_1q=1e-3, depol_2q=1e-2, readout=0.02,
+                            t1=80e-6, logical_flip_probs=(2e-3, 1e-3, 3e-3))
+    return VQEProblem.logical(ising_model(n, 0.8), noise_model=nm)
+
+
+def relaxing_model(problem):
+    return CliffordNoiseModel(problem.noise_model,
+                              include_twirled_relaxation=True)
 
 
 def genome_batch(rng, count, length):
@@ -53,7 +69,7 @@ class TestBatchedLosses:
         loss = ClaptonLoss(problem)
         gammas = genome_batch(np.random.default_rng(0), 31,
                               problem.num_transformation_parameters)
-        serial = np.array([loss(g) for g in gammas])
+        serial = [oracle.loss_value(loss, g) for g in gammas]
         np.testing.assert_array_equal(loss.evaluate_many(gammas), serial)
 
     @pytest.mark.parametrize("make_problem", [logical_problem,
@@ -64,10 +80,83 @@ class TestBatchedLosses:
         loss = loss_type(problem)
         genomes = genome_batch(np.random.default_rng(1), 23,
                                problem.num_vqe_parameters)
-        serial = np.array([loss(g) for g in genomes])
+        serial = [oracle.loss_value(loss, g) for g in genomes]
         np.testing.assert_array_equal(loss.evaluate_many(genomes), serial)
 
+    @pytest.mark.parametrize("loss_type", [ClaptonLoss, NcafqaLoss])
+    def test_flip_and_relaxation_walk_matches_oracle(self, loss_type):
+        problem = flip_problem()
+        loss = loss_type(problem, clifford_model=relaxing_model(problem))
+        length = (problem.num_transformation_parameters
+                  if loss_type is ClaptonLoss else problem.num_vqe_parameters)
+        genomes = genome_batch(np.random.default_rng(16), 17, length)
+        serial = [oracle.loss_value(loss, g) for g in genomes]
+        np.testing.assert_array_equal(loss.evaluate_many(genomes), serial)
+
+    def test_ncafqa_noise_term_matches_dense_density_matrix(self):
+        """nCAFQA's batched L_N against a hand-built 3-qubit density matrix.
+
+        Depolarizing channels after every gate, then per term: rotation
+        into its measurement basis, depolarizing on the rotated qubits
+        (basis-prep error), a bit-flip channel per qubit (readout).
+        """
+        n, p1, p2, readout = 3, 0.02, 0.05, 0.03
+        nm = NoiseModel.uniform(n, depol_1q=p1, depol_2q=p2,
+                                readout=readout)
+        problem = VQEProblem.logical(ising_model(n, 0.9), noise_model=nm)
+        genomes = genome_batch(np.random.default_rng(18), 6,
+                               problem.num_vqe_parameters)
+        noisy, _ = NcafqaLoss(problem).components_many(genomes)
+
+        def pauli(factors):
+            return PauliString.from_sparse(factors, n).to_matrix()
+
+        def depolarize(rho, qubits, p):
+            labels = [dict(zip(qubits, combo)) for combo in
+                      itertools.product("IXYZ", repeat=len(qubits))][1:]
+            out = (1 - p) * rho
+            for factors in labels:
+                op = pauli({q: c for q, c in factors.items() if c != "I"})
+                out = out + p / len(labels) * (op @ rho @ op.conj().T)
+            return out
+
+        def dense_noise_term(theta):
+            rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            rho[0, 0] = 1.0
+            for inst in problem.bound_ansatz(theta).instructions:
+                gate = Circuit(n)
+                gate.instructions.append(inst)
+                u = gate.unitary()
+                rho = u @ rho @ u.conj().T
+                rho = depolarize(rho, list(inst.qubits),
+                                 p1 if len(inst.qubits) == 1 else p2)
+            energy = 0.0
+            for coeff, term in problem.mapped_hamiltonian().terms():
+                rotation = Circuit(n)
+                rotated = []
+                for q in range(n):
+                    if term.x[q]:
+                        if term.z[q]:
+                            rotation.sdg(q)
+                        rotation.h(q)
+                        rotated.append(q)
+                u = rotation.unitary()
+                measured = u @ rho @ u.conj().T
+                for q in rotated:
+                    measured = depolarize(measured, [q], p1)
+                for q in range(n):
+                    flip = pauli({q: "X"})
+                    measured = ((1 - readout) * measured
+                                + readout * flip @ measured @ flip)
+                observable = u @ term.to_matrix() @ u.conj().T
+                energy += coeff * np.trace(observable @ measured).real
+            return energy
+
+        dense = [dense_noise_term(cafqa_angles(g)) for g in genomes]
+        np.testing.assert_allclose(noisy, dense, rtol=0, atol=1e-12)
+
     def test_components_many_matches_components(self):
+        """A batch of P against P batches of one: no leakage between rows."""
         problem = logical_problem()
         loss = ClaptonLoss(problem, noisy_weight=0.7, noiseless_weight=1.3)
         gammas = genome_batch(np.random.default_rng(2), 9,
@@ -90,10 +179,10 @@ class TestBatchedLosses:
         h = ising_model(5, 0.75)
         gammas = genome_batch(np.random.default_rng(4), 7,
                               4 * 5 + 5)  # circular: 5N genes
-        stacked = transform_table_many(h, gammas)
+        stacked = transform_table_many(h, gammas).to_table()
         m = h.table.num_rows
         for p, gamma in enumerate(gammas):
-            single = transform_table(h, gamma)
+            single = oracle.transform_table(h, gamma)
             np.testing.assert_array_equal(stacked.x[p * m:(p + 1) * m],
                                           single.x)
             np.testing.assert_array_equal(stacked.z[p * m:(p + 1) * m],
@@ -251,26 +340,41 @@ class TestEstimatorBatches:
                                         problem.num_vqe_parameters)) \
             * (np.pi / 2)
 
+    def oracle_terms(self, estimator, thetas):
+        problem = estimator.problem
+        return np.stack([oracle.noisy_term_values(
+            estimator.clifford_model, problem.bound_ansatz(theta),
+            estimator.observable.table) for theta in thetas])
+
     def test_clifford_estimate_many_bit_identical(self):
         problem = logical_problem()
         estimator = make_estimator(problem, mode="clifford")
         thetas = self.clifford_thetas(problem, 19, seed=8)
-        serial = [estimator.estimate(t) for t in thetas]
+        terms = self.oracle_terms(estimator, thetas)
         batch = estimator.estimate_many(thetas)
-        np.testing.assert_array_equal(batch.values,
-                                      [r.value for r in serial])
-        np.testing.assert_array_equal(batch.term_expectations,
-                                      np.stack([r.term_expectations
-                                                for r in serial]))
-        assert estimator.num_evaluations == 2 * len(thetas)
+        np.testing.assert_array_equal(batch.term_expectations, terms)
+        np.testing.assert_array_equal(
+            batch.values, [float(estimator.observable.coefficients @ row)
+                           for row in terms])
+        assert estimator.estimate(thetas[3]).value == batch.values[3]
+        assert estimator.num_evaluations == len(thetas) + 1
 
     def test_clifford_estimate_many_transpiled(self):
         problem = transpiled_problem()
         estimator = make_estimator(problem, mode="clifford")
         thetas = self.clifford_thetas(problem, 11, seed=9)
-        serial = np.array([estimator.estimate(t).value for t in thetas])
-        np.testing.assert_array_equal(estimator.estimate_many(thetas).values,
-                                      serial)
+        np.testing.assert_array_equal(
+            estimator.estimate_many(thetas).term_expectations,
+            self.oracle_terms(estimator, thetas))
+
+    def test_clifford_estimate_many_flips_and_relaxation(self):
+        problem = flip_problem()
+        estimator = make_estimator(problem, mode="clifford",
+                                   clifford_model=relaxing_model(problem))
+        thetas = self.clifford_thetas(problem, 13, seed=17)
+        np.testing.assert_array_equal(
+            estimator.estimate_many(thetas).term_expectations,
+            self.oracle_terms(estimator, thetas))
 
     def test_clifford_estimate_many_rejects_non_clifford(self):
         problem = logical_problem()

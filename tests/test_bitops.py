@@ -2,17 +2,19 @@
 
 The packed representation (:mod:`repro.paulis.bitops`,
 :class:`~repro.paulis.packed_table.PackedPauliTable`) must be
-**bit-identical** to the boolean-matrix oracle through every conjugation
-entry point.  This suite pins that at the interesting widths -- n = 1
-(single ragged word), 63/64/65 (word boundary straddles), and 100 (the
-large-n target) -- with seeded randomized tables, masked row subsets, and
-the full set of named Clifford gates including same-word and cross-word
-2-qubit placements.
+**bit-identical** to the boolean-matrix oracle (``pauli_oracle``) through
+every conjugation entry point.  This suite pins that at the interesting
+widths -- n = 1 (single ragged word), 63/64/65 (word boundary straddles),
+and 100 (the large-n target) -- with seeded randomized tables, row subsets
+(leveled passes against the oracle's masked application), and the full set
+of named Clifford gates including same-word and cross-word 2-qubit
+placements.
 """
 
 import math
 
 import numpy as np
+import pauli_oracle as oracle
 import pytest
 
 from repro.circuits import Circuit
@@ -276,6 +278,22 @@ def _random_clifford_circuit(num_qubits, depth, rng):
     return circ
 
 
+def apply_both(table, packed, gate, qubits, rows):
+    """Conjugate ``rows`` (``None`` = all) in both layouts.
+
+    The packed side applies a row subset as the leveled pass
+    ``[None, gate]`` with 0/1 levels; the boolean side as the oracle's
+    masked application.
+    """
+    if rows is None:
+        apply_gate_to_table(table, gate, qubits)
+        apply_gate_to_table(packed, gate, qubits)
+        return
+    oracle.apply_gate_masked(table, gate, qubits, rows)
+    apply_gate_levels_to_table(packed, [None, (gate, False)], qubits,
+                               rows.astype(np.int64))
+
+
 class TestConjugationEquivalence:
     """Every conjugation entry point, packed vs boolean oracle."""
 
@@ -288,8 +306,7 @@ class TestConjugationEquivalence:
         for q in sorted({0, n // 2, n - 1}):
             for rows in (None, rng.random(41) < 0.4,
                          np.zeros(41, dtype=bool)):
-                apply_gate_to_table(table, gate, [q], rows=rows)
-                apply_gate_to_table(packed, gate, [q], rows=rows)
+                apply_both(table, packed, gate, [q], rows)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 100])
@@ -306,25 +323,23 @@ class TestConjugationEquivalence:
                 continue
             for rows in (None, rng.random(41) < 0.4,
                          np.zeros(41, dtype=bool)):
-                apply_gate_to_table(table, gate, list(qubits), rows=rows)
-                apply_gate_to_table(packed, gate, list(qubits), rows=rows)
+                apply_both(table, packed, gate, list(qubits), rows)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [3, 65, 100])
     def test_wide_gate_fallback(self, n):
-        # k > 2 has no LUT: the packed path extracts the sub-bits and runs
-        # the boolean row multiplications, then deposits the image back
+        # no registered gate is wider than 2 qubits, so there is no LUT
+        # (and no fallback) for one: both layouts refuse it
         rng = np.random.default_rng(n)
         gate = CliffordTableau.from_circuit(_random_clifford_circuit(3, 15,
                                                                      rng))
-        table, packed, rng = random_tables(n, 33, n + 40)
+        table, packed, _ = random_tables(n, 33, n + 40)
         qubits = sorted({0, n // 2, n - 1})
         if len(qubits) < 3:
             qubits = [0, 1, 2]
-        for rows in (None, rng.random(33) < 0.4):
-            apply_gate_to_table(table, gate, qubits, rows=rows)
-            apply_gate_to_table(packed, gate, qubits, rows=rows)
-        assert_tables_equal(packed, table)
+        for target in (table, packed):
+            with pytest.raises(ValueError, match="3-qubit"):
+                apply_gate_to_table(target, gate, qubits)
 
     @pytest.mark.parametrize("n", [2, 64, 65, 100])
     def test_leveled_pass_matches_masked_passes(self, n):
@@ -336,17 +351,10 @@ class TestConjugationEquivalence:
                    (gate_tableau("cx"), True),
                    (gate_tableau("swap"), False)]
         apply_gate_levels_to_table(packed, entries, [k, lq], levels)
-        for level in (1, 2, 3):
-            rows = levels == level
-            if level == 1:
-                apply_gate_to_table(table, gate_tableau("cx"), [k, lq],
-                                    rows=rows)
-            elif level == 2:
-                apply_gate_to_table(table, gate_tableau("cx"), [lq, k],
-                                    rows=rows)
-            else:
-                apply_gate_to_table(table, gate_tableau("swap"), [k, lq],
-                                    rows=rows)
+        for level, name, qubits in ((1, "cx", [k, lq]), (2, "cx", [lq, k]),
+                                    (3, "swap", [k, lq])):
+            oracle.apply_gate_masked(table, gate_tableau(name), qubits,
+                                     levels == level)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [1, 65])
@@ -360,15 +368,15 @@ class TestConjugationEquivalence:
         apply_gate_levels_to_table(packed, entries, [q], levels)
         for level in (1, 2, 3):
             gate = gate_tableau("rz", (-float(level * (math.pi / 2)),))
-            apply_gate_to_table(table, gate, [q], rows=levels == level)
+            oracle.apply_gate_masked(table, gate, [q], levels == level)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [1, 5, 65])
     def test_from_circuit_packed_matches_bool(self, n):
         rng = np.random.default_rng(n + 70)
         circuit = _random_clifford_circuit(n, 30, rng)
-        assert (CliffordTableau.from_circuit(circuit, packed=True)
-                == CliffordTableau.from_circuit(circuit, packed=False))
+        assert (CliffordTableau.from_circuit(circuit)
+                == oracle.tableau_from_circuit(circuit))
 
     @pytest.mark.parametrize("n", [1, 5, 65])
     def test_conjugate_table_packed_matches_bool(self, n):
@@ -391,12 +399,11 @@ class TestTransformationEquivalence:
         ham = ising_model(n, 1.0)
         rng = np.random.default_rng(n)
         gamma = rng.integers(0, 4, num_transformation_parameters(n))
-        packed = transform_table(ham, gamma, packed=True)
-        table = transform_table(ham, gamma, packed=False)
+        packed = transform_table(ham, gamma)
         assert isinstance(packed, PackedPauliTable)
-        assert_tables_equal(packed, table)
+        assert_tables_equal(packed, oracle.transform_table(ham, gamma))
 
-    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("n", [2, 6, 65])
     def test_transform_table_many(self, n):
         from repro.core.transformation import transform_table_many
         from repro.hamiltonians import ising_model
@@ -407,10 +414,14 @@ class TestTransformationEquivalence:
         rng = np.random.default_rng(n + 1)
         gammas = rng.integers(0, 4,
                               size=(9, num_transformation_parameters(n)))
-        packed = transform_table_many(ham, gammas, packed=True)
-        table = transform_table_many(ham, gammas, packed=False)
+        packed = transform_table_many(ham, gammas)
         assert isinstance(packed, PackedPauliTable)
-        assert_tables_equal(packed, table)
+        m = ham.num_terms
+        for p, gamma in enumerate(gammas):
+            single = PackedPauliTable(packed.x[p * m:(p + 1) * m],
+                                      packed.z[p * m:(p + 1) * m], n,
+                                      packed.phase_exp[p * m:(p + 1) * m])
+            assert_tables_equal(single, oracle.transform_table(ham, gamma))
 
     @pytest.mark.parametrize("loss_name", ["clapton", "cafqa", "ncafqa"])
     def test_losses_bit_identical(self, loss_name):
@@ -429,21 +440,36 @@ class TestTransformationEquivalence:
                if loss_name == "clapton" else problem.num_vqe_parameters)
         rng = np.random.default_rng(11)
         genomes = rng.integers(0, 4, size=(12, dim))
-        loss_p = cls(problem, packed=True)
-        loss_b = cls(problem, packed=False)
-        np.testing.assert_array_equal(loss_p.evaluate_many(genomes),
-                                      loss_b.evaluate_many(genomes))
-        np.testing.assert_array_equal(loss_p(genomes[0]), loss_b(genomes[0]))
+        loss = cls(problem)
+        expected = [oracle.loss_value(loss, g) for g in genomes]
+        np.testing.assert_array_equal(loss.evaluate_many(genomes), expected)
+        assert loss(genomes[0]) == expected[0]
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    def test_clapton_loss_qubit_scaling_bit_identical(self, n):
+        from repro.core import ClaptonLoss, VQEProblem
+        from repro.hamiltonians import ising_model
+        from repro.noise import NoiseModel
+
+        noise = NoiseModel.uniform(n, depol_1q=1e-3, depol_2q=8e-3,
+                                   readout=2e-2, t1=80e-6)
+        problem = VQEProblem.logical(ising_model(n, 1.0), noise_model=noise)
+        loss = ClaptonLoss(problem)
+        genomes = np.random.default_rng(n).integers(
+            0, 4, size=(3, problem.num_transformation_parameters))
+        np.testing.assert_array_equal(
+            loss.evaluate_many(genomes),
+            [oracle.loss_value(loss, g) for g in genomes])
 
     def test_embed_table_packed(self):
         from repro.core.transformation import embed_table
 
         table, packed, _ = random_tables(5, 13, 90)
         positions = [7, 0, 3, 9, 4]
-        out_b = embed_table(table, positions, 10)
         out_p = embed_table(packed, positions, 10)
         assert isinstance(out_p, PackedPauliTable)
-        assert_tables_equal(out_p, out_b)
+        assert_tables_equal(out_p, oracle.embed_table(table, positions, 10))
+        assert_tables_equal(out_p, embed_table(table, positions, 10))
         # trivial embedding is a plain copy in both representations
         same = embed_table(packed, list(range(5)), 5)
         assert same is not packed

@@ -383,16 +383,10 @@ class TestLegacySweepWrapper:
                   for p in (1e-3, 3e-3)]
         return h, models
 
-    def test_emits_deprecation_warning(self):
-        h, models = self.make_inputs()
-        with pytest.warns(DeprecationWarning, match="CampaignRunner"):
-            sweep_relative_improvement(h, models[:1], config=TINY)
-
     def test_failing_cell_raises_with_original_error(self):
         h, _ = self.make_inputs()
         wrong_width = [NoiseModel.uniform(5, depol_1q=1e-3)]
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(RuntimeError, match="noise model width"):
+        with pytest.raises(RuntimeError, match="noise model width"):
             sweep_relative_improvement(h, wrong_width, config=TINY)
 
     def test_numbers_identical_to_direct_experiments(self):
@@ -407,8 +401,7 @@ class TestLegacySweepWrapper:
                 ("ncafqa", "clapton"), config=TINY)
             expected.append(result.eta_initial("ncafqa",
                                                tier="device_model"))
-        with pytest.warns(DeprecationWarning):
-            etas = sweep_relative_improvement(h, models, config=TINY)
+        etas = sweep_relative_improvement(h, models, config=TINY)
         assert etas == expected
 
 

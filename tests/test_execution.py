@@ -3,9 +3,8 @@
 Pins the redesign's contracts: batched ``estimate_many`` matches sequential
 ``estimate`` bit-for-bit, every executor drives the Figure-4 engine
 deterministically (thread and process runs agree with each other), the
-shared memoiser works under all of them, the deprecation shims emit
-``DeprecationWarning`` while returning identical results, and the
-``Experiment`` façade reproduces the legacy runner numbers exactly.
+shared memoiser works under all of them, and the ``Experiment`` façade
+reproduces the legacy runner numbers exactly.
 """
 
 import json
@@ -169,14 +168,6 @@ class TestExecutors:
         np.testing.assert_array_equal(a.best_genome, b.best_genome)
         assert a.num_evaluations == b.num_evaluations
 
-    def test_num_processes_knob_deprecated_but_working(self):
-        config = EngineConfig(num_instances=2, generations_per_round=6,
-                              top_k=3, population_size=10, retry_rounds=0,
-                              seed=1, num_processes=2)
-        with pytest.warns(DeprecationWarning):
-            result = multi_ga_minimize(count_nonzero_loss, 6, config=config)
-        assert result.best_loss == 0.0
-
     def test_parallel_cache_persists_across_rounds(self):
         """The old parallel path re-evaluated repeated genomes every round."""
         config = EngineConfig(num_instances=2, generations_per_round=6,
@@ -209,37 +200,6 @@ class TestMemoizeLoss:
         assert len(calls) == 1
         memo.merge({b"x": 1.5})
         assert len(memo) == 2
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims
-# ----------------------------------------------------------------------
-class TestShims:
-    def test_energy_estimator_shim(self):
-        problem = make_problem()
-        observable = problem.mapped_hamiltonian()
-        from repro.vqe import EnergyEstimator
-
-        with pytest.warns(DeprecationWarning):
-            old = EnergyEstimator(problem, observable, shots=64, seed=9)
-        new = make_estimator(problem, observable, mode="exact", shots=64,
-                             seed=9)
-        theta = np.linspace(0, 1, problem.num_vqe_parameters)
-        assert old.energy(theta) == new.energy(theta)
-
-    def test_counts_estimator_shim(self):
-        problem = make_problem()
-        observable = problem.mapped_hamiltonian()
-        from repro.vqe import CountsEnergyEstimator
-
-        with pytest.warns(DeprecationWarning):
-            old = CountsEnergyEstimator(problem, observable, shots=256,
-                                        seed=9)
-        new = make_estimator(problem, observable, mode="shots", shots=256,
-                             seed=9)
-        theta = np.zeros(problem.num_vqe_parameters)
-        assert old.energy(theta) == pytest.approx(new.energy(theta),
-                                                  abs=1e-12)
 
 
 # ----------------------------------------------------------------------

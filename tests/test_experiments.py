@@ -77,7 +77,6 @@ class TestRunners:
         models = [NoiseModel.uniform(3, depol_1q=p, depol_2q=10 * p,
                                      readout=0.02, t1=100e-6)
                   for p in (1e-3, 3e-3)]
-        with pytest.warns(DeprecationWarning):
-            etas = sweep_relative_improvement(h, models, config=TINY)
+        etas = sweep_relative_improvement(h, models, config=TINY)
         assert len(etas) == 2
         assert all(np.isfinite(e) and e > 0 for e in etas)

@@ -8,12 +8,8 @@ from repro.hamiltonians import ising_model, xxz_model
 from repro.noise import NoiseModel
 from repro.optim import EngineConfig
 from repro.paulis import PauliSum
-from repro.vqe import (
-    CountsEnergyEstimator,
-    EnergyEstimator,
-    group_qubit_wise_commuting,
-    num_measurement_bases,
-)
+from repro.execution import ExactEstimator, ShotSamplingEstimator
+from repro.vqe import group_qubit_wise_commuting, num_measurement_bases
 
 ENGINE = EngineConfig(num_instances=1, generations_per_round=8, top_k=3,
                       population_size=12, retry_rounds=0, seed=0)
@@ -73,8 +69,8 @@ class TestCountsEstimator:
 
     def test_matches_exact_estimator_within_shot_noise(self):
         problem = self.make_problem()
-        exact = EnergyEstimator(problem, problem.mapped_hamiltonian())
-        counts = CountsEnergyEstimator(problem, problem.mapped_hamiltonian(),
+        exact = ExactEstimator(problem, problem.mapped_hamiltonian())
+        counts = ShotSamplingEstimator(problem, problem.mapped_hamiltonian(),
                                        shots=20000, seed=0)
         theta = np.zeros(problem.num_vqe_parameters)
         e_exact = exact.energy(theta)
@@ -88,14 +84,14 @@ class TestCountsEstimator:
         problem = self.make_problem()
         noiseless_problem = VQEProblem.logical(
             ising_model(3, 1.0), noise_model=NoiseModel.noiseless(3))
-        ideal = EnergyEstimator(noiseless_problem,
-                                noiseless_problem.mapped_hamiltonian())
+        ideal = ExactEstimator(noiseless_problem,
+                               noiseless_problem.mapped_hamiltonian())
         theta = np.zeros(problem.num_vqe_parameters)
         reference = ideal.energy(theta)
 
-        raw = CountsEnergyEstimator(problem, problem.mapped_hamiltonian(),
+        raw = ShotSamplingEstimator(problem, problem.mapped_hamiltonian(),
                                     shots=40000, seed=1)
-        mitigated = CountsEnergyEstimator(problem,
+        mitigated = ShotSamplingEstimator(problem,
                                           problem.mapped_hamiltonian(),
                                           shots=40000, seed=1,
                                           readout_mitigation=True)
@@ -107,7 +103,7 @@ class TestCountsEstimator:
 
     def test_number_of_bases_reported(self):
         problem = self.make_problem()
-        estimator = CountsEnergyEstimator(problem,
+        estimator = ShotSamplingEstimator(problem,
                                           problem.mapped_hamiltonian(),
                                           shots=128)
         assert estimator.num_bases == num_measurement_bases(
@@ -116,9 +112,9 @@ class TestCountsEstimator:
     def test_seeded_determinism(self):
         problem = self.make_problem()
         theta = np.zeros(problem.num_vqe_parameters)
-        a = CountsEnergyEstimator(problem, problem.mapped_hamiltonian(),
+        a = ShotSamplingEstimator(problem, problem.mapped_hamiltonian(),
                                   shots=1024, seed=5).energy(theta)
-        b = CountsEnergyEstimator(problem, problem.mapped_hamiltonian(),
+        b = ShotSamplingEstimator(problem, problem.mapped_hamiltonian(),
                                   shots=1024, seed=5).energy(theta)
         assert a == b
 
@@ -126,10 +122,10 @@ class TestCountsEstimator:
         """Counts estimation of a CAFQA initial point end to end."""
         problem = self.make_problem()
         result = cafqa(problem, config=ENGINE)
-        estimator = CountsEnergyEstimator(problem,
+        estimator = ShotSamplingEstimator(problem,
                                           result.initial_observable(),
                                           shots=8000, seed=2)
         value = estimator.energy(result.initial_theta)
-        exact = EnergyEstimator(problem, result.initial_observable())
+        exact = ExactEstimator(problem, result.initial_observable())
         assert value == pytest.approx(exact.energy(result.initial_theta),
                                       abs=0.2)

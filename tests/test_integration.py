@@ -148,9 +148,9 @@ class TestFailureInjection:
     def test_vqe_on_foreign_theta_length(self):
         problem = VQEProblem.logical(ising_model(3, 1.0))
         result = cafqa(problem, config=TINY_ENGINE)
-        from repro.vqe import EnergyEstimator
+        from repro.execution import ExactEstimator
 
-        est = EnergyEstimator(problem, problem.mapped_hamiltonian())
+        est = ExactEstimator(problem, problem.mapped_hamiltonian())
         with pytest.raises(ValueError):
             est.energy(np.zeros(3))  # ansatz has 12 parameters
 

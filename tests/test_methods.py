@@ -103,14 +103,6 @@ class TestRegistry:
             register_method(EveryOtherQubit)
         register_method(EveryOtherQubit(), replace=True)  # explicit wins
 
-    def test_methods_shim_warns_and_reflects_trio(self):
-        with pytest.warns(DeprecationWarning, match="METHODS"):
-            from repro.experiments import METHODS
-        assert tuple(METHODS) == DEFAULT_METHODS
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments.runners import METHODS as runner_methods
-        assert tuple(runner_methods) == DEFAULT_METHODS
-
 
 class TestGoldens:
     """Pre-refactor numbers (captured on main at PR-2) must not move."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.execution import ProcessExecutor
 from repro.optim import (
     EngineConfig,
     GAConfig,
@@ -227,19 +228,21 @@ class TestParallelEngine:
         """Parallel engine finds the same optimum on a toy problem."""
         config = EngineConfig(num_instances=2, generations_per_round=10,
                               top_k=4, population_size=16, retry_rounds=0,
-                              seed=3, num_processes=2)
-        result = multi_ga_minimize(count_nonzero_loss, genome_length=8,
-                                   config=config)
+                              seed=3)
+        with ProcessExecutor(2) as executor:
+            result = multi_ga_minimize(count_nonzero_loss, genome_length=8,
+                                       config=config, executor=executor)
         assert result.best_loss == 0.0
         assert result.num_evaluations > 0
 
     def test_parallel_reproducible(self):
         config = EngineConfig(num_instances=2, generations_per_round=8,
                               top_k=3, population_size=12, retry_rounds=0,
-                              seed=5, num_processes=2)
-        a = multi_ga_minimize(count_nonzero_loss, genome_length=6,
-                              config=config)
-        b = multi_ga_minimize(count_nonzero_loss, genome_length=6,
-                              config=config)
+                              seed=5)
+        with ProcessExecutor(2) as executor:
+            a = multi_ga_minimize(count_nonzero_loss, genome_length=6,
+                                  config=config, executor=executor)
+            b = multi_ga_minimize(count_nonzero_loss, genome_length=6,
+                                  config=config, executor=executor)
         assert a.best_loss == b.best_loss
         np.testing.assert_array_equal(a.best_genome, b.best_genome)

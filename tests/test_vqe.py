@@ -7,7 +7,8 @@ from repro.core import VQEProblem, cafqa, clapton
 from repro.hamiltonians import ground_state_energy, ising_model, xxz_model
 from repro.noise import NoiseModel
 from repro.optim import EngineConfig, SPSAConfig
-from repro.vqe import EnergyEstimator, run_vqe
+from repro.execution import ExactEstimator
+from repro.vqe import run_vqe
 
 ENGINE = EngineConfig(num_instances=2, generations_per_round=10, top_k=5,
                       population_size=20, retry_rounds=1, seed=0)
@@ -24,14 +25,14 @@ def make_problem(n=3, noisy=True):
 class TestEnergyEstimator:
     def test_exact_matches_noiseless_at_zero(self):
         problem = make_problem(noisy=False)
-        est = EnergyEstimator(problem, problem.mapped_hamiltonian())
+        est = ExactEstimator(problem, problem.mapped_hamiltonian())
         value = est.energy(np.zeros(problem.num_vqe_parameters))
         assert value == pytest.approx(
             problem.hamiltonian.expectation_all_zeros())
 
     def test_variational_bound(self):
         problem = make_problem(noisy=False)
-        est = EnergyEstimator(problem, problem.mapped_hamiltonian())
+        est = ExactEstimator(problem, problem.mapped_hamiltonian())
         rng = np.random.default_rng(0)
         e0 = ground_state_energy(problem.hamiltonian)
         for _ in range(5):
@@ -40,9 +41,9 @@ class TestEnergyEstimator:
 
     def test_shot_noise_statistics(self):
         problem = make_problem()
-        exact = EnergyEstimator(problem, problem.mapped_hamiltonian())
-        sampled = EnergyEstimator(problem, problem.mapped_hamiltonian(),
-                                  shots=256, seed=1)
+        exact = ExactEstimator(problem, problem.mapped_hamiltonian())
+        sampled = ExactEstimator(problem, problem.mapped_hamiltonian(),
+                                 shots=256, seed=1)
         theta = np.zeros(problem.num_vqe_parameters)
         reference = exact.energy(theta)
         draws = np.array([sampled.energy(theta) for _ in range(60)])
@@ -52,12 +53,12 @@ class TestEnergyEstimator:
     def test_width_mismatch_rejected(self):
         problem = make_problem()
         with pytest.raises(ValueError):
-            EnergyEstimator(problem, problem.mapped_hamiltonian(),
-                            noise_model=NoiseModel.noiseless(7))
+            ExactEstimator(problem, problem.mapped_hamiltonian(),
+                           noise_model=NoiseModel.noiseless(7))
 
     def test_counts_evaluations(self):
         problem = make_problem()
-        est = EnergyEstimator(problem, problem.mapped_hamiltonian())
+        est = ExactEstimator(problem, problem.mapped_hamiltonian())
         theta = np.zeros(problem.num_vqe_parameters)
         est.energy(theta)
         est.energy(theta)
