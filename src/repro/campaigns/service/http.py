@@ -89,10 +89,23 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
+        """The request body as a JSON object (``{}`` when empty).
+
+        Raises:
+            ValueError: on malformed JSON or a non-object body (a list,
+                ``null``, a number...); the message is the client-facing
+                error.
+        """
         length = int(self.headers.get("Content-Length") or 0)
         if length == 0:
             return {}
-        return json.loads(self.rfile.read(length).decode())
+        try:
+            payload = json.loads(self.rfile.read(length).decode())
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise ValueError(f"bad JSON body: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValueError("body must be a JSON object")
+        return payload
 
     def _campaign(self, query: dict):
         cid = (query.get("campaign") or [None])[0]
@@ -171,9 +184,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         try:
             payload = self._read_json()
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._send_json({"error": f"bad JSON body: {exc}"},
-                            status=400)
+        except ValueError as exc:
+            self._send_json({"error": str(exc)}, status=400)
             return
         try:
             if url.path == "/campaigns":

@@ -86,8 +86,5 @@ def _prune(hamiltonian: PauliSum, threshold: float) -> PauliSum:
     keep = abs(hamiltonian.coefficients) >= threshold
     if not keep.any():
         return hamiltonian
-    from ..paulis.table import PauliTable
-
-    table = PauliTable(hamiltonian.table.x[keep], hamiltonian.table.z[keep],
-                       hamiltonian.table.phase_exp[keep])
-    return PauliSum(table, hamiltonian.coefficients[keep])
+    return PauliSum(hamiltonian.table.take(keep),
+                    hamiltonian.coefficients[keep])

@@ -102,7 +102,7 @@ class PauliPolynomial:
         if not xs:
             zeros = np.zeros(self.num_qubits, dtype=bool)
             xs, zs, coeffs = [zeros], [zeros], [0.0]
-        table = PauliTable(np.stack(xs), np.stack(zs))
+        table = PauliTable.from_bits(np.stack(xs), np.stack(zs))
         return PauliSum(table, np.array(coeffs))
 
 

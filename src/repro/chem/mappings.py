@@ -67,14 +67,15 @@ def taper_qubits(hamiltonian: PauliSum, qubits: list[int],
         raise ValueError("eigenvalues must be +-1")
     table = hamiltonian.table
     for q in qubits:
-        if table.x[:, q].any():
+        if table.x_column(q).any():
             raise ValueError(
                 f"qubit {q} carries X/Y components; not a Z symmetry")
     coeffs = hamiltonian.coefficients.copy()
     for q, e in zip(qubits, eigenvalues):
-        coeffs = np.where(table.z[:, q], e * coeffs, coeffs)
+        coeffs = np.where(table.z_column(q), e * coeffs, coeffs)
     keep = [c for c in range(hamiltonian.num_qubits) if c not in set(qubits)]
-    new_table = PauliTable(table.x[:, keep], table.z[:, keep])
+    new_table = PauliTable.from_bits(table.unpack_x()[:, keep],
+                                     table.unpack_z()[:, keep])
     return PauliSum(new_table, coeffs)
 
 

@@ -29,7 +29,6 @@ from ..noise.clifford_model import (
 )
 from ..obs import REGISTRY, get_tracer
 from ..obs.kernel import kernel_event
-from ..paulis.packed_table import PackedPauliTable
 from .problem import VQEProblem
 from .transformation import embed_table, transform_table_many
 
@@ -129,10 +128,6 @@ class CafqaLoss:
             problem.num_logical_qubits, problem.entanglement))
         self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
         self._mapped = problem.mapped_hamiltonian()
-        # packed once, tiled per evaluation
-        self._ham_master = PackedPauliTable.from_table(
-            problem.hamiltonian.table)
-        self._mapped_master = PackedPauliTable.from_table(self._mapped.table)
 
     def components(self, genome) -> tuple[float, float]:
         """``(L_N, L_0)`` at one genome (a batch of one)."""
@@ -166,7 +161,7 @@ class CafqaLoss:
         coeffs = problem.hamiltonian.coefficients
         num_terms = len(coeffs)
         schedule = self._logical_plan.reverse_schedule(thetas, num_terms)
-        conj = self._ham_master.tile(num_genomes)
+        conj = problem.hamiltonian.table.tile(num_genomes)
         # one aggregated kernel event per batched plan walk
         with kernel_event("kernel.fused_levels", passes=True):
             conjugate_schedule(conj, schedule)
@@ -183,7 +178,7 @@ class CafqaLoss:
         rows_per = mapped.table.num_rows
         schedule = self._eval_plan.reverse_schedule(thetas, rows_per)
         values = self.clifford_model.noisy_zero_state_term_values_steps(
-            schedule, self._mapped_master.tile(num_genomes))
+            schedule, mapped.table.tile(num_genomes))
         noisy = np.array(
             [float(mapped.coefficients @ values[p * rows_per:
                                                 (p + 1) * rows_per])

@@ -19,7 +19,6 @@ from ..circuits.ansatz import (
 )
 from ..circuits.circuit import Circuit
 from ..obs.kernel import kernel_event
-from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 from ..paulis.table import PauliTable
 from ..stabilizer.tableau import CliffordTableau
@@ -33,7 +32,7 @@ def transformation_tableau(gamma, num_qubits: int,
 
 
 def transform_table(hamiltonian: PauliSum, gamma,
-                    entanglement: str = "circular") -> PackedPauliTable:
+                    entanglement: str = "circular") -> PauliTable:
     """Anticonjugated term table of one genome (rows carry +-1 signs).
 
     A batch of one: row block 0 of :func:`transform_table_many`.
@@ -43,10 +42,10 @@ def transform_table(hamiltonian: PauliSum, gamma,
 
 
 def transform_table_many(hamiltonian: PauliSum, gammas,
-                         entanglement: str = "circular") -> PackedPauliTable:
+                         entanglement: str = "circular") -> PauliTable:
     """Anticonjugated term tables of a whole genome population, stacked.
 
-    One word-packed Hamiltonian table copy per genome is stacked into a
+    One Hamiltonian table copy per genome is stacked into a
     ``(P*M, n)`` table (genome ``p`` owns rows ``[p*M, (p+1)*M)``), and
     each transformation slot is ONE leveled-LUT pass over the stack: the
     genome's gene at that slot is the row's level, and level 0 is the
@@ -71,8 +70,7 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     # one aggregated kernel event per transformation (per-slot events
     # would multiply span counts ~20x for no insight)
     with kernel_event("kernel.fused_levels", passes=True):
-        stacked = PackedPauliTable.from_table(hamiltonian.table).tile(
-            len(gammas))
+        stacked = hamiltonian.table.tile(len(gammas))
         for kind, qubits, gene in reversed(slots):
             if kind == "pair":
                 entries = [None,
@@ -93,8 +91,8 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
 def transform_hamiltonian(hamiltonian: PauliSum, gamma,
                           entanglement: str = "circular") -> PauliSum:
     """The transformed problem ``H(gamma)`` as a canonical PauliSum."""
-    table = transform_table(hamiltonian, gamma, entanglement).to_table()
-    return PauliSum(table, hamiltonian.coefficients.copy())
+    return PauliSum(transform_table(hamiltonian, gamma, entanglement),
+                    hamiltonian.coefficients.copy())
 
 
 def untransform_state_circuit(gamma, num_qubits: int, vqe_circuit: Circuit,
@@ -111,35 +109,19 @@ def untransform_state_circuit(gamma, num_qubits: int, vqe_circuit: Circuit,
     return vqe_circuit.compose(transform)
 
 
-def embed_table(table, positions: list[int], num_qubits: int):
+def embed_table(table: PauliTable, positions: list[int],
+                num_qubits: int) -> PauliTable:
     """Scatter table columns onto a wider register (logical -> physical).
 
-    Accepts either representation and returns the same kind.  The trivial
-    embedding (identity layout at equal width) is a plain copy -- the
-    common case for untranspiled problems, and free of any bit shuffling
-    on the packed layout.
+    The trivial embedding (identity layout at equal width) is a plain copy
+    -- the common case for untranspiled problems, and free of any bit
+    shuffling.
     """
     if (num_qubits == table.num_qubits
             and list(positions) == list(range(num_qubits))):
         return table.copy()
-    if isinstance(table, PackedPauliTable):
-        from ..paulis import bitops
-
-        m = table.num_rows
-        bx = bitops.unpack_bits(table.x, table.num_qubits)
-        bz = bitops.unpack_bits(table.z, table.num_qubits)
-        x = np.zeros((m, num_qubits), dtype=bool)
-        z = np.zeros((m, num_qubits), dtype=bool)
-        for logical, target in enumerate(positions):
-            x[:, target] = bx[:, logical]
-            z[:, target] = bz[:, logical]
-        return PackedPauliTable(bitops.pack_bits(x, num_qubits),
-                                bitops.pack_bits(z, num_qubits),
-                                num_qubits, table.phase_exp.copy())
-    m = table.num_rows
-    x = np.zeros((m, num_qubits), dtype=bool)
-    z = np.zeros((m, num_qubits), dtype=bool)
-    for logical, target in enumerate(positions):
-        x[:, target] = table.x[:, logical]
-        z[:, target] = table.z[:, logical]
-    return PauliTable(x, z, table.phase_exp.copy())
+    x = np.zeros((table.num_rows, num_qubits), dtype=bool)
+    z = np.zeros_like(x)
+    x[:, list(positions)] = table.unpack_x()
+    z[:, list(positions)] = table.unpack_z()
+    return PauliTable.from_bits(x, z, table.phase_exp.copy())

@@ -92,7 +92,7 @@ def measurement_attenuations(hamiltonian: PauliSum, noise_model: NoiseModel,
     if include_basis_prep_error:
         prep = 1.0 - 4.0 * noise_model.depol_1q / 3.0
         factors = factors * np.prod(
-            np.where(hamiltonian.table.x, prep[None, :], 1.0), axis=1)
+            np.where(hamiltonian.table.unpack_x(), prep[None, :], 1.0), axis=1)
     return factors
 
 

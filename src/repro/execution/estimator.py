@@ -36,7 +36,6 @@ from ..circuits.circuit import Circuit
 from ..densesim.evaluator import evolve_with_noise, measurement_attenuations
 from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
 from ..noise.model import NoiseModel
-from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 
 if TYPE_CHECKING:  # annotation-only; avoids a core <-> execution cycle
@@ -451,8 +450,6 @@ class CliffordEstimator(BaseEstimator):
         self.clifford_model = clifford_model or CliffordNoiseModel(
             self.noise_model)
         self._coefficients = observable.coefficients
-        # observable packed once; every pass tiles the words
-        self._observable_table = PackedPauliTable.from_table(observable.table)
 
     def with_problem(self, problem: "VQEProblem") -> "CliffordEstimator":
         """Clone over another problem (same observable and noise models)."""
@@ -482,7 +479,7 @@ class CliffordEstimator(BaseEstimator):
             raise ValueError(
                 "CliffordEstimator requires a Clifford parameter point "
                 "(every angle a multiple of pi/2)")
-        table = self._observable_table
+        table = self.observable.table
         num_terms = table.num_rows
         schedule = plan.reverse_schedule(thetas, num_terms)
         values = self.clifford_model.noisy_zero_state_term_values_steps(

@@ -34,7 +34,6 @@ import numpy as np
 
 from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
-from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 from ..stabilizer.simulator import StabilizerSimulator
 from ..stabilizer.tableau import CliffordTableau, apply_gate_to_table, gate_tableau
@@ -112,8 +111,8 @@ class CliffordNoiseModel:
         each noise location and conjugating the whole word-packed term
         table through the inverse gate tableau.
         """
-        values = self.noisy_zero_state_term_values(
-            circuit, PackedPauliTable.from_table(hamiltonian.table))
+        values = self.noisy_zero_state_term_values(circuit,
+                                                   hamiltonian.table)
         return float(hamiltonian.coefficients @ values)
 
     def noisy_zero_state_term_values(self, circuit: Circuit, table
@@ -137,7 +136,7 @@ class CliffordNoiseModel:
         row ``r`` sees ``bound_instructions[level_of_row[r] - 1]`` and level
         0 drops the rotation.  This is the population-batched entry point:
         stack one Hamiltonian table copy per genome
-        (:meth:`~repro.paulis.packed_table.PackedPauliTable.tile`) and all
+        (:meth:`~repro.paulis.table.PauliTable.tile`) and all
         genomes' term values come out of one vectorized walk.  A slot's
         noise attenuates only rows with level > 0, and every arithmetic
         step is row-wise, so a genome's values do not depend on the rest

@@ -20,6 +20,8 @@ Direction heuristics (by the last path segment, substring match):
 
 Keys present on only one side are ``added``/``removed`` rows: visible
 in the table, not failures (benchmarks legitimately grow new metrics).
+Payloads whose top-level ``preset`` strings differ are refused outright
+(``repro bench compare`` exits 2).
 """
 
 from __future__ import annotations
@@ -200,7 +202,18 @@ def render_markdown(result: CompareResult,
 
 def compare_files(run_path: str | Path, baseline_path: str | Path,
                   tolerance: float = 0.15) -> CompareResult:
-    """Load both JSON files and :func:`compare` them."""
+    """Load both JSON files and :func:`compare` them.
+
+    Raises:
+        ValueError: when both payloads name a ``preset`` and the two
+            differ -- numbers measured at different problem sizes are not
+            comparable, so no metric is diffed.
+    """
     current = json.loads(Path(run_path).read_text(encoding="utf-8"))
     baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
+    run, base = (p.get("preset") if isinstance(p, dict) else None
+                 for p in (current, baseline))
+    if isinstance(run, str) and isinstance(base, str) and run != base:
+        raise ValueError(f"preset mismatch: run is {run!r}, "
+                         f"baseline is {base!r}")
     return compare(current, baseline, tolerance)

@@ -1,6 +1,6 @@
 """Always-on counters for the word-packed Clifford kernels.
 
-The packed conjugation path (``paulis/packed_table.py``,
+The packed conjugation path (``paulis/table.py``,
 ``stabilizer/tableau.py``) is the hot loop below every
 ``loss.evaluate_many`` span; this module gives it a profile without
 timing it.  Call sites bump plain integer attributes on the process

@@ -2,8 +2,7 @@
 
 from .pauli import PAULI_MATRICES, PauliString, random_pauli
 from .table import PauliTable
-from .packed_table import PackedPauliTable
 from .pauli_sum import PauliSum
 
-__all__ = ["PAULI_MATRICES", "PackedPauliTable", "PauliString", "PauliTable",
-           "PauliSum", "random_pauli"]
+__all__ = ["PAULI_MATRICES", "PauliString", "PauliTable", "PauliSum",
+           "random_pauli"]

@@ -1,11 +1,10 @@
 """Bit-packed Pauli storage primitives: 64 qubit columns per machine word.
 
-The byte-per-bit boolean matrices of :class:`~repro.paulis.table.PauliTable`
-are the clearest representation but burn 8-64x more memory bandwidth than
-the information content requires, which caps the conjugation hot path well
-below the 50-100+ qubit scale word-packed tableau codes reach routinely
-(Aaronson-Gottesman, arXiv:quant-ph/0406196).  This module is the packed
-layout's toolbox:
+:class:`~repro.paulis.table.PauliTable` stores its X and Z bit matrices in
+uint64 words rather than one byte per bit, which cuts the conjugation hot
+path's memory traffic 8-64x and carries it to the 50-100+ qubit scale
+word-packed tableau codes reach routinely (Aaronson-Gottesman,
+arXiv:quant-ph/0406196).  This module is that layout's toolbox:
 
 * :func:`pack_bits` / :func:`unpack_bits` -- ``(M, n)`` bool matrices to and
   from ``(M, ceil(n/64))`` uint64 words, column ``q`` living at bit

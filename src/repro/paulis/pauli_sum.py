@@ -19,7 +19,8 @@ from .table import PauliTable
 class PauliSum:
     """A real-weighted sum of Pauli strings on a fixed number of qubits.
 
-    The terms are stored as a :class:`PauliTable` plus a coefficient vector.
+    The terms are stored as a word-packed :class:`PauliTable` plus a
+    coefficient vector.
     Construction canonicalizes: phases are folded into coefficients so every
     stored row has sign +1, and duplicate rows are merged.
 
@@ -37,7 +38,8 @@ class PauliSum:
             raise ValueError("need exactly one coefficient per Pauli term")
         signs = table.signs()
         coefficients = coefficients * signs
-        bare = PauliTable(table.x.copy(), table.z.copy())  # canonical phases
+        # canonical phases
+        bare = PauliTable(table.x.copy(), table.z.copy(), table.num_qubits)
         self.table, self.coefficients = _merge_duplicates(bare, coefficients)
 
     # ------------------------------------------------------------------
@@ -77,8 +79,7 @@ class PauliSum:
 
     def identity_constant(self) -> float:
         """The coefficient of the identity term (0.0 if absent)."""
-        mask = ~(self.table.x.any(axis=1) | self.table.z.any(axis=1))
-        return float(self.coefficients[mask].sum())
+        return float(self.coefficients[self.table.weights() == 0].sum())
 
     def max_abs_coefficient(self) -> float:
         return float(np.abs(self.coefficients).max())
@@ -92,7 +93,7 @@ class PauliSum:
         x = np.vstack([self.table.x, other.table.x])
         z = np.vstack([self.table.z, other.table.z])
         coeffs = np.concatenate([self.coefficients, other.coefficients])
-        return PauliSum(PauliTable(x, z), coeffs)
+        return PauliSum(PauliTable(x, z, self.num_qubits), coeffs)
 
     def __mul__(self, scalar: float) -> "PauliSum":
         return PauliSum(self.table.copy(), self.coefficients * float(scalar))
@@ -150,7 +151,8 @@ def _merge_duplicates(table: PauliTable, coeffs: np.ndarray
                       ) -> tuple[PauliTable, np.ndarray]:
     """Merge identical rows (summing coefficients) and drop zero terms.
 
-    Keeps first-seen order so Hamiltonians print deterministically.
+    Keeps first-seen order so Hamiltonians print deterministically.  Rows
+    are keyed on their packed words, which identify the bits exactly.
     """
     if table.num_rows == 0:
         return table, coeffs
@@ -172,5 +174,4 @@ def _merge_duplicates(table: PauliTable, coeffs: np.ndarray
     if not keep.any():
         keep[0] = True
     idx = np.array(order)[keep]
-    return (PauliTable(table.x[idx], table.z[idx], table.phase_exp[idx]),
-            merged[keep])
+    return table.take(idx), merged[keep]

@@ -2,8 +2,12 @@
 
 This is the package's stand-in for stim's simulation core: it tracks a
 stabilizer state as 2n phase-signed Pauli rows (n destabilizers, n
-stabilizers), applies Clifford gates by conjugating all rows at once, and
-supports Z-basis measurement and exact Pauli expectation values.
+stabilizers) in one word-packed :class:`~repro.paulis.table.PauliTable`,
+applies Clifford gates by conjugating all rows at once through the same
+word-level LUT kernel as the losses, and supports Z-basis measurement and
+exact Pauli expectation values.  Row operations are word operations:
+commutation tests are popcounts of ``x & z'`` words, and row products are
+word XORs with popcount phase tracking.
 
 Expectation values are what Clapton's losses consume: for a stabilizer state
 ``|psi>`` and Pauli ``P``, ``<psi|P|psi>`` is 0 when ``P`` anticommutes with
@@ -16,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuits.circuit import Circuit
+from ..paulis import bitops
 from ..paulis.pauli import PauliString
 from ..paulis.table import PauliTable
-from .tableau import apply_gate_to_table, gate_tableau
+from .tableau import CliffordTableau, apply_gate_to_table, gate_tableau
 
 
 class StabilizerSimulator:
@@ -33,13 +38,7 @@ class StabilizerSimulator:
         self.reset()
 
     def reset(self) -> None:
-        n = self.num_qubits
-        x = np.zeros((2 * n, n), dtype=bool)
-        z = np.zeros_like(x)
-        idx = np.arange(n)
-        x[idx, idx] = True
-        z[n + idx, idx] = True
-        self.rows = PauliTable(x, z)
+        self.rows = CliffordTableau.identity(self.num_qubits).rows
 
     # ------------------------------------------------------------------
     # Evolution
@@ -56,9 +55,23 @@ class StabilizerSimulator:
 
     def apply_pauli(self, pauli: PauliString) -> None:
         """Apply a (stochastic-noise) Pauli: flips signs of anticommuting rows."""
-        anti = ((self.rows.x & pauli.z[None, :]).sum(axis=1)
-                + (self.rows.z & pauli.x[None, :]).sum(axis=1)) % 2
+        anti = self._anticommutes(slice(None), PauliTable.from_paulis([pauli]))
         self.rows.phase_exp = (self.rows.phase_exp + 2 * anti) % 4
+
+    def _anticommutes(self, rows: slice, other: PauliTable) -> np.ndarray:
+        """0/1 per selected row: does it anticommute with ``other``'s row?"""
+        return (bitops.popcount_rows(self.rows.x[rows] & other.z)
+                + bitops.popcount_rows(self.rows.z[rows] & other.x)) % 2
+
+    def _stabilizer_product(self, which: np.ndarray) -> PauliTable:
+        """One-row table: the product of the stabilizers paired with the
+        destabilizer indices ``which``, multiplied in index order."""
+        n = self.num_qubits
+        acc = PauliTable.identity(1, n)
+        row = np.ones(1, dtype=bool)
+        for i in which:
+            acc.mul_table_row_on_rows(row, self.rows, n + int(i))
+        return acc
 
     # ------------------------------------------------------------------
     # Measurement
@@ -66,35 +79,30 @@ class StabilizerSimulator:
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure ``qubit`` in the Z basis, collapsing the state."""
         n = self.num_qubits
-        stab_x = self.rows.x[n:, qubit]
-        candidates = np.flatnonzero(stab_x)
+        rows = self.rows
+        x_col = rows.x_column(qubit)
+        candidates = np.flatnonzero(x_col[n:])
         if candidates.size:
             p = int(candidates[0]) + n  # random outcome branch
-            pivot = self.rows.row(p)
-            others = np.flatnonzero(self.rows.x[:, qubit])
-            mask = np.zeros(2 * n, dtype=bool)
-            mask[others] = True
+            mask = x_col.copy()
             mask[p] = False
-            self.rows.mul_pauli_on_rows(mask, pivot)
+            rows.mul_pauli_on_rows(mask, rows.row(p))
             # destabilizer p-n becomes the old stabilizer; stabilizer p
             # becomes +-Z_qubit with a fair random sign.
-            self.rows.x[p - n] = pivot.x
-            self.rows.z[p - n] = pivot.z
-            self.rows.phase_exp[p - n] = pivot.phase_exp
+            rows.x[p - n] = rows.x[p]
+            rows.z[p - n] = rows.z[p]
+            rows.phase_exp[p - n] = rows.phase_exp[p]
             outcome = int(rng.integers(0, 2))
-            self.rows.x[p] = False
-            self.rows.z[p] = False
-            self.rows.z[p, qubit] = True
-            self.rows.phase_exp[p] = 2 * outcome
+            word, bit = divmod(qubit, bitops.WORD_BITS)
+            rows.x[p] = 0
+            rows.z[p] = 0
+            rows.z[p, word] = np.uint64(1) << np.uint64(bit)
+            rows.phase_exp[p] = 2 * outcome
             return outcome
         # Deterministic branch: Z_qubit is (up to sign) in the stabilizer
         # group; accumulate the product of stabilizers paired with the
         # destabilizers that anticommute with Z_qubit.
-        acc = PauliString.identity(n)
-        for i in range(n):
-            if self.rows.x[i, qubit]:
-                acc = acc * self.rows.row(n + i)
-        sign = acc.sign
+        sign = self._stabilizer_product(np.flatnonzero(x_col[:n])).signs()[0]
         return 0 if sign == 1 else 1
 
     def measure_all(self, rng: np.random.Generator) -> np.ndarray:
@@ -105,30 +113,27 @@ class StabilizerSimulator:
     # ------------------------------------------------------------------
     def expectation(self, pauli: PauliString) -> float:
         """Exact ``<psi|P|psi>`` (0 or +-1) without collapsing the state."""
+        return self._expectation(PauliTable.from_paulis([pauli]))
+
+    def _expectation(self, target: PauliTable) -> float:
+        """:meth:`expectation` of a one-row table's Pauli."""
         n = self.num_qubits
-        stab_x = self.rows.x[n:]
-        stab_z = self.rows.z[n:]
-        anti_stab = ((stab_x & pauli.z[None, :]).sum(axis=1)
-                     + (stab_z & pauli.x[None, :]).sum(axis=1)) % 2
-        if anti_stab.any():
+        if self._anticommutes(slice(n, None), target).any():
             return 0.0
-        destab_x = self.rows.x[:n]
-        destab_z = self.rows.z[:n]
-        anti_destab = ((destab_x & pauli.z[None, :]).sum(axis=1)
-                       + (destab_z & pauli.x[None, :]).sum(axis=1)) % 2
-        acc = PauliString.identity(n)
-        for i in np.flatnonzero(anti_destab):
-            acc = acc * self.rows.row(n + int(i))
+        acc = self._stabilizer_product(
+            np.flatnonzero(self._anticommutes(slice(None, n), target)))
         # acc equals +-P; compare canonical signs and bodies.
-        if not (np.array_equal(acc.x, pauli.x) and np.array_equal(acc.z, pauli.z)):
+        if not (np.array_equal(acc.x, target.x)
+                and np.array_equal(acc.z, target.z)):
             raise AssertionError("destabilizer decomposition failed")
-        return float(acc.sign * pauli.sign)
+        return float(acc.signs()[0] * target.signs()[0])
 
     def expectation_sum(self, hamiltonian) -> float:
         """``<psi|H|psi>`` for a :class:`~repro.paulis.pauli_sum.PauliSum`."""
+        table = hamiltonian.table
         total = 0.0
-        for coeff, pauli in hamiltonian.terms():
-            total += coeff * self.expectation(pauli)
+        for i, coeff in enumerate(hamiltonian.coefficients):
+            total += float(coeff) * self._expectation(table.take(slice(i, i + 1)))
         return total
 
     def statevector(self) -> np.ndarray:
@@ -162,8 +167,6 @@ def clifford_state_expectation(circuit: Circuit, hamiltonian) -> float:
     This is the noiseless path used by CAFQA's cost and Clapton's L0; it
     anticonjugates all Hamiltonian terms at once instead of simulating.
     """
-    from .tableau import CliffordTableau
-
     tableau = CliffordTableau.from_circuit(circuit.inverse())
     conjugated = tableau.conjugate_table(hamiltonian.table)
     return float(hamiltonian.coefficients @ conjugated.expectation_all_zeros())

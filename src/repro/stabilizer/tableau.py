@@ -2,9 +2,12 @@
 
 A Clifford operation ``C`` is fully described by the images of the symplectic
 generators, ``C X_k C†`` and ``C Z_k C†`` (Eq. 2 of the paper).  We store
-those 2n images as rows of a :class:`~repro.paulis.table.PauliTable` and
-conjugate arbitrary Pauli strings -- or whole Hamiltonians at once -- by
-multiplying out the relevant rows with exact phase tracking.
+those 2n images as rows of a word-packed
+:class:`~repro.paulis.table.PauliTable` and conjugate arbitrary Pauli
+strings -- or whole Hamiltonians at once -- by multiplying out the relevant
+rows with exact phase tracking (word-wise XORs and popcounts).  Gates
+applied to a whole table go through per-gate lookup tables instead
+(:func:`apply_gate_to_table`), one word-level pass per gate.
 
 Tableaus for individual gates are *derived from their unitaries* at import
 time (:func:`tableau_from_unitary`), so the gate library's dense matrices are
@@ -24,7 +27,6 @@ from ..obs.kernel import KERNEL, kernel_event
 from ..paulis import bitops
 from ..circuits.circuit import Circuit
 from ..circuits.gates import get_gate
-from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli import PAULI_MATRICES, PauliString
 from ..paulis.table import PauliTable
 
@@ -83,14 +85,13 @@ class CliffordTableau:
     ``Z_k``.  The represented map is ``P -> C P C†``.
     """
 
-    __slots__ = ("rows", "_lut_key", "_packed_rows")
+    __slots__ = ("rows", "_lut_key")
 
     def __init__(self, rows: PauliTable):
         if rows.num_rows != 2 * rows.num_qubits:
             raise ValueError("a tableau needs exactly 2n rows on n qubits")
         self.rows = rows
         self._lut_key = None
-        self._packed_rows = None
 
     @property
     def num_qubits(self) -> int:
@@ -106,58 +107,40 @@ class CliffordTableau:
         idx = np.arange(num_qubits)
         x[idx, idx] = True
         z[num_qubits + idx, idx] = True
-        return cls(PauliTable(x, z))
+        return cls(PauliTable.from_bits(x, z))
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
-        """Tableau of a bound Clifford circuit (raises if non-Clifford).
-
-        The gate loop runs on the word-packed layout.
-        """
+        """Tableau of a bound Clifford circuit (raises if non-Clifford)."""
         if not circuit.is_clifford():
             raise ValueError("circuit is not Clifford")
-        rows = PackedPauliTable.from_table(cls.identity(circuit.num_qubits).rows)
+        tableau = cls.identity(circuit.num_qubits)
         for inst in circuit.instructions:
             gate = gate_tableau(inst.name, tuple(float(p) for p in inst.params))
-            apply_gate_to_table(rows, gate, inst.qubits)
-        return cls(rows.to_table())
+            apply_gate_to_table(tableau.rows, gate, inst.qubits)
+        return tableau
 
     # ------------------------------------------------------------------
     # Conjugation
     # ------------------------------------------------------------------
-    def conjugate_table(self, table):
+    def conjugate_table(self, table: PauliTable) -> PauliTable:
         """Batched ``P -> C P C†`` for every row of ``table`` (new table).
 
         Each input ``P = (-i)^q Z^z X^x`` maps to
         ``(-i)^q * prod_k imgZ_k^{z_k} * prod_k imgX_k^{x_k}``; the products
-        are accumulated with exact Pauli multiplication, vectorized over all
-        input rows.  Accepts either representation and returns a table of
-        the same kind; on the packed layout the row products are word-wise
-        XORs with popcount phase tracking, bit-identical to the boolean
-        path.
+        are accumulated with exact Pauli multiplication (word-wise XORs with
+        popcount phase tracking), vectorized over all input rows.
         """
         if table.num_qubits != self.num_qubits:
             raise ValueError("qubit-count mismatch")
         n = self.num_qubits
-        if isinstance(table, PackedPauliTable):
-            if self._packed_rows is None:
-                self._packed_rows = PackedPauliTable.from_table(self.rows)
-            generators = self._packed_rows
-            with kernel_event("kernel.conjugate_table"):
-                acc = PackedPauliTable.identity(table.num_rows, n)
-                acc.phase_exp = table.phase_exp.copy()
-                for k in range(n):
-                    acc.mul_table_row_on_rows(table.z_column(k), generators,
-                                              n + k)
-                for k in range(n):
-                    acc.mul_table_row_on_rows(table.x_column(k), generators, k)
-            return acc
-        acc = PauliTable.identity(table.num_rows, n)
-        acc.phase_exp = table.phase_exp.copy()
-        for k in range(n):
-            acc.mul_pauli_on_rows(table.z[:, k], self.rows.row(n + k))
-        for k in range(n):
-            acc.mul_pauli_on_rows(table.x[:, k], self.rows.row(k))
+        with kernel_event("kernel.conjugate_table"):
+            acc = PauliTable.identity(table.num_rows, n)
+            acc.phase_exp = table.phase_exp.copy()
+            for k in range(n):
+                acc.mul_table_row_on_rows(table.z_column(k), self.rows, n + k)
+            for k in range(n):
+                acc.mul_table_row_on_rows(table.x_column(k), self.rows, k)
         return acc
 
     def conjugate_pauli(self, pauli: PauliString) -> PauliString:
@@ -224,25 +207,25 @@ def _conjugation_lut(gate: CliffordTableau
         _LUT_CACHE.move_to_end(key)
         return cached
     KERNEL.lut_misses += 1
-    k = gate.num_qubits
-    size = 4 ** k
-    out_x = np.zeros((size, k), dtype=bool)
-    out_z = np.zeros((size, k), dtype=bool)
-    out_dq = np.zeros(size, dtype=np.int64)
-    for code in range(size):
-        x = np.array([(code >> (2 * j)) & 1 for j in range(k)], dtype=bool)
-        z = np.array([(code >> (2 * j + 1)) & 1 for j in range(k)], dtype=bool)
-        image = gate.conjugate_pauli(PauliString(x, z, 0))
-        out_x[code] = image.x
-        out_z[code] = image.z
-        out_dq[code] = image.phase_exp
-    _LUT_CACHE[key] = (out_x, out_z, out_dq)
+    codes = np.arange(4 ** gate.num_qubits)
+    image = gate.conjugate_table(
+        PauliTable.from_bits(_code_bits(codes, gate.num_qubits, 0),
+                             _code_bits(codes, gate.num_qubits, 1),
+                             np.zeros(len(codes), dtype=np.int64)))
+    lut = (image.unpack_x(), image.unpack_z(), image.phase_exp)
+    _LUT_CACHE[key] = lut
     while len(_LUT_CACHE) > _LUT_CACHE_MAX:
         _LUT_CACHE.popitem(last=False)
-    return out_x, out_z, out_dq
+    return lut
 
 
-def apply_gate_to_table(table, gate: CliffordTableau,
+def _code_bits(codes: np.ndarray, k: int, plane: int) -> np.ndarray:
+    """``(len(codes), k)`` X (``plane=0``) or Z (``plane=1``) bits of codes."""
+    return np.stack([(codes >> (2 * j + plane)) & 1 for j in range(k)],
+                    axis=1).astype(bool)
+
+
+def apply_gate_to_table(table: PauliTable, gate: CliffordTableau,
                         qubits: Sequence[int]) -> None:
     """In place, conjugate every row of ``table`` by a 1- or 2-qubit gate.
 
@@ -250,13 +233,8 @@ def apply_gate_to_table(table, gate: CliffordTableau,
     exponent (operators on disjoint qubits commute), so only the sub-bits
     change and the image's phase exponent adds to the row's global phase.
     Dispatches through per-gate code lookup tables (see
-    :func:`_conjugation_lut`).
-
-    ``table`` is normally a word-packed
-    :class:`~repro.paulis.packed_table.PackedPauliTable`; a boolean-matrix
-    :class:`~repro.paulis.table.PauliTable` (the layout
-    :class:`~repro.stabilizer.simulator.StabilizerSimulator` keeps its
-    tableau in) runs the same LUT on bit columns.
+    :func:`_conjugation_lut`), read and deposited straight in the table's
+    uint64 words (:func:`_apply_lut_to_words`).
 
     Raises:
         ValueError: if the gate acts on more than two qubits, or its arity
@@ -268,24 +246,10 @@ def apply_gate_to_table(table, gate: CliffordTableau,
         raise ValueError("gate arity does not match qubit list")
     if k > 2:
         raise ValueError(f"no conjugation LUT for a {k}-qubit gate")
-    lut = _conjugation_lut(gate)
-    if isinstance(table, PackedPauliTable):
-        _apply_lut_to_words(table, lut, qubits)
-        return
-    lut_x, lut_z, lut_dq = lut
-    codes = (table.x[:, qubits[0]]
-             + 2 * table.z[:, qubits[0]].astype(np.int64))
-    if k == 2:
-        codes = codes + 4 * (table.x[:, qubits[1]]
-                             + 2 * table.z[:, qubits[1]].astype(np.int64))
-    for j, q in enumerate(qubits):
-        table.x[:, q] = lut_x[codes, j]
-        table.z[:, q] = lut_z[codes, j]
-    table.phase_exp += lut_dq[codes]
-    table.phase_exp %= 4
+    _apply_lut_to_words(table, _conjugation_lut(gate), qubits)
 
 
-def _apply_lut_to_words(table: PackedPauliTable, lut, columns: list[int],
+def _apply_lut_to_words(table: PauliTable, lut, columns: list[int],
                         level_of_row: np.ndarray | None = None) -> None:
     """The word-level LUT conjugation kernel shared by every packed pass.
 
@@ -294,8 +258,7 @@ def _apply_lut_to_words(table: PackedPauliTable, lut, columns: list[int],
     contributions aggregated per word, so a pass is a handful of O(M)
     word operations regardless of n.  With ``level_of_row`` each row's
     LUT index is offset by ``level * 4**k`` (the stacked alternatives of
-    :func:`_leveled_lut`).  The arithmetic mirrors the boolean kernel bit
-    for bit.
+    :func:`_leveled_lut`).
     """
     lut_x, lut_z, lut_dq = lut
     k = len(columns)
@@ -338,7 +301,7 @@ def _apply_lut_to_words(table: PackedPauliTable, lut, columns: list[int],
         colx |= ax[codes]
         colz &= ~clear
         colz |= az[codes]
-    # phases stay in [0, 4), so `& 3` is the mod-4 of the boolean path
+    # phases stay in [0, 4), so `& 3` is their mod 4
     phase = table.phase_exp
     np.add(phase, lut_dq[codes], out=phase)
     np.bitwise_and(phase, 3, out=phase)
@@ -359,8 +322,8 @@ def _leveled_lut(entries, k: int
     gate with its qubit order flipped relative to the shared columns
     (e.g. ``cx(l, k)`` on columns ``(k, l)``): the per-code rows are
     re-indexed through the symplectic code permutation and the output
-    columns swapped, which is exactly the LUT the boolean path uses for
-    that target order.
+    columns swapped, which is exactly the LUT of the gate applied in that
+    target order.
     """
     size = 4 ** k
     key_parts = []
@@ -381,10 +344,8 @@ def _leveled_lut(entries, k: int
     xs, zs, dqs = [], [], []
     for entry in entries:
         if entry is None:
-            xs.append(np.stack([(codes >> (2 * j)) & 1 for j in range(k)],
-                               axis=1).astype(bool))
-            zs.append(np.stack([(codes >> (2 * j + 1)) & 1 for j in range(k)],
-                               axis=1).astype(bool))
+            xs.append(_code_bits(codes, k, 0))
+            zs.append(_code_bits(codes, k, 1))
             dqs.append(np.zeros(size, dtype=np.int64))
             continue
         gate, flipped = entry
@@ -410,7 +371,7 @@ def _leveled_lut(entries, k: int
     return result
 
 
-def apply_gate_levels_to_table(table: PackedPauliTable, entries,
+def apply_gate_levels_to_table(table: PauliTable, entries,
                                columns: Sequence[int],
                                level_of_row: np.ndarray) -> None:
     """In place, conjugate each row by the gate alternative its level picks.

@@ -21,8 +21,8 @@ _CODE_TO_CHAR = {0: "I", 1: "X", 2: "Z", 3: "Y"}
 
 def _term_codes(hamiltonian: PauliSum) -> np.ndarray:
     """Per-term, per-qubit basis codes: 0=I, 1=X, 2=Z, 3=Y."""
-    return (hamiltonian.table.x.astype(np.int8)
-            + 2 * hamiltonian.table.z.astype(np.int8))
+    return (hamiltonian.table.unpack_x().astype(np.int8)
+            + 2 * hamiltonian.table.unpack_z().astype(np.int8))
 
 
 @dataclass

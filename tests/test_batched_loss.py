@@ -179,7 +179,7 @@ class TestBatchedLosses:
         h = ising_model(5, 0.75)
         gammas = genome_batch(np.random.default_rng(4), 7,
                               4 * 5 + 5)  # circular: 5N genes
-        stacked = transform_table_many(h, gammas).to_table()
+        stacked = oracle.BoolTable.of(transform_table_many(h, gammas))
         m = h.table.num_rows
         for p, gamma in enumerate(gammas):
             single = oracle.transform_table(h, gamma)
@@ -342,9 +342,10 @@ class TestEstimatorBatches:
 
     def oracle_terms(self, estimator, thetas):
         problem = estimator.problem
+        table = oracle.BoolTable.of(estimator.observable.table)
         return np.stack([oracle.noisy_term_values(
-            estimator.clifford_model, problem.bound_ansatz(theta),
-            estimator.observable.table) for theta in thetas])
+            estimator.clifford_model, problem.bound_ansatz(theta), table)
+            for theta in thetas])
 
     def test_clifford_estimate_many_bit_identical(self):
         problem = logical_problem()

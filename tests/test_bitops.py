@@ -1,14 +1,13 @@
-"""Equivalence suite for the word-packed Pauli layout.
+"""Equivalence suite for the word-packed Pauli table.
 
-The packed representation (:mod:`repro.paulis.bitops`,
-:class:`~repro.paulis.packed_table.PackedPauliTable`) must be
-**bit-identical** to the boolean-matrix oracle (``pauli_oracle``) through
-every conjugation entry point.  This suite pins that at the interesting
-widths -- n = 1 (single ragged word), 63/64/65 (word boundary straddles),
-and 100 (the large-n target) -- with seeded randomized tables, row subsets
-(leveled passes against the oracle's masked application), and the full set
-of named Clifford gates including same-word and cross-word 2-qubit
-placements.
+:class:`~repro.paulis.table.PauliTable` (uint64 words, see
+:mod:`repro.paulis.bitops`) must be **bit-identical** to the boolean-matrix
+oracle (``pauli_oracle``) through every conjugation entry point.  This
+suite pins that at the interesting widths -- n = 1 (single ragged word),
+63/64/65 (word boundary straddles), and 100 (the large-n target) -- with
+seeded randomized tables, row subsets (leveled passes against the oracle's
+masked application), and the full set of named Clifford gates including
+same-word and cross-word 2-qubit placements.
 """
 
 import math
@@ -18,13 +17,14 @@ import pauli_oracle as oracle
 import pytest
 
 from repro.circuits import Circuit
-from repro.paulis import PackedPauliTable, PauliString, PauliSum, PauliTable
+from repro.paulis import PauliString, PauliSum, PauliTable
 from repro.paulis import bitops
 from repro.stabilizer import CliffordTableau, gate_tableau
 from repro.stabilizer.tableau import (
     _LEVELED_LUT_CACHE,
     _LUT_CACHE,
     _LUT_CACHE_MAX,
+    _conjugation_lut,
     _gate_lut_key,
     apply_gate_levels_to_table,
     apply_gate_to_table,
@@ -36,20 +36,16 @@ CLIFFORD_2Q = ["cx", "cz", "swap"]
 
 
 def random_tables(n, num_rows, seed):
-    """A random boolean table and its packed twin (independent storage)."""
+    """A random oracle table and its packed twin (independent storage)."""
     rng = np.random.default_rng(seed)
     x = rng.random((num_rows, n)) < 0.5
     z = rng.random((num_rows, n)) < 0.5
     phase = rng.integers(0, 4, num_rows)
-    table = PauliTable(x.copy(), z.copy(), phase.copy())
-    return table, PackedPauliTable.from_table(table), rng
+    table = oracle.BoolTable(x, z, phase)
+    return table, PauliTable.from_bits(x, z, phase.copy()), rng
 
 
-def assert_tables_equal(packed: PackedPauliTable, table: PauliTable):
-    back = packed.to_table()
-    np.testing.assert_array_equal(back.x, table.x)
-    np.testing.assert_array_equal(back.z, table.z)
-    np.testing.assert_array_equal(back.phase_exp, table.phase_exp)
+assert_tables_equal = oracle.assert_equal
 
 
 class TestBitops:
@@ -148,13 +144,17 @@ class TestBitops:
 
 
 class TestPackedPauliTable:
+    """The word-packed ``PauliTable`` against the boolean oracle."""
+
     @pytest.mark.parametrize("n", SIZES)
     def test_round_trip(self, n):
         table, packed, _ = random_tables(n, 23, n)
         assert packed.num_rows == 23
         assert packed.num_qubits == n
         assert packed.num_words == bitops.num_words(n)
+        assert packed.x.dtype == np.uint64
         assert_tables_equal(packed, table)
+        assert_tables_equal(PauliTable.from_paulis(packed.to_paulis()), table)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_queries_match_bool_oracle(self, n):
@@ -164,30 +164,31 @@ class TestPackedPauliTable:
                 + 2 * rng.integers(0, 2, 29)) % 4
         table.phase_exp[:] = real
         packed.phase_exp[:] = real
-        np.testing.assert_array_equal(packed.signs(), table.signs())
+        np.testing.assert_array_equal(packed.signs(), oracle.signs(table))
         np.testing.assert_array_equal(packed.z_type_mask(),
-                                      table.z_type_mask())
+                                      ~table.x.any(axis=1))
         np.testing.assert_array_equal(packed.expectation_all_zeros(),
-                                      table.expectation_all_zeros())
-        np.testing.assert_array_equal(packed.weights(), table.weights())
+                                      oracle.expectation_all_zeros(table))
+        np.testing.assert_array_equal(packed.weights(),
+                                      (table.x | table.z).sum(axis=1))
         np.testing.assert_array_equal(packed.supports_mask(),
-                                      table.supports_mask())
+                                      table.x | table.z)
         np.testing.assert_array_equal(packed.unpack_x(), table.x)
         np.testing.assert_array_equal(packed.unpack_z(), table.z)
         for q in {0, n // 2, n - 1}:
-            np.testing.assert_array_equal(packed.x_column(q),
-                                          table.x_column(q))
-            np.testing.assert_array_equal(packed.z_column(q),
-                                          table.z_column(q))
+            np.testing.assert_array_equal(packed.x_column(q), table.x[:, q])
+            np.testing.assert_array_equal(packed.z_column(q), table.z[:, q])
             idx = np.flatnonzero(rng.random(29) < 0.4)
-            np.testing.assert_array_equal(packed.codes_on(q, idx),
-                                          table.codes_on(q, idx))
+            np.testing.assert_array_equal(
+                packed.codes_on(q, idx),
+                table.x[idx, q] + 2 * table.z[idx, q].astype(np.int64))
         qubits = sorted({0, n // 2, n - 1})
-        np.testing.assert_array_equal(packed.touches_any(qubits),
-                                      table.touches_any(qubits))
+        np.testing.assert_array_equal(
+            packed.touches_any(qubits),
+            (table.x[:, qubits] | table.z[:, qubits]).any(axis=1))
 
     def test_signs_rejects_imaginary_phase(self):
-        packed = PackedPauliTable.from_labels(["X"])
+        packed = PauliTable.from_labels(["X"])
         packed.phase_exp[0] = 1
         with pytest.raises(ValueError):
             packed.signs()
@@ -204,7 +205,7 @@ class TestPackedPauliTable:
         assert_tables_equal(packed, table)
 
     def test_tile_and_row(self):
-        packed = PackedPauliTable.from_labels(["XZ", "YI"])
+        packed = PauliTable.from_labels(["XZ", "YI"])
         tiled = packed.tile(3)
         assert tiled.num_rows == 6
         assert str(tiled.row(4)) == str(packed.row(0))
@@ -212,48 +213,38 @@ class TestPackedPauliTable:
 
 
 class TestEmptyTables:
-    """0-row tables are first class in both representations."""
+    """0-row tables are first class."""
 
     def test_from_paulis_empty_needs_width(self):
         with pytest.raises(ValueError):
             PauliTable.from_paulis([])
-        table = PauliTable.from_paulis([], num_qubits=5)
-        assert table.num_rows == 0
-        assert table.num_qubits == 5
-        packed = PackedPauliTable.from_paulis([], num_qubits=5)
+        packed = PauliTable.from_paulis([], num_qubits=5)
         assert packed.num_rows == 0
         assert packed.num_qubits == 5
 
     @pytest.mark.parametrize("n", [1, 64, 100])
     def test_tile_zero(self, n):
         table, packed, _ = random_tables(n, 7, n)
-        for empty in (table.tile(0), packed.tile(0)):
-            assert empty.num_rows == 0
-            assert empty.num_qubits == n
-        assert_tables_equal(packed.tile(0), table.tile(0))
+        empty = packed.tile(0)
+        assert empty.num_rows == 0
+        assert empty.num_qubits == n
+        assert_tables_equal(empty, table.extract(slice(0, 0)))
 
     def test_empty_queries(self):
-        for empty in (PauliTable.from_paulis([], num_qubits=4),
-                      PackedPauliTable.from_paulis([], num_qubits=4)):
-            assert empty.signs().shape == (0,)
-            assert empty.expectation_all_zeros().shape == (0,)
-            assert empty.weights().shape == (0,)
-            assert empty.z_type_mask().shape == (0,)
+        empty = PauliTable.from_paulis([], num_qubits=4)
+        assert empty.signs().shape == (0,)
+        assert empty.expectation_all_zeros().shape == (0,)
+        assert empty.weights().shape == (0,)
+        assert empty.z_type_mask().shape == (0,)
 
     def test_empty_conjugation(self):
         rng = np.random.default_rng(5)
         circuit = _random_clifford_circuit(4, 12, rng)
         tableau = CliffordTableau.from_circuit(circuit)
-        table = PauliTable.from_paulis([], num_qubits=4)
-        packed = PackedPauliTable.from_paulis([], num_qubits=4)
-        out_b = tableau.conjugate_table(table)
-        out_p = tableau.conjugate_table(packed)
-        assert out_b.num_rows == 0
-        assert out_p.num_rows == 0
-        gate = gate_tableau("h")
-        apply_gate_to_table(table, gate, [1])
-        apply_gate_to_table(packed, gate, [1])
-        assert_tables_equal(packed, table)
+        packed = PauliTable.from_paulis([], num_qubits=4)
+        assert tableau.conjugate_table(packed).num_rows == 0
+        apply_gate_to_table(packed, gate_tableau("h"), [1])
+        assert packed.num_rows == 0
 
     def test_empty_pauli_sum(self):
         empty = PauliSum(PauliTable.from_paulis([], num_qubits=3),
@@ -278,18 +269,19 @@ def _random_clifford_circuit(num_qubits, depth, rng):
     return circ
 
 
-def apply_both(table, packed, gate, qubits, rows):
+def apply_both(table, packed, name, params, qubits, rows):
     """Conjugate ``rows`` (``None`` = all) in both layouts.
 
     The packed side applies a row subset as the leveled pass
-    ``[None, gate]`` with 0/1 levels; the boolean side as the oracle's
-    masked application.
+    ``[None, gate]`` with 0/1 levels; the oracle side as its masked
+    application.
     """
+    gate = gate_tableau(name, params)
     if rows is None:
-        apply_gate_to_table(table, gate, qubits)
+        oracle.apply_gate(table, name, params, qubits)
         apply_gate_to_table(packed, gate, qubits)
         return
-    oracle.apply_gate_masked(table, gate, qubits, rows)
+    oracle.apply_gate_masked(table, name, params, qubits, rows)
     apply_gate_levels_to_table(packed, [None, (gate, False)], qubits,
                                rows.astype(np.int64))
 
@@ -301,18 +293,16 @@ class TestConjugationEquivalence:
     @pytest.mark.parametrize("name", CLIFFORD_1Q + ["rx", "ry", "rz"])
     def test_single_qubit_gates(self, n, name):
         params = (math.pi / 2,) if name.startswith("r") else ()
-        gate = gate_tableau(name, params)
         table, packed, rng = random_tables(n, 41, hash((n, name)) % 2**31)
         for q in sorted({0, n // 2, n - 1}):
             for rows in (None, rng.random(41) < 0.4,
                          np.zeros(41, dtype=bool)):
-                apply_both(table, packed, gate, [q], rows)
+                apply_both(table, packed, name, params, [q], rows)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 100])
     @pytest.mark.parametrize("name", CLIFFORD_2Q)
     def test_two_qubit_gates(self, n, name):
-        gate = gate_tableau(name)
         table, packed, rng = random_tables(n, 41, hash((n, name)) % 2**31)
         pairs = [(0, n - 1), (n - 1, 0)]
         if n >= 65:
@@ -323,23 +313,22 @@ class TestConjugationEquivalence:
                 continue
             for rows in (None, rng.random(41) < 0.4,
                          np.zeros(41, dtype=bool)):
-                apply_both(table, packed, gate, list(qubits), rows)
+                apply_both(table, packed, name, (), list(qubits), rows)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [3, 65, 100])
     def test_wide_gate_fallback(self, n):
         # no registered gate is wider than 2 qubits, so there is no LUT
-        # (and no fallback) for one: both layouts refuse it
+        # (and no fallback) for one: the kernel refuses it
         rng = np.random.default_rng(n)
         gate = CliffordTableau.from_circuit(_random_clifford_circuit(3, 15,
                                                                      rng))
-        table, packed, _ = random_tables(n, 33, n + 40)
+        _, packed, _ = random_tables(n, 33, n + 40)
         qubits = sorted({0, n // 2, n - 1})
         if len(qubits) < 3:
             qubits = [0, 1, 2]
-        for target in (table, packed):
-            with pytest.raises(ValueError, match="3-qubit"):
-                apply_gate_to_table(target, gate, qubits)
+        with pytest.raises(ValueError, match="3-qubit"):
+            apply_gate_to_table(packed, gate, qubits)
 
     @pytest.mark.parametrize("n", [2, 64, 65, 100])
     def test_leveled_pass_matches_masked_passes(self, n):
@@ -353,7 +342,7 @@ class TestConjugationEquivalence:
         apply_gate_levels_to_table(packed, entries, [k, lq], levels)
         for level, name, qubits in ((1, "cx", [k, lq]), (2, "cx", [lq, k]),
                                     (3, "swap", [k, lq])):
-            oracle.apply_gate_masked(table, gate_tableau(name), qubits,
+            oracle.apply_gate_masked(table, name, (), qubits,
                                      levels == level)
         assert_tables_equal(packed, table)
 
@@ -367,25 +356,39 @@ class TestConjugationEquivalence:
             for level in (1, 2, 3)]
         apply_gate_levels_to_table(packed, entries, [q], levels)
         for level in (1, 2, 3):
-            gate = gate_tableau("rz", (-float(level * (math.pi / 2)),))
-            oracle.apply_gate_masked(table, gate, [q], levels == level)
+            oracle.apply_gate_masked(table, "rz",
+                                     (-float(level * (math.pi / 2)),), [q],
+                                     levels == level)
         assert_tables_equal(packed, table)
 
     @pytest.mark.parametrize("n", [1, 5, 65])
     def test_from_circuit_packed_matches_bool(self, n):
         rng = np.random.default_rng(n + 70)
         circuit = _random_clifford_circuit(n, 30, rng)
-        assert (CliffordTableau.from_circuit(circuit)
-                == oracle.tableau_from_circuit(circuit))
+        assert_tables_equal(CliffordTableau.from_circuit(circuit).rows,
+                            oracle.tableau_rows(circuit))
 
     @pytest.mark.parametrize("n", [1, 5, 65])
     def test_conjugate_table_packed_matches_bool(self, n):
         rng = np.random.default_rng(n + 80)
-        tableau = CliffordTableau.from_circuit(
-            _random_clifford_circuit(n, 25, rng))
+        circuit = _random_clifford_circuit(n, 25, rng)
+        tableau = CliffordTableau.from_circuit(circuit)
         table, packed, _ = random_tables(n, 19, n + 81)
         assert_tables_equal(tableau.conjugate_table(packed),
-                            tableau.conjugate_table(table))
+                            oracle.push_forward(table, circuit))
+
+
+def test_oracle_luts_match_kernel_luts():
+    """The oracle's matrix-derived LUTs equal the kernel's tableau-derived
+    ones for every registered Clifford gate at every Clifford parameter."""
+    variants = list(oracle.clifford_gate_variants())
+    assert {name for name, _ in variants} >= set(CLIFFORD_1Q + CLIFFORD_2Q
+                                                 + ["rx", "ry", "rz"])
+    for name, params in variants:
+        expected = oracle.gate_lut(name, params)
+        got = _conjugation_lut(gate_tableau(name, params))
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(have, want, err_msg=f"{name}{params}")
 
 
 class TestTransformationEquivalence:
@@ -400,7 +403,7 @@ class TestTransformationEquivalence:
         rng = np.random.default_rng(n)
         gamma = rng.integers(0, 4, num_transformation_parameters(n))
         packed = transform_table(ham, gamma)
-        assert isinstance(packed, PackedPauliTable)
+        assert isinstance(packed, PauliTable)
         assert_tables_equal(packed, oracle.transform_table(ham, gamma))
 
     @pytest.mark.parametrize("n", [2, 6, 65])
@@ -415,12 +418,10 @@ class TestTransformationEquivalence:
         gammas = rng.integers(0, 4,
                               size=(9, num_transformation_parameters(n)))
         packed = transform_table_many(ham, gammas)
-        assert isinstance(packed, PackedPauliTable)
+        assert isinstance(packed, PauliTable)
         m = ham.num_terms
         for p, gamma in enumerate(gammas):
-            single = PackedPauliTable(packed.x[p * m:(p + 1) * m],
-                                      packed.z[p * m:(p + 1) * m], n,
-                                      packed.phase_exp[p * m:(p + 1) * m])
+            single = packed.take(slice(p * m, (p + 1) * m))
             assert_tables_equal(single, oracle.transform_table(ham, gamma))
 
     @pytest.mark.parametrize("loss_name", ["clapton", "cafqa", "ncafqa"])
@@ -467,12 +468,12 @@ class TestTransformationEquivalence:
         table, packed, _ = random_tables(5, 13, 90)
         positions = [7, 0, 3, 9, 4]
         out_p = embed_table(packed, positions, 10)
-        assert isinstance(out_p, PackedPauliTable)
+        assert isinstance(out_p, PauliTable)
         assert_tables_equal(out_p, oracle.embed_table(table, positions, 10))
-        assert_tables_equal(out_p, embed_table(table, positions, 10))
-        # trivial embedding is a plain copy in both representations
+        # trivial embedding is a plain copy
         same = embed_table(packed, list(range(5)), 5)
         assert same is not packed
+        assert same.x is not packed.x
         assert_tables_equal(same, table)
 
 
@@ -524,7 +525,7 @@ class TestLutCache:
         entries = [None, (gate_tableau("cx"), False),
                    (gate_tableau("cx"), True),
                    (gate_tableau("swap"), False)]
-        packed = PackedPauliTable.from_labels(["XZ", "ZX"])
+        packed = PauliTable.from_labels(["XZ", "ZX"])
         apply_gate_levels_to_table(packed, entries, [0, 1],
                                    np.array([0, 0]))
         assert len(_LEVELED_LUT_CACHE) == 1

@@ -27,7 +27,8 @@ class TestGrouping:
 
     def test_group_internal_compatibility(self):
         h = xxz_model(6, 1.0)
-        codes = (h.table.x.astype(int) + 2 * h.table.z.astype(int))
+        codes = (h.table.unpack_x().astype(int)
+                 + 2 * h.table.unpack_z().astype(int))
         for group in group_qubit_wise_commuting(h):
             basis = np.array([{"I": 0, "X": 1, "Z": 2, "Y": 3}[c]
                               for c in group.basis])

@@ -474,6 +474,25 @@ class TestBenchCompare:
                      "--baseline", str(base),
                      "--tolerance", "nope"]) == 2
 
+    def test_cli_refuses_preset_mismatch(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"preset": "fast", "x_seconds": 1.0}))
+        run = tmp_path / "run.json"
+        # a 10x slower run would be a regression if it were diffed
+        run.write_text(json.dumps({"preset": "smoke", "x_seconds": 10.0}))
+        assert main(["bench", "compare", str(run),
+                     "--baseline", str(base)]) == 2
+        captured = capsys.readouterr()
+        assert "'smoke'" in captured.err and "'fast'" in captured.err
+        assert "regression" not in captured.out
+        # same preset, or a payload without one, compares as before
+        run.write_text(json.dumps({"preset": "fast", "x_seconds": 1.0}))
+        assert main(["bench", "compare", str(run),
+                     "--baseline", str(base)]) == 0
+        run.write_text(json.dumps({"x_seconds": 1.0}))
+        assert main(["bench", "compare", str(run),
+                     "--baseline", str(base)]) == 0
+
     def test_committed_baselines_self_compare_clean(self):
         results = Path(__file__).resolve().parents[1] / \
             "benchmarks" / "bench_results"

@@ -446,6 +446,43 @@ class TestServiceEndToEnd:
             tmp_path / "root" / f"{campaign_id(spec)}.campaign")
         assert canonical_records(store) == reference
 
+    @pytest.mark.parametrize("body", ["[]", "null", "3"])
+    def test_non_object_bodies_rejected(self, tmp_path, body):
+        """Every POST route answers a non-object JSON body with a 400 and
+        leaves the lease log and the store byte-identical."""
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
+        def post(path, data):
+            return urlopen(Request(server.url + path, data=data.encode(),
+                                   headers={"Content-Type":
+                                            "application/json"}))
+
+        def snapshot(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        root = tmp_path / "root"
+        server = start_server(ServiceState(root), port=0)
+        try:
+            with post("/campaigns", json.dumps(tiny_spec().to_dict())):
+                pass
+            with post("/lease", json.dumps({"worker_id": "w0"})) as r:
+                assert json.loads(r.read())["task"]
+            before = snapshot(root)
+            assert any(p.name == "leases.jsonl" and data
+                       for p, data in before.items())
+            for route in ("/campaigns", "/lease", "/heartbeat",
+                          "/complete", "/traces"):
+                with pytest.raises(HTTPError) as excinfo:
+                    post(route, body)
+                assert excinfo.value.code == 400, route
+                assert json.loads(excinfo.value.read()) == {
+                    "error": "body must be a JSON object"}, route
+            assert snapshot(root) == before
+        finally:
+            server.stop()
+
     def test_local_worker_threads_match_serial(self, tmp_path):
         """serve --local-workers path: LocalSchedulerClient threads."""
         import threading

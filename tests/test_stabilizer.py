@@ -249,6 +249,67 @@ class TestStabilizerSimulator:
         assert sim.expectation_sum(h) == pytest.approx(-1.0 + 2.0)
 
 
+class TestSimulatorWordBoundaries:
+    """The word-packed simulator tableau across the 64-qubit word edge."""
+
+    @staticmethod
+    def hamiltonian(circ, rng):
+        """Random terms plus signed stabilizer images (non-zero values)."""
+        n = circ.num_qubits
+        stabilizers = CliffordTableau.from_circuit(circ).rows
+        terms = [(rng.normal(), random_pauli(n, rng)) for _ in range(6)]
+        terms += [(rng.normal(), stabilizers.row(n + int(k)))
+                  for k in rng.choice(n, size=6, replace=False)]
+        return PauliSum(PauliTable.from_paulis([p for _, p in terms]),
+                        [c for c, _ in terms])
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 100])
+    def test_expectation_sum_matches_conjugation(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            circ = random_clifford_circuit(n, 3 * n, rng)
+            h = self.hamiltonian(circ, rng)
+            sim = StabilizerSimulator(n)
+            sim.apply_circuit(circ)
+            per_term = CliffordTableau.from_circuit(
+                circ.inverse()).conjugate_table(h.table).expectation_all_zeros()
+            np.testing.assert_array_equal(
+                [sim.expectation(p) for _, p in h.terms()], per_term)
+            assert np.count_nonzero(per_term) >= 6
+            assert sim.expectation_sum(h) == pytest.approx(
+                clifford_state_expectation(circ, h), abs=1e-12)
+
+    def test_measure_then_remeasure_is_idempotent(self):
+        n = 65
+        rng = np.random.default_rng(65)
+        # H on every qubit, then diagonal gates: every Z outcome stays
+        # random, so each measurement below takes the collapsing branch
+        circ = Circuit(n)
+        for q in range(n):
+            circ.h(q)
+        for _ in range(3 * n):
+            a, b = rng.choice(n, size=2, replace=False)
+            circ.append("cz", [int(a), int(b)])
+            circ.append(["s", "z"][rng.integers(0, 2)], [int(a)])
+        sim = StabilizerSimulator(n)
+        sim.apply_circuit(circ)
+        order = [64, 63, 0] + list(range(1, 63))
+        outcomes = {}
+        for q in order:
+            z_q = PauliString.from_sparse({q: "Z"}, n)
+            assert sim.expectation(z_q) == 0.0
+            outcomes[q] = sim.measure(q, rng)
+            assert sim.expectation(z_q) == (-1.0) ** outcomes[q]
+        for q in order:
+            assert sim.measure(q, rng) == outcomes[q]
+        # a random circuit's collapse is idempotent too
+        sim = StabilizerSimulator(n)
+        sim.apply_circuit(random_clifford_circuit(n, 3 * n, rng))
+        first = sim.measure_all(np.random.default_rng(1))
+        np.testing.assert_array_equal(
+            sim.measure_all(np.random.default_rng(2)), first)
+
+
 class TestCliffordStateExpectation:
     @given(st.integers(2, 4), st.integers(0, 20), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
