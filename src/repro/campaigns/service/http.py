@@ -92,11 +92,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """The request body as a JSON object (``{}`` when empty).
 
         Raises:
-            ValueError: on malformed JSON or a non-object body (a list,
-                ``null``, a number...); the message is the client-facing
-                error.
+            ValueError: on a negative or non-integer ``Content-Length``
+                (the body is left unread and the connection closed, since
+                its end is unknown), malformed JSON or a non-object body
+                (a list, ``null``, a number...); the message is the
+                client-facing error.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ValueError("bad Content-Length")
         if length == 0:
             return {}
         try:
@@ -106,6 +114,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise ValueError("body must be a JSON object")
         return payload
+
+    @staticmethod
+    def _worker_id(payload: dict) -> str:
+        worker_id = payload.get("worker_id")
+        if not isinstance(worker_id, str) or not worker_id:
+            raise ValueError("worker_id must be a non-empty string")
+        return worker_id
 
     def _campaign(self, query: dict):
         cid = (query.get("campaign") or [None])[0]
@@ -195,14 +210,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
                                  **campaign.status()},
                                 status=200 if resumed else 201)
             elif url.path == "/lease":
-                self._send_json(
-                    self.state.lease(payload["worker_id"]))
+                self._send_json(self.state.lease(self._worker_id(payload)))
             elif url.path == "/heartbeat":
                 self._send_json(self.state.heartbeat(
-                    payload["worker_id"], payload.get("leases")))
+                    self._worker_id(payload), payload.get("leases")))
             elif url.path == "/complete":
                 self._send_json(self.state.complete(
-                    payload["worker_id"], payload.get("campaign"),
+                    self._worker_id(payload), payload.get("campaign"),
                     payload["record"]))
             elif url.path == "/traces":
                 self._send_json(self.state.ingest_traces(payload))

@@ -21,12 +21,8 @@ import math
 
 import numpy as np
 
-from ..circuits.ansatz import hardware_efficient_ansatz
-from ..noise.clifford_model import (
-    CliffordCircuitPlan,
-    CliffordNoiseModel,
-    conjugate_schedule,
-)
+from ..circuits.ansatz import entanglement_pairs
+from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
 from ..obs import REGISTRY, get_tracer
 from ..obs.kernel import kernel_event
 from .problem import VQEProblem
@@ -124,8 +120,6 @@ class CafqaLoss:
         self.noise_aware = noise_aware
         self.clifford_model = clifford_model or CliffordNoiseModel(
             problem.noise_model)
-        self._logical_plan = CliffordCircuitPlan(hardware_efficient_ansatz(
-            problem.num_logical_qubits, problem.entanglement))
         self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
         self._mapped = problem.mapped_hamiltonian()
 
@@ -139,35 +133,65 @@ class CafqaLoss:
         noisy, noiseless = self.components(genome)
         return noisy + noiseless
 
-    def components_many(self, genomes) -> tuple[np.ndarray, np.ndarray]:
-        """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
+    def logical_tables_many(self, genomes):
+        """The Hamiltonian pulled back through each genome's logical ansatz.
 
-        The population's Pauli tables are stacked into one ``(P*M, n)``
-        word-packed table and pulled back through the logical ansatz's
-        leveled schedule (one pass per rotation slot, the genome's angle
-        as the row's level); the noisy term, when enabled, runs the same
-        stacked backward walk through the transpiled circuit's noise
-        locations.  Every step is row-wise, so a genome's values do not
-        depend on its batch.
+        One Hamiltonian table copy per genome is stacked into a
+        ``(P*M, n)`` word-packed table (genome ``p`` owns rows
+        ``[p*M, (p+1)*M)``) and pulled back through
+        :func:`~repro.circuits.ansatz.hardware_efficient_ansatz`, last
+        gate first, in three steps: the second RY/RZ layer and then the
+        first are one bit-sliced word pass each
+        (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, every
+        genome's levels on every qubit at once), and the fixed CX ring
+        between them is one LUT pass per gate.
         """
+        # resolved at call time, so a profiler wrapping the tableau
+        # module's kernels also sees the calls made from here
+        from ..stabilizer.tableau import (
+            apply_gate_to_table,
+            gate_tableau,
+            pull_back_rotation_layer,
+        )
+
         genomes = np.asarray(genomes, dtype=np.int64)
         if genomes.ndim != 2:
             raise ValueError("genomes must be a (P, d) integer matrix")
         if np.any((genomes < 0) | (genomes > 3)):
             raise ValueError("genome entries must be in {0, 1, 2, 3}")
-        thetas = genomes * (math.pi / 2)
+        problem = self.problem
+        n = problem.num_logical_qubits
+        if genomes.shape[1] < 4 * n:
+            raise ValueError(f"need {4 * n} parameter values, "
+                             f"got {genomes.shape[1]}")
+        conj = problem.hamiltonian.table.tile(len(genomes))
+        cx = gate_tableau("cx")
+        # one aggregated kernel event per batched L_0 pull-back
+        with kernel_event("kernel.fused_levels", passes=True):
+            pull_back_rotation_layer(conj, genomes[:, 2 * n:4 * n:2],
+                                     genomes[:, 2 * n + 1:4 * n:2])
+            for pair in reversed(entanglement_pairs(n, problem.entanglement)):
+                apply_gate_to_table(conj, cx, pair)
+            pull_back_rotation_layer(conj, genomes[:, 0:2 * n:2],
+                                     genomes[:, 1:2 * n:2])
+        return conj
+
+    def components_many(self, genomes) -> tuple[np.ndarray, np.ndarray]:
+        """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
+
+        L_0 reads the all-zeros expectations off
+        :meth:`logical_tables_many` (two rotation-layer passes and the CX
+        ring).  The noisy term, when enabled, runs the leveled backward
+        walk through the transpiled circuit's noise locations, one step
+        per rotation, because noise attenuates per gate.  Every step is
+        row-wise, so a genome's values do not depend on its batch.
+        """
+        genomes = np.asarray(genomes, dtype=np.int64)
+        conj = self.logical_tables_many(genomes)
         problem = self.problem
         num_genomes = len(genomes)
         coeffs = problem.hamiltonian.coefficients
         num_terms = len(coeffs)
-        schedule = self._logical_plan.reverse_schedule(thetas, num_terms)
-        conj = problem.hamiltonian.table.tile(num_genomes)
-        # one aggregated kernel event per batched plan walk
-        with kernel_event("kernel.fused_levels", passes=True):
-            conjugate_schedule(conj, schedule)
-        # free this schedule's per-row levels before the noise walk's
-        # schedule is built: only one is ever held at a time
-        del schedule
         zeros = conj.expectation_all_zeros()
         noiseless = np.array(
             [float(coeffs @ zeros[p * num_terms:(p + 1) * num_terms])
@@ -176,7 +200,8 @@ class CafqaLoss:
             return np.zeros(num_genomes), noiseless
         mapped = self._mapped
         rows_per = mapped.table.num_rows
-        schedule = self._eval_plan.reverse_schedule(thetas, rows_per)
+        schedule = self._eval_plan.reverse_schedule(
+            genomes * (math.pi / 2), rows_per)
         values = self.clifford_model.noisy_zero_state_term_values_steps(
             schedule, mapped.table.tile(num_genomes))
         noisy = np.array(

@@ -9,8 +9,6 @@ implementable in the VQE framework, as the paper emphasizes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..circuits.ansatz import (
@@ -46,20 +44,29 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     """Anticonjugated term tables of a whole genome population, stacked.
 
     One Hamiltonian table copy per genome is stacked into a
-    ``(P*M, n)`` table (genome ``p`` owns rows ``[p*M, (p+1)*M)``), and
-    each transformation slot is ONE leveled-LUT pass over the stack: the
-    genome's gene at that slot is the row's level, and level 0 is the
-    identity entry -- exactly the gates the decode of
-    :func:`~repro.circuits.ansatz.clapton_transformation_circuit` never
-    emits.  The slots run in reverse, applying each gate's inverse, so the
-    result is ``C†(gamma) P C(gamma)`` for every row.
+    ``(P*M, n)`` table (genome ``p`` owns rows ``[p*M, (p+1)*M)``) and
+    pulled back through ``C(gamma)`` last gate first, so the result is
+    ``C†(gamma) P C(gamma)`` for every row.  Each RY/RZ rotation layer of
+    :func:`~repro.circuits.ansatz.transformation_slots` is ONE bit-sliced
+    word pass over the stack
+    (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, every
+    genome's own levels on every qubit at once), and each two-qubit slot
+    is one leveled-LUT pass: the genome's gene at that slot is the row's
+    level, and level 0 is the identity entry -- exactly the gates the
+    decode of :func:`~repro.circuits.ansatz.clapton_transformation_circuit`
+    never emits.  A transformation is ``len(pairs) + 2`` passes.
     """
-    from ..stabilizer.tableau import apply_gate_levels_to_table, gate_tableau
+    from ..stabilizer.tableau import (
+        apply_gate_levels_to_table,
+        gate_tableau,
+        pull_back_rotation_layer,
+    )
 
     gammas = np.asarray(gammas, dtype=np.int64)
     if gammas.ndim != 2:
         raise ValueError("gammas must be a (P, d) integer matrix")
-    slots = transformation_slots(hamiltonian.num_qubits, entanglement)
+    n = hamiltonian.num_qubits
+    slots = transformation_slots(n, entanglement)
     if gammas.shape[1] != len(slots):
         raise ValueError(f"gamma must have length {len(slots)}, "
                          f"got {gammas.shape[1]}")
@@ -67,24 +74,24 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
         raise ValueError("gamma entries must be in {0, 1, 2, 3}")
 
     num_terms = hamiltonian.table.num_rows
-    # one aggregated kernel event per transformation (per-slot events
-    # would multiply span counts ~20x for no insight)
+    # the slot layout: 2N first-layer genes (ry, rz per qubit), the pair
+    # slots, then 2N second-layer genes
+    last = len(slots) - 2 * n
+    pair_entries = [None,
+                    (gate_tableau("cx"), False),
+                    (gate_tableau("cx"), True),
+                    (gate_tableau("swap"), False)]
+    # one aggregated kernel event per transformation (per-pass events
+    # would multiply span counts for no insight)
     with kernel_event("kernel.fused_levels", passes=True):
         stacked = hamiltonian.table.tile(len(gammas))
-        for kind, qubits, gene in reversed(slots):
-            if kind == "pair":
-                entries = [None,
-                           (gate_tableau("cx"), False),
-                           (gate_tableau("cx"), True),
-                           (gate_tableau("swap"), False)]
-            else:
-                entries = [None] + [
-                    (gate_tableau(kind, (-float(level * (math.pi / 2)),)),
-                     False)
-                    for level in (1, 2, 3)]
-            level_of_row = np.repeat(gammas[:, gene], num_terms)
-            apply_gate_levels_to_table(stacked, entries, qubits,
-                                       level_of_row)
+        pull_back_rotation_layer(stacked, gammas[:, last::2],
+                                 gammas[:, last + 1::2])
+        for _, qubits, gene in reversed(slots[2 * n:last]):
+            apply_gate_levels_to_table(stacked, pair_entries, qubits,
+                                       np.repeat(gammas[:, gene], num_terms))
+        pull_back_rotation_layer(stacked, gammas[:, 0:2 * n:2],
+                                 gammas[:, 1:2 * n:2])
     return stacked
 
 

@@ -181,12 +181,6 @@ class CliffordNoiseModel:
         return factors * table.expectation_all_zeros()
 
 
-def conjugate_schedule(table, steps) -> None:
-    """In place, pull every row back through a reverse schedule (no noise)."""
-    for item, level_of_row in steps:
-        _conjugate_step(table, item, level_of_row)
-
-
 def _conjugate_step(table, item, level_of_row) -> None:
     if level_of_row is None:
         apply_gate_to_table(table, _inverse_gate_tableau(item), item.qubits)
@@ -214,8 +208,14 @@ class CliffordCircuitPlan:
     :meth:`bind` rebuilds one bound circuit, :meth:`keep_mask` /
     :meth:`steps_for` group points for the batched density-matrix
     evolver, and :meth:`reverse_schedule` turns a ``(P, d)`` batch into
-    the one leveled schedule every Clifford walk runs.  The per-point
-    instruction sequence is identical to
+    the one leveled schedule the noise-attenuating Clifford walks run
+    (nCAFQA's L_N and
+    :class:`~repro.execution.estimator.CliffordEstimator`): noise
+    attenuates per gate, so those walks keep one step per rotation.
+    CAFQA's noiseless L_0 uses no plan; it pulls each RY/RZ layer back
+    in one bit-sliced pass
+    (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`).  The
+    per-point instruction sequence is identical to
     ``drop_identity_rotations(template.bind(theta))``.
     """
 

@@ -15,7 +15,9 @@ Counter vocabulary:
 - ``words``         uint64 words run through a LUT/XOR update
 - ``rows``          Pauli-table rows touched by those updates
 - ``lut_hits`` / ``lut_misses``   conjugation + leveled LUT cache
-- ``fused_passes``  fused leveled-LUT single passes (PR 9 fast path)
+- ``fused_passes``  population-wide single passes over a stacked table:
+                    one per leveled-LUT slot and one per bit-sliced
+                    RY/RZ rotation layer
 
 Process-pool children bump their own (fresh) singleton; the engine
 ships ``KERNEL.snapshot()`` deltas back over the existing cache-stats
@@ -117,7 +119,7 @@ _PROM = {
         "Conjugation/leveled LUT cache misses (builds)"),
     "fused_passes": REGISTRY.counter(
         "repro_kernel_fused_passes_total",
-        "Fused leveled-LUT single passes over a packed table"),
+        "Leveled-LUT and rotation-layer single passes over a packed table"),
 }
 
 _publish_lock = threading.Lock()

@@ -7,7 +7,9 @@ those 2n images as rows of a word-packed
 strings -- or whole Hamiltonians at once -- by multiplying out the relevant
 rows with exact phase tracking (word-wise XORs and popcounts).  Gates
 applied to a whole table go through per-gate lookup tables instead
-(:func:`apply_gate_to_table`), one word-level pass per gate.
+(:func:`apply_gate_to_table`), one word-level pass per gate, and a whole
+RY/RZ rotation layer goes through one bit-sliced pass
+(:func:`pull_back_rotation_layer`).
 
 Tableaus for individual gates are *derived from their unitaries* at import
 time (:func:`tableau_from_unitary`), so the gate library's dense matrices are
@@ -17,6 +19,7 @@ with the simulators.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Sequence
@@ -251,7 +254,7 @@ def apply_gate_to_table(table: PauliTable, gate: CliffordTableau,
 
 def _apply_lut_to_words(table: PauliTable, lut, columns: list[int],
                         level_of_row: np.ndarray | None = None) -> None:
-    """The word-level LUT conjugation kernel shared by every packed pass.
+    """The word-level LUT conjugation kernel shared by every LUT pass.
 
     Sub-Pauli codes are read straight out of the uint64 words and the
     image bits are deposited back through per-code *pre-shifted* word
@@ -393,6 +396,111 @@ def apply_gate_levels_to_table(table: PauliTable, entries,
     lut = _leveled_lut(entries, len(columns))
     KERNEL.fused_passes += 1
     _apply_lut_to_words(table, lut, columns, level_of_row)
+
+
+@lru_cache(maxsize=1)
+def _rotation_layer_combos() -> np.ndarray:
+    """``(16, 10)`` bool table of every composed RY/RZ pull-back.
+
+    Row ``4 * ry + rz`` describes ``P -> G† P G`` for
+    ``G = RZ(rz·π/2)·RY(ry·π/2)`` on one qubit: the inverse RZ, then the
+    inverse RY, composed from their :func:`_conjugation_lut` entries (the
+    tables the LUT kernel itself runs, so the two passes cannot drift).
+    Columns: the x bit of X's image, the x bit of Z's image, the z bit of
+    X's image, the z bit of Z's image, then the low and high bits of the
+    phase increment of the X-, Y- and Z-class sub-Paulis (codes 1, 3, 2:
+    ``x&~z``, ``x&z``, ``z&~x``).
+    """
+    combos = np.zeros((16, 10), dtype=bool)
+    for ry in range(4):
+        for rz in range(4):
+            luts = [_conjugation_lut(gate_tableau(
+                        kind, (-float(level * (math.pi / 2)),)))
+                    for kind, level in (("rz", rz), ("ry", ry)) if level]
+            (img_x, dq_x), (img_z, dq_z), (_, dq_y) = (
+                _follow_codes(luts, code) for code in (1, 2, 3))
+            combos[4 * ry + rz] = [img_x & 1, img_z & 1, img_x >> 1,
+                                   img_z >> 1, dq_x & 1, dq_x >> 1,
+                                   dq_y & 1, dq_y >> 1, dq_z & 1, dq_z >> 1]
+    combos.flags.writeable = False
+    return combos
+
+
+def _follow_codes(luts, code: int) -> tuple[int, int]:
+    """A 1q code's image and phase increment (mod 4) through LUTs in turn."""
+    dq = 0
+    for lut_x, lut_z, lut_dq in luts:
+        dq += int(lut_dq[code])
+        code = int(lut_x[code, 0]) + 2 * int(lut_z[code, 0])
+    return code, dq % 4
+
+
+def pull_back_rotation_layer(table: PauliTable, ry_levels, rz_levels
+                             ) -> None:
+    """In place, pull every row back through its point's RY/RZ layer.
+
+    ``table`` is ``P`` contiguous blocks of ``M`` rows, block ``p``
+    belonging to point ``p``, and ``ry_levels`` / ``rz_levels`` are
+    ``(P, n)`` levels in 0..3.  Each block's rows become
+    ``L† P L`` for ``L = prod_q RZ_q(rz·π/2)·RY_q(ry·π/2)``, exactly as
+    the inverse gates applied one by one in reverse order would leave them.
+
+    Rotations on different qubits commute, so the layer is one
+    single-qubit Clifford per (point, qubit), and one pass applies all of
+    them: the Aaronson-Gottesman column updates
+    (arXiv:quant-ph/0406196), made per-row by mask words.  Each point's
+    composed combos (:func:`_rotation_layer_combos`) gather into ten
+    ``(P, W)`` masks, and on ``(P, M, W)`` views of the words
+
+        x' = (x & A) ^ (z & B),    z' = (x & C) ^ (z & D),
+
+    while the phase gains ``popcount(low) + 2 popcount(high)`` mod 4,
+    ``low``/``high`` being the X-, Y- and Z-class bits, each ANDed with
+    its increment-bit mask.
+    """
+    ry_levels = np.asarray(ry_levels, dtype=np.int64)
+    rz_levels = np.asarray(rz_levels, dtype=np.int64)
+    if ry_levels.ndim != 2 or ry_levels.shape != rz_levels.shape:
+        raise ValueError("ry_levels and rz_levels must be equal (P, n) "
+                         "integer matrices")
+    num_points, n = ry_levels.shape
+    if n != table.num_qubits:
+        raise ValueError("qubit-count mismatch")
+    num_rows = table.num_rows
+    if num_rows != num_points * (num_rows // max(num_points, 1)):
+        raise ValueError("the table must hold one equal row block per point")
+    if np.any((ry_levels < 0) | (ry_levels > 3)
+              | (rz_levels < 0) | (rz_levels > 3)):
+        raise ValueError("levels must be in {0, 1, 2, 3}")
+    words = table.num_words
+    if num_points == 0:
+        return
+    KERNEL.rows += num_rows
+    KERNEL.words += num_rows * words
+    KERNEL.fused_passes += 1
+    bits = _rotation_layer_combos()[4 * ry_levels + rz_levels]
+    masks = bitops.pack_bits(
+        bits.transpose(2, 0, 1).reshape(10 * num_points, n), n)
+    (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.reshape(
+        10, num_points, 1, words)
+    shape = (num_points, num_rows // num_points, words)
+    x = table.x.reshape(shape)
+    z = table.z.reshape(shape)
+    y_class = x & z
+    x_class = x ^ y_class
+    z_class = z ^ y_class
+    low = (x_class & x_lo) | (y_class & y_lo) | (z_class & z_lo)
+    high = (x_class & x_hi) | (y_class & y_hi) | (z_class & z_hi)
+    new_x = (x & ax) ^ (z & bx)
+    new_z = (x & az) ^ (z & bz)
+    table.x[...] = new_x.reshape(num_rows, words)
+    table.z[...] = new_z.reshape(num_rows, words)
+    # at most 64 + 2 * 64 per word, so the per-word count fits uint8
+    dq = bitops.popcount(low) + (bitops.popcount(high) << np.uint8(1))
+    phase = table.phase_exp
+    np.add(phase, dq.sum(axis=2, dtype=np.int64).reshape(num_rows),
+           out=phase)
+    np.bitwise_and(phase, 3, out=phase)
 
 
 def conjugate_pauli_sum(circuit: Circuit, hamiltonian) -> "PauliSum":

@@ -28,6 +28,7 @@ from repro.stabilizer.tableau import (
     _gate_lut_key,
     apply_gate_levels_to_table,
     apply_gate_to_table,
+    pull_back_rotation_layer,
 )
 
 SIZES = [1, 63, 64, 65, 100]
@@ -475,6 +476,173 @@ class TestTransformationEquivalence:
         assert same is not packed
         assert same.x is not packed.x
         assert_tables_equal(same, table)
+
+
+def oracle_rotation_layer(table, ry_levels, rz_levels):
+    """The oracle's layer pull-back: every block's inverse gates one by one,
+    last qubit first, each qubit's inverse RZ before its inverse RY."""
+    num_points, n = ry_levels.shape
+    m = table.num_rows // num_points
+    for p in range(num_points):
+        rows = slice(p * m, (p + 1) * m)
+        block = table.extract(rows)
+        for q in reversed(range(n)):
+            for name, level in (("rz", rz_levels[p, q]),
+                                ("ry", ry_levels[p, q])):
+                if level:
+                    oracle.apply_gate(block, name,
+                                      (-float(level * (math.pi / 2)),), [q])
+        table.scatter(rows, block)
+
+
+def serial_pull_back(hamiltonian, circuit):
+    """``C† P C`` of every term through the serial tableau path."""
+    tableau = CliffordTableau.from_circuit(circuit.inverse())
+    return tableau.conjugate_table(hamiltonian.table)
+
+
+def assert_packed_equal(table, expected):
+    np.testing.assert_array_equal(table.x, expected.x)
+    np.testing.assert_array_equal(table.z, expected.z)
+    np.testing.assert_array_equal(table.phase_exp, expected.phase_exp)
+
+
+class TestRotationLayer:
+    """The bit-sliced RY/RZ layer pass against gate-by-gate references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100])
+    @pytest.mark.parametrize("num_points", [1, 7])
+    def test_matches_oracle_for_every_combo(self, n, num_points):
+        m = 9
+        table, packed, _ = random_tables(n, num_points * m,
+                                         1000 * n + num_points)
+        # every phase exponent on every block
+        table.phase_exp = np.arange(num_points * m) % 4
+        packed.phase_exp = table.phase_exp.copy()
+        combo = (np.arange(num_points)[:, None] + 5 * np.arange(n)) % 16
+        # sixteen layers: every (point, qubit) runs through all 16 combos
+        for shift in range(16):
+            levels = (combo + shift) % 16
+            pull_back_rotation_layer(packed, levels // 4, levels % 4)
+            oracle_rotation_layer(table, levels // 4, levels % 4)
+        assert_tables_equal(packed, table)
+
+    def test_rejects_bad_shapes_and_levels(self):
+        packed = PauliTable.from_labels(["XZ", "ZX", "YY"])
+        zeros = np.zeros((1, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="equal"):
+            pull_back_rotation_layer(packed, zeros, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="qubit-count"):
+            pull_back_rotation_layer(packed, np.zeros((1, 3)),
+                                     np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="row block"):
+            pull_back_rotation_layer(packed, np.zeros((2, 2)),
+                                     np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="levels"):
+            pull_back_rotation_layer(packed, zeros + 4, zeros)
+
+    def test_empty_population(self):
+        packed = PauliTable.identity(0, 5)
+        empty = np.zeros((0, 5), dtype=np.int64)
+        pull_back_rotation_layer(packed, empty, empty)
+        assert packed.num_rows == 0
+
+    @pytest.mark.parametrize("n", [3, 64, 65])
+    @pytest.mark.parametrize("entanglement", ["circular", "linear"])
+    def test_transform_table_many_matches_serial_tableau(self, n,
+                                                         entanglement):
+        from repro.circuits import (
+            clapton_transformation_circuit,
+            num_transformation_parameters,
+        )
+        from repro.core.transformation import transform_table_many
+        from repro.hamiltonians import ising_model
+
+        ham = ising_model(n, 1.0)
+        rng = np.random.default_rng(n + 7)
+        gammas = rng.integers(
+            0, 4, size=(4, num_transformation_parameters(n, entanglement)))
+        gammas[:, 1] = 0  # a rotation gene every genome leaves at 0
+        gammas[:, -1] = 0
+        stacked = transform_table_many(ham, gammas, entanglement)
+        m = ham.num_terms
+        for p, gamma in enumerate(gammas):
+            expected = serial_pull_back(ham, clapton_transformation_circuit(
+                gamma, n, entanglement))
+            assert_packed_equal(stacked.take(slice(p * m, (p + 1) * m)),
+                                expected)
+
+    @pytest.mark.parametrize("n", [3, 64, 65])
+    @pytest.mark.parametrize("entanglement", ["circular", "linear"])
+    def test_cafqa_logical_tables_match_serial_tableau(self, n,
+                                                       entanglement):
+        from repro.circuits import (
+            cafqa_angles,
+            drop_identity_rotations,
+            hardware_efficient_ansatz,
+        )
+        from repro.core import CafqaLoss, VQEProblem
+        from repro.hamiltonians import ising_model
+
+        ham = ising_model(n, 1.0)
+        loss = CafqaLoss(VQEProblem.logical(ham, entanglement=entanglement))
+        genomes = np.random.default_rng(n + 8).integers(0, 4, size=(4, 4 * n))
+        genomes[:, 0] = 0
+        genomes[:, 2 * n + 1] = 0
+        stacked = loss.logical_tables_many(genomes)
+        template = hardware_efficient_ansatz(n, entanglement)
+        m = ham.num_terms
+        for p, genome in enumerate(genomes):
+            circuit = drop_identity_rotations(
+                template.bind(cafqa_angles(genome)))
+            assert_packed_equal(stacked.take(slice(p * m, (p + 1) * m)),
+                                serial_pull_back(ham, circuit))
+
+
+class TestKernelAccounting:
+    """Exact packed-kernel counter advances of the population passes."""
+
+    def test_rotation_layer_counts_one_pass(self):
+        from repro.obs.kernel import KERNEL
+
+        _, packed, _ = random_tables(65, 3 * 4, 5)
+        levels = np.ones((3, 65), dtype=np.int64)
+        before = KERNEL.snapshot()
+        pull_back_rotation_layer(packed, levels, levels)
+        delta = KERNEL.delta(before)
+        assert (delta["fused_passes"], delta["rows"], delta["words"]) \
+            == (1, 12, 12 * 2)
+
+    def test_transform_table_many(self):
+        from repro.circuits import (
+            entanglement_pairs,
+            num_transformation_parameters,
+        )
+        from repro.core.transformation import transform_table_many
+        from repro.hamiltonians import ising_model
+        from repro.obs.kernel import KERNEL
+
+        n, num_genomes = 12, 9
+        ham = ising_model(n, 1.0)
+        gammas = np.random.default_rng(3).integers(
+            0, 4, size=(num_genomes, num_transformation_parameters(n)))
+        passes = len(entanglement_pairs(n)) + 2
+        before = KERNEL.snapshot()
+        transform_table_many(ham, gammas)
+        delta = KERNEL.delta(before)
+        assert delta["fused_passes"] == passes
+        assert delta["rows"] == passes * num_genomes * ham.num_terms
+
+    def test_cafqa_evaluate_many(self):
+        from repro.core import CafqaLoss, VQEProblem
+        from repro.hamiltonians import ising_model
+        from repro.obs.kernel import KERNEL
+
+        loss = CafqaLoss(VQEProblem.logical(ising_model(12, 1.0)))
+        genomes = np.random.default_rng(4).integers(0, 4, size=(9, 48))
+        before = KERNEL.snapshot()
+        loss.evaluate_many(genomes)
+        assert KERNEL.delta(before)["fused_passes"] == 2
 
 
 class TestLutCache:

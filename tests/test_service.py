@@ -55,6 +55,25 @@ VOLATILE = {"seconds", "engine_seconds", "total_seconds",
             "duration_seconds", "worker_id"}
 
 
+#: Malformed POST bodies -> (routes that must refuse them, error).
+ALL_POST_ROUTES = ("/campaigns", "/lease", "/heartbeat", "/complete",
+                   "/traces")
+WORKER_ROUTES = ("/lease", "/heartbeat", "/complete")
+MALFORMED_BODIES = {
+    **{body: (ALL_POST_ROUTES, "body must be a JSON object")
+       for body in ("[]", "null", "3")},
+    **{json.dumps({"worker_id": worker_id, "record": {}}):
+       (WORKER_ROUTES, "worker_id must be a non-empty string")
+       for worker_id in (None, {"a": 1}, "", 7)},
+}
+
+
+def snapshot_files(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def strip_volatile(obj):
     if isinstance(obj, dict):
         return {k: strip_volatile(v) for k, v in obj.items()
@@ -446,10 +465,12 @@ class TestServiceEndToEnd:
             tmp_path / "root" / f"{campaign_id(spec)}.campaign")
         assert canonical_records(store) == reference
 
-    @pytest.mark.parametrize("body", ["[]", "null", "3"])
+    @pytest.mark.parametrize("body", list(MALFORMED_BODIES))
     def test_non_object_bodies_rejected(self, tmp_path, body):
-        """Every POST route answers a non-object JSON body with a 400 and
-        leaves the lease log and the store byte-identical."""
+        """Every POST route that must refuse a malformed body answers it
+        with a 400 and leaves the lease log and the store byte-identical:
+        non-object JSON on all five routes, a ``worker_id`` that is not a
+        non-empty string on the three worker routes."""
         from urllib.error import HTTPError
         from urllib.request import Request, urlopen
 
@@ -458,10 +479,7 @@ class TestServiceEndToEnd:
                                    headers={"Content-Type":
                                             "application/json"}))
 
-        def snapshot(root):
-            return {p.relative_to(root): p.read_bytes()
-                    for p in sorted(root.rglob("*")) if p.is_file()}
-
+        routes, error = MALFORMED_BODIES[body]
         root = tmp_path / "root"
         server = start_server(ServiceState(root), port=0)
         try:
@@ -469,17 +487,47 @@ class TestServiceEndToEnd:
                 pass
             with post("/lease", json.dumps({"worker_id": "w0"})) as r:
                 assert json.loads(r.read())["task"]
-            before = snapshot(root)
+            before = snapshot_files(root)
             assert any(p.name == "leases.jsonl" and data
                        for p, data in before.items())
-            for route in ("/campaigns", "/lease", "/heartbeat",
-                          "/complete", "/traces"):
+            for route in routes:
                 with pytest.raises(HTTPError) as excinfo:
                     post(route, body)
                 assert excinfo.value.code == 400, route
                 assert json.loads(excinfo.value.read()) == {
-                    "error": "body must be a JSON object"}, route
-            assert snapshot(root) == before
+                    "error": error}, route
+            assert snapshot_files(root) == before
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_rejected_unread(self, tmp_path, length):
+        """A negative or non-integer Content-Length gets a prompt 400
+        without the body being read, and changes nothing on disk."""
+        import socket
+        from urllib.request import Request, urlopen
+
+        root = tmp_path / "root"
+        server = start_server(ServiceState(root), port=0)
+        try:
+            with urlopen(Request(server.url + "/campaigns",
+                                 data=json.dumps(
+                                     tiny_spec().to_dict()).encode())):
+                pass
+            before = snapshot_files(root)
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=2) as sock:
+                sock.sendall(f"POST /lease HTTP/1.1\r\nHost: {host}\r\n"
+                             f"Content-Type: application/json\r\n"
+                             f"Content-Length: {length}\r\n\r\n"
+                             .encode())
+                reply = b""
+                while chunk := sock.recv(4096):  # raises on the 2 s timeout
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400"), head
+            assert json.loads(body) == {"error": "bad Content-Length"}
+            assert snapshot_files(root) == before
         finally:
             server.stop()
 
