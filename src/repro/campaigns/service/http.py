@@ -49,6 +49,13 @@ TICK_INTERVAL = 0.25
 #: Content type of ``GET /metrics`` (Prometheus text exposition).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4"
 
+#: Largest request body read; a longer ``Content-Length`` gets 413.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class BodyTooLarge(ValueError):
+    """A request whose ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`."""
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
     """Request handler bound to a :class:`ServiceState` via the server."""
@@ -92,11 +99,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """The request body as a JSON object (``{}`` when empty).
 
         Raises:
+            BodyTooLarge: on a ``Content-Length`` above
+                :data:`MAX_BODY_BYTES`, and
             ValueError: on a negative or non-integer ``Content-Length``
-                (the body is left unread and the connection closed, since
-                its end is unknown), malformed JSON or a non-object body
-                (a list, ``null``, a number...); the message is the
-                client-facing error.
+                (either way the body is left unread and the connection
+                closed), malformed JSON or a non-object body (a list,
+                ``null``, a number...); the message is the client-facing
+                error.
         """
         try:
             length = int(self.headers.get("Content-Length") or 0)
@@ -105,6 +114,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if length < 0:
             self.close_connection = True
             raise ValueError("bad Content-Length")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise BodyTooLarge("body too large")
         if length == 0:
             return {}
         try:
@@ -200,7 +212,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         try:
             payload = self._read_json()
         except ValueError as exc:
-            self._send_json({"error": str(exc)}, status=400)
+            self._send_json({"error": str(exc)},
+                            status=413 if isinstance(exc, BodyTooLarge)
+                            else 400)
             return
         try:
             if url.path == "/campaigns":

@@ -414,17 +414,20 @@ class ServiceState:
 
         Spans route to campaigns by their ``tags.campaign`` (stamped on
         ``worker.task`` spans and inherited by the batch-level hint for
-        everything else); spans for unknown campaigns are dropped, not
-        fatal -- a worker must never crash because the server forgot a
-        campaign.
+        everything else); spans for unknown campaigns are counted as
+        dropped, not fatal -- a worker must never crash because the
+        server forgot a campaign.
+
+        Raises:
+            ValueError: on a malformed batch (see :func:`_check_span_batch`),
+                before anything is written.
         """
+        _check_span_batch(payload)
         worker_id = str(payload.get("worker_id") or "unknown")
         unix_t0 = float(payload.get("unix_t0") or 0.0)
         hint = payload.get("campaign")
         groups: dict[str | None, list[dict]] = {}
         for span in payload.get("spans") or []:
-            if not isinstance(span, dict):
-                continue
             cid = (span.get("tags") or {}).get("campaign") or hint
             groups.setdefault(cid, []).append(span)
         accepted = 0
@@ -446,3 +449,38 @@ class ServiceState:
         for campaign in self.campaigns():
             campaign.close_trace()
             campaign.scheduler.close()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_span_batch(payload: dict) -> None:
+    """Validate a whole ``POST /traces`` batch before any write.
+
+    ``spans`` must be a list of objects, each with an ``id``; a span's
+    ``tags`` must be an object, its ``start`` a number, and the batch's
+    ``unix_t0`` a number (``null`` or absent fields take their
+    defaults); campaign ids must be strings.
+
+    Raises:
+        ValueError: naming the first violation.
+    """
+    spans = payload.get("spans")
+    if spans is not None and not isinstance(spans, list):
+        raise ValueError("spans must be a list")
+    if payload.get("unix_t0") is not None \
+            and not _is_number(payload["unix_t0"]):
+        raise ValueError("unix_t0 must be a number")
+    campaigns = [payload.get("campaign")]
+    for span in spans or []:
+        if not isinstance(span, dict) or "id" not in span:
+            raise ValueError("every span must be an object with an id")
+        tags = span.get("tags")
+        if tags is not None and not isinstance(tags, dict):
+            raise ValueError("span tags must be an object")
+        if "start" in span and not _is_number(span["start"]):
+            raise ValueError("span start must be a number")
+        campaigns.append((tags or {}).get("campaign"))
+    if any(c is not None and not isinstance(c, str) for c in campaigns):
+        raise ValueError("campaign ids must be strings")

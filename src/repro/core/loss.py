@@ -143,8 +143,8 @@ class CafqaLoss:
         gate first, in three steps: the second RY/RZ layer and then the
         first are one bit-sliced word pass each
         (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, every
-        genome's levels on every qubit at once), and the fixed CX ring
-        between them is one LUT pass per gate.
+        genome's composed single-qubit Clifford on every qubit at once),
+        and the fixed CX ring between them is one LUT pass per gate.
         """
         # resolved at call time, so a profiler wrapping the tableau
         # module's kernels also sees the calls made from here
@@ -152,6 +152,7 @@ class CafqaLoss:
             apply_gate_to_table,
             gate_tableau,
             pull_back_rotation_layer,
+            rotation_layer_cliffords,
         )
 
         genomes = np.asarray(genomes, dtype=np.int64)
@@ -168,12 +169,12 @@ class CafqaLoss:
         cx = gate_tableau("cx")
         # one aggregated kernel event per batched L_0 pull-back
         with kernel_event("kernel.fused_levels", passes=True):
-            pull_back_rotation_layer(conj, genomes[:, 2 * n:4 * n:2],
-                                     genomes[:, 2 * n + 1:4 * n:2])
+            pull_back_rotation_layer(conj, rotation_layer_cliffords(
+                genomes[:, 2 * n:4 * n:2], genomes[:, 2 * n + 1:4 * n:2]))
             for pair in reversed(entanglement_pairs(n, problem.entanglement)):
                 apply_gate_to_table(conj, cx, pair)
-            pull_back_rotation_layer(conj, genomes[:, 0:2 * n:2],
-                                     genomes[:, 1:2 * n:2])
+            pull_back_rotation_layer(conj, rotation_layer_cliffords(
+                genomes[:, 0:2 * n:2], genomes[:, 1:2 * n:2]))
         return conj
 
     def components_many(self, genomes) -> tuple[np.ndarray, np.ndarray]:
@@ -181,10 +182,13 @@ class CafqaLoss:
 
         L_0 reads the all-zeros expectations off
         :meth:`logical_tables_many` (two rotation-layer passes and the CX
-        ring).  The noisy term, when enabled, runs the leveled backward
-        walk through the transpiled circuit's noise locations, one step
-        per rotation, because noise attenuates per gate.  Every step is
-        row-wise, so a genome's values do not depend on its batch.
+        ring).  The noisy term, when enabled, is
+        :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`
+        over the transpiled circuit at angles ``genome * pi/2``: the one
+        noisy walk :class:`~repro.execution.estimator.CliffordEstimator`
+        runs too, with each run of rotations one layer step (per-gate
+        attenuation, then one bit-sliced pass).  Every step is row-wise,
+        so a genome's values do not depend on its batch.
         """
         genomes = np.asarray(genomes, dtype=np.int64)
         conj = self.logical_tables_many(genomes)
@@ -199,15 +203,10 @@ class CafqaLoss:
         if not self.noise_aware:
             return np.zeros(num_genomes), noiseless
         mapped = self._mapped
-        rows_per = mapped.table.num_rows
-        schedule = self._eval_plan.reverse_schedule(
-            genomes * (math.pi / 2), rows_per)
-        values = self.clifford_model.noisy_zero_state_term_values_steps(
-            schedule, mapped.table.tile(num_genomes))
-        noisy = np.array(
-            [float(mapped.coefficients @ values[p * rows_per:
-                                                (p + 1) * rows_per])
-             for p in range(num_genomes)])
+        values = self.clifford_model.noisy_term_values_many(
+            self._eval_plan, genomes * (math.pi / 2), mapped.table)
+        noisy = np.array([float(mapped.coefficients @ row)
+                          for row in values])
         return noisy, noiseless
 
     def evaluate_many(self, genomes) -> np.ndarray:

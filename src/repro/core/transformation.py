@@ -50,16 +50,19 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     :func:`~repro.circuits.ansatz.transformation_slots` is ONE bit-sliced
     word pass over the stack
     (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, every
-    genome's own levels on every qubit at once), and each two-qubit slot
-    is one leveled-LUT pass: the genome's gene at that slot is the row's
-    level, and level 0 is the identity entry -- exactly the gates the
-    decode of :func:`~repro.circuits.ansatz.clapton_transformation_circuit`
-    never emits.  A transformation is ``len(pairs) + 2`` passes.
+    genome's own composed single-qubit Clifford on every qubit at once,
+    :func:`~repro.stabilizer.tableau.rotation_layer_cliffords`), and each
+    two-qubit slot is one leveled-LUT pass: the genome's gene at that slot
+    is the row's level, and level 0 is the identity entry -- exactly the
+    gates the decode of
+    :func:`~repro.circuits.ansatz.clapton_transformation_circuit` never
+    emits.  A transformation is ``len(pairs) + 2`` passes.
     """
     from ..stabilizer.tableau import (
         apply_gate_levels_to_table,
         gate_tableau,
         pull_back_rotation_layer,
+        rotation_layer_cliffords,
     )
 
     gammas = np.asarray(gammas, dtype=np.int64)
@@ -85,13 +88,13 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     # would multiply span counts for no insight)
     with kernel_event("kernel.fused_levels", passes=True):
         stacked = hamiltonian.table.tile(len(gammas))
-        pull_back_rotation_layer(stacked, gammas[:, last::2],
-                                 gammas[:, last + 1::2])
+        pull_back_rotation_layer(stacked, rotation_layer_cliffords(
+            gammas[:, last::2], gammas[:, last + 1::2]))
         for _, qubits, gene in reversed(slots[2 * n:last]):
             apply_gate_levels_to_table(stacked, pair_entries, qubits,
                                        np.repeat(gammas[:, gene], num_terms))
-        pull_back_rotation_layer(stacked, gammas[:, 0:2 * n:2],
-                                 gammas[:, 1:2 * n:2])
+        pull_back_rotation_layer(stacked, rotation_layer_cliffords(
+            gammas[:, 0:2 * n:2], gammas[:, 1:2 * n:2]))
     return stacked
 
 

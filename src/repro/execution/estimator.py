@@ -464,12 +464,13 @@ class CliffordEstimator(BaseEstimator):
     def estimate_many(self, thetas: np.ndarray) -> BatchResult:
         """One stacked backward tableau pass for the whole batch.
 
-        The observable's term table is tiled once per point into a
-        ``(P*M, n)`` word-packed table and the Pauli-channel projection
-        walks the plan's leveled schedule a single time, each rotation
-        slot conjugating every row by its own point's angle -- instead
-        of rebuilding the bound circuit and re-running the pass per
-        point.
+        The observable's term table is tiled once per point and walked a
+        single time through the plan's schedule
+        (:meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`,
+        the walk nCAFQA's L_N runs too): static gates one LUT pass each,
+        every run of rotations one layer step, each point's rows pulled
+        back through its own angles -- instead of rebuilding the bound
+        circuit and re-running the pass per point.
         """
         start = time.perf_counter()
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -479,12 +480,8 @@ class CliffordEstimator(BaseEstimator):
             raise ValueError(
                 "CliffordEstimator requires a Clifford parameter point "
                 "(every angle a multiple of pi/2)")
-        table = self.observable.table
-        num_terms = table.num_rows
-        schedule = plan.reverse_schedule(thetas, num_terms)
-        values = self.clifford_model.noisy_zero_state_term_values_steps(
-            schedule, table.tile(num_points))
-        term_matrix = values.reshape(num_points, num_terms)
+        term_matrix = self.clifford_model.noisy_term_values_many(
+            plan, thetas, self.observable.table)
         self.num_evaluations += num_points
         seconds = time.perf_counter() - start
         results = [EstimateResult(

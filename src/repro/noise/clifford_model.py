@@ -27,8 +27,9 @@ validation and parity with the paper's implementation).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +37,13 @@ from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
 from ..paulis.pauli_sum import PauliSum
 from ..stabilizer.simulator import StabilizerSimulator
-from ..stabilizer.tableau import CliffordTableau, apply_gate_to_table, gate_tableau
+from ..stabilizer.tableau import (
+    CliffordTableau,
+    apply_gate_to_table,
+    gate_tableau,
+    pull_back_rotation_layer,
+    single_qubit_cliffords,
+)
 from .model import NoiseModel
 from .twirling import pauli_channel_attenuation, twirled_relaxation_probabilities
 
@@ -127,20 +134,47 @@ class CliffordNoiseModel:
         return self.noisy_zero_state_term_values_steps(
             [(inst, None) for inst in reversed(circuit.instructions)], table)
 
+    def noisy_term_values_many(self, plan: "CliffordCircuitPlan", thetas,
+                               table) -> np.ndarray:
+        """``(P, M)`` per-term noisy values of a whole parameter batch.
+
+        The one noisy walk of a parameterized template, shared by nCAFQA's
+        L_N and :class:`~repro.execution.estimator.CliffordEstimator`:
+        ``table`` (the ``M`` observable terms) is tiled once per point and
+        walked through ``plan``'s :meth:`CliffordCircuitPlan.reverse_schedule`
+        at ``thetas`` (Clifford angles).
+        """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        values = self.noisy_zero_state_term_values_steps(
+            plan.reverse_schedule(thetas), table.tile(len(thetas)))
+        return values.reshape(len(thetas), table.num_rows)
+
     def noisy_zero_state_term_values_steps(self, steps, table) -> np.ndarray:
         """The same backward pass over an explicit *reverse-order* schedule.
 
-        ``steps`` is a :meth:`CliffordCircuitPlan.reverse_schedule`:
-        ``(instruction, None)`` for a gate every row sees, and
-        ``(bound_instructions, level_of_row)`` for a rotation slot, where
-        row ``r`` sees ``bound_instructions[level_of_row[r] - 1]`` and level
-        0 drops the rotation.  This is the population-batched entry point:
-        stack one Hamiltonian table copy per genome
-        (:meth:`~repro.paulis.table.PauliTable.tile`) and all
-        genomes' term values come out of one vectorized walk.  A slot's
-        noise attenuates only rows with level > 0, and every arithmetic
-        step is row-wise, so a genome's values do not depend on the rest
-        of its batch.
+        ``steps`` holds ``(instruction, None)`` for a gate every row sees,
+        and, from a :meth:`CliffordCircuitPlan.reverse_schedule`,
+        ``(run, layer)`` for a run of parameterized single-qubit
+        rotations: ``run`` is the plan's :class:`RotationRun` and
+        ``layer`` its per-point :class:`RotationLayer`.  ``table`` then
+        stacks ``P`` equal row blocks, block ``p`` belonging to point
+        ``p`` (:meth:`~repro.paulis.table.PauliTable.tile`), so all
+        points' term values come out of one vectorized walk.
+
+        A layer step is one ``supports_mask``, one factor multiply per
+        rotation in reverse gate order, and one bit-sliced pass
+        (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`).  A
+        single-qubit Clifford keeps a row's support on its qubit, so the
+        support read before the layer is the support every rotation of
+        the run sees; a rotation's noise attenuates only the points that
+        keep it (a masked multiply), so every row sees the same float
+        products, in the same order, as when attenuating and conjugating
+        gate by gate.
+        Logical flips and twirled relaxation depend on the 2-bit code of
+        a row on the gate's qubit, so those codes are carried through the
+        run by the rotations' code maps.  Every arithmetic step is
+        row-wise, so a point's values do not depend on the rest of its
+        batch.
         """
         nm = self.noise_model
         table = table.copy()
@@ -152,70 +186,178 @@ class CliffordNoiseModel:
             probs = np.array([1.0 - sum(flips), *flips])
             f_i, f_x, f_y, f_z = pauli_channel_attenuation(probs)
             flip_by_code = np.array([f_i, f_x, f_z, f_y])
-        for item, level_of_row in steps:
-            if level_of_row is None:
-                inst, rows, sel = item, None, slice(None)
-            else:
-                # every bound alternative shares the rotation's qubits,
-                # hence its noise
-                inst = item[0]
-                rows = sel = level_of_row > 0
-            qubits = list(inst.qubits)
-            p = nm.gate_depol(inst)
+        for item, layer in steps:
+            if layer is not None:
+                self._attenuate_layer(factors, table, item, layer,
+                                      flip_by_code, relax)
+                pull_back_rotation_layer(table, layer.cliffords)
+                continue
+            qubits = list(item.qubits)
+            p = nm.gate_depol(item)
             if p > 0:
-                touched = table.touches_any(qubits)
-                if rows is not None:
-                    touched &= rows
                 factor = (1.0 - 4.0 * p / 3.0) if len(qubits) == 1 \
                     else (1.0 - 16.0 * p / 15.0)
-                factors[touched] *= factor
+                factors[table.touches_any(qubits)] *= factor
             if flip_by_code is not None:
                 for q in qubits:
-                    factors[sel] *= flip_by_code[table.codes_on(q, sel)]
+                    factors *= flip_by_code[table.codes_on(q)]
             if relax:
-                duration = nm.gate_duration(inst)
+                duration = nm.gate_duration(item)
                 for q in qubits:
                     by_code = self._relaxation_factors_by_code(q, duration)
-                    factors[sel] *= by_code[table.codes_on(q, sel)]
-            _conjugate_step(table, item, level_of_row)
+                    factors *= by_code[table.codes_on(q)]
+            apply_gate_to_table(table, _inverse_gate_tableau(item),
+                                item.qubits)
         return factors * table.expectation_all_zeros()
 
-
-def _conjugate_step(table, item, level_of_row) -> None:
-    if level_of_row is None:
-        apply_gate_to_table(table, _inverse_gate_tableau(item), item.qubits)
-        return
-    # resolved at call time, so a profiler wrapping the tableau module's
-    # kernels also sees the calls made from here
-    from ..stabilizer.tableau import apply_gate_levels_to_table
-
-    entries = [None] + [(_inverse_gate_tableau(inst), False)
-                        for inst in item]
-    apply_gate_levels_to_table(table, entries, item[0].qubits, level_of_row)
+    def _attenuate_layer(self, factors, table, run: "RotationRun",
+                         layer: "RotationLayer", flip_by_code, relax: bool
+                         ) -> None:
+        """In place, every noise factor of one rotation layer step."""
+        num_points = len(layer.kept)
+        if num_points == 0:
+            return
+        nm = self.noise_model
+        num_terms = table.num_rows // num_points
+        # (P, M) views: a point's keep decision broadcasts over its block;
+        # support[q] is qubit q's contiguous (P, M) plane
+        factors = factors.reshape(num_points, num_terms)
+        support = np.ascontiguousarray(table.supports_mask().T).reshape(
+            -1, num_points, num_terms)
+        codes = None
+        if flip_by_code is not None or relax:
+            codes = {q: table.codes_on(q).reshape(num_points, num_terms)
+                     for q in set(run.qubits)}
+            code_maps = single_qubit_cliffords().codes
+        for j, (inst, q) in enumerate(zip(run.instructions, run.qubits)):
+            if not layer.any_kept[j]:
+                continue
+            kept = layer.kept[:, j, None]
+            p = nm.gate_depol(inst)
+            if p > 0:
+                np.multiply(factors, 1.0 - 4.0 * p / 3.0, out=factors,
+                            where=kept & support[q])
+            if codes is None:
+                continue
+            if flip_by_code is not None:
+                np.multiply(factors, flip_by_code[codes[q]], out=factors,
+                            where=kept)
+            if relax:
+                by_code = self._relaxation_factors_by_code(
+                    q, nm.gate_duration(inst))
+                np.multiply(factors, by_code[codes[q]], out=factors,
+                            where=kept)
+            codes[q] = code_maps[layer.gates[:, j, None], codes[q]]
 
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
+
+
+@dataclass(frozen=True)
+class RotationRun:
+    """A maximal run of parameterized single-qubit rotations, compiled.
+
+    Per-rotation fields are in *walk* (reverse circuit) order.
+
+    Attributes:
+        instructions: The template's rotation instructions.
+        qubits: ``(R,)`` qubit of each rotation.
+        params: ``(R,)`` parameter index of each rotation.
+        elements: ``(R, 4)`` each rotation's element of the 24
+            single-qubit Cliffords per level (angle ``level·π/2``).
+        compose_order: ``(K, n)`` column per (position, qubit): the
+            ``k``-th rotation of the run on qubit ``q`` in walk order, or
+            ``R`` (the identity column) past the qubit's last.
+    """
+
+    instructions: tuple
+    qubits: tuple
+    params: np.ndarray
+    elements: np.ndarray
+    compose_order: np.ndarray
+
+    @classmethod
+    def compile(cls, steps: list[tuple], num_qubits: int) -> "RotationRun":
+        """``steps``: the run's ``(instruction, parameter index)`` pairs in
+        circuit order."""
+        walk = steps[::-1]
+        instructions = tuple(inst for inst, _ in walk)
+        qubits = tuple(inst.qubits[0] for inst in instructions)
+        rotations = single_qubit_cliffords().rotations
+        per_qubit: list[list[int]] = [[] for _ in range(num_qubits)]
+        for j, q in enumerate(qubits):
+            per_qubit[q].append(j)
+        depth = max(len(cols) for cols in per_qubit)
+        order = np.full((depth, num_qubits), len(walk), dtype=np.int64)
+        for q, cols in enumerate(per_qubit):
+            order[:len(cols), q] = cols
+        return cls(
+            instructions=instructions, qubits=qubits,
+            params=np.array([index for _, index in walk], dtype=np.int64),
+            elements=np.stack([rotations[inst.name]
+                               for inst in instructions]),
+            compose_order=order)
+
+    def layer(self, thetas: np.ndarray, tol: float) -> "RotationLayer":
+        """The run's per-point data at a ``(P, d)`` batch of angles."""
+        angles = thetas[:, self.params]
+        # vectorized CliffordCircuitPlan._kept over the whole population
+        folded = angles % _TWO_PI
+        kept = np.minimum(folded, _TWO_PI - folded) >= tol
+        turns = angles / _HALF_PI
+        levels = np.rint(turns)
+        if np.any(np.abs(turns - levels) >= 1e-9):
+            raise ValueError("a rotation angle is not a multiple of pi/2")
+        gates = self.elements[np.arange(len(self.params)),
+                              levels.astype(np.int64) % 4]
+        group = single_qubit_cliffords()
+        with_identity = np.concatenate(
+            [gates, np.zeros((len(gates), 1), dtype=np.int64)], axis=1)
+        cliffords = with_identity[:, self.compose_order[0]]
+        for columns in self.compose_order[1:]:
+            cliffords = group.compose[cliffords, with_identity[:, columns]]
+        return RotationLayer(kept=kept, any_kept=kept.any(axis=0),
+                             gates=gates, cliffords=cliffords)
+
+
+@dataclass(frozen=True)
+class RotationLayer:
+    """A :class:`RotationRun` at one batch of points.
+
+    Attributes:
+        kept: ``(P, R)`` whether each point keeps each rotation (it is
+            not an exact identity), i.e. whether its noise attaches.
+        any_kept: ``(R,)`` whether any point keeps the rotation.
+        gates: ``(P, R)`` each rotation's single-qubit Clifford element.
+        cliffords: ``(P, n)`` the run composed per qubit: the index
+            :func:`~repro.stabilizer.tableau.pull_back_rotation_layer`
+            takes.
+    """
+
+    kept: np.ndarray
+    any_kept: np.ndarray
+    gates: np.ndarray
+    cliffords: np.ndarray
 
 
 class CliffordCircuitPlan:
     """Bind and schedule plan over a parameterized ansatz template.
 
-    Precomputes, once per template, the instruction skeleton that
-    :func:`~repro.circuits.ansatz.drop_identity_rotations` would leave after
-    binding (explicit ``i`` gates and zero-angle *bound* rotations are
-    dropped at plan time, :func:`~repro.circuits.ansatz.bound_skeleton_steps`).
-    Per point only the parameterized rotations are re-dispatched:
-    :meth:`bind` rebuilds one bound circuit, :meth:`keep_mask` /
-    :meth:`steps_for` group points for the batched density-matrix
-    evolver, and :meth:`reverse_schedule` turns a ``(P, d)`` batch into
-    the one leveled schedule the noise-attenuating Clifford walks run
-    (nCAFQA's L_N and
-    :class:`~repro.execution.estimator.CliffordEstimator`): noise
-    attenuates per gate, so those walks keep one step per rotation.
-    CAFQA's noiseless L_0 uses no plan; it pulls each RY/RZ layer back
-    in one bit-sliced pass
-    (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`).  The
-    per-point instruction sequence is identical to
+    Compiles the template once.  The instruction skeleton is what
+    :func:`~repro.circuits.ansatz.drop_identity_rotations` would leave
+    after binding (explicit ``i`` gates and zero-angle *bound* rotations
+    are dropped at plan time,
+    :func:`~repro.circuits.ansatz.bound_skeleton_steps`), and every
+    maximal run of parameterized single-qubit rotations in it is one
+    :class:`RotationRun`.  Per point only the parameterized rotations are
+    re-dispatched: :meth:`bind` rebuilds one bound circuit,
+    :meth:`keep_mask` / :meth:`steps_for` group points for the batched
+    density-matrix evolver, and :meth:`reverse_schedule` turns a
+    ``(P, d)`` batch into the one schedule the noisy Clifford walk runs
+    (:meth:`CliffordNoiseModel.noisy_term_values_many`: nCAFQA's L_N and
+    :class:`~repro.execution.estimator.CliffordEstimator`), one layer
+    step per run.  The per-point instruction sequence is identical to
     ``drop_identity_rotations(template.bind(theta))``.
     """
 
@@ -227,6 +369,16 @@ class CliffordCircuitPlan:
         self.tol = tol
         #: (instruction, parameter index | None); None = static instruction
         self.steps: list[tuple] = bound_skeleton_steps(template, tol)
+        #: the walk's items in circuit order: a static instruction or a
+        #: RotationRun
+        self._items: list = []
+        for parameterized, run in itertools.groupby(
+                self.steps, key=lambda step: step[1] is not None):
+            if parameterized:
+                self._items.append(RotationRun.compile(list(run),
+                                                       self.num_qubits))
+            else:
+                self._items.extend(inst for inst, _ in run)
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -302,44 +454,30 @@ class CliffordCircuitPlan:
                     return False
         return True
 
-    def reverse_schedule(self, thetas: np.ndarray, rows_per_point: int
-                         ) -> list[tuple]:
-        """The population's gates as one schedule in reverse circuit order.
+    def reverse_schedule(self, thetas: np.ndarray) -> list[tuple]:
+        """The batch's gates as one schedule in reverse circuit order.
 
-        ``rows_per_point`` is the number of stacked table rows each point
-        owns (the Hamiltonian's term count M); point ``p`` owns the
-        contiguous row block ``[p*M, (p+1)*M)``.  A static instruction
-        comes out as ``(instruction, None)``.  A parameterized rotation
-        comes out as ``(bound_instructions, level_of_row)``: the distinct
-        kept angles as bound instructions, plus a ``(P*M,)`` unsigned
-        integer level per row, 1-based into that list, with 0 where the angle is an exact
-        identity and the rotation is dropped.  A slot no point keeps is
-        left out.
+        A static instruction comes out as ``(instruction, None)``; a
+        rotation run as ``(run, layer)``, ``layer`` being the run's
+        per-point :class:`RotationLayer` at ``thetas``: ``(P, R)`` keep
+        flags and Clifford elements per rotation and the ``(P, n)``
+        composed layer.  Levels are ``round(angle / (pi/2)) mod 4`` and a
+        rotation is kept exactly where :meth:`bind` keeps it.  Nothing in
+        the schedule is per stacked row.  A run no point keeps any
+        rotation of is left out.
+
+        Raises:
+            ValueError: if a rotation angle is not a multiple of pi/2.
         """
         thetas = self._check_thetas(thetas)
-        num_points = len(thetas)
         schedule: list[tuple] = []
-        for inst, index in reversed(self.steps):
-            if index is None:
-                schedule.append((inst, None))
+        for item in reversed(self._items):
+            if not isinstance(item, RotationRun):
+                schedule.append((item, None))
                 continue
-            angles = thetas[:, index]
-            # vectorized is_identity_angle over the whole population
-            folded = angles % _TWO_PI
-            kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
-            distinct = np.unique(angles[kept])
-            if distinct.size == 0:
-                continue
-            # the narrowest integer type holding every level: a schedule
-            # keeps one level per stacked row for each slot
-            level_of_point = np.zeros(num_points,
-                                      dtype=np.min_scalar_type(distinct.size))
-            bound_insts = []
-            for level, angle in enumerate(distinct, start=1):
-                level_of_point[kept & (angles == angle)] = level
-                bound_insts.append(replace(inst, params=(float(angle),)))
-            schedule.append((bound_insts,
-                             np.repeat(level_of_point, rows_per_point)))
+            layer = item.layer(thetas, self.tol)
+            if layer.any_kept.any():
+                schedule.append((item, layer))
         return schedule
 
     #: The same method under its earlier name; ``perfbench/layers.py``

@@ -17,7 +17,10 @@ Counter vocabulary:
 - ``lut_hits`` / ``lut_misses``   conjugation + leveled LUT cache
 - ``fused_passes``  population-wide single passes over a stacked table:
                     one per leveled-LUT slot and one per bit-sliced
-                    RY/RZ rotation layer
+                    single-qubit Clifford layer -- a noiseless RY/RZ
+                    layer or a run of rotations in the noisy walk (an
+                    nCAFQA batch on the hardware-efficient ansatz is
+                    2 + 2)
 
 Process-pool children bump their own (fresh) singleton; the engine
 ships ``KERNEL.snapshot()`` deltas back over the existing cache-stats

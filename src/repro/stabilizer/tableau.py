@@ -8,8 +8,8 @@ strings -- or whole Hamiltonians at once -- by multiplying out the relevant
 rows with exact phase tracking (word-wise XORs and popcounts).  Gates
 applied to a whole table go through per-gate lookup tables instead
 (:func:`apply_gate_to_table`), one word-level pass per gate, and a whole
-RY/RZ rotation layer goes through one bit-sliced pass
-(:func:`pull_back_rotation_layer`).
+layer of single-qubit Cliffords -- any run of RX/RY/RZ rotations --
+goes through one bit-sliced pass (:func:`pull_back_rotation_layer`).
 
 Tableaus for individual gates are *derived from their unitaries* at import
 time (:func:`tableau_from_unitary`), so the gate library's dense matrices are
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -398,32 +398,79 @@ def apply_gate_levels_to_table(table: PauliTable, entries,
     _apply_lut_to_words(table, lut, columns, level_of_row)
 
 
-@lru_cache(maxsize=1)
-def _rotation_layer_combos() -> np.ndarray:
-    """``(16, 10)`` bool table of every composed RY/RZ pull-back.
+class SingleQubitCliffords(NamedTuple):
+    """The 24 single-qubit Clifford pull-backs, as lookup tables.
 
-    Row ``4 * ry + rz`` describes ``P -> G† P G`` for
-    ``G = RZ(rz·π/2)·RY(ry·π/2)`` on one qubit: the inverse RZ, then the
-    inverse RY, composed from their :func:`_conjugation_lut` entries (the
-    tables the LUT kernel itself runs, so the two passes cannot drift).
-    Columns: the x bit of X's image, the x bit of Z's image, the z bit of
-    X's image, the z bit of Z's image, then the low and high bits of the
-    phase increment of the X-, Y- and Z-class sub-Paulis (codes 1, 3, 2:
-    ``x&~z``, ``x&z``, ``z&~x``).
+    Element ``c`` is a map ``P -> G† P G`` on one qubit; element 0 is the
+    identity.  Every table is indexed by element:
+
+    * ``bits``: ``(24, 10)`` bool -- the x bit of X's image, the x bit of
+      Z's image, the z bit of X's image, the z bit of Z's image, then the
+      low and high bits of the phase increment of the X-, Y- and Z-class
+      sub-Paulis (codes 1, 3, 2: ``x&~z``, ``x&z``, ``z&~x``);
+    * ``codes``: ``(24, 4)`` image code ``x + 2z`` of each input code;
+    * ``compose``: ``(24, 24)``; ``compose[a, b]`` pulls back through
+      ``a``, then through ``b``;
+    * ``rotations``: ``{"rx" | "ry" | "rz": (4,)}`` -- the pull-back
+      through that rotation at angle ``level·π/2``, per level.
     """
-    combos = np.zeros((16, 10), dtype=bool)
-    for ry in range(4):
-        for rz in range(4):
-            luts = [_conjugation_lut(gate_tableau(
-                        kind, (-float(level * (math.pi / 2)),)))
-                    for kind, level in (("rz", rz), ("ry", ry)) if level]
-            (img_x, dq_x), (img_z, dq_z), (_, dq_y) = (
-                _follow_codes(luts, code) for code in (1, 2, 3))
-            combos[4 * ry + rz] = [img_x & 1, img_z & 1, img_x >> 1,
-                                   img_z >> 1, dq_x & 1, dq_x >> 1,
-                                   dq_y & 1, dq_y >> 1, dq_z & 1, dq_z >> 1]
-    combos.flags.writeable = False
-    return combos
+
+    bits: np.ndarray
+    codes: np.ndarray
+    compose: np.ndarray
+    rotations: dict
+
+
+@lru_cache(maxsize=1)
+def single_qubit_cliffords() -> SingleQubitCliffords:
+    """The cached 24-element pull-back tables.
+
+    Built from the :func:`_conjugation_lut` entries of the inverse
+    rotations (the tables the LUT kernel itself runs, so the layer pass
+    and the LUT kernel cannot drift): the pull-backs through RY(π/2) and
+    RZ(π/2) generate the group, elements numbered in breadth-first order
+    from the identity.  An element is stored as the image code and the
+    phase increment (mod 4) of each of X, Z and Y.
+    """
+    def action(luts) -> tuple:
+        return tuple(_follow_codes(luts, code) for code in (1, 2, 3))
+
+    def then(a: tuple, b: tuple) -> tuple:
+        return tuple((b[img - 1][0], (dq + b[img - 1][1]) % 4)
+                     for img, dq in a)
+
+    rotation_actions = {
+        kind: [action([_conjugation_lut(gate_tableau(
+            kind, (-float(level * (math.pi / 2)),)))] if level else [])
+            for level in range(4)]
+        for kind in ("rx", "ry", "rz")}
+    generators = (rotation_actions["ry"][1], rotation_actions["rz"][1])
+    elements = [action([])]
+    index = {elements[0]: 0}
+    for element in elements:  # grows while iterating: breadth-first
+        for gen in generators:
+            image = then(element, gen)
+            if image not in index:
+                index[image] = len(elements)
+                elements.append(image)
+    if len(elements) != 24:
+        raise AssertionError("the single-qubit Clifford group has 24 "
+                             f"elements, got {len(elements)}")
+    bits = np.zeros((24, 10), dtype=bool)
+    codes = np.zeros((24, 4), dtype=np.int64)
+    for c, ((img_x, dq_x), (img_z, dq_z), (img_y, dq_y)) in \
+            enumerate(elements):
+        bits[c] = [img_x & 1, img_z & 1, img_x >> 1, img_z >> 1,
+                   dq_x & 1, dq_x >> 1, dq_y & 1, dq_y >> 1,
+                   dq_z & 1, dq_z >> 1]
+        codes[c, 1:] = (img_x, img_z, img_y)
+    compose = np.array([[index[then(a, b)] for b in elements]
+                        for a in elements], dtype=np.int64)
+    rotations = {kind: np.array([index[a] for a in actions], dtype=np.int64)
+                 for kind, actions in rotation_actions.items()}
+    for table in (bits, codes, compose, *rotations.values()):
+        table.flags.writeable = False
+    return SingleQubitCliffords(bits, codes, compose, rotations)
 
 
 def _follow_codes(luts, code: int) -> tuple[int, int]:
@@ -435,22 +482,35 @@ def _follow_codes(luts, code: int) -> tuple[int, int]:
     return code, dq % 4
 
 
-def pull_back_rotation_layer(table: PauliTable, ry_levels, rz_levels
-                             ) -> None:
-    """In place, pull every row back through its point's RY/RZ layer.
+def rotation_layer_cliffords(ry_levels, rz_levels) -> np.ndarray:
+    """``(P, n)`` elements of the layer ``prod_q RZ_q(rz·π/2)·RY_q(ry·π/2)``.
+
+    The pull-back runs through the inverse RZ first, then the inverse RY:
+    the index :func:`pull_back_rotation_layer` takes for the RY/RZ layers
+    of the hardware-efficient ansatz and of Clapton's transformation.
+    Levels must be integers in 0..3.
+    """
+    group = single_qubit_cliffords()
+    return group.compose[group.rotations["rz"][rz_levels],
+                         group.rotations["ry"][ry_levels]]
+
+
+def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
+    """In place, pull every row back through its point's 1q Clifford layer.
 
     ``table`` is ``P`` contiguous blocks of ``M`` rows, block ``p``
-    belonging to point ``p``, and ``ry_levels`` / ``rz_levels`` are
-    ``(P, n)`` levels in 0..3.  Each block's rows become
-    ``L† P L`` for ``L = prod_q RZ_q(rz·π/2)·RY_q(ry·π/2)``, exactly as
-    the inverse gates applied one by one in reverse order would leave them.
+    belonging to point ``p``, and ``cliffords`` is a ``(P, n)`` index
+    into the 24 single-qubit Cliffords (:func:`single_qubit_cliffords`).
+    Each block's rows ``P`` become ``L† P L`` for ``L = prod_q G_q``,
+    ``G_q`` being the Clifford that element ``cliffords[p, q]`` pulls
+    back through -- exactly what the inverse gates of any run of 1q
+    rotations, applied one by one in reverse order, would leave (compose
+    the run's elements with ``single_qubit_cliffords().compose``).
 
-    Rotations on different qubits commute, so the layer is one
-    single-qubit Clifford per (point, qubit), and one pass applies all of
-    them: the Aaronson-Gottesman column updates
-    (arXiv:quant-ph/0406196), made per-row by mask words.  Each point's
-    composed combos (:func:`_rotation_layer_combos`) gather into ten
-    ``(P, W)`` masks, and on ``(P, M, W)`` views of the words
+    Gates on different qubits commute, so one pass applies the whole
+    layer: the Aaronson-Gottesman column updates (arXiv:quant-ph/0406196),
+    made per-row by mask words.  Each point's elements gather their bits
+    into ten ``(P, W)`` masks, and on ``(P, M, W)`` views of the words
 
         x' = (x & A) ^ (z & B),    z' = (x & C) ^ (z & D),
 
@@ -458,27 +518,24 @@ def pull_back_rotation_layer(table: PauliTable, ry_levels, rz_levels
     ``low``/``high`` being the X-, Y- and Z-class bits, each ANDed with
     its increment-bit mask.
     """
-    ry_levels = np.asarray(ry_levels, dtype=np.int64)
-    rz_levels = np.asarray(rz_levels, dtype=np.int64)
-    if ry_levels.ndim != 2 or ry_levels.shape != rz_levels.shape:
-        raise ValueError("ry_levels and rz_levels must be equal (P, n) "
-                         "integer matrices")
-    num_points, n = ry_levels.shape
+    cliffords = np.asarray(cliffords)
+    if cliffords.ndim != 2 or not np.issubdtype(cliffords.dtype, np.integer):
+        raise ValueError("cliffords must be a (P, n) integer matrix")
+    num_points, n = cliffords.shape
     if n != table.num_qubits:
         raise ValueError("qubit-count mismatch")
     num_rows = table.num_rows
     if num_rows != num_points * (num_rows // max(num_points, 1)):
         raise ValueError("the table must hold one equal row block per point")
-    if np.any((ry_levels < 0) | (ry_levels > 3)
-              | (rz_levels < 0) | (rz_levels > 3)):
-        raise ValueError("levels must be in {0, 1, 2, 3}")
+    if np.any((cliffords < 0) | (cliffords >= 24)):
+        raise ValueError("Clifford indices must be in 0..23")
     words = table.num_words
     if num_points == 0:
         return
     KERNEL.rows += num_rows
     KERNEL.words += num_rows * words
     KERNEL.fused_passes += 1
-    bits = _rotation_layer_combos()[4 * ry_levels + rz_levels]
+    bits = single_qubit_cliffords().bits[cliffords]
     masks = bitops.pack_bits(
         bits.transpose(2, 0, 1).reshape(10 * num_points, n), n)
     (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.reshape(

@@ -201,6 +201,86 @@ class TestBatchedLosses:
 
 
 # ----------------------------------------------------------------------
+# The noisy layer walk: nCAFQA's L_N and CliffordEstimator
+# ----------------------------------------------------------------------
+class TestLayerWalk:
+    """Each run of rotations is one layer step of the noisy walk; its
+    values must equal gate-by-gate walks exactly."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_ncafqa_word_boundary_matches_oracle(self, n):
+        problem = logical_problem(n)
+        loss = NcafqaLoss(problem)
+        genomes = genome_batch(np.random.default_rng(n), 3,
+                               problem.num_vqe_parameters)
+        genomes[:, 2 * n - 1] = 0  # a rotation every genome drops
+        serial = [oracle.loss_value(loss, g) for g in genomes]
+        np.testing.assert_array_equal(loss.evaluate_many(genomes), serial)
+
+    @pytest.mark.parametrize("make_problem", [logical_problem,
+                                              transpiled_problem])
+    def test_zne_folded_estimator_matches_serial_walk(self, make_problem):
+        """A scale-3 fold has RY RZ RZ RY runs at negative angles: one
+        composed layer per run must equal the serial gate walk."""
+        from repro.mitigation.folding import fold_template_global
+
+        problem = make_problem()
+        folded = dataclasses.replace(
+            problem, eval_ansatz=fold_template_global(problem.eval_ansatz,
+                                                      3))
+        hamiltonian = problem.mapped_hamiltonian()
+        estimator = make_estimator(folded, hamiltonian, mode="clifford")
+        rng = np.random.default_rng(21)
+        thetas = rng.integers(-5, 9, size=(9, problem.num_vqe_parameters)) \
+            * (np.pi / 2)
+        thetas[:, 0] = 0
+        extended = np.concatenate([thetas, -thetas, thetas], axis=1)
+        batch = estimator.estimate_many(extended)
+        model = estimator.clifford_model
+        serial = [model.noisy_zero_state_energy(
+            estimator._plan.bind(theta), hamiltonian) for theta in extended]
+        np.testing.assert_array_equal(batch.values, serial)
+        table = oracle.BoolTable.of(hamiltonian.table)
+        np.testing.assert_array_equal(
+            batch.term_expectations,
+            np.stack([oracle.noisy_term_values(
+                model, estimator._plan.bind(theta), table)
+                for theta in extended]))
+
+    def test_flips_and_relaxation_on_transpiled_problem(self):
+        problem = transpiled_problem()
+        problem = dataclasses.replace(
+            problem, noise_model=problem.noise_model.with_overrides(
+                logical_flip_probs=(2e-3, 1e-3, 3e-3)))
+        model = relaxing_model(problem)
+        assert problem.noise_model.t1 is not None
+        loss = NcafqaLoss(problem, clifford_model=model)
+        genomes = genome_batch(np.random.default_rng(22), 11,
+                               problem.num_vqe_parameters)
+        genomes[:, 3] = 0
+        serial = [oracle.loss_value(loss, g) for g in genomes]
+        np.testing.assert_array_equal(loss.evaluate_many(genomes), serial)
+        estimator = make_estimator(problem, mode="clifford",
+                                   clifford_model=model)
+        thetas = cafqa_angles(genomes)
+        table = oracle.BoolTable.of(estimator.observable.table)
+        np.testing.assert_array_equal(
+            estimator.estimate_many(thetas).term_expectations,
+            np.stack([oracle.noisy_term_values(
+                model, problem.bound_ansatz(theta), table)
+                for theta in thetas]))
+
+    def test_empty_batch_on_transpiled_problem(self):
+        problem = transpiled_problem()
+        noisy, noiseless = NcafqaLoss(problem).components_many(
+            np.empty((0, problem.num_vqe_parameters), dtype=np.int64))
+        assert noisy.shape == noiseless.shape == (0,)
+        batch = make_estimator(problem, mode="clifford").estimate_many(
+            np.empty((0, problem.num_vqe_parameters)))
+        assert len(batch) == 0 and batch.values.shape == (0,)
+
+
+# ----------------------------------------------------------------------
 # Memoised batch dispatch
 # ----------------------------------------------------------------------
 class TestMemoizedBatch:

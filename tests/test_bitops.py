@@ -29,6 +29,8 @@ from repro.stabilizer.tableau import (
     apply_gate_levels_to_table,
     apply_gate_to_table,
     pull_back_rotation_layer,
+    rotation_layer_cliffords,
+    single_qubit_cliffords,
 )
 
 SIZES = [1, 63, 64, 65, 100]
@@ -523,29 +525,87 @@ class TestRotationLayer:
         # sixteen layers: every (point, qubit) runs through all 16 combos
         for shift in range(16):
             levels = (combo + shift) % 16
-            pull_back_rotation_layer(packed, levels // 4, levels % 4)
+            pull_back_rotation_layer(
+                packed, rotation_layer_cliffords(levels // 4, levels % 4))
             oracle_rotation_layer(table, levels // 4, levels % 4)
         assert_tables_equal(packed, table)
 
     def test_rejects_bad_shapes_and_levels(self):
         packed = PauliTable.from_labels(["XZ", "ZX", "YY"])
         zeros = np.zeros((1, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match="equal"):
-            pull_back_rotation_layer(packed, zeros, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="integer matrix"):
+            pull_back_rotation_layer(packed, np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="integer matrix"):
+            pull_back_rotation_layer(packed, np.zeros((1, 2)))
         with pytest.raises(ValueError, match="qubit-count"):
-            pull_back_rotation_layer(packed, np.zeros((1, 3)),
-                                     np.zeros((1, 3)))
+            pull_back_rotation_layer(packed, np.zeros((1, 3), dtype=int))
         with pytest.raises(ValueError, match="row block"):
-            pull_back_rotation_layer(packed, np.zeros((2, 2)),
-                                     np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="levels"):
-            pull_back_rotation_layer(packed, zeros + 4, zeros)
+            pull_back_rotation_layer(packed, np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValueError, match="0..23"):
+            pull_back_rotation_layer(packed, zeros + 24)
+        with pytest.raises(ValueError, match="0..23"):
+            pull_back_rotation_layer(packed, zeros - 1)
 
     def test_empty_population(self):
         packed = PauliTable.identity(0, 5)
-        empty = np.zeros((0, 5), dtype=np.int64)
-        pull_back_rotation_layer(packed, empty, empty)
+        pull_back_rotation_layer(packed, np.zeros((0, 5), dtype=np.int64))
         assert packed.num_rows == 0
+
+    def test_group_tables(self):
+        group = single_qubit_cliffords()
+        # 24 distinct signed actions on (X, Z), element 0 the identity
+        assert len({row.tobytes() for row in group.bits}) == 24
+        np.testing.assert_array_equal(group.codes[0], [0, 1, 2, 3])
+        np.testing.assert_array_equal(group.compose[0], np.arange(24))
+        np.testing.assert_array_equal(group.compose[:, 0], np.arange(24))
+        for row in group.compose:  # a Latin square: a group table
+            np.testing.assert_array_equal(np.sort(row), np.arange(24))
+        a, b, c = np.meshgrid(*[np.arange(24)] * 3, indexing="ij")
+        np.testing.assert_array_equal(
+            group.compose[group.compose[a, b], c],
+            group.compose[a, group.compose[b, c]])
+        for kind in ("rx", "ry", "rz"):
+            assert group.rotations[kind][0] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100])
+    def test_any_rotation_run_is_one_pass(self, n):
+        """A run of RX/RY/RZ in any order and count, at any Clifford
+        angle (negative and beyond 2*pi too), composed per qubit and
+        pulled back in one pass, equals the oracle's inverse gates one by
+        one in reverse order."""
+        num_points, m = 5, 7
+        table, packed, rng = random_tables(n, num_points * m, 77 + n)
+        group = single_qubit_cliffords()
+        kinds = ("rx", "ry", "rz")
+        for _ in range(3):
+            run = [(kinds[rng.integers(3)], int(rng.integers(n)))
+                   for _ in range(3 * n + 5)]
+            turns = rng.integers(-9, 9, size=(num_points, len(run)))
+            cliffords = np.zeros((num_points, n), dtype=np.int64)
+            for j in reversed(range(len(run))):
+                kind, q = run[j]
+                cliffords[:, q] = group.compose[
+                    cliffords[:, q], group.rotations[kind][turns[:, j] % 4]]
+            pull_back_rotation_layer(packed, cliffords)
+            for p in range(num_points):
+                rows = slice(p * m, (p + 1) * m)
+                block = table.extract(rows)
+                for j in reversed(range(len(run))):
+                    kind, q = run[j]
+                    oracle.apply_gate(
+                        block, kind,
+                        (-float(turns[p, j] * (math.pi / 2)),), [q])
+                table.scatter(rows, block)
+            assert_tables_equal(packed, table)
+
+    def test_code_maps_follow_the_pass(self):
+        """``codes[c]`` is the single-qubit code the pass leaves."""
+        group = single_qubit_cliffords()
+        packed = PauliTable.from_labels(["I", "X", "Z", "Y"] * 24)
+        cliffords = np.repeat(np.arange(24), 4)[:, None]
+        pull_back_rotation_layer(packed, cliffords)
+        np.testing.assert_array_equal(packed.codes_on(0),
+                                      group.codes[:, [0, 1, 2, 3]].ravel())
 
     @pytest.mark.parametrize("n", [3, 64, 65])
     @pytest.mark.parametrize("entanglement", ["circular", "linear"])
@@ -606,9 +666,9 @@ class TestKernelAccounting:
         from repro.obs.kernel import KERNEL
 
         _, packed, _ = random_tables(65, 3 * 4, 5)
-        levels = np.ones((3, 65), dtype=np.int64)
+        cliffords = np.ones((3, 65), dtype=np.int64)
         before = KERNEL.snapshot()
-        pull_back_rotation_layer(packed, levels, levels)
+        pull_back_rotation_layer(packed, cliffords)
         delta = KERNEL.delta(before)
         assert (delta["fused_passes"], delta["rows"], delta["words"]) \
             == (1, 12, 12 * 2)
@@ -643,6 +703,24 @@ class TestKernelAccounting:
         before = KERNEL.snapshot()
         loss.evaluate_many(genomes)
         assert KERNEL.delta(before)["fused_passes"] == 2
+
+    @pytest.mark.parametrize("device", [False, True])
+    def test_ncafqa_evaluate_many(self, device):
+        """L_0's two layers plus one pass per rotation layer of the
+        walk; the walk's static gates are plain LUT passes."""
+        from repro.backends import FakeNairobi
+        from repro.core import NcafqaLoss, VQEProblem
+        from repro.hamiltonians import ising_model
+        from repro.obs.kernel import KERNEL
+
+        ham = ising_model(6, 1.0)
+        problem = (VQEProblem.from_backend(ham, FakeNairobi()) if device
+                   else VQEProblem.logical(ham))
+        loss = NcafqaLoss(problem)
+        genomes = np.random.default_rng(5).integers(0, 4, size=(9, 24))
+        before = KERNEL.snapshot()
+        loss.evaluate_many(genomes)
+        assert KERNEL.delta(before)["fused_passes"] == 2 + 2
 
 
 class TestLutCache:

@@ -55,6 +55,9 @@ VOLATILE = {"seconds", "engine_seconds", "total_seconds",
             "duration_seconds", "worker_id"}
 
 
+#: Id of the campaign ``tiny_spec()`` submits.
+CID = campaign_id(tiny_spec())
+
 #: Malformed POST bodies -> (routes that must refuse them, error).
 ALL_POST_ROUTES = ("/campaigns", "/lease", "/heartbeat", "/complete",
                    "/traces")
@@ -65,6 +68,28 @@ MALFORMED_BODIES = {
     **{json.dumps({"worker_id": worker_id, "record": {}}):
        (WORKER_ROUTES, "worker_id must be a non-empty string")
        for worker_id in (None, {"a": 1}, "", 7)},
+    **{json.dumps({"worker_id": "w0", **batch}): (("/traces",), error)
+       for batch, error in (
+           ({"spans": {"id": 1}}, "spans must be a list"),
+           ({"spans": [3]}, "every span must be an object with an id"),
+           ({"spans": [{"start": 0.0}]},
+            "every span must be an object with an id"),
+           ({"spans": [{"id": 1, "tags": [1]}]},
+            "span tags must be an object"),
+           ({"spans": [{"id": 1, "start": True}]},
+            "span start must be a number"),
+           # the first span alone would open this campaign's trace file
+           ({"unix_t0": 1.0,
+             "spans": [{"id": 1, "start": 0.0, "tags": {"campaign": CID}},
+                       {"id": 2, "start": "later",
+                        "tags": {"campaign": CID}}]},
+            "span start must be a number"),
+           ({"unix_t0": "now",
+             "spans": [{"id": 1, "tags": {"campaign": CID}}]},
+            "unix_t0 must be a number"),
+           ({"campaign": ["x"], "spans": [{"id": 1}]},
+            "campaign ids must be strings"),
+       )},
 }
 
 
@@ -527,6 +552,38 @@ class TestServiceEndToEnd:
             head, _, body = reply.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400"), head
             assert json.loads(body) == {"error": "bad Content-Length"}
+            assert snapshot_files(root) == before
+        finally:
+            server.stop()
+
+    def test_oversized_body_rejected_unread(self, tmp_path):
+        """A Content-Length above the cap gets a prompt 413 without the
+        body being read, and changes nothing on disk."""
+        import socket
+        from urllib.request import Request, urlopen
+
+        from repro.campaigns.service.http import MAX_BODY_BYTES
+
+        root = tmp_path / "root"
+        server = start_server(ServiceState(root), port=0)
+        try:
+            with urlopen(Request(server.url + "/campaigns",
+                                 data=json.dumps(
+                                     tiny_spec().to_dict()).encode())):
+                pass
+            before = snapshot_files(root)
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=2) as sock:
+                sock.sendall(f"POST /campaigns HTTP/1.1\r\nHost: {host}\r\n"
+                             f"Content-Type: application/json\r\n"
+                             f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+                             .encode())
+                reply = b""
+                while chunk := sock.recv(4096):  # raises on the 2 s timeout
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 413"), head
+            assert json.loads(body) == {"error": "body too large"}
             assert snapshot_files(root) == before
         finally:
             server.stop()
