@@ -22,7 +22,12 @@ import math
 import numpy as np
 
 from ..circuits.ansatz import entanglement_pairs
-from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
+from ..circuits.circuit import Circuit
+from ..noise.clifford_model import (
+    CliffordCircuitPlan,
+    CliffordNoiseModel,
+    static_block,
+)
 from ..obs import REGISTRY, get_tracer
 from ..obs.kernel import kernel_event
 from .problem import VQEProblem
@@ -54,7 +59,10 @@ class ClaptonLoss:
             problem.noise_model)
         self.noisy_weight = noisy_weight
         self.noiseless_weight = noiseless_weight
-        self._skeleton = problem.skeleton()
+        # A'(0) is static: its whole walk is one compiled block
+        self._skeleton = static_block(
+            reversed(problem.skeleton().instructions),
+            problem.num_eval_qubits)
 
     def components(self, gamma) -> tuple[float, float]:
         """``(L_N, L_0)`` at a transformation genome (a batch of one)."""
@@ -70,8 +78,9 @@ class ClaptonLoss:
         """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
 
         One stacked ``(P*M, n)`` transformation pass plus one stacked
-        backward noise walk through the shared skeleton.  Every step is
-        row-wise, so a genome's values do not depend on its batch.
+        backward noise walk through the shared skeleton, which is a
+        single compiled block step.  Every step is row-wise, so a
+        genome's values do not depend on its batch.
         """
         problem = self.problem
         coeffs = problem.hamiltonian.coefficients
@@ -86,8 +95,8 @@ class ClaptonLoss:
              for p in range(num_genomes)])
         eval_stack = embed_table(stacked, problem.positions,
                                  problem.num_eval_qubits)
-        values = self.clifford_model.noisy_zero_state_term_values(
-            self._skeleton, eval_stack)
+        values = self.clifford_model.noisy_zero_state_term_values_steps(
+            [(self._skeleton, None)], eval_stack)
         noisy = np.array(
             [float(coeffs @ values[p * num_terms:(p + 1) * num_terms])
              for p in range(num_genomes)])
@@ -122,6 +131,12 @@ class CafqaLoss:
             problem.noise_model)
         self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
         self._mapped = problem.mapped_hamiltonian()
+        n = problem.num_logical_qubits
+        ring = Circuit(n)
+        for pair in entanglement_pairs(n, problem.entanglement):
+            ring.cx(*pair)
+        self._ring = static_block(reversed(ring.instructions), n,
+                                  locations=False)
 
     def components(self, genome) -> tuple[float, float]:
         """``(L_N, L_0)`` at one genome (a batch of one)."""
@@ -144,13 +159,12 @@ class CafqaLoss:
         first are one bit-sliced word pass each
         (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, every
         genome's composed single-qubit Clifford on every qubit at once),
-        and the fixed CX ring between them is one LUT pass per gate.
+        and the fixed CX ring between them is one compiled
+        :class:`~repro.stabilizer.tableau.StaticBlock` pass.
         """
         # resolved at call time, so a profiler wrapping the tableau
         # module's kernels also sees the calls made from here
         from ..stabilizer.tableau import (
-            apply_gate_to_table,
-            gate_tableau,
             pull_back_rotation_layer,
             rotation_layer_cliffords,
         )
@@ -166,13 +180,11 @@ class CafqaLoss:
             raise ValueError(f"need {4 * n} parameter values, "
                              f"got {genomes.shape[1]}")
         conj = problem.hamiltonian.table.tile(len(genomes))
-        cx = gate_tableau("cx")
         # one aggregated kernel event per batched L_0 pull-back
         with kernel_event("kernel.fused_levels", passes=True):
             pull_back_rotation_layer(conj, rotation_layer_cliffords(
                 genomes[:, 2 * n:4 * n:2], genomes[:, 2 * n + 1:4 * n:2]))
-            for pair in reversed(entanglement_pairs(n, problem.entanglement)):
-                apply_gate_to_table(conj, cx, pair)
+            self._ring.apply(conj)
             pull_back_rotation_layer(conj, rotation_layer_cliffords(
                 genomes[:, 0:2 * n:2], genomes[:, 1:2 * n:2]))
         return conj
@@ -182,13 +194,14 @@ class CafqaLoss:
 
         L_0 reads the all-zeros expectations off
         :meth:`logical_tables_many` (two rotation-layer passes and the CX
-        ring).  The noisy term, when enabled, is
+        ring's block pass).  The noisy term, when enabled, is
         :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`
         over the transpiled circuit at angles ``genome * pi/2``: the one
         noisy walk :class:`~repro.execution.estimator.CliffordEstimator`
         runs too, with each run of rotations one layer step (per-gate
-        attenuation, then one bit-sliced pass).  Every step is row-wise,
-        so a genome's values do not depend on its batch.
+        attenuation, then one bit-sliced pass) and each run of static
+        gates one block pass.  Every step is row-wise, so a genome's
+        values do not depend on its batch.
         """
         genomes = np.asarray(genomes, dtype=np.int64)
         conj = self.logical_tables_many(genomes)

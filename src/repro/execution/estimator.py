@@ -467,10 +467,10 @@ class CliffordEstimator(BaseEstimator):
         The observable's term table is tiled once per point and walked a
         single time through the plan's schedule
         (:meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`,
-        the walk nCAFQA's L_N runs too): static gates one LUT pass each,
-        every run of rotations one layer step, each point's rows pulled
-        back through its own angles -- instead of rebuilding the bound
-        circuit and re-running the pass per point.
+        the walk nCAFQA's L_N runs too): every run of static gates one
+        compiled block pass, every run of rotations one layer step, each
+        point's rows pulled back through its own angles -- instead of
+        rebuilding the bound circuit and re-running the pass per point.
         """
         start = time.perf_counter()
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -18,27 +18,47 @@ factor at every noise location as it is pulled back through the circuit:
 * (optional extension) Pauli-twirled thermal relaxation: a per-qubit,
   Pauli-dependent factor.
 
-``noisy_zero_state_energy`` walks the circuit backward once, conjugating all
-M terms simultaneously through gate tableaus and accumulating the factors --
-an exact, deterministic O(M * L) evaluation that replaces stim's Monte Carlo
-sampling (a sampling path is kept in :func:`sample_noisy_energy` for
-validation and parity with the paper's implementation).
+The walk runs backward once over all M terms (a whole population's, when
+they are stacked) and accumulates the factors -- an exact, deterministic
+evaluation that replaces stim's Monte Carlo sampling (a sampling path is
+kept in :func:`sample_noisy_energy` for validation and parity with the
+paper's implementation).  It has two step kinds:
+
+* a run of static gates is one compiled
+  :class:`~repro.stabilizer.tableau.StaticBlock` (:func:`static_block`):
+  one table pass conjugates every row through the whole run and returns
+  each gate location's bits on the gate's qubits, from which the
+  location's factors are looked up.  Clapton's skeleton ``A'(0)`` is a
+  single block, so its L_N costs one pass per batch however many gates
+  the skeleton has;
+* a run of parameterized rotations (nCAFQA's L_N and
+  :class:`~repro.execution.estimator.CliffordEstimator`, through
+  :class:`CliffordCircuitPlan`) is one layer step: per-rotation factors,
+  then one bit-sliced pass.
+
+Factors multiply in walk order, one float multiply per channel, so the
+values are bit-identical to attenuating and conjugating gate by gate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
+from ..paulis import bitops
 from ..paulis.pauli_sum import PauliSum
 from ..stabilizer.simulator import StabilizerSimulator
-from ..stabilizer.tableau import (
+# apply_gate_to_table stays importable from here: perfbench/layers.py
+# wraps it under this module's name
+from ..stabilizer.tableau import (  # noqa: F401
     CliffordTableau,
+    StaticBlock,
     apply_gate_to_table,
     gate_tableau,
     pull_back_rotation_layer,
@@ -54,6 +74,17 @@ def _inverse_gate_tableau(inst) -> CliffordTableau:
     if inst.spec.num_params:
         return gate_tableau(inst.name, tuple(-float(p) for p in inst.params))
     return gate_tableau(_INVERSE_NAME.get(inst.name, inst.name))
+
+
+def static_block(instructions, num_qubits: int, locations: bool = True
+                 ) -> StaticBlock:
+    """The pull-back through static instructions given in walk (reverse
+    circuit) order, as one compiled
+    :class:`~repro.stabilizer.tableau.StaticBlock`: each location
+    conjugates by its gate's inverse."""
+    return StaticBlock.compile(
+        [(inst, _inverse_gate_tableau(inst)) for inst in instructions],
+        num_qubits, locations)
 
 
 class CliffordNoiseModel:
@@ -77,6 +108,19 @@ class CliffordNoiseModel:
         self.include_twirled_relaxation = include_twirled_relaxation
         self.include_basis_prep_error = include_basis_prep_error
         self._twirl_cache: dict[tuple[int, float], np.ndarray] = {}
+        #: per static block: its factors, looked up by location bits
+        self._block_factors: weakref.WeakKeyDictionary = \
+            weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        # weak references do not pickle; the cache refills on first use
+        state = self.__dict__.copy()
+        del state["_block_factors"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._block_factors = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Attenuation pieces
@@ -84,13 +128,13 @@ class CliffordNoiseModel:
     def measurement_attenuations(self, table) -> np.ndarray:
         """Per-term factor from readout error and basis-prep gate error."""
         nm = self.noise_model
-        att = nm.readout_z_attenuation()
-        support = table.supports_mask()
-        factors = np.prod(np.where(support, att[None, :], 1.0), axis=1)
+        n = table.num_qubits
+        factors = _ordered_product(bitops.unpack_columns(table.x | table.z, n),
+                                   nm.readout_z_attenuation())
         if self.include_basis_prep_error:
             prep = 1.0 - 4.0 * nm.depol_1q / 3.0
-            factors = factors * np.prod(
-                np.where(table.unpack_x(), prep[None, :], 1.0), axis=1)
+            factors = factors * _ordered_product(
+                bitops.unpack_columns(table.x, n), prep)
         return factors
 
     def _relaxation_factors_by_code(self, qubit: int, duration: float
@@ -129,10 +173,12 @@ class CliffordNoiseModel:
         The coefficient-weighted sum of these is the L_N energy.  ``table``
         is a word-packed term table whose rows may carry +-1 signs from a
         preceding transformation (they fold into the all-zeros
-        expectation).
+        expectation).  The whole circuit is one :func:`static_block`.
         """
-        return self.noisy_zero_state_term_values_steps(
-            [(inst, None) for inst in reversed(circuit.instructions)], table)
+        block = static_block(reversed(circuit.instructions),
+                             circuit.num_qubits)
+        return self.noisy_zero_state_term_values_steps([(block, None)],
+                                                       table)
 
     def noisy_term_values_many(self, plan: "CliffordCircuitPlan", thetas,
                                table) -> np.ndarray:
@@ -142,73 +188,127 @@ class CliffordNoiseModel:
         L_N and :class:`~repro.execution.estimator.CliffordEstimator`:
         ``table`` (the ``M`` observable terms) is tiled once per point and
         walked through ``plan``'s :meth:`CliffordCircuitPlan.reverse_schedule`
-        at ``thetas`` (Clifford angles).
+        at ``thetas`` (Clifford angles).  The copies share their
+        measurement attenuations, so those are computed once.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        num_points = len(thetas)
         values = self.noisy_zero_state_term_values_steps(
-            plan.reverse_schedule(thetas), table.tile(len(thetas)))
-        return values.reshape(len(thetas), table.num_rows)
+            plan.reverse_schedule(thetas), table.tile(num_points),
+            measured=np.tile(self.measurement_attenuations(table),
+                             num_points))
+        return values.reshape(num_points, table.num_rows)
 
-    def noisy_zero_state_term_values_steps(self, steps, table) -> np.ndarray:
+    def noisy_zero_state_term_values_steps(self, steps, table, measured=None
+                                           ) -> np.ndarray:
         """The same backward pass over an explicit *reverse-order* schedule.
 
-        ``steps`` holds ``(instruction, None)`` for a gate every row sees,
-        and, from a :meth:`CliffordCircuitPlan.reverse_schedule`,
-        ``(run, layer)`` for a run of parameterized single-qubit
-        rotations: ``run`` is the plan's :class:`RotationRun` and
-        ``layer`` its per-point :class:`RotationLayer`.  ``table`` then
-        stacks ``P`` equal row blocks, block ``p`` belonging to point
-        ``p`` (:meth:`~repro.paulis.table.PauliTable.tile`), so all
-        points' term values come out of one vectorized walk.
+        ``steps`` holds two kinds of step.  ``(block, None)`` is a
+        :class:`~repro.stabilizer.tableau.StaticBlock` (from
+        :func:`static_block`) of static gates every row sees.  ``(run,
+        layer)``, from a :meth:`CliffordCircuitPlan.reverse_schedule`, is
+        a run of parameterized single-qubit rotations: ``run`` is the
+        plan's :class:`RotationRun` and ``layer`` its per-point
+        :class:`RotationLayer`.  ``table`` then stacks ``P`` equal row
+        blocks, block ``p`` belonging to point ``p``
+        (:meth:`~repro.paulis.table.PauliTable.tile`), so all points' term
+        values come out of one vectorized walk.
 
-        A layer step is one ``supports_mask``, one factor multiply per
-        rotation in reverse gate order, and one bit-sliced pass
+        A block step is one table pass that also returns every gate
+        location's bits on the gate's qubits; the location's factors are
+        then looked up from those bits and multiplied in walk order
+        (depolarizing if the row touches the gate, logical flips per
+        qubit, twirled relaxation per qubit), a factor of exactly 1.0
+        where a channel leaves the row alone.  A layer step is one support
+        unpack, one factor multiply per rotation in reverse gate order,
+        and one bit-sliced pass
         (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`).  A
         single-qubit Clifford keeps a row's support on its qubit, so the
         support read before the layer is the support every rotation of
-        the run sees; a rotation's noise attenuates only the points that
-        keep it (a masked multiply), so every row sees the same float
-        products, in the same order, as when attenuating and conjugating
-        gate by gate.
-        Logical flips and twirled relaxation depend on the 2-bit code of
-        a row on the gate's qubit, so those codes are carried through the
-        run by the rotations' code maps.  Every arithmetic step is
-        row-wise, so a point's values do not depend on the rest of its
+        the run sees, and a rotation's depolarizing multiplies only the
+        rows touching its qubit; its noise attenuates only the points
+        that keep it (the others multiply by 1.0).  Logical flips and
+        twirled relaxation depend on the 2-bit code of a row on the
+        gate's qubit, so those codes are carried through the run by the
+        rotations' code maps.  So every row sees the same float products,
+        in the same order, as when attenuating and conjugating gate by
+        gate, and a point's values do not depend on the rest of its
         batch.
+
+        ``measured``, if given, is ``table``'s
+        :meth:`measurement_attenuations`, passed by a caller that has
+        them cheaper (a tiled table's are its block's, tiled).
         """
-        nm = self.noise_model
         table = table.copy()
-        factors = self.measurement_attenuations(table)
-        relax = (self.include_twirled_relaxation and nm.t1 is not None)
-        flips = nm.logical_flip_probs
-        flip_by_code = None
-        if flips is not None:
-            probs = np.array([1.0 - sum(flips), *flips])
-            f_i, f_x, f_y, f_z = pauli_channel_attenuation(probs)
-            flip_by_code = np.array([f_i, f_x, f_z, f_y])
+        factors = (self.measurement_attenuations(table) if measured is None
+                   else np.array(measured, dtype=float))
+        relax = (self.include_twirled_relaxation
+                 and self.noise_model.t1 is not None)
+        flip_by_code = self._flip_by_code()
         for item, layer in steps:
-            if layer is not None:
-                self._attenuate_layer(factors, table, item, layer,
-                                      flip_by_code, relax)
-                pull_back_rotation_layer(table, layer.cliffords)
+            if layer is None:
+                self._attenuate_block(factors, item, item.apply(table))
                 continue
-            qubits = list(item.qubits)
-            p = nm.gate_depol(item)
+            self._attenuate_layer(factors, table, item, layer,
+                                  flip_by_code, relax)
+            pull_back_rotation_layer(table, layer.cliffords)
+        return factors * table.expectation_all_zeros()
+
+    def _flip_by_code(self) -> np.ndarray | None:
+        """Logical-flip attenuation per code ``x + 2z``, if modeled."""
+        flips = self.noise_model.logical_flip_probs
+        if flips is None:
+            return None
+        probs = np.array([1.0 - sum(flips), *flips])
+        f_i, f_x, f_y, f_z = pauli_channel_attenuation(probs)
+        return np.array([f_i, f_x, f_z, f_y])
+
+    def _attenuate_block(self, factors, block: StaticBlock, bits) -> None:
+        """In place, every noise factor of one static block, in walk order.
+
+        ``bits`` are the block's ``(L, M)`` location bits
+        (:meth:`~repro.stabilizer.tableau.StaticBlock.apply`).
+        """
+        slots = self._block_factors.get(block)
+        if slots is None:
+            slots = self._block_factors[block] = self._factor_slots(block)
+        locations, by_bits = slots
+        for values, row_bits in zip(by_bits, bits[locations]):
+            factors *= values.take(row_bits)
+
+    def _factor_slots(self, block: StaticBlock
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """A block's factors in walk order: ``(K,)`` location of each and
+        its ``(K, 16)`` value per location bits."""
+        if block.num_locations != len(block.instructions):
+            raise ValueError("the noisy walk needs a block compiled with "
+                             "its locations")
+        nm = self.noise_model
+        flip_by_code = self._flip_by_code()
+        relax = self.include_twirled_relaxation and nm.t1 is not None
+        bits = np.arange(16)
+        locations, by_bits = [], []
+        for j, inst in enumerate(block.instructions):
+            qubits = inst.qubits
+            codes = [(bits >> (2 * s)) & 3 for s in range(len(qubits))]
+            p = nm.gate_depol(inst)
             if p > 0:
                 factor = (1.0 - 4.0 * p / 3.0) if len(qubits) == 1 \
                     else (1.0 - 16.0 * p / 15.0)
-                factors[table.touches_any(qubits)] *= factor
+                locations.append(j)
+                by_bits.append(np.where(bits != 0, factor, 1.0))
             if flip_by_code is not None:
-                for q in qubits:
-                    factors *= flip_by_code[table.codes_on(q)]
+                for code in codes:
+                    locations.append(j)
+                    by_bits.append(flip_by_code[code])
             if relax:
-                duration = nm.gate_duration(item)
-                for q in qubits:
-                    by_code = self._relaxation_factors_by_code(q, duration)
-                    factors *= by_code[table.codes_on(q)]
-            apply_gate_to_table(table, _inverse_gate_tableau(item),
-                                item.qubits)
-        return factors * table.expectation_all_zeros()
+                duration = nm.gate_duration(inst)
+                for q, code in zip(qubits, codes):
+                    locations.append(j)
+                    by_bits.append(
+                        self._relaxation_factors_by_code(q, duration)[code])
+        return (np.array(locations, dtype=np.intp),
+                np.array(by_bits, dtype=float).reshape(-1, 16))
 
     def _attenuate_layer(self, factors, table, run: "RotationRun",
                          layer: "RotationLayer", flip_by_code, relax: bool
@@ -219,11 +319,17 @@ class CliffordNoiseModel:
             return
         nm = self.noise_model
         num_terms = table.num_rows // num_points
-        # (P, M) views: a point's keep decision broadcasts over its block;
-        # support[q] is qubit q's contiguous (P, M) plane
-        factors = factors.reshape(num_points, num_terms)
-        support = np.ascontiguousarray(table.supports_mask().T).reshape(
-            -1, num_points, num_terms)
+        # depolarizing reaches only the rows touching the rotation's
+        # qubit (a support read before the run holds for all of it):
+        # their flat indices and points, per qubit
+        support = bitops.unpack_columns(table.x | table.z, table.num_qubits)
+        touching = {q: np.flatnonzero(support[q]) for q in set(run.qubits)}
+        touching_points = {q: rows // num_terms
+                           for q, rows in touching.items()}
+        kept_by_rotation = np.ascontiguousarray(layer.kept.T)
+        # flips and relaxation reach every row: (P, M) views, a point's
+        # keep decision broadcasting over its block
+        by_point = factors.reshape(num_points, num_terms)
         codes = None
         if flip_by_code is not None or relax:
             codes = {q: table.codes_on(q).reshape(num_points, num_terms)
@@ -232,22 +338,32 @@ class CliffordNoiseModel:
         for j, (inst, q) in enumerate(zip(run.instructions, run.qubits)):
             if not layer.any_kept[j]:
                 continue
-            kept = layer.kept[:, j, None]
             p = nm.gate_depol(inst)
             if p > 0:
-                np.multiply(factors, 1.0 - 4.0 * p / 3.0, out=factors,
-                            where=kept & support[q])
+                factors[touching[q]] *= np.where(
+                    kept_by_rotation[j].take(touching_points[q]),
+                    1.0 - 4.0 * p / 3.0, 1.0)
             if codes is None:
                 continue
+            kept = layer.kept[:, j, None]
             if flip_by_code is not None:
-                np.multiply(factors, flip_by_code[codes[q]], out=factors,
-                            where=kept)
+                by_point *= np.where(kept, flip_by_code[codes[q]], 1.0)
             if relax:
                 by_code = self._relaxation_factors_by_code(
                     q, nm.gate_duration(inst))
-                np.multiply(factors, by_code[codes[q]], out=factors,
-                            where=kept)
+                by_point *= np.where(kept, by_code[codes[q]], 1.0)
             codes[q] = code_maps[layer.gates[:, j, None], codes[q]]
+
+
+def _ordered_product(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per column ``m``, the product of ``values[q]`` over the set
+    ``bits[q, m]``, ``q`` ascending: a ``(n, M)`` bit matrix in, ``(M,)``
+    out.  An unset bit contributes an exact 1.0 and the axis-0 product
+    multiplies one row at a time, so this is the same left fold, bit for
+    bit, as attenuating qubit by qubit."""
+    factors = bits * values[:, None]
+    factors += ~bits
+    return np.prod(factors, axis=0)
 
 
 _TWO_PI = 2.0 * math.pi
@@ -350,14 +466,16 @@ class CliffordCircuitPlan:
     are dropped at plan time,
     :func:`~repro.circuits.ansatz.bound_skeleton_steps`), and every
     maximal run of parameterized single-qubit rotations in it is one
-    :class:`RotationRun`.  Per point only the parameterized rotations are
-    re-dispatched: :meth:`bind` rebuilds one bound circuit,
-    :meth:`keep_mask` / :meth:`steps_for` group points for the batched
-    density-matrix evolver, and :meth:`reverse_schedule` turns a
+    :class:`RotationRun` (and, on the first Clifford walk, every maximal
+    run of static gates one
+    :class:`~repro.stabilizer.tableau.StaticBlock`).  Per point only the
+    parameterized rotations are re-dispatched: :meth:`bind` rebuilds one
+    bound circuit, :meth:`keep_mask` / :meth:`steps_for` group points for
+    the batched density-matrix evolver, and :meth:`reverse_schedule` turns a
     ``(P, d)`` batch into the one schedule the noisy Clifford walk runs
     (:meth:`CliffordNoiseModel.noisy_term_values_many`: nCAFQA's L_N and
-    :class:`~repro.execution.estimator.CliffordEstimator`), one layer
-    step per run.  The per-point instruction sequence is identical to
+    :class:`~repro.execution.estimator.CliffordEstimator`), one step
+    per run.  The per-point instruction sequence is identical to
     ``drop_identity_rotations(template.bind(theta))``.
     """
 
@@ -369,8 +487,8 @@ class CliffordCircuitPlan:
         self.tol = tol
         #: (instruction, parameter index | None); None = static instruction
         self.steps: list[tuple] = bound_skeleton_steps(template, tol)
-        #: the walk's items in circuit order: a static instruction or a
-        #: RotationRun
+        #: the walk's items in circuit order: a RotationRun, or a tuple of
+        #: static instructions (compiled on first walk, :meth:`_walk`)
         self._items: list = []
         for parameterized, run in itertools.groupby(
                 self.steps, key=lambda step: step[1] is not None):
@@ -378,7 +496,8 @@ class CliffordCircuitPlan:
                 self._items.append(RotationRun.compile(list(run),
                                                        self.num_qubits))
             else:
-                self._items.extend(inst for inst, _ in run)
+                self._items.append(tuple(inst for inst, _ in run))
+        self._walk_items: list | None = None
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -457,8 +576,10 @@ class CliffordCircuitPlan:
     def reverse_schedule(self, thetas: np.ndarray) -> list[tuple]:
         """The batch's gates as one schedule in reverse circuit order.
 
-        A static instruction comes out as ``(instruction, None)``; a
-        rotation run as ``(run, layer)``, ``layer`` being the run's
+        A run of static instructions comes out as ``(block, None)``,
+        ``block`` its compiled
+        :class:`~repro.stabilizer.tableau.StaticBlock`; a rotation run
+        as ``(run, layer)``, ``layer`` being the run's
         per-point :class:`RotationLayer` at ``thetas``: ``(P, R)`` keep
         flags and Clifford elements per rotation and the ``(P, n)``
         composed layer.  Levels are ``round(angle / (pi/2)) mod 4`` and a
@@ -471,7 +592,7 @@ class CliffordCircuitPlan:
         """
         thetas = self._check_thetas(thetas)
         schedule: list[tuple] = []
-        for item in reversed(self._items):
+        for item in self._walk():
             if not isinstance(item, RotationRun):
                 schedule.append((item, None))
                 continue
@@ -479,6 +600,20 @@ class CliffordCircuitPlan:
             if layer.any_kept.any():
                 schedule.append((item, layer))
         return schedule
+
+    def _walk(self) -> list:
+        """The walk's items in reverse circuit order: each RotationRun,
+        and each run of static instructions as one :func:`static_block`.
+
+        Compiled on first use, so a template with non-Clifford static
+        gates still binds and groups (only the Clifford walk needs it).
+        """
+        if self._walk_items is None:
+            self._walk_items = [
+                item if isinstance(item, RotationRun)
+                else static_block(reversed(item), self.num_qubits)
+                for item in reversed(self._items)]
+        return self._walk_items
 
     #: The same method under its earlier name; ``perfbench/layers.py``
     #: wraps both names as the plan layer.

@@ -14,13 +14,15 @@ Counter vocabulary:
 
 - ``words``         uint64 words run through a LUT/XOR update
 - ``rows``          Pauli-table rows touched by those updates
-- ``lut_hits`` / ``lut_misses``   conjugation + leveled LUT cache
+- ``lut_hits`` / ``lut_misses``   conjugation + leveled LUT and
+                    compiled static-block caches
 - ``fused_passes``  population-wide single passes over a stacked table:
-                    one per leveled-LUT slot and one per bit-sliced
+                    one per leveled-LUT slot, one per bit-sliced
                     single-qubit Clifford layer -- a noiseless RY/RZ
-                    layer or a run of rotations in the noisy walk (an
-                    nCAFQA batch on the hardware-efficient ansatz is
-                    2 + 2)
+                    layer or a run of rotations in the noisy walk -- and
+                    one per compiled static block (a run of static
+                    gates; an nCAFQA batch on the hardware-efficient
+                    ansatz is 3 + 3)
 
 Process-pool children bump their own (fresh) singleton; the engine
 ships ``KERNEL.snapshot()`` deltas back over the existing cache-stats

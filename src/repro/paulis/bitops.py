@@ -83,6 +83,28 @@ def unpack_bits(words: np.ndarray, num_qubits: int) -> np.ndarray:
     return bits[:, :num_qubits].astype(bool)
 
 
+def unpack_columns(words: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The ``(num_qubits, M)`` bool matrix ``unpack_bits(words).T``.
+
+    Unpacked from the transposed *bytes*, so the transpose moves 8x less
+    data than transposing the unpacked bits; each bit column comes out
+    contiguous.
+    """
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.ndim != 2:
+        raise ValueError("words must be an (M, W) matrix")
+    rows, wcount = words.shape
+    if wcount < num_words(num_qubits):
+        raise ValueError("word matrix too narrow for num_qubits")
+    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
+        words = words.byteswap()
+    as_bytes = np.ascontiguousarray(
+        words.view(np.uint8).reshape(rows, wcount * 8).T)
+    bits = np.unpackbits(as_bytes, axis=0, count=num_qubits,
+                         bitorder="little")
+    return bits.view(bool)
+
+
 if hasattr(np, "bitwise_count"):
     def popcount(words: np.ndarray) -> np.ndarray:
         """Per-element set-bit count (uint8-valued, shape preserved)."""

@@ -172,15 +172,6 @@ class PauliTable:
         return (bitops.get_bit_i64(self.x, qubit, rows)
                 + 2 * bitops.get_bit_i64(self.z, qubit, rows))
 
-    def touches_any(self, qubits: Sequence[int]) -> np.ndarray:
-        """Bool ``(M,)``: rows acting non-trivially on any listed qubit."""
-        acc = np.zeros(self.num_rows, dtype=np.uint64)
-        for q in qubits:
-            word, bit = divmod(q, bitops.WORD_BITS)
-            acc |= ((self.x[:, word] | self.z[:, word])
-                    >> np.uint64(bit)) & np.uint64(1)
-        return acc != 0
-
     def unpack_x(self) -> np.ndarray:
         """The ``(M, n)`` boolean X matrix (unpacked copy for cold paths)."""
         return bitops.unpack_bits(self.x, self._num_qubits)

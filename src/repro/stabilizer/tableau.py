@@ -7,9 +7,11 @@ those 2n images as rows of a word-packed
 strings -- or whole Hamiltonians at once -- by multiplying out the relevant
 rows with exact phase tracking (word-wise XORs and popcounts).  Gates
 applied to a whole table go through per-gate lookup tables instead
-(:func:`apply_gate_to_table`), one word-level pass per gate, and a whole
+(:func:`apply_gate_to_table`), one word-level pass per gate; a whole
 layer of single-qubit Cliffords -- any run of RX/RY/RZ rotations --
-goes through one bit-sliced pass (:func:`pull_back_rotation_layer`).
+goes through one bit-sliced pass (:func:`pull_back_rotation_layer`), and
+a fixed run of gates, compiled once into a :class:`StaticBlock`, through
+one table-driven pass.
 
 Tableaus for individual gates are *derived from their unitaries* at import
 time (:func:`tableau_from_unitary`), so the gate library's dense matrices are
@@ -20,6 +22,7 @@ with the simulators.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -396,6 +399,255 @@ def apply_gate_levels_to_table(table: PauliTable, entries,
     lut = _leveled_lut(entries, len(columns))
     KERNEL.fused_passes += 1
     _apply_lut_to_words(table, lut, columns, level_of_row)
+
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: compiled static blocks, keyed on their contents (bounded LRU; a block's
+#: tables are at most ~1 MB at 100 qubits)
+_BLOCK_CACHE: OrderedDict[tuple, "StaticBlock"] = OrderedDict()
+_BLOCK_CACHE_MAX = 32
+
+
+class StaticBlock:
+    """A run of static Clifford gates, compiled into one table pass.
+
+    Conjugation by a Clifford is GF(2)-linear on a row's ``(x, z)`` bits
+    (Aaronson-Gottesman, arXiv:quant-ph/0406196), and so are the bits the
+    row has on each gate's qubits just before that gate.  The phase is a
+    quadratic form.  Write the generator images as
+    ``(-i)**c_g Z**b_g X**a_g``, in the product order of
+    :meth:`CliffordTableau.conjugate_table` (every ``Z_k``, then every
+    ``X_k``).  A row ``(-i)**q Z**z X**x`` with bits ``v = (z, x)`` then
+    maps to the phase
+
+        q + sum_g v_g c_g + 2 sum_{g<k} v_g v_k (a_g . b_k)    (mod 4).
+
+    With ``c = l + 2h`` and ``popcount(v & l) = parity + 2 C(s, 2)``
+    (mod 4), that is ``q + parity(v & l) + 2 parity(v & Qv)`` for one
+    upper-triangular GF(2) matrix ``Q`` with ``h`` on its diagonal.  So
+    the image bits, ``Qv``, the ``l`` parity and every location's bits
+    are GF(2) linear forms in ``v``.  :meth:`compile` tabulates them per
+    input byte (the Four-Russians method), and a pass (:meth:`apply`) is
+    ``acc ^= table[c][byte_c]`` over the block's input bytes: a few
+    uint64 gathers, with no unpacking.  The image bits and ``Qv`` are
+    laid out in the table's own words, so they are written back (and
+    ANDed with the input for the phase) as they come out.
+
+    A block reads only the bytes holding its support qubits and rewrites
+    only those bits: the other qubits map to themselves and add nothing
+    to the phase, as in the LUT kernel.
+
+    Attributes:
+        instructions: Each gate location's instruction, in application
+            order.  Only its ``qubits`` are read here; callers key their
+            per-location data (noise channels) on it.
+        num_qubits: The register width the block was compiled for.
+        num_locations: The locations whose bits :meth:`apply` returns
+            (0 when compiled without them).
+    """
+
+    def __init__(self, instructions: tuple, num_qubits: int,
+                 num_locations: int, byte_columns: np.ndarray,
+                 words: np.ndarray, keep: np.ndarray | None,
+                 tables: np.ndarray):
+        self.instructions = instructions
+        self.num_qubits = num_qubits
+        self.num_locations = num_locations
+        #: (C,) uint8-view columns the pass reads: x bytes, then z bytes
+        self._byte_columns = byte_columns
+        #: (T,) table words the block rewrites, and the bits of each it
+        #: keeps (``None``: it rewrites every word whole)
+        self._words = words
+        self._keep = keep
+        #: (C, 256, 4T + E) output words per input byte value: x', z',
+        #: Qv on x, Qv on z, then the location nibbles and the l parity
+        self._tables = tables
+
+    @classmethod
+    def compile(cls, steps, num_qubits: int, locations: bool = True
+                ) -> "StaticBlock":
+        """Compile ``(instruction, gate tableau)`` steps into one block.
+
+        ``steps`` are in application order; each gate conjugates the
+        table as :func:`apply_gate_to_table` would.  The basis Paulis of
+        the block's bytes are walked through the gates by that LUT
+        kernel, and with ``locations`` each location's bits are recorded
+        on the way, so :meth:`apply` can return them.  Blocks are cached
+        on their contents (the bounded-LRU policy of the LUT caches), so
+        a loss rebuilt for every search compiles its blocks once per
+        process.
+        """
+        steps = list(steps)
+        key = (num_qubits, locations,
+               tuple((inst, _gate_lut_key(gate)) for inst, gate in steps))
+        block = _BLOCK_CACHE.get(key)
+        if block is not None:
+            KERNEL.lut_hits += 1
+            _BLOCK_CACHE.move_to_end(key)
+            return block
+        KERNEL.lut_misses += 1
+        block = cls._compile(steps, num_qubits, locations)
+        _BLOCK_CACHE[key] = block
+        while len(_BLOCK_CACHE) > _BLOCK_CACHE_MAX:
+            _BLOCK_CACHE.popitem(last=False)
+        return block
+
+    @classmethod
+    def _compile(cls, steps: list, num_qubits: int, locations: bool
+                 ) -> "StaticBlock":
+        instructions = tuple(inst for inst, _ in steps)
+        n = num_qubits
+        support = {q for inst in instructions for q in inst.qubits}
+        if any(q < 0 or q >= n for q in support):
+            raise ValueError("a gate qubit is outside the register")
+        byte_ids = sorted({q // 8 for q in support})
+        words = sorted({byte // 8 for byte in byte_ids})
+        qubits = np.array([q for byte in byte_ids
+                           for q in range(8 * byte, min(8 * byte + 8, n))],
+                          dtype=np.int64)
+        nq = len(qubits)
+        # the basis: Z_q for every qubit of the block's bytes, then X_q
+        unit = np.zeros((nq, n), dtype=bool)
+        unit[np.arange(nq), qubits] = True
+        none = np.zeros_like(unit)
+        basis = PauliTable.from_bits(np.vstack([none, unit]),
+                                     np.vstack([unit, none]))
+        num_locations = len(steps) if locations else 0
+        # the basis words before each location, read out in one go below
+        snapshots = np.zeros((num_locations, 2, 2 * nq, basis.num_words),
+                             dtype=np.uint64)
+        for j, (inst, gate) in enumerate(steps):
+            if locations:
+                snapshots[j, 0] = basis.x
+                snapshots[j, 1] = basis.z
+            apply_gate_to_table(basis, gate, inst.qubits)
+        # location bit 4j + 2s + p: plane p of the j-th gate's s-th qubit
+        # (a 1q gate's second qubit reads qubit 0 and is masked off)
+        loc_qubits = np.zeros((num_locations, 2), dtype=np.int64)
+        arity = np.zeros((num_locations, 2), dtype=bool)
+        for j, inst in enumerate(instructions[:num_locations]):
+            loc_qubits[j, :len(inst.qubits)] = inst.qubits
+            arity[j, :len(inst.qubits)] = True
+        loc_words = snapshots[np.arange(num_locations)[:, None, None],
+                              np.arange(2), :,
+                              (loc_qubits // 64)[:, :, None]]
+        shifts = (loc_qubits % 64).astype(np.uint64)[:, :, None, None]
+        loc_bits = ((loc_words >> shifts) & np.uint64(1)).astype(bool)
+        loc_bits &= arity[:, :, None, None]
+        loc_bits = loc_bits.transpose(3, 0, 1, 2).reshape(
+            2 * nq, 4 * num_locations)
+        image_x = basis.unpack_x()
+        image_z = basis.unpack_z()
+        low = (basis.phase_exp & 1).astype(bool)
+        # beta[g, k] = a_g . b_k (mod 2); float32 products are exact here
+        beta = (image_x.astype(np.float32)
+                @ image_z.T.astype(np.float32)) % 2 == 1
+        quad = np.triu(beta ^ np.outer(low, low), k=1)
+        quad[np.diag_indices(2 * nq)] = basis.phase_exp >= 2
+        # input generator g's column of Qv: bit k holds Q[k, g]
+        qv_x = np.zeros((2 * nq, n), dtype=bool)
+        qv_z = np.zeros((2 * nq, n), dtype=bool)
+        qv_x[:, qubits] = quad[nq:].T
+        qv_z[:, qubits] = quad[:nq].T
+        columns = np.concatenate(
+            [bitops.pack_bits(plane, n)[:, words]
+             for plane in (image_x, image_z, qv_x, qv_z)]
+            + [bitops.pack_bits(np.concatenate([loc_bits, low[:, None]],
+                                               axis=1))], axis=1)
+        # each input bit's generator row: X_q for the x bytes, Z_q for
+        # the z bytes, and the zero row 2nq for bits past the register
+        z_row = np.full(8 * (byte_ids[-1] + 1) if byte_ids else 0, 2 * nq,
+                        dtype=np.int64)
+        z_row[qubits] = np.arange(nq)
+        x_row = np.where(z_row < 2 * nq, z_row + nq, 2 * nq)
+        in_bytes = (8 * np.array(byte_ids, dtype=np.int64)[:, None]
+                    + np.arange(8))
+        rows = np.concatenate([x_row[in_bytes], z_row[in_bytes]])
+        by_bit = np.concatenate(
+            [columns, np.zeros((1, columns.shape[1]), dtype=np.uint64)]
+        )[rows]
+        # Four-Russians: entry u is the XOR of the columns of u's bits
+        tables = np.zeros((len(by_bit), 256, columns.shape[1]),
+                          dtype=np.uint64)
+        for i in range(8):
+            tables[:, 1 << i:2 << i] = (tables[:, :1 << i]
+                                        ^ by_bit[:, i, None, :])
+        byte_columns = np.tile(np.array(byte_ids, dtype=np.int64), 2)
+        covered = np.zeros(64 * bitops.num_words(n), dtype=bool)
+        covered[n:] = True  # the zero tail counts as covered
+        for byte in byte_ids:
+            covered[8 * byte:8 * byte + 8] = True
+        keep = ~bitops.pack_bits(covered[None, :])[0][words]
+        if len(words) == bitops.num_words(n) and not keep.any():
+            keep = None
+        return cls(instructions, n, num_locations, byte_columns,
+                   np.array(words, dtype=np.int64), keep, tables)
+
+    def apply(self, table: PauliTable) -> np.ndarray:
+        """In place, conjugate every row of ``table`` through the block.
+
+        One pass over the block's input bytes.  Returns the ``(L, M)``
+        uint8 location bits, ``L`` being :attr:`num_locations`: row ``j``
+        holds, for location ``j`` on qubits ``(q0[, q1])``, each table
+        row's bits on them just before that gate, as ``x_q0 | z_q0 << 1 |
+        x_q1 << 2 | z_q1 << 3`` (so a nonzero entry means the table row
+        touches the gate, and ``bits & 3`` / ``bits >> 2`` are the
+        per-qubit codes ``x + 2z``).
+        """
+        if table.num_qubits != self.num_qubits:
+            raise ValueError("qubit-count mismatch")
+        num_rows = table.num_rows
+        if not len(self._byte_columns):
+            return np.zeros((0, num_rows), dtype=np.uint8)
+        words = self._words
+        num_words = len(words)
+        KERNEL.rows += num_rows
+        KERNEL.words += num_rows * num_words
+        KERNEL.fused_passes += 1
+        x, z = table.x, table.z
+        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
+            x, z = x.byteswap(), z.byteswap()
+        columns = self._byte_columns
+        half = len(columns) // 2
+        in_bytes = np.empty((len(columns), num_rows), dtype=np.intp)
+        in_bytes[:half] = x.view(np.uint8)[:, columns[:half]].T
+        in_bytes[half:] = z.view(np.uint8)[:, columns[half:]].T
+        acc = self._tables[0].take(in_bytes[0], axis=0)
+        for table_c, bytes_c in zip(self._tables[1:], in_bytes[1:]):
+            acc ^= table_c.take(bytes_c, axis=0)
+        old_x = table.x[:, words]
+        old_z = table.z[:, words]
+        odd = ((old_x & acc[:, 2 * num_words:3 * num_words])
+               ^ (old_z & acc[:, 3 * num_words:4 * num_words]))
+        if num_words > 1:
+            odd = np.bitwise_xor.reduce(odd, axis=1)
+        else:
+            odd = odd[:, 0]
+        bit = 4 * self.num_locations
+        low = (acc[:, 4 * num_words + bit // 64]
+               >> np.uint64(bit % 64)) & np.uint64(1)
+        phase = table.phase_exp
+        phase += low.astype(np.int64)
+        phase += (bitops.popcount(odd) & np.uint8(1)).astype(np.int64) << 1
+        np.bitwise_and(phase, 3, out=phase)
+        if self._keep is None:
+            table.x[...] = acc[:, :num_words]
+            table.z[...] = acc[:, num_words:2 * num_words]
+        else:
+            table.x[:, words] = (old_x & self._keep) | acc[:, :num_words]
+            table.z[:, words] = ((old_z & self._keep)
+                                 | acc[:, num_words:2 * num_words])
+        if not self.num_locations:
+            return np.zeros((0, num_rows), dtype=np.uint8)
+        extra = np.ascontiguousarray(acc[:, 4 * num_words:])
+        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
+            extra = extra.byteswap()
+        packed = np.ascontiguousarray(extra.view(np.uint8).T)
+        nibbles = np.empty((2 * len(packed), num_rows), dtype=np.uint8)
+        np.bitwise_and(packed, 15, out=nibbles[0::2])
+        np.right_shift(packed, 4, out=nibbles[1::2])
+        return nibbles[:self.num_locations]
 
 
 class SingleQubitCliffords(NamedTuple):

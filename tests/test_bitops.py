@@ -27,6 +27,7 @@ from repro.stabilizer.tableau import (
     _conjugation_lut,
     _gate_lut_key,
     apply_gate_levels_to_table,
+    StaticBlock,
     apply_gate_to_table,
     pull_back_rotation_layer,
     rotation_layer_cliffords,
@@ -82,6 +83,17 @@ class TestBitops:
         bits = rng.random((20, n)) < 0.9
         words = bitops.pack_bits(bits, n)
         assert np.all(words[:, -1] & ~bitops.tail_mask(n) == 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_unpack_columns_is_the_transpose(self, n):
+        rng = np.random.default_rng(n + 5)
+        bits = rng.random((37, n)) < 0.5
+        columns = bitops.unpack_columns(bitops.pack_bits(bits, n), n)
+        assert columns.dtype == bool and columns.flags.c_contiguous
+        np.testing.assert_array_equal(columns, bits.T)
+        empty = bitops.unpack_columns(np.zeros((0, bitops.num_words(n)),
+                                               dtype=np.uint64), n)
+        assert empty.shape == (n, 0)
 
     def test_pack_unpack_zero_rows(self):
         words = bitops.pack_bits(np.zeros((0, 65), dtype=bool), 65)
@@ -185,10 +197,6 @@ class TestPackedPauliTable:
             np.testing.assert_array_equal(
                 packed.codes_on(q, idx),
                 table.x[idx, q] + 2 * table.z[idx, q].astype(np.int64))
-        qubits = sorted({0, n // 2, n - 1})
-        np.testing.assert_array_equal(
-            packed.touches_any(qubits),
-            (table.x[:, qubits] | table.z[:, qubits]).any(axis=1))
 
     def test_signs_rejects_imaginary_phase(self):
         packed = PauliTable.from_labels(["X"])
@@ -659,6 +667,220 @@ class TestRotationLayer:
                                 serial_pull_back(ham, circuit))
 
 
+def random_block_steps(n, num_gates, rng, qubits=None):
+    """Random ``(instruction, tableau)`` steps over every registered
+    Clifford gate variant (``qubits``: the gates' allowed qubits)."""
+    from repro.circuits.circuit import Instruction
+    from repro.circuits.gates import get_gate
+
+    qubits = np.arange(n) if qubits is None else np.asarray(qubits)
+    variants = [(name, params)
+                for name, params in oracle.clifford_gate_variants()
+                if get_gate(name).num_qubits <= len(qubits)]
+    steps = []
+    for _ in range(num_gates):
+        name, params = variants[rng.integers(len(variants))]
+        targets = rng.choice(qubits, size=get_gate(name).num_qubits,
+                             replace=False)
+        inst = Instruction(name, tuple(int(q) for q in targets),
+                           tuple(params))
+        steps.append((inst, gate_tableau(name, tuple(params))))
+    return steps
+
+
+def assert_block_matches_oracle(block, steps, table, packed):
+    """One block pass equals the oracle's gate-by-gate walk, and each
+    location's bits are the oracle row's bits just before that gate."""
+    bits = block.apply(packed)
+    assert bits.shape == (len(steps), table.num_rows)
+    assert bits.dtype == np.uint8
+    for j, (inst, _) in enumerate(steps):
+        expected = np.zeros(table.num_rows, dtype=np.uint8)
+        for slot, q in enumerate(inst.qubits):
+            expected |= ((table.x[:, q].astype(np.uint8) << 2 * slot)
+                         | (table.z[:, q].astype(np.uint8) << 2 * slot + 1))
+        np.testing.assert_array_equal(bits[j], expected)
+        qubits = list(inst.qubits)
+        np.testing.assert_array_equal(
+            bits[j] != 0,
+            (table.x[:, qubits] | table.z[:, qubits]).any(axis=1))
+        oracle.apply_gate(table, inst.name, inst.params, inst.qubits)
+    assert_tables_equal(packed, table)
+
+
+class TestStaticBlock:
+    """A compiled run of static gates against the boolean oracle."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100])
+    def test_matches_oracle(self, n):
+        table, packed, rng = random_tables(n, 37, 700 + n)
+        # every phase exponent, imaginary ones included
+        assert set(table.phase_exp) == {0, 1, 2, 3}
+        steps = random_block_steps(n, 40, rng)
+        block = StaticBlock.compile(steps, n)
+        assert block.num_locations == len(steps)
+        assert_block_matches_oracle(block, steps, table, packed)
+
+    @pytest.mark.parametrize("qubits", [[60, 61, 62, 63, 64, 65, 66],
+                                        [3, 5], [129]])
+    def test_support_restricted_block(self, qubits):
+        """A block on a few qubits of a wide register rewrites only the
+        bytes holding them and leaves every other bit alone."""
+        from repro.obs.kernel import KERNEL
+
+        n = 130
+        table, packed, rng = random_tables(n, 29, qubits[0])
+        steps = random_block_steps(n, 12, rng, qubits)
+        block = StaticBlock.compile(steps, n)
+        before = KERNEL.snapshot()
+        assert_block_matches_oracle(block, steps, table, packed)
+        touched_words = len({q // 64 for q in qubits})
+        delta = KERNEL.delta(before)
+        assert (delta["fused_passes"], delta["rows"], delta["words"]) \
+            == (1, 29, 29 * touched_words)
+
+    def test_zero_gate_block_and_empty_table(self):
+        from repro.obs.kernel import KERNEL
+
+        table, packed, rng = random_tables(9, 11, 5)
+        empty = StaticBlock.compile([], 9)
+        before = KERNEL.snapshot()
+        assert empty.apply(packed).shape == (0, 11)
+        assert KERNEL.delta(before)["fused_passes"] == 0
+        assert_tables_equal(packed, table)
+        steps = random_block_steps(9, 6, rng)
+        bits = StaticBlock.compile(steps, 9).apply(packed.take(slice(0, 0)))
+        assert bits.shape == (6, 0)
+
+    def test_without_locations(self):
+        table, packed, rng = random_tables(65, 13, 6)
+        steps = random_block_steps(65, 10, rng)
+        block = StaticBlock.compile(steps, 65, locations=False)
+        assert block.num_locations == 0
+        assert block.apply(packed).shape == (0, 13)
+        for inst, _ in steps:
+            oracle.apply_gate(table, inst.name, inst.params, inst.qubits)
+        assert_tables_equal(packed, table)
+
+    def test_rejects_bad_registers(self):
+        from repro.circuits.circuit import Instruction
+
+        with pytest.raises(ValueError):
+            StaticBlock.compile([(Instruction("h", (4,)), gate_tableau("h"))],
+                                4)
+        block = StaticBlock.compile(
+            [(Instruction("h", (1,)), gate_tableau("h"))], 4)
+        with pytest.raises(ValueError):
+            block.apply(PauliTable.identity(2, 5))
+
+    def test_compiled_once_per_content(self):
+        rng = np.random.default_rng(8)
+        steps = random_block_steps(12, 9, rng)
+        block = StaticBlock.compile(steps, 12)
+        assert StaticBlock.compile(list(steps), 12) is block
+        assert StaticBlock.compile(steps, 12, locations=False) is not block
+        assert StaticBlock.compile(steps[1:], 12) is not block
+
+    def test_compile_cost(self):
+        """Vectorized table building: a 100-qubit, 100-gate block
+        compiles in a few milliseconds (generous bound)."""
+        import time
+
+        from repro.circuits.circuit import Instruction
+
+        rng = np.random.default_rng(9)
+        steps = []
+        for _ in range(100):
+            a, b = rng.choice(100, size=2, replace=False)
+            steps.append((Instruction("cx", (int(a), int(b))),
+                          gate_tableau("cx")))
+        StaticBlock._compile(steps, 100, True)  # warm the gate LUT
+        start = time.perf_counter()
+        block = StaticBlock._compile(steps, 100, True)
+        assert time.perf_counter() - start < 0.25
+        assert block._tables.nbytes < 1 << 20
+
+    @pytest.mark.parametrize("loss_name", ["clapton", "cafqa", "ncafqa"])
+    def test_losses_with_flips_and_relaxation_transpiled(self, loss_name):
+        """Every loss on a transpiled problem, logical flips and twirled
+        relaxation on, against the oracle's serial walk."""
+        import dataclasses
+
+        from repro.backends import FakeNairobi
+        from repro.core import CafqaLoss, ClaptonLoss, NcafqaLoss, VQEProblem
+        from repro.hamiltonians import ising_model
+        from repro.noise import CliffordNoiseModel
+
+        problem = VQEProblem.from_backend(ising_model(5, 0.7), FakeNairobi())
+        problem = dataclasses.replace(
+            problem, noise_model=problem.noise_model.with_overrides(
+                logical_flip_probs=(2e-3, 1e-3, 3e-3)))
+        model = CliffordNoiseModel(problem.noise_model,
+                                   include_twirled_relaxation=True)
+        cls = {"clapton": ClaptonLoss, "cafqa": CafqaLoss,
+               "ncafqa": NcafqaLoss}[loss_name]
+        dim = (problem.num_transformation_parameters
+               if loss_name == "clapton" else problem.num_vqe_parameters)
+        loss = cls(problem, clifford_model=model)
+        genomes = np.random.default_rng(12).integers(0, 4, size=(13, dim))
+        np.testing.assert_array_equal(
+            loss.evaluate_many(genomes),
+            [oracle.loss_value(loss, g) for g in genomes])
+
+    def test_losses_pickle_after_a_walk(self):
+        """Process pools pickle losses: the walk's caches must not stop
+        that, and the copy computes the same values."""
+        import pickle
+
+        from repro.core import ClaptonLoss, NcafqaLoss, VQEProblem
+        from repro.hamiltonians import ising_model
+        from repro.noise import NoiseModel
+
+        problem = VQEProblem.logical(ising_model(4, 1.0),
+                                     NoiseModel.uniform(4))
+        rng = np.random.default_rng(14)
+        for loss, dim in ((ClaptonLoss(problem),
+                           problem.num_transformation_parameters),
+                          (NcafqaLoss(problem), problem.num_vqe_parameters)):
+            genomes = rng.integers(0, 4, size=(5, dim))
+            values = loss.evaluate_many(genomes)
+            copy = pickle.loads(pickle.dumps(loss))
+            np.testing.assert_array_equal(copy.evaluate_many(genomes), values)
+
+    def test_zne_folded_estimator(self):
+        """A scale-3 global fold: static blocks between rotation runs at
+        negative angles, against the oracle's serial walk."""
+        import dataclasses
+
+        from repro.backends import FakeNairobi
+        from repro.core import VQEProblem
+        from repro.execution import make_estimator
+        from repro.hamiltonians import ising_model
+        from repro.mitigation.folding import fold_template_global
+        from repro.noise import CliffordNoiseModel
+
+        problem = VQEProblem.from_backend(ising_model(4, 1.0), FakeNairobi())
+        problem = dataclasses.replace(
+            problem, noise_model=problem.noise_model.with_overrides(
+                logical_flip_probs=(1e-3, 2e-3, 1e-3)),
+            eval_ansatz=fold_template_global(problem.eval_ansatz, 3))
+        hamiltonian = problem.mapped_hamiltonian()
+        model = CliffordNoiseModel(problem.noise_model,
+                                   include_twirled_relaxation=True)
+        estimator = make_estimator(problem, hamiltonian, mode="clifford",
+                                   clifford_model=model)
+        thetas = np.random.default_rng(13).integers(
+            -4, 8, size=(7, problem.num_vqe_parameters)) * (np.pi / 2)
+        batch = estimator.estimate_many(thetas)
+        table = oracle.BoolTable.of(hamiltonian.table)
+        np.testing.assert_array_equal(
+            batch.term_expectations,
+            np.stack([oracle.noisy_term_values(
+                model, estimator._plan.bind(theta), table)
+                for theta in thetas]))
+
+
+
 class TestKernelAccounting:
     """Exact packed-kernel counter advances of the population passes."""
 
@@ -702,12 +924,13 @@ class TestKernelAccounting:
         genomes = np.random.default_rng(4).integers(0, 4, size=(9, 48))
         before = KERNEL.snapshot()
         loss.evaluate_many(genomes)
-        assert KERNEL.delta(before)["fused_passes"] == 2
+        # two rotation layers and the CX ring's block
+        assert KERNEL.delta(before)["fused_passes"] == 3
 
     @pytest.mark.parametrize("device", [False, True])
     def test_ncafqa_evaluate_many(self, device):
-        """L_0's two layers plus one pass per rotation layer of the
-        walk; the walk's static gates are plain LUT passes."""
+        """L_0's two layers and ring block, plus one pass per rotation
+        layer and one per static block of the walk."""
         from repro.backends import FakeNairobi
         from repro.core import NcafqaLoss, VQEProblem
         from repro.hamiltonians import ising_model
@@ -720,7 +943,7 @@ class TestKernelAccounting:
         genomes = np.random.default_rng(5).integers(0, 4, size=(9, 24))
         before = KERNEL.snapshot()
         loss.evaluate_many(genomes)
-        assert KERNEL.delta(before)["fused_passes"] == 2 + 2
+        assert KERNEL.delta(before)["fused_passes"] == 3 + 2 + 1
 
 
 class TestLutCache:
