@@ -83,40 +83,39 @@ class MemoizedLoss:
         moving any number.
         """
         genomes = np.asarray(genomes)
-        out = np.empty(len(genomes))
-        miss_keys: list[bytes] = []           # first-occurrence order
-        miss_rows: dict[bytes, list[int]] = {}
-        for i, genome in enumerate(genomes):
-            key = genome_key(genome)
-            hit = self.cache.get(key)
-            if hit is not None:
-                out[i] = hit
-                self.hits += 1
-                _CACHE_HITS.inc()
-            elif key in miss_rows:
-                miss_rows[key].append(i)
-                self.hits += 1
-                self.dedups += 1
-                _CACHE_DEDUP.inc()
-            else:
-                miss_rows[key] = [i]
-                miss_keys.append(key)
-        if miss_keys:
-            reps = np.stack([genomes[miss_rows[k][0]] for k in miss_keys])
+        if len(genomes) == 0:
+            return np.empty(0)
+        keyed = np.ascontiguousarray(genomes, dtype=np.int64)
+        width = keyed[0].nbytes
+        flat = keyed.tobytes()
+        keys = [flat[i * width:(i + 1) * width] for i in range(len(keyed))]
+        looked = [self.cache.get(key) for key in keys]
+        out = np.array(looked, dtype=float)  # misses read NaN for now
+        miss_at = [i for i, value in enumerate(looked) if value is None]
+        first: dict[bytes, int] = {}          # first-occurrence order
+        for i in miss_at:
+            first.setdefault(keys[i], i)
+        num_hits = len(keys) - len(miss_at)
+        num_dedups = len(miss_at) - len(first)
+        self.hits += num_hits + num_dedups
+        self.dedups += num_dedups
+        _CACHE_HITS.inc(num_hits)
+        _CACHE_DEDUP.inc(num_dedups)
+        if first:
+            reps = genomes[list(first.values())]
             batch_fn = getattr(self.loss_fn, "evaluate_many", None)
             if batch_fn is not None:
                 values = np.asarray(batch_fn(reps), dtype=float)
-                if values.shape != (len(miss_keys),):
+                if values.shape != (len(first),):
                     raise ValueError(
                         f"loss evaluate_many returned shape {values.shape} "
-                        f"for {len(miss_keys)} genomes")
+                        f"for {len(first)} genomes")
             else:
                 values = np.array([float(self.loss_fn(g)) for g in reps])
-            for key, value in zip(miss_keys, values):
-                self.cache[key] = float(value)
-                self.misses += 1
-                out[miss_rows[key]] = value
-            _CACHE_MISSES.inc(len(miss_keys))
+            self.cache.update(zip(first, values.tolist()))
+            self.misses += len(first)
+            _CACHE_MISSES.inc(len(first))
+            out[miss_at] = [self.cache[keys[i]] for i in miss_at]
         return out
 
     def stats(self) -> dict[str, int]:

@@ -13,14 +13,16 @@ so method comparisons isolate the *cost function*, not the optimizer.
 Round-level parallelism (the axis the paper parallelizes, Sec. 6.3) is a
 one-argument switch: pass any :mod:`repro.execution` executor as
 ``executor=``.  Under :class:`~repro.execution.SerialExecutor` (the
-default) the engine keeps its legacy schedule -- one rng threaded through
-every GA instance and the mixing step -- so serial results are bit-
-identical across versions.  Thread/process executors give every instance
-its own deterministic seed stream instead, so parallel runs reproduce
-other parallel runs with the same seed (but not the serial schedule), and
-the shared loss cache travels with the jobs: each worker starts from the
-current table snapshot and the parent merges the discoveries back, so
-repeated genomes never re-pay a full evaluation in any mode.
+default) the engine keeps its serial schedule -- one rng threaded through
+every GA instance and the mixing step -- so a serial run is reproducible
+within one version (the GA's whole-generation breeding draws changed
+that trajectory once; see :mod:`repro.optim.genetic`).  Thread/process
+executors give every instance its own deterministic seed stream instead,
+so parallel runs reproduce other parallel runs with the same seed (but
+not the serial schedule), and the shared loss cache travels with the
+jobs: each worker starts from the current table snapshot and the parent
+merges the discoveries back, so repeated genomes never re-pay a full
+evaluation in any mode.
 
 ``EngineConfig.parallel_axis = "population"`` selects a second parallel
 unit: GA instances stay on the serial schedule and each generation's

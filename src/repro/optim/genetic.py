@@ -4,14 +4,23 @@ Clapton and the CAFQA baselines search discrete spaces ``{0,1,2,3}^d``
 (Sec. 4.1): genomes are integer vectors, fitness is the negated loss.  The
 operator set matches what the paper's PyGAD configuration provides:
 tournament selection, uniform crossover, per-gene random-reset mutation, and
-elitism.  Loss evaluations are memoised through the shared
+elitism.
+
+Each generation is bred as arrays, not child by child: one draw of
+``(2 (P - elite), tournament_size)`` tournament contenders (winner = first
+minimum), one crossover coin per child, one ``(P - elite, d)`` uniform
+crossover mask, one ``(P - elite, d)`` mutation mask and one draw of the
+reset genes -- five RNG calls per generation whatever ``P`` is.  A fixed
+seed reproduces a run exactly within one version of this module; the order
+of the draws (and so the trajectory) is not kept across versions.
+
+Loss evaluations are memoised through the shared
 :class:`~repro.execution.cache.MemoizedLoss` wrapper (converging populations
 re-propose identical genomes constantly), and each generation is evaluated
 as **one batch**: the wrapper dedupes the population within the batch and
 against the cache, then dispatches only the distinct misses -- through the
 loss's population-batched ``evaluate_many`` when it provides one (all the
-Clifford losses do), else one call per miss.  Values and evaluation counts
-are bit-identical to the historical per-genome loop either way.
+Clifford losses do), else one call per miss.
 """
 
 from __future__ import annotations
@@ -122,35 +131,26 @@ class GeneticAlgorithm:
         return self.rng.integers(0, self.num_values,
                                  size=(size, self.genome_length))
 
-    def evaluate(self, genome: np.ndarray) -> float:
-        return self._memo(genome)
-
-    def _evaluate_population(self, population: np.ndarray) -> np.ndarray:
-        return self._memo.evaluate_many(population)
-
     # ------------------------------------------------------------------
-    # Operators
+    # Breeding
     # ------------------------------------------------------------------
-    def _tournament_pick(self, losses: np.ndarray) -> int:
-        contenders = self.rng.integers(0, len(losses),
-                                       size=self.config.tournament_size)
-        return int(contenders[np.argmin(losses[contenders])])
-
-    def _crossover(self, parent_a: np.ndarray, parent_b: np.ndarray
-                   ) -> np.ndarray:
-        if self.rng.random() >= self.config.crossover_rate:
-            return parent_a.copy()
-        mask = self.rng.random(self.genome_length) < 0.5
-        child = np.where(mask, parent_a, parent_b)
-        return child
-
-    def _mutate(self, genome: np.ndarray) -> np.ndarray:
-        mask = self.rng.random(self.genome_length) < self._mutation_rate
-        if mask.any():
-            genome = genome.copy()
-            genome[mask] = self.rng.integers(0, self.num_values,
-                                             size=int(mask.sum()))
-        return genome
+    def _breed(self, population: np.ndarray, losses: np.ndarray,
+               num_children: int) -> np.ndarray:
+        """``num_children`` children: winner ``pa``, crossed with winner
+        ``pb`` at ``crossover_rate`` (else a copy of ``pa``), mutated."""
+        rng, cfg, d = self.rng, self.config, self.genome_length
+        contenders = rng.integers(0, len(losses), size=(
+            2 * num_children, cfg.tournament_size))
+        winners = contenders[np.arange(2 * num_children),
+                             np.argmin(losses[contenders], axis=1)]
+        parents = population[winners.reshape(num_children, 2)]
+        crossed = rng.random(num_children) < cfg.crossover_rate
+        take_b = crossed[:, None] & (rng.random((num_children, d)) >= 0.5)
+        children = np.where(take_b, parents[:, 1], parents[:, 0])
+        mutate = rng.random((num_children, d)) < self._mutation_rate
+        children[mutate] = rng.integers(0, self.num_values,
+                                        size=np.count_nonzero(mutate))
+        return children
 
     # ------------------------------------------------------------------
     # Main loop
@@ -167,22 +167,18 @@ class GeneticAlgorithm:
                 filler = self.random_population(
                     cfg.population_size - len(population))
                 population = np.vstack([population, filler])
-        losses = self._evaluate_population(population)
+        losses = self._memo.evaluate_many(population)
         history = [float(losses.min())]
+        elite = min(cfg.elite_count, cfg.population_size)
 
         for _ in range(cfg.num_generations):
             order = np.argsort(losses)
             population = population[order]
             losses = losses[order]
-            next_population = [population[i].copy()
-                               for i in range(cfg.elite_count)]
-            while len(next_population) < cfg.population_size:
-                pa = population[self._tournament_pick(losses)]
-                pb = population[self._tournament_pick(losses)]
-                child = self._mutate(self._crossover(pa, pb))
-                next_population.append(child)
-            population = np.array(next_population)
-            losses = self._evaluate_population(population)
+            children = self._breed(population, losses,
+                                   cfg.population_size - elite)
+            population = np.concatenate([population[:elite], children])
+            losses = self._memo.evaluate_many(population)
             history.append(min(history[-1], float(losses.min())))
 
         order = np.argsort(losses)

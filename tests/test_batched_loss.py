@@ -314,6 +314,61 @@ class TestMemoizedBatch:
         assert (batched.hits, batched.misses) != (0, 0)
         assert batched.misses == serial.misses
 
+    @pytest.mark.parametrize("batched_loss", [False, True])
+    def test_batches_account_like_per_genome_calls(self, batched_loss):
+        """Batches with cache hits and within-batch duplicates give the
+        values, ``stats()``, Prometheus totals and miss order of calling
+        the wrapper genome by genome (a duplicate is a hit there)."""
+        from repro.execution.cache import (
+            _CACHE_DEDUP,
+            _CACHE_HITS,
+            _CACHE_MISSES,
+        )
+
+        class Loss:
+            def __init__(self):
+                self.seen = []
+
+            def __call__(self, genome):
+                self.seen.append(tuple(genome))
+                return float(genome @ np.arange(1, len(genome) + 1))
+
+            def evaluate_many(self, genomes):
+                return np.array([self(g) for g in genomes])
+
+        if not batched_loss:
+            Loss.evaluate_many = None
+        rng = np.random.default_rng(11)
+        batches = [rng.integers(0, 3, size=(size, 3)) for size in
+                   (1, 12, 30, 30, 5, 40)]
+        batch_loss, serial_loss = Loss(), Loss()
+        batched, serial = memoize_loss(batch_loss), memoize_loss(serial_loss)
+        totals = (_CACHE_HITS.total(), _CACHE_DEDUP.total(),
+                  _CACHE_MISSES.total())
+        expected_dedups = 0
+        for batch in batches:
+            cached = set(serial.cache)
+            keys = [g.tobytes() for g in batch.astype(np.int64)]
+            fresh = [k for k in keys if k not in cached]
+            expected_dedups += len(fresh) - len(set(fresh))
+            serial_values = [serial(g) for g in batch]
+            np.testing.assert_array_equal(batched.evaluate_many(batch),
+                                          serial_values)
+        stats, serial_stats = batched.stats(), serial.stats()
+        assert stats.pop("dedups") == expected_dedups > 0
+        assert serial_stats.pop("dedups") == 0
+        assert stats == serial_stats
+        assert batched.hits - expected_dedups > 0  # cache hits exercised
+        assert batch_loss.seen == serial_loss.seen  # first-occurrence order
+        assert list(batched.cache) == list(serial.cache)
+        hits, dedups, misses = (_CACHE_HITS.total() - totals[0],
+                                _CACHE_DEDUP.total() - totals[1],
+                                _CACHE_MISSES.total() - totals[2])
+        # the serial wrapper bumped the same counters: subtract its share
+        assert dedups == expected_dedups
+        assert hits == serial.hits + batched.hits - expected_dedups
+        assert misses == serial.misses + batched.misses
+
     def test_dispatches_loss_evaluate_many_once(self):
         batch_calls = []
 

@@ -6,6 +6,8 @@ evaluation consistency, Clapton on chemistry Hamiltonians, hardware twins,
 and invariants that must survive the entire stack.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -220,14 +222,19 @@ class TestCafqaQuality:
     def test_cafqa_noiseless_accuracy_easy_regime(self):
         """CAFQA's claim (Sec. 2.5): stabilizer initialization reaches a
         large fraction of the ground energy when stabilizer states
-        approximate it well (XXZ at small J)."""
+        approximate it well (XXZ at small J).  The claim is about the
+        method, not one seed: over seeds 0-9 at least 9 reach 0.85 and
+        the median reaches 0.9."""
         h = xxz_model(5, 0.25)
         problem = VQEProblem.logical(h)
-        result = cafqa(problem, config=SMOKE_ENGINE)
         e0 = ground_state_energy(h)
         # accuracy measured against the mixed-state zero point
-        accuracy = result.loss / e0  # both negative side
-        assert accuracy > 0.85
+        accuracies = np.array([
+            cafqa(problem, config=dataclasses.replace(SMOKE_ENGINE,
+                                                      seed=seed)).loss / e0
+            for seed in range(10)])  # both negative side
+        assert np.sum(accuracies > 0.85) >= 9, accuracies
+        assert np.median(accuracies) >= 0.9, accuracies
 
     def test_cafqa_weaker_in_hard_regime(self):
         """At J = 1.0 stabilizer states cannot represent the ground state

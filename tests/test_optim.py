@@ -99,6 +99,135 @@ class TestGeneticAlgorithm:
         assert result.population.max() <= 2
 
 
+class CountingRng:
+    """Generator proxy that counts the draws made through it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def first_argmin_winners(contenders, losses):
+    """Reference tournament: the first contender with the least loss."""
+    winners = np.empty(contenders.shape[:-1], dtype=np.int64)
+    for index in np.ndindex(winners.shape):
+        row = list(contenders[index])
+        values = [losses[c] for c in row]
+        winners[index] = row[values.index(min(values))]
+    return winners
+
+
+class TestBreeding:
+    P, D, T = 40, 6, 3
+
+    def breed(self, seed, num_children, population, losses, **config):
+        ga = GeneticAlgorithm(count_nonzero_loss, genome_length=self.D,
+                              config=GAConfig(tournament_size=self.T,
+                                              **config),
+                              rng=np.random.default_rng(seed))
+        return ga._breed(population, losses, num_children)
+
+    def tied_generation(self):
+        # distinct rows (row i encodes i in base 4) and many tied losses
+        population = (np.arange(self.P)[:, None]
+                      // 4 ** np.arange(self.D)) % 4
+        losses = np.random.default_rng(9).integers(0, 3, self.P).astype(float)
+        return population, losses
+
+    def expected_winners(self, seed, num_children):
+        contenders = np.random.default_rng(seed).integers(
+            0, self.P, size=(num_children, 2, self.T))
+        return first_argmin_winners(contenders, self.tied_generation()[1])
+
+    def test_elites_survive_unchanged(self):
+        ga = GeneticAlgorithm(count_nonzero_loss, genome_length=8,
+                              config=GAConfig(population_size=12,
+                                              num_generations=1,
+                                              elite_count=3),
+                              rng=np.random.default_rng(0))
+        batches = []
+        evaluate_many = ga._memo.evaluate_many
+
+        def recording(population):
+            batches.append(population.copy())
+            return evaluate_many(population)
+
+        ga._memo.evaluate_many = recording
+        initial = np.random.default_rng(1).integers(1, 4, size=(12, 8))
+        initial[[4, 7, 9]] = [[0] * 8, [1] + [0] * 7, [0, 2] + [0] * 6]
+        ga.run(initial_population=initial)
+        np.testing.assert_array_equal(batches[-1][:3], initial[[4, 7, 9]])
+
+    def test_winner_is_first_argmin_and_children_copy_it(self):
+        population, losses = self.tied_generation()
+        children = self.breed(0, 25, population, losses,
+                              crossover_rate=0.0, mutation_rate=0.0)
+        winners = self.expected_winners(0, 25)
+        np.testing.assert_array_equal(children, population[winners[:, 0]])
+
+    def test_full_crossover_takes_every_gene_from_a_parent(self):
+        population, losses = self.tied_generation()
+        children = self.breed(1, 200, population, losses,
+                              crossover_rate=1.0, mutation_rate=0.0)
+        winners = self.expected_winners(1, 200)
+        pa, pb = population[winners[:, 0]], population[winners[:, 1]]
+        assert np.all((children == pa) | (children == pb))
+        assert np.any((children != pa) & (children == pb))
+
+    def test_mutation_frequency_and_reset_values(self):
+        rate, num_values, children = 0.2, 4, 500
+        sentinel = np.full((self.P, self.D), num_values)  # no real gene
+        out = self.breed(2, children, sentinel, np.zeros(self.P),
+                         crossover_rate=0.0, mutation_rate=rate)
+        mutated = out != num_values
+        n = mutated.size
+        assert abs(mutated.mean() - rate) <= 5 * np.sqrt(rate * (1 - rate) / n)
+        assert set(np.unique(out[mutated])) == set(range(num_values))
+
+    def test_initial_population_larger_than_population_size(self):
+        ga = GeneticAlgorithm(count_nonzero_loss, genome_length=5,
+                              config=GAConfig(population_size=10,
+                                              num_generations=3),
+                              rng=np.random.default_rng(3))
+        big = np.random.default_rng(4).integers(0, 4, size=(30, 5))
+        big[17] = 0
+        result = ga.run(initial_population=big)
+        assert result.population.shape == (10, 5)
+        assert result.best_loss == 0.0
+
+    @pytest.mark.parametrize("population_size", [2, 3])
+    def test_population_not_larger_than_elite(self, population_size):
+        ga = GeneticAlgorithm(count_nonzero_loss, genome_length=5,
+                              config=GAConfig(population_size=population_size,
+                                              num_generations=4,
+                                              elite_count=3),
+                              rng=np.random.default_rng(5))
+        result = ga.run()
+        assert result.population.shape == (population_size, 5)
+        assert result.history[-1] == result.history[0]  # nothing is bred
+
+    def test_draws_per_generation_do_not_grow_with_population(self):
+        def draws(population_size, generations):
+            rng = CountingRng(6)
+            GeneticAlgorithm(count_nonzero_loss, genome_length=7,
+                             config=GAConfig(population_size=population_size,
+                                             num_generations=generations),
+                             rng=rng).run()
+            return rng.calls
+
+        per_generation = {size: (draws(size, 4) - draws(size, 1)) / 3
+                          for size in (10, 200)}
+        assert per_generation[10] == per_generation[200] == 5
+
+
 class TestEngine:
     def test_converges_on_toy_problem(self):
         config = EngineConfig(num_instances=3, generations_per_round=15,
