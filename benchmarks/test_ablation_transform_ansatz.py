@@ -33,15 +33,15 @@ def _restricted_clapton(problem, config, slot_values):
             slots % len(slot_values)]
         return gamma
 
-    engine = multi_ga_minimize(lambda g: loss(restrict(g)),
+    search = multi_ga_minimize(lambda g: loss(restrict(g)),
                                problem.num_transformation_parameters,
                                num_values=4, config=config)
-    gamma = restrict(engine.best_genome)
+    gamma = restrict(search.best_genome)
     from repro.core.transformation import transform_hamiltonian
 
     return InitializationResult(
         method="clapton", problem=problem, genome=gamma,
-        loss=engine.best_loss, engine=engine,
+        loss=search.best_loss, search=search,
         vqe_hamiltonian=transform_hamiltonian(problem.hamiltonian, gamma),
         initial_theta=np.zeros(problem.num_vqe_parameters))
 

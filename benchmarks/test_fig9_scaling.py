@@ -35,9 +35,10 @@ def _run_method(driver, num_qubits):
     noise = NoiseModel.uniform(num_qubits, depol_1q=1e-3, depol_2q=1e-2,
                                readout=2e-2, t1=100e-6)
     problem = VQEProblem.logical(hamiltonian, noise_model=noise)
-    result = driver(problem, config=ENGINE)
-    return (result.engine.total_seconds, result.engine.seconds_per_round,
-            result.engine.num_rounds)
+    search = driver(problem, config=ENGINE).search
+    return (search.total_seconds,
+            search.total_seconds / max(1, search.num_rounds),
+            search.num_rounds)
 
 
 def _fit(ns, taus, degree):

@@ -383,7 +383,13 @@ class ServiceState:
     def heartbeat(self, worker_id: str,
                   leases: list[dict] | None = None) -> dict:
         """Renew a worker's leases; ``leases`` is ``[{"campaign",
-        "task_id"}, ...]`` (``None`` renews everything it holds)."""
+        "task_id"}, ...]`` (``None`` renews everything it holds).
+
+        Raises:
+            ValueError: on malformed ``leases`` (see :func:`_check_leases`),
+                before any lease is renewed.
+        """
+        _check_leases(leases)
         renewed = []
         if leases is None:
             for campaign in self.campaigns():
@@ -404,7 +410,13 @@ class ServiceState:
 
     def complete(self, worker_id: str, cid: str | None,
                  record: dict) -> dict:
-        """Accept a finished-task record from a worker."""
+        """Accept a finished-task record from a worker.
+
+        Raises:
+            ValueError: when ``record`` is not an object.
+        """
+        if not isinstance(record, dict):
+            raise ValueError("record must be an object")
         campaign = self.get(cid)
         accepted = campaign.scheduler.report(worker_id, record)
         return {"accepted": accepted, "done": campaign.scheduler.done}
@@ -453,6 +465,25 @@ class ServiceState:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_leases(leases) -> None:
+    """Validate a ``POST /heartbeat`` lease list before any renewal.
+
+    ``leases`` is ``None`` or a list of objects, each with a string
+    ``task_id`` and a string or absent ``campaign``.
+
+    Raises:
+        ValueError: on the first violation.
+    """
+    if leases is not None and (
+            not isinstance(leases, list)
+            or not all(isinstance(entry, dict)
+                       and isinstance(entry.get("task_id"), str)
+                       and isinstance(entry.get("campaign") or "", str)
+                       for entry in leases)):
+        raise ValueError("leases must be a list of objects with string "
+                         "task_id and campaign")
 
 
 def _check_span_batch(payload: dict) -> None:

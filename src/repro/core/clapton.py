@@ -2,7 +2,7 @@
 
 :class:`InitializationResult` is the uniform outcome of *any* registered
 initialization method (see :mod:`repro.methods`): the best genome and
-loss, full engine bookkeeping, and the decoded VQE starting point -- the
+loss, the search that found them, and the decoded VQE starting point -- the
 Hamiltonian the subsequent VQE should optimize, the starting parameters,
 and the initial-state circuit/observable on the evaluation register.
 
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # annotation only; repro.search imports stay one-way
 
 from ..circuits.circuit import Circuit
 from ..noise.clifford_model import CliffordNoiseModel
-from ..optim.engine import EngineConfig, EngineResult
+from ..optim.engine import EngineConfig
 from ..paulis.pauli_sum import PauliSum
 from .problem import VQEProblem
 from .transformation import embed_table
@@ -41,8 +41,10 @@ class InitializationResult:
         problem: The problem bundle the method ran on.
         genome: Best genome found (``gamma`` for Clapton, Clifford rotation
             levels for the ansatz-angle methods).
-        loss: Best engine loss (the method's own cost, not a device energy).
-        engine: Full engine bookkeeping (rounds, timings, evaluation count).
+        loss: Best search loss (the method's own cost, not a device energy).
+        search: The :class:`~repro.search.SearchResult` that produced the
+            genome: strategy name, per-round trace, evaluation count,
+            wall time and memo-cache accounting.
         vqe_hamiltonian: The *logical* Hamiltonian the post-method VQE
             optimizes -- transformed for Clapton, original otherwise.
         initial_theta: VQE starting parameters (zeros for Clapton,
@@ -50,10 +52,6 @@ class InitializationResult:
         init_circuit: Optional explicit initial-state circuit (methods
             whose initial state is not the bound ansatz); ``None`` means
             ``A'(initial_theta)``.
-        search: The :class:`~repro.search.SearchResult` that produced the
-            genome (strategy name + per-round trace); ``None`` for
-            methods whose overridden search returns bare engine
-            bookkeeping.
         mitigation: Canonical name of the mitigation strategy requested
             for this run's noisy evaluations (``repro mitigations``);
             ``"none"`` -- the default -- leaves every estimate raw.
@@ -66,11 +64,10 @@ class InitializationResult:
     problem: VQEProblem
     genome: np.ndarray
     loss: float
-    engine: EngineResult
+    search: SearchResult
     vqe_hamiltonian: PauliSum
     initial_theta: np.ndarray
     init_circuit: Circuit | None = None
-    search: "SearchResult | None" = None
     mitigation: str = "none"
 
     # ------------------------------------------------------------------

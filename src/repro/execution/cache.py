@@ -36,6 +36,28 @@ def genome_key(genome) -> bytes:
     return np.ascontiguousarray(genome, dtype=np.int64).tobytes()
 
 
+def evaluate_batch(loss_fn: Callable[[np.ndarray], float],
+                   genomes: np.ndarray) -> np.ndarray:
+    """``(P,)`` float losses of a genome batch, computed by ``loss_fn``.
+
+    Dispatches the whole batch through the loss's own population-batched
+    ``evaluate_many`` when it has one, else calls it once per genome in
+    order.  No memoisation: every row is evaluated.
+
+    Raises:
+        ValueError: when ``evaluate_many`` returns anything but one value
+            per genome.
+    """
+    batch_fn = getattr(loss_fn, "evaluate_many", None)
+    if batch_fn is None:
+        return np.array([float(loss_fn(g)) for g in genomes])
+    values = np.asarray(batch_fn(genomes), dtype=float)
+    if values.shape != (len(genomes),):
+        raise ValueError(f"loss evaluate_many returned shape {values.shape} "
+                         f"for {len(genomes)} genomes")
+    return values
+
+
 class MemoizedLoss:
     """Picklable memoising wrapper around a loss function.
 
@@ -102,16 +124,8 @@ class MemoizedLoss:
         _CACHE_HITS.inc(num_hits)
         _CACHE_DEDUP.inc(num_dedups)
         if first:
-            reps = genomes[list(first.values())]
-            batch_fn = getattr(self.loss_fn, "evaluate_many", None)
-            if batch_fn is not None:
-                values = np.asarray(batch_fn(reps), dtype=float)
-                if values.shape != (len(first),):
-                    raise ValueError(
-                        f"loss evaluate_many returned shape {values.shape} "
-                        f"for {len(first)} genomes")
-            else:
-                values = np.array([float(self.loss_fn(g)) for g in reps])
+            values = evaluate_batch(self.loss_fn,
+                                    genomes[list(first.values())])
             self.cache.update(zip(first, values.tolist()))
             self.misses += len(first)
             _CACHE_MISSES.inc(len(first))

@@ -5,7 +5,7 @@ noise model / hardware twin), ``Experiment.run`` executes any subset of the
 initialization methods -- through the Figure-4 engine, the three-tier
 evaluation, and optionally the SPSA/VQE phase -- and returns an
 :class:`ExperimentResult` that carries everything downstream consumers
-need: per-method evaluations, VQE traces, engine bookkeeping, wall times,
+need: per-method evaluations, VQE traces, search bookkeeping, wall times,
 and a JSON round trip.
 
 The legacy runners (``compare_initializations``, ``convergence_traces``,
@@ -15,7 +15,6 @@ every surface produces identical numbers for identical seeds.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -362,22 +361,9 @@ class Experiment:
         results: dict[str, InitializationResult] = {}
         for method in resolved:
             method_start = time.perf_counter()
-            run_params = inspect.signature(method.run).parameters
-            takes_mitigation = (
-                "mitigation" in run_params
-                or any(p.kind is inspect.Parameter.VAR_KEYWORD
-                       for p in run_params.values()))
-            if takes_mitigation:
-                result = method.run(self.problem, config=config,
-                                    executor=executor, strategy=strategy,
-                                    budget=budget, mitigation=mitigation)
-            else:
-                # pre-mitigation-axis override: run raw, then stamp the
-                # axis so downstream evaluation still applies it
-                result = method.run(self.problem, config=config,
-                                    executor=executor, strategy=strategy,
-                                    budget=budget)
-                result.mitigation = mitigation.name
+            result = method.run(self.problem, config=config,
+                                executor=executor, strategy=strategy,
+                                budget=budget, mitigation=mitigation)
             results[method.name] = result
             evaluation = (evaluate_initial_point(result,
                                                  mitigation=mitigation)
@@ -393,18 +379,15 @@ class Experiment:
                 genome=result.genome,
                 loss=result.loss,
                 evaluation=evaluation,
-                engine_rounds=result.engine.num_rounds,
-                engine_evaluations=result.engine.num_evaluations,
-                engine_seconds=result.engine.total_seconds,
+                engine_rounds=search.num_rounds,
+                engine_evaluations=search.num_evaluations,
+                engine_seconds=search.total_seconds,
                 seconds=time.perf_counter() - method_start,
                 vqe=trace,
-                strategy=(search.strategy if search is not None
-                          else "multi_ga"),
+                strategy=search.strategy,
                 mitigation=mitigation.name,
-                search_trace=(search.trace_dicts() if search is not None
-                              else []),
-                cache_stats=(search.cache_stats if search is not None
-                             else None),
+                search_trace=search.trace_dicts(),
+                cache_stats=search.cache_stats,
             )
         return ExperimentResult(
             benchmark=self.name,

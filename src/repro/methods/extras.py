@@ -21,16 +21,11 @@ import numpy as np
 from ..circuits.ansatz import cafqa_angles
 from ..core.loss import CafqaLoss
 from ..core.problem import VQEProblem
-from ..optim.engine import EngineConfig
+from ..execution.cache import evaluate_batch
+from ..optim.engine import EngineConfig, _ShardedBatchLoss
 from ..search.base import SearchResult, SearchTrace
 from .base import DecodedPoint, InitializationMethod
 from .registry import register_method
-
-
-def _evaluate_losses(job) -> np.ndarray:
-    """Worker: evaluate one genome chunk (top-level for pickling)."""
-    loss, genomes = job
-    return np.array([float(loss(g)) for g in genomes])
 
 
 class _AnsatzAngleMethod(InitializationMethod):
@@ -98,16 +93,11 @@ class RandomCliffordMethod(_AnsatzAngleMethod):
         loss = self.make_loss(problem)
         genomes = rng.integers(0, self.num_values,
                                size=(k, self.num_parameters(problem)))
-        if executor is None or executor.in_process_sequential:
-            losses = np.array([float(loss(g)) for g in genomes])
-        else:
-            # contiguous per-worker chunks; concatenation preserves the
-            # serial ordering so the argmin (and ties) are identical
-            workers = max(1, getattr(executor, "max_workers", 1))
-            chunks = np.array_split(genomes, min(k, workers))
-            jobs = [(loss, chunk) for chunk in chunks if len(chunk)]
-            losses = np.concatenate(
-                executor.map(_evaluate_losses, jobs))
+        if executor is not None and not executor.in_process_sequential:
+            # contiguous per-worker shards concatenate in genome order, so
+            # the argmin (and ties) match the serial batch
+            loss = _ShardedBatchLoss(loss, executor)
+        losses = evaluate_batch(loss, genomes)
         best = int(np.argmin(losses))
         elapsed = time.perf_counter() - start
         trace = [SearchTrace(round_index=0, best_loss=float(losses[best]),

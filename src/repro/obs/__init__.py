@@ -77,7 +77,7 @@ Invariants
 - Process-pool children fall back to the null tracer; their timings
   are returned to the parent and re-emitted as events, and their cache
   and kernel counters are aggregated explicitly
-  (``EngineResult.cache_stats``, ``KERNEL.add``).
+  (``SearchResult.cache_stats``, ``KERNEL.add``).
 """
 
 from .bench_compare import (

@@ -27,7 +27,7 @@ Counter vocabulary:
 Process-pool children bump their own (fresh) singleton; the engine
 ships ``KERNEL.snapshot()`` deltas back over the existing cache-stats
 return path and the parent folds them in with :meth:`KernelCounters.
-add` -- the same aggregation idiom as ``EngineResult.cache_stats``.
+add` -- the same aggregation idiom as ``SearchResult.cache_stats``.
 
 :func:`publish_kernel_metrics` mirrors the singleton into Prometheus
 counters (monotonic, delta-since-last-publish) so ``GET /metrics``

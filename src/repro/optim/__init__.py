@@ -1,11 +1,10 @@
 """Optimizers: genetic algorithm, Figure-4 multi-GA engine, SPSA."""
 
 from .genetic import GAConfig, GAResult, GeneticAlgorithm
-from .engine import EngineConfig, EngineResult, RoundRecord, multi_ga_minimize
+from .engine import EngineConfig, multi_ga_minimize
 from .spsa import SPSAConfig, SPSAResult, minimize_spsa
 
 __all__ = [
-    "EngineConfig", "EngineResult", "GAConfig", "GAResult",
-    "GeneticAlgorithm", "RoundRecord", "SPSAConfig", "SPSAResult",
-    "minimize_spsa", "multi_ga_minimize",
+    "EngineConfig", "GAConfig", "GAResult", "GeneticAlgorithm",
+    "SPSAConfig", "SPSAResult", "minimize_spsa", "multi_ga_minimize",
 ]

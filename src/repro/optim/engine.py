@@ -9,6 +9,10 @@ configurable number of retry rounds -- the paper allows two).
 The same engine drives Clapton, CAFQA, and nCAFQA (Sec. 5.2 builds the
 baselines on "an optimization engine similar to the one shown in Figure 4"),
 so method comparisons isolate the *cost function*, not the optimizer.
+It is the ``multi_ga`` point of the search axis and reports through that
+axis's :class:`~repro.search.SearchResult` (one
+:class:`~repro.search.SearchTrace` per round), so engine runs and every
+other strategy share one result type.
 
 Round-level parallelism (the axis the paper parallelizes, Sec. 6.3) is a
 one-argument switch: pass any :mod:`repro.execution` executor as
@@ -36,11 +40,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..execution.cache import memoize_loss
+from ..execution.cache import evaluate_batch, memoize_loss
 from ..execution.executor import (
     Executor,
     SerialExecutor,
@@ -50,6 +54,9 @@ from ..execution.executor import (
 from ..obs import get_tracer
 from ..obs.kernel import KERNEL
 from .genetic import GAConfig, GeneticAlgorithm
+
+if TYPE_CHECKING:  # annotation only; repro.search imports this module
+    from ..search.base import SearchResult
 
 
 @dataclass
@@ -100,37 +107,6 @@ class EngineConfig:
                              "'instances' or 'population'")
 
 
-@dataclass
-class RoundRecord:
-    """Bookkeeping for one engine round (feeds the Fig. 9 scaling study)."""
-
-    best_loss: float
-    duration_seconds: float
-    num_evaluations: int
-
-
-@dataclass
-class EngineResult:
-    best_genome: np.ndarray
-    best_loss: float
-    rounds: list[RoundRecord]
-    num_evaluations: int
-    total_seconds: float
-    #: Aggregated memo-cache accounting across every GA instance of every
-    #: round -- including instances that ran in child processes, whose
-    #: counters would otherwise be dropped on the wire (each worker reports
-    #: its own deltas and the parent sums them here).
-    cache_stats: dict | None = None
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def seconds_per_round(self) -> float:
-        return self.total_seconds / max(1, len(self.rounds))
-
-
 def _run_one_instance(job) -> tuple[list[tuple[float, np.ndarray]],
                                     float, np.ndarray, int,
                                     dict[bytes, float], int, int, dict]:
@@ -171,10 +147,7 @@ def _run_one_instance(job) -> tuple[list[tuple[float, np.ndarray]],
 def _evaluate_shard(job) -> np.ndarray:
     """Worker: losses of one population shard (top-level for pickling)."""
     loss_fn, genomes = job
-    batch_fn = getattr(loss_fn, "evaluate_many", None)
-    if batch_fn is not None:
-        return np.asarray(batch_fn(genomes), dtype=float)
-    return np.array([float(loss_fn(g)) for g in genomes])
+    return evaluate_batch(loss_fn, genomes)
 
 
 def _evaluate_shard_timed(job) -> tuple[np.ndarray, float, dict]:
@@ -205,10 +178,13 @@ class _ShardedBatchLoss:
     so results are bit-identical to the serial engine.
     """
 
-    def __init__(self, loss_fn, executor: Executor, num_shards: int):
+    def __init__(self, loss_fn, executor: Executor):
         self.loss_fn = loss_fn
         self.executor = executor
-        self.num_shards = max(1, int(num_shards))
+        # Executors outside this package may not expose max_workers;
+        # shard by core count then, so batches still go through map.
+        self.num_shards = max(1, int(getattr(executor, "max_workers", None)
+                                     or os.cpu_count() or 1))
 
     def __call__(self, genome) -> float:
         return float(self.loss_fn(genome))
@@ -239,8 +215,17 @@ class _ShardedBatchLoss:
 def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
                       genome_length: int, num_values: int = 4,
                       config: EngineConfig | None = None,
-                      executor: Executor | None = None) -> EngineResult:
+                      executor: Executor | None = None) -> SearchResult:
     """Run the Figure-4 engine to convergence and return the best genome.
+
+    The result is the search axis's :class:`~repro.search.SearchResult`
+    with ``strategy="multi_ga"``: one :class:`~repro.search.SearchTrace`
+    per round, ``stopped_by`` ``"rounds"`` when ``config.max_rounds``
+    rounds ran and ``"converged"`` otherwise, and the memo table's
+    ``cache_stats`` aggregated across every GA instance of every round --
+    including instances that ran in child processes, whose counters
+    would otherwise be dropped on the wire (each worker reports its own
+    deltas and the parent sums them).
 
     Args:
         loss_fn: Maps a genome (1-D int array) to a float loss.  Must be
@@ -263,19 +248,18 @@ def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
 
 
 def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
-                     cfg: EngineConfig, executor: Executor) -> EngineResult:
+                     cfg: EngineConfig, executor: Executor) -> SearchResult:
     """The single round loop shared by every execution backend."""
+    # call-time import: repro.search imports this module
+    from ..search.base import SearchResult, SearchTrace
+
     population_axis = (cfg.parallel_axis == "population"
                        and not executor.in_process_sequential)
     if population_axis:
         # Population sharding: instances run inline on the serial
         # schedule; the executor parallelizes each generation's deduped
         # loss batch instead (bit-identical to the serial engine).
-        # Executors outside this package may not expose max_workers;
-        # shard by core count then, so batches still go through map.
-        num_shards = (getattr(executor, "max_workers", None)
-                      or os.cpu_count() or 1)
-        loss_fn = _ShardedBatchLoss(loss_fn, executor, num_shards)
+        loss_fn = _ShardedBatchLoss(loss_fn, executor)
         instance_executor: Executor = SerialExecutor()
         sequential = True
     else:
@@ -303,7 +287,7 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
     best_genome: np.ndarray | None = None
     best_loss = float("inf")
     retries_left = cfg.retry_rounds
-    rounds: list[RoundRecord] = []
+    trace: list[SearchTrace] = []
     total_evals = 0
     cache_hits = 0
     cache_dedups = 0
@@ -311,10 +295,10 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
     start_time = time.perf_counter()
 
     for _ in range(cfg.max_rounds):
-        # One real span per round (the RoundRecord keeps its own
+        # One real span per round (the SearchTrace keeps its own
         # perf_counter bookkeeping -- spans are additive, never a source
         # of record fields).  Loss spans from the instances nest inside.
-        with tracer.span("engine.round", round=len(rounds),
+        with tracer.span("engine.round", round=len(trace),
                          instances=cfg.num_instances) as round_span:
             round_start = time.perf_counter()
             if sequential:
@@ -349,15 +333,15 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
                     best_loss = instance_best
                     best_genome = instance_genome
             total_evals += round_evals
-            rounds.append(RoundRecord(
-                best_loss=best_loss,
-                duration_seconds=time.perf_counter() - round_start,
-                num_evaluations=round_evals))
+            trace.append(SearchTrace(
+                round_index=len(trace), best_loss=best_loss,
+                num_evaluations=round_evals,
+                duration_seconds=time.perf_counter() - round_start))
             round_span.tag(evaluations=round_evals, best_loss=best_loss)
 
-            improved = (len(rounds) < 2
-                        or rounds[-1].best_loss
-                        < rounds[-2].best_loss - 1e-12)
+            improved = (len(trace) < 2
+                        or trace[-1].best_loss
+                        < trace[-2].best_loss - 1e-12)
             if improved:
                 retries_left = cfg.retry_rounds
             else:
@@ -381,9 +365,11 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
                                    replace=False)
                 populations[i] = pool_genomes[picks].copy()
 
-    return EngineResult(
-        best_genome=best_genome, best_loss=best_loss, rounds=rounds,
-        num_evaluations=total_evals,
+    return SearchResult(
+        strategy="multi_ga", best_genome=best_genome, best_loss=best_loss,
+        trace=trace, num_evaluations=total_evals,
         total_seconds=time.perf_counter() - start_time,
+        stopped_by=("rounds" if len(trace) >= cfg.max_rounds
+                    else "converged"),
         cache_stats={"hits": cache_hits, "misses": total_evals,
                      "dedups": cache_dedups, "entries": len(memo)})

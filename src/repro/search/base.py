@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..optim.engine import EngineConfig, EngineResult, RoundRecord
+from ..execution.cache import evaluate_batch
+from ..optim.engine import EngineConfig
 
 
 class BudgetExhausted(Exception):
@@ -81,7 +82,7 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """One strategy round (the search-axis analogue of ``RoundRecord``)."""
+    """One strategy round (one Figure-4 engine round for ``multi_ga``)."""
 
     round_index: int
     best_loss: float
@@ -104,7 +105,9 @@ class SearchTrace:
 
 @dataclass
 class SearchResult:
-    """Outcome of one :meth:`SearchStrategy.minimize` call.
+    """Outcome of one :meth:`SearchStrategy.minimize` call -- and of
+    :func:`~repro.optim.engine.multi_ga_minimize`, which is the
+    ``multi_ga`` strategy's engine.
 
     Attributes:
         strategy: Registered strategy name that produced this result.
@@ -114,9 +117,6 @@ class SearchResult:
         total_seconds: Wall time of the whole search.
         stopped_by: What ended the search: ``"converged"``, ``"rounds"``,
             ``"evaluations"``, or ``"target"``.
-        engine: The underlying :class:`EngineResult` when the strategy is
-            the multi-GA adapter (preserved so downstream consumers see
-            bit-identical engine bookkeeping).
         cache_stats: Memo-table accounting of the run (``hits`` /
             ``misses`` / ``dedups`` / ``entries``), aggregated across
             process workers when the engine fans instances out.
@@ -129,8 +129,6 @@ class SearchResult:
     num_evaluations: int
     total_seconds: float
     stopped_by: str = "converged"
-    engine: EngineResult | None = field(default=None, repr=False,
-                                        compare=False)
     cache_stats: dict | None = field(default=None, repr=False,
                                      compare=False)
 
@@ -140,20 +138,6 @@ class SearchResult:
 
     def trace_dicts(self) -> list[dict]:
         return [t.to_dict() for t in self.trace]
-
-    def as_engine_result(self) -> EngineResult:
-        """Engine-shaped view for legacy consumers (``InitializationResult
-        .engine``); the multi-GA adapter returns its real engine result."""
-        if self.engine is not None:
-            return self.engine
-        rounds = [RoundRecord(best_loss=t.best_loss,
-                              duration_seconds=t.duration_seconds,
-                              num_evaluations=t.num_evaluations)
-                  for t in self.trace]
-        return EngineResult(best_genome=self.best_genome,
-                            best_loss=self.best_loss, rounds=rounds,
-                            num_evaluations=self.num_evaluations,
-                            total_seconds=self.total_seconds)
 
 
 class BudgetedLoss:
@@ -196,12 +180,6 @@ class BudgetedLoss:
         if target is not None and self.best_loss <= target:
             raise TargetReached
 
-    def _raw_many(self, genomes: np.ndarray) -> np.ndarray:
-        batch_fn = getattr(self.loss_fn, "evaluate_many", None)
-        if batch_fn is not None:
-            return np.asarray(batch_fn(genomes), dtype=float)
-        return np.array([float(self.loss_fn(g)) for g in genomes])
-
     # ------------------------------------------------------------------
     def __call__(self, genome) -> float:
         return float(self.evaluate_many(np.asarray(genome)[None, :])[0])
@@ -219,10 +197,10 @@ class BudgetedLoss:
                     # cap, and end the search; the partial round still
                     # feeds the incumbent (its values are lost only to
                     # the caller)
-                    values = self._raw_many(genomes[:allowed])
+                    values = evaluate_batch(self.loss_fn, genomes[:allowed])
                     self._record(genomes[:allowed], values)
                     raise BudgetExhausted
-            values = self._raw_many(genomes)
+            values = evaluate_batch(self.loss_fn, genomes)
             self._record(genomes, values)
         return values
 

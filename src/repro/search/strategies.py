@@ -27,7 +27,6 @@ exactly like the engine), and shard batches over any
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 
@@ -37,12 +36,7 @@ from ..execution.cache import memoize_loss
 from ..obs import get_tracer
 # _ShardedBatchLoss is the engine's executor seam for population batches;
 # the strategies reuse it so parallel values stay bit-identical to serial.
-from ..optim.engine import (
-    EngineConfig,
-    EngineResult,
-    _ShardedBatchLoss,
-    multi_ga_minimize,
-)
+from ..optim.engine import EngineConfig, _ShardedBatchLoss, multi_ga_minimize
 from .base import (
     BudgetedLoss,
     BudgetExhausted,
@@ -69,9 +63,7 @@ def _prepare(loss_fn, budget, config, rng, executor):
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     inner = loss_fn
     if executor is not None and not executor.in_process_sequential:
-        num_shards = (getattr(executor, "max_workers", None)
-                      or os.cpu_count() or 1)
-        inner = _ShardedBatchLoss(loss_fn, executor, num_shards)
+        inner = _ShardedBatchLoss(loss_fn, executor)
     tracker = BudgetedLoss(inner, budget)
     return cfg, budget, rng, tracker, memoize_loss(tracker)
 
@@ -128,11 +120,10 @@ class MultiGAStrategy(SearchStrategy):
     """Adapter over the paper's Figure-4 multi-GA engine.
 
     With no budget (the default) this is a plain ``multi_ga_minimize``
-    call -- results are bit-identical to pre-strategy code.  A budget
-    wraps the loss in :class:`~repro.search.base.BudgetedLoss`: the
-    engine's schedule is unchanged until a cap binds, at which point the
-    search stops with the incumbent (``max_evaluations`` is honored
-    exactly).  The tracker's lock keeps accounting exact under thread
+    call and returns the engine's own result.  A budget wraps the loss
+    in :class:`~repro.search.base.BudgetedLoss`: the engine's schedule
+    is unchanged until a cap binds, at which point the search stops
+    with the incumbent (``max_evaluations`` is honored exactly).  The tracker's lock keeps accounting exact under thread
     executors (budgeted evaluation serializes); a process executor on
     the ``instances`` axis checks the cap per worker.
     """
@@ -152,19 +143,18 @@ class MultiGAStrategy(SearchStrategy):
         start = time.perf_counter()
         with get_tracer().span("search.minimize", strategy=self.name):
             if budget is None:
-                engine = multi_ga_minimize(loss_fn, num_parameters,
-                                           num_values=num_values,
-                                           config=cfg, executor=executor)
-                return self._from_engine(engine, cfg)
+                return multi_ga_minimize(loss_fn, num_parameters,
+                                         num_values=num_values, config=cfg,
+                                         executor=executor)
             budget.validate()
             if (budget.max_rounds is not None
                     and budget.max_rounds < cfg.max_rounds):
                 cfg = replace(cfg, max_rounds=budget.max_rounds)
             tracker = BudgetedLoss(loss_fn, budget)
             try:
-                engine = multi_ga_minimize(tracker, num_parameters,
-                                           num_values=num_values,
-                                           config=cfg, executor=executor)
+                return multi_ga_minimize(tracker, num_parameters,
+                                         num_values=num_values, config=cfg,
+                                         executor=executor)
             except (BudgetExhausted, TargetReached) as stop:
                 stopped_by = ("evaluations"
                               if isinstance(stop, BudgetExhausted)
@@ -173,21 +163,6 @@ class MultiGAStrategy(SearchStrategy):
                 trace = [SearchTrace(0, tracker.best_loss,
                                      tracker.evaluations, elapsed)]
                 return _result(self.name, tracker, trace, start, stopped_by)
-            return self._from_engine(engine, cfg)
-
-    def _from_engine(self, engine: EngineResult,
-                     cfg: EngineConfig) -> SearchResult:
-        trace = [SearchTrace(i, r.best_loss, r.num_evaluations,
-                             r.duration_seconds)
-                 for i, r in enumerate(engine.rounds)]
-        stopped_by = ("rounds" if engine.num_rounds >= cfg.max_rounds
-                      else "converged")
-        return SearchResult(
-            strategy=self.name, best_genome=engine.best_genome,
-            best_loss=engine.best_loss, trace=trace,
-            num_evaluations=engine.num_evaluations,
-            total_seconds=engine.total_seconds, stopped_by=stopped_by,
-            engine=engine, cache_stats=engine.cache_stats)
 
 
 # ----------------------------------------------------------------------

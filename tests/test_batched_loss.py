@@ -461,8 +461,8 @@ class TestBatchedSearch:
         np.testing.assert_array_equal(sharded.best_genome,
                                       serial.best_genome)
         assert sharded.num_evaluations == serial.num_evaluations
-        assert [r.best_loss for r in sharded.rounds] \
-            == [r.best_loss for r in serial.rounds]
+        assert [t.best_loss for t in sharded.trace] \
+            == [t.best_loss for t in serial.trace]
 
 
 # ----------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestExecutors:
         # only 4^2 = 16 distinct genomes exist; with a cross-round cache the
         # later rounds cannot spend full population * generations evaluations
         assert result.num_rounds >= 3
-        for record in result.rounds[1:]:
+        for record in result.trace[1:]:
             assert record.num_evaluations <= 2 * 16
 
 

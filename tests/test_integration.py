@@ -204,7 +204,7 @@ class TestDeterminism:
         a = clapton(problem, config=TINY_ENGINE)
         b = clapton(problem, config=config_b)
         # losses may coincide (same optimum) but the engines must have run
-        assert a.engine.num_evaluations > 0 and b.engine.num_evaluations > 0
+        assert a.search.num_evaluations > 0 and b.search.num_evaluations > 0
 
     def test_vqe_seeded_reproducibility(self):
         problem = VQEProblem.logical(

@@ -325,6 +325,31 @@ class TestExtraMethods:
         assert parallel.runs["random_clifford"].loss \
             == serial.runs["random_clifford"].loss
 
+    @pytest.mark.parametrize("device", (False, True))
+    def test_random_clifford_batch_matches_per_genome_loop(self, device):
+        """The K samples are scored by one batched ``evaluate_many``; the
+        chosen genome and loss are exactly those of scoring the same
+        draws one genome at a time (first minimum on ties)."""
+        from repro.backends import FakeNairobi
+        from repro.methods.extras import RandomCliffordMethod
+
+        h = ising_model(6, 1.0)
+        problem = (VQEProblem.from_backend(h, FakeNairobi()) if device
+                   else VQEProblem.logical(h, NoiseModel.uniform(6)))
+        config = EngineConfig(num_instances=3, population_size=100,
+                              seed=11)
+        method = RandomCliffordMethod()
+        result = method.search(problem, config=config)
+        genomes = np.random.default_rng(11).integers(
+            0, method.num_values,
+            size=(300, method.num_parameters(problem)))
+        loss = CafqaLoss(problem, noise_aware=False)
+        losses = np.array([float(loss(g)) for g in genomes])
+        best = int(np.argmin(losses))
+        np.testing.assert_array_equal(result.best_genome, genomes[best])
+        assert result.best_loss == losses[best]
+        assert result.num_evaluations == 300
+
 
 class TestBenchmarkRegistry:
     def test_parameterized_spec_resolves(self):

@@ -244,7 +244,7 @@ class TestEngine:
                               top_k=3, population_size=10, seed=1)
         result = multi_ga_minimize(count_nonzero_loss, genome_length=6,
                                    config=config)
-        losses = [r.best_loss for r in result.rounds]
+        losses = [t.best_loss for t in result.trace]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
         # convergence: last retry_rounds+1 rounds show no improvement
         assert losses[-1] == result.best_loss
@@ -257,6 +257,28 @@ class TestEngine:
         result = multi_ga_minimize(lambda g: 1.0, genome_length=3,
                                    config=config)
         assert result.num_rounds == 1 + 2 + 1  # first + 2 retries + final
+
+    def test_reports_a_search_result(self):
+        """The engine is the ``multi_ga`` strategy: it returns the search
+        axis's result type, one trace record per round, and names the
+        rule that ended the run."""
+        from repro.search import SearchResult
+
+        config = EngineConfig(num_instances=1, generations_per_round=2,
+                              top_k=2, population_size=5, retry_rounds=2,
+                              seed=2)
+        converged = multi_ga_minimize(lambda g: 1.0, genome_length=3,
+                                      config=config)
+        assert isinstance(converged, SearchResult)
+        assert converged.strategy == "multi_ga"
+        assert converged.stopped_by == "converged"
+        assert [t.round_index for t in converged.trace] == [0, 1, 2, 3]
+        assert sum(t.num_evaluations for t in converged.trace) \
+            == converged.num_evaluations == converged.cache_stats["misses"]
+        config.max_rounds = 2
+        capped = multi_ga_minimize(lambda g: 1.0, genome_length=3,
+                                   config=config)
+        assert capped.stopped_by == "rounds" and capped.num_rounds == 2
 
 
 class TestEngineEdgeCases:

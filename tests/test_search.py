@@ -8,6 +8,11 @@ cannot move); and the strategy axis flows through ``Experiment``,
 campaign grids/reports, and the CLI.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,11 +171,11 @@ class TestContracts:
         assert np.array_equal(direct.best_genome, adapted.best_genome)
         assert direct.best_loss == adapted.best_loss
         assert direct.num_evaluations == adapted.num_evaluations
-        assert [r.best_loss for r in direct.rounds] == \
+        assert [t.best_loss for t in direct.trace] == \
             [t.best_loss for t in adapted.trace]
-        # the adapter preserves the real EngineResult for consumers
-        assert adapted.engine is not None
-        assert adapted.as_engine_result() is adapted.engine
+        assert direct.strategy == adapted.strategy == "multi_ga"
+        assert direct.stopped_by == adapted.stopped_by
+        assert direct.cache_stats == adapted.cache_stats
 
     def test_multi_ga_rejects_explicit_rng(self):
         with pytest.raises(ValueError, match="EngineConfig.seed"):
@@ -192,6 +197,20 @@ class TestContracts:
         assert serial.num_evaluations == sharded.num_evaluations
 
 
+@pytest.mark.parametrize("module",
+                         ("repro.optim.engine", "repro.search", "repro"))
+def test_imports_cleanly_in_a_fresh_interpreter(module):
+    """``repro.search`` imports the engine at module level and the engine
+    imports ``repro.search.base`` at call time; a module-level import
+    there would close a cycle that only a fresh interpreter sees."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 class TestBudget:
     def test_validate_rejects_nonpositive_caps(self):
         with pytest.raises(ValueError, match="max_evaluations"):
@@ -199,7 +218,7 @@ class TestBudget:
         with pytest.raises(ValueError, match="max_rounds"):
             SearchBudget(max_rounds=0).validate()
 
-    def test_from_engine_matches_the_ga_ceiling(self):
+    def test_engine_default_budget_matches_the_ga_ceiling(self):
         budget = SearchBudget.from_engine(TINY)
         per_round = (TINY.num_instances * TINY.population_size
                      * (TINY.generations_per_round + 1))
@@ -289,36 +308,6 @@ class TestExperimentIntegration:
         result = Experiment(h, problem=problem, name="t").run(
             methods="cafqa", config=TINY, strategy="tabu", budget=budget)
         assert result.runs["cafqa"].engine_evaluations == 23
-
-    def test_legacy_search_override_still_runs(self):
-        """A pre-axis method overriding search(problem, config, executor)
-        keeps working when no strategy is requested, and fails with a
-        clear message when one is."""
-        from repro.methods import InitializationMethod
-        from repro.methods.extras import _AnsatzAngleMethod
-        from repro.optim import EngineResult
-
-        class OldStyle(_AnsatzAngleMethod, InitializationMethod):
-            name = "old_style"
-            description = "legacy three-argument search override"
-
-            def search(self, problem, config=None, executor=None):
-                genome = np.zeros(self.num_parameters(problem),
-                                  dtype=np.int64)
-                return EngineResult(best_genome=genome, best_loss=0.0,
-                                    rounds=[], num_evaluations=1,
-                                    total_seconds=0.0)
-
-        h, problem = tiny_problem()
-        result = OldStyle().run(problem, config=TINY)
-        assert result.search is None and result.loss == 0.0
-        # the default strategy is "no strategy asked for": the CLI and
-        # campaign tasks always pass multi_ga explicitly
-        explicit = OldStyle().run(problem, config=TINY,
-                                  strategy="multi_ga")
-        assert explicit.loss == 0.0
-        with pytest.raises(TypeError, match="strategy/budget axis"):
-            OldStyle().run(problem, config=TINY, strategy="annealing")
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,9 @@ VOLATILE = {"seconds", "engine_seconds", "total_seconds",
 #: Id of the campaign ``tiny_spec()`` submits.
 CID = campaign_id(tiny_spec())
 
+#: Stands for the id of the task ``w0`` holds when a body is posted.
+LEASED = "<leased task id>"
+
 #: Malformed POST bodies -> (routes that must refuse them, error).
 ALL_POST_ROUTES = ("/campaigns", "/lease", "/heartbeat", "/complete",
                    "/traces")
@@ -90,6 +93,16 @@ MALFORMED_BODIES = {
            ({"campaign": ["x"], "spans": [{"id": 1}]},
             "campaign ids must be strings"),
        )},
+    **{json.dumps({"worker_id": "w0", "leases": leases}):
+       (("/heartbeat",),
+        "leases must be a list of objects with string task_id and campaign")
+       for leases in ([3], "ab", [{"campaign": CID}],
+                      # the first entry alone would renew the held lease
+                      [{"campaign": CID, "task_id": LEASED},
+                       {"campaign": CID, "task_id": [1]}],
+                      [{"campaign": ["x"], "task_id": "t"}])},
+    json.dumps({"worker_id": "w0", "record": 5}):
+       (("/complete",), "record must be an object"),
 }
 
 
@@ -495,7 +508,8 @@ class TestServiceEndToEnd:
         """Every POST route that must refuse a malformed body answers it
         with a 400 and leaves the lease log and the store byte-identical:
         non-object JSON on all five routes, a ``worker_id`` that is not a
-        non-empty string on the three worker routes."""
+        non-empty string on the three worker routes, malformed span
+        batches, heartbeat ``leases`` and ``/complete`` records."""
         from urllib.error import HTTPError
         from urllib.request import Request, urlopen
 
@@ -511,13 +525,14 @@ class TestServiceEndToEnd:
             with post("/campaigns", json.dumps(tiny_spec().to_dict())):
                 pass
             with post("/lease", json.dumps({"worker_id": "w0"})) as r:
-                assert json.loads(r.read())["task"]
+                leased = json.loads(r.read())
+            assert leased["task"]
             before = snapshot_files(root)
             assert any(p.name == "leases.jsonl" and data
                        for p, data in before.items())
             for route in routes:
                 with pytest.raises(HTTPError) as excinfo:
-                    post(route, body)
+                    post(route, body.replace(LEASED, leased["task_id"]))
                 assert excinfo.value.code == 400, route
                 assert json.loads(excinfo.value.read()) == {
                     "error": error}, route
