@@ -11,8 +11,8 @@
   when compared against Clapton.
 
 Both noise-aware losses evaluate L_N with the exact Pauli-channel Clifford
-noise model on the transpiled circuit; both L_0 terms are exact noiseless
-stabilizer evaluations.
+noise model on the transpiled circuit; all L_0 terms are exact noiseless
+stabilizer evaluations, nCAFQA's read off the end of its L_N walk.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ..noise.clifford_model import (
 )
 from ..obs import REGISTRY, get_tracer
 from ..obs.kernel import kernel_event
+from ..paulis.pauli_sum import _coefficient_dots
 from .problem import VQEProblem
 from .transformation import embed_table, transform_table_many
 
@@ -84,23 +85,16 @@ class ClaptonLoss:
         """
         problem = self.problem
         coeffs = problem.hamiltonian.coefficients
-        num_terms = len(coeffs)
-        stacked = transform_table_many(problem.hamiltonian,
-                                       np.asarray(gammas, dtype=np.int64),
+        gammas = np.asarray(gammas, dtype=np.int64)
+        stacked = transform_table_many(problem.hamiltonian, gammas,
                                        problem.entanglement)
-        num_genomes = stacked.num_rows // num_terms
-        zeros = stacked.expectation_all_zeros()
-        noiseless = np.array(
-            [float(coeffs @ zeros[p * num_terms:(p + 1) * num_terms])
-             for p in range(num_genomes)])
+        noiseless = _coefficient_dots(stacked.expectation_all_zeros(),
+                                      coeffs, len(gammas))
         eval_stack = embed_table(stacked, problem.positions,
                                  problem.num_eval_qubits)
         values = self.clifford_model.noisy_zero_state_term_values_steps(
             [(self._skeleton, None)], eval_stack)
-        noisy = np.array(
-            [float(coeffs @ values[p * num_terms:(p + 1) * num_terms])
-             for p in range(num_genomes)])
-        return noisy, noiseless
+        return _coefficient_dots(values, coeffs, len(gammas)), noiseless
 
     def evaluate_many(self, gammas) -> np.ndarray:
         """``(P,)`` losses of a genome population in one batched pass."""
@@ -118,7 +112,7 @@ class CafqaLoss:
     """``theta-genome -> L_0`` (CAFQA) or ``L_N + L_0`` (nCAFQA).
 
     Genomes have length ``4N`` with values 0..3 encoding rotation angles
-    ``k * pi/2``.  The noiseless term always uses the *logical* ansatz (the
+    ``k * pi/2``.  The noiseless term is the *logical* ansatz's energy (the
     algorithmic quantity CAFQA optimizes); the noisy term, when enabled,
     uses the transpiled circuit exactly like Clapton's L_N.
     """
@@ -148,6 +142,19 @@ class CafqaLoss:
         noisy, noiseless = self.components(genome)
         return noisy + noiseless
 
+    def _genome_matrix(self, genomes) -> np.ndarray:
+        """``genomes`` as a checked ``(P, >= 4N)`` matrix over 0..3."""
+        genomes = np.asarray(genomes, dtype=np.int64)
+        if genomes.ndim != 2:
+            raise ValueError("genomes must be a (P, d) integer matrix")
+        if np.any((genomes < 0) | (genomes > 3)):
+            raise ValueError("genome entries must be in {0, 1, 2, 3}")
+        n = self.problem.num_logical_qubits
+        if genomes.shape[1] < 4 * n:
+            raise ValueError(f"need {4 * n} parameter values, "
+                             f"got {genomes.shape[1]}")
+        return genomes
+
     def logical_tables_many(self, genomes):
         """The Hamiltonian pulled back through each genome's logical ansatz.
 
@@ -169,17 +176,9 @@ class CafqaLoss:
             rotation_layer_cliffords,
         )
 
-        genomes = np.asarray(genomes, dtype=np.int64)
-        if genomes.ndim != 2:
-            raise ValueError("genomes must be a (P, d) integer matrix")
-        if np.any((genomes < 0) | (genomes > 3)):
-            raise ValueError("genome entries must be in {0, 1, 2, 3}")
-        problem = self.problem
-        n = problem.num_logical_qubits
-        if genomes.shape[1] < 4 * n:
-            raise ValueError(f"need {4 * n} parameter values, "
-                             f"got {genomes.shape[1]}")
-        conj = problem.hamiltonian.table.tile(len(genomes))
+        genomes = self._genome_matrix(genomes)
+        n = self.problem.num_logical_qubits
+        conj = self.problem.hamiltonian.table.tile(len(genomes))
         # one aggregated kernel event per batched L_0 pull-back
         with kernel_event("kernel.fused_levels", passes=True):
             pull_back_rotation_layer(conj, rotation_layer_cliffords(
@@ -192,35 +191,31 @@ class CafqaLoss:
     def components_many(self, genomes) -> tuple[np.ndarray, np.ndarray]:
         """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
 
-        L_0 reads the all-zeros expectations off
-        :meth:`logical_tables_many` (two rotation-layer passes and the CX
-        ring's block pass).  The noisy term, when enabled, is
-        :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`
-        over the transpiled circuit at angles ``genome * pi/2``: the one
+        CAFQA reads L_0 off :meth:`logical_tables_many` (two
+        rotation-layer passes and the CX ring's block pass).  nCAFQA runs
+        only :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`
+        over the transpiled circuit at angles ``genome * pi/2`` -- the one
         noisy walk :class:`~repro.execution.estimator.CliffordEstimator`
-        runs too, with each run of rotations one layer step (per-gate
-        attenuation, then one bit-sliced pass) and each run of static
-        gates one block pass.  Every step is row-wise, so a genome's
-        values do not depend on its batch.
+        runs too, each run of rotations one layer step and each run of
+        static gates one block pass -- and reads L_0 off the noiseless
+        values that walk ends on (the transpiled circuit is the logical
+        ansatz, and ``mapped_hamiltonian`` keeps the term order).  Every
+        step is row-wise, so a genome's values do not depend on its batch.
         """
-        genomes = np.asarray(genomes, dtype=np.int64)
-        conj = self.logical_tables_many(genomes)
-        problem = self.problem
+        genomes = self._genome_matrix(genomes)
         num_genomes = len(genomes)
-        coeffs = problem.hamiltonian.coefficients
-        num_terms = len(coeffs)
-        zeros = conj.expectation_all_zeros()
-        noiseless = np.array(
-            [float(coeffs @ zeros[p * num_terms:(p + 1) * num_terms])
-             for p in range(num_genomes)])
+        coeffs = self.problem.hamiltonian.coefficients
         if not self.noise_aware:
-            return np.zeros(num_genomes), noiseless
-        mapped = self._mapped
+            zeros = self.logical_tables_many(genomes).expectation_all_zeros()
+            return (np.zeros(num_genomes),
+                    _coefficient_dots(zeros, coeffs, num_genomes))
+        zeros = np.empty(num_genomes * len(coeffs))
         values = self.clifford_model.noisy_term_values_many(
-            self._eval_plan, genomes * (math.pi / 2), mapped.table)
-        noisy = np.array([float(mapped.coefficients @ row)
-                          for row in values])
-        return noisy, noiseless
+            self._eval_plan, genomes * (math.pi / 2), self._mapped.table,
+            zeros_out=zeros)
+        return (_coefficient_dots(values, self._mapped.coefficients,
+                                  num_genomes),
+                _coefficient_dots(zeros, coeffs, num_genomes))
 
     def evaluate_many(self, genomes) -> np.ndarray:
         """``(P,)`` losses of a genome population in one batched pass."""

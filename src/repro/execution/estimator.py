@@ -36,7 +36,7 @@ from ..circuits.circuit import Circuit
 from ..densesim.evaluator import evolve_with_noise, measurement_attenuations
 from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
 from ..noise.model import NoiseModel
-from ..paulis.pauli_sum import PauliSum
+from ..paulis.pauli_sum import PauliSum, _coefficient_dots
 
 if TYPE_CHECKING:  # annotation-only; avoids a core <-> execution cycle
     from ..core.problem import VQEProblem
@@ -482,17 +482,16 @@ class CliffordEstimator(BaseEstimator):
                 "(every angle a multiple of pi/2)")
         term_matrix = self.clifford_model.noisy_term_values_many(
             plan, thetas, self.observable.table)
+        values = _coefficient_dots(term_matrix, self._coefficients, num_points)
         self.num_evaluations += num_points
         seconds = time.perf_counter() - start
         results = [EstimateResult(
-            value=(value := float(self._coefficients @ term_matrix[b])),
-            exact_value=value, term_expectations=term_matrix[b],
-            variance=0.0, shots=None, seconds=seconds / num_points,
-            mode=self.mode) for b in range(num_points)]
-        return BatchResult(
-            values=np.array([r.value for r in results]),
-            results=results,
-            seconds=time.perf_counter() - start)
+            value=float(value), exact_value=float(value),
+            term_expectations=terms, variance=0.0, shots=None,
+            seconds=seconds / num_points, mode=self.mode)
+            for value, terms in zip(values, term_matrix)]
+        return BatchResult(values=values, results=results,
+                           seconds=time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------

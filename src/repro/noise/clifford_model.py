@@ -181,7 +181,7 @@ class CliffordNoiseModel:
                                                        table)
 
     def noisy_term_values_many(self, plan: "CliffordCircuitPlan", thetas,
-                               table) -> np.ndarray:
+                               table, zeros_out=None) -> np.ndarray:
         """``(P, M)`` per-term noisy values of a whole parameter batch.
 
         The one noisy walk of a parameterized template, shared by nCAFQA's
@@ -190,17 +190,19 @@ class CliffordNoiseModel:
         walked through ``plan``'s :meth:`CliffordCircuitPlan.reverse_schedule`
         at ``thetas`` (Clifford angles).  The copies share their
         measurement attenuations, so those are computed once.
+        ``zeros_out``, if given, is passed through to the walk.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         num_points = len(thetas)
         values = self.noisy_zero_state_term_values_steps(
             plan.reverse_schedule(thetas), table.tile(num_points),
             measured=np.tile(self.measurement_attenuations(table),
-                             num_points))
+                             num_points),
+            zeros_out=zeros_out)
         return values.reshape(num_points, table.num_rows)
 
-    def noisy_zero_state_term_values_steps(self, steps, table, measured=None
-                                           ) -> np.ndarray:
+    def noisy_zero_state_term_values_steps(self, steps, table, measured=None,
+                                           zeros_out=None) -> np.ndarray:
         """The same backward pass over an explicit *reverse-order* schedule.
 
         ``steps`` holds two kinds of step.  ``(block, None)`` is a
@@ -238,6 +240,8 @@ class CliffordNoiseModel:
         ``measured``, if given, is ``table``'s
         :meth:`measurement_attenuations`, passed by a caller that has
         them cheaper (a tiled table's are its block's, tiled).
+        ``zeros_out``, if given, receives the final table's all-zeros
+        expectations: the noiseless values the returned ones attenuate.
         """
         table = table.copy()
         factors = (self.measurement_attenuations(table) if measured is None
@@ -252,7 +256,10 @@ class CliffordNoiseModel:
             self._attenuate_layer(factors, table, item, layer,
                                   flip_by_code, relax)
             pull_back_rotation_layer(table, layer.cliffords)
-        return factors * table.expectation_all_zeros()
+        zeros = table.expectation_all_zeros()
+        if zeros_out is not None:
+            zeros_out[...] = zeros
+        return factors * zeros
 
     def _flip_by_code(self) -> np.ndarray | None:
         """Logical-flip attenuation per code ``x + 2z``, if modeled."""

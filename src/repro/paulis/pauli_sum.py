@@ -147,6 +147,15 @@ class PauliSum:
                 f"num_terms={self.num_terms})")
 
 
+def _coefficient_dots(values, coefficients: np.ndarray, num_points: int
+                      ) -> np.ndarray:
+    """``(P,)`` sums ``float(coefficients @ block)`` of ``P`` stacked
+    ``M``-term blocks, bit for bit: the stacked matmul runs that same dot
+    per block, where a plain ``(P, M) @ (M,)`` sums in another order."""
+    blocks = np.reshape(values, (num_points, 1, len(coefficients)))
+    return np.matmul(blocks, coefficients[:, None])[:, 0, 0]
+
+
 def _merge_duplicates(table: PauliTable, coeffs: np.ndarray
                       ) -> tuple[PauliTable, np.ndarray]:
     """Merge identical rows (summing coefficients) and drop zero terms.

@@ -25,10 +25,11 @@ from repro.core import (
     transform_table_many,
 )
 from repro.execution import ThreadExecutor, make_estimator, memoize_loss
-from repro.hamiltonians import ising_model
+from repro.hamiltonians import get_benchmark, ising_model, xxz_model
 from repro.noise import CliffordNoiseModel, NoiseModel
 from repro.optim import EngineConfig, GAConfig, GeneticAlgorithm, multi_ga_minimize
 from repro.paulis import PauliString
+from repro.paulis.pauli_sum import _coefficient_dots
 
 
 def logical_problem(n=4):
@@ -47,6 +48,13 @@ def flip_problem(n=4):
     nm = NoiseModel.uniform(n, depol_1q=1e-3, depol_2q=1e-2, readout=0.02,
                             t1=80e-6, logical_flip_probs=(2e-3, 1e-3, 3e-3))
     return VQEProblem.logical(ising_model(n, 0.8), noise_model=nm)
+
+
+def transpiled_flip_problem(n=4):
+    problem = transpiled_problem(n)
+    return dataclasses.replace(
+        problem, noise_model=problem.noise_model.with_overrides(
+            logical_flip_probs=(2e-3, 1e-3, 3e-3)))
 
 
 def relaxing_model(problem):
@@ -191,13 +199,76 @@ class TestBatchedLosses:
                 stacked.phase_exp[p * m:(p + 1) * m], single.phase_exp)
 
     def test_batch_validation(self):
+        """Short genomes and entries outside 0..3 raise in every loss,
+        nCAFQA included, whose walk alone would map any angle."""
         problem = logical_problem()
-        loss = ClaptonLoss(problem)
-        with pytest.raises(ValueError, match="length"):
-            loss.evaluate_many(np.zeros((3, 2), dtype=int))
-        with pytest.raises(ValueError, match=r"\{0, 1, 2, 3\}"):
-            loss.evaluate_many(
-                np.full((2, problem.num_transformation_parameters), 7))
+        for loss, length, short in (
+                (ClaptonLoss(problem), problem.num_transformation_parameters,
+                 "length"),
+                (CafqaLoss(problem), problem.num_vqe_parameters,
+                 "parameter values"),
+                (NcafqaLoss(problem), problem.num_vqe_parameters,
+                 "parameter values")):
+            with pytest.raises(ValueError, match=short):
+                loss.evaluate_many(np.zeros((3, 2), dtype=int))
+            for bad in (7, -1):
+                with pytest.raises(ValueError, match=r"\{0, 1, 2, 3\}"):
+                    loss.evaluate_many(np.full((2, length), bad))
+
+    @pytest.mark.parametrize("make_problem, relaxing, count", [
+        (lambda: logical_problem(6), False, 19),
+        (lambda: transpiled_flip_problem(6), True, 13),
+        (lambda: VQEProblem.logical(xxz_model(5, 0.5)), False, 19),
+        (lambda: logical_problem(6), False, 0),
+    ], ids=["ising6", "nairobi-flips", "xxz5", "empty"])
+    def test_ncafqa_components_match_oracle(self, make_problem, relaxing,
+                                            count):
+        """L_N and L_0 each equal the serial oracle's, sign bit included.
+
+        The oracle's L_0 pulls the Hamiltonian back through the logical
+        ansatz on a boolean table; the loss reads it off the end of its
+        noisy walk through the (transpiled) evaluation circuit.
+        """
+        problem = make_problem()
+        loss = NcafqaLoss(problem, clifford_model=(
+            relaxing_model(problem) if relaxing else None))
+        genomes = genome_batch(np.random.default_rng(23), count,
+                               problem.num_vqe_parameters)
+        if count:
+            genomes[0] = 0
+        noisy, noiseless = loss.components_many(genomes)
+        expected = np.array([oracle.cafqa_components(loss, g)
+                             for g in genomes]).reshape(count, 2)
+        assert noisy.shape == noiseless.shape == (count,)
+        np.testing.assert_array_equal(noisy.view(np.int64),
+                                      expected[:, 0].view(np.int64))
+        np.testing.assert_array_equal(noiseless.view(np.int64),
+                                      expected[:, 1].view(np.int64))
+
+    @pytest.mark.parametrize("hamiltonian", [
+        lambda: ising_model(12, 1.0),
+        lambda: xxz_model(8, 0.5),
+        lambda: get_benchmark("molecule:name=LiH,l=1.5").build(),
+    ], ids=["ising12", "xxz8", "lih"])
+    @pytest.mark.parametrize("num_points", [0, 1, 100])
+    def test_stacked_coefficient_dots_match_per_row_dot(self, hamiltonian,
+                                                        num_points):
+        """The losses' one stacked matmul equals the per-row dot bit for
+        bit, sign bit included; a plain matrix-vector product would not
+        (numpy sums it in another order)."""
+        coeffs = hamiltonian().coefficients
+        rng = np.random.default_rng(num_points)
+        shape = (num_points, len(coeffs))
+        values = (rng.choice([-1.0, 0.0, 1.0], size=shape)
+                  * rng.uniform(0.5, 1.0, size=shape))
+        values[1::7] = 0.0  # points whose terms all vanish: a signed zero
+        per_row = np.array([float(coeffs @ row) for row in values])
+        for stacked in (_coefficient_dots(values, coeffs, num_points),
+                        _coefficient_dots(values.ravel(), coeffs,
+                                          num_points)):
+            assert stacked.shape == (num_points,)
+            np.testing.assert_array_equal(stacked.view(np.int64),
+                                          per_row.view(np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +319,7 @@ class TestLayerWalk:
                 for theta in extended]))
 
     def test_flips_and_relaxation_on_transpiled_problem(self):
-        problem = transpiled_problem()
-        problem = dataclasses.replace(
-            problem, noise_model=problem.noise_model.with_overrides(
-                logical_flip_probs=(2e-3, 1e-3, 3e-3)))
+        problem = transpiled_flip_problem()
         model = relaxing_model(problem)
         assert problem.noise_model.t1 is not None
         loss = NcafqaLoss(problem, clifford_model=model)

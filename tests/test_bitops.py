@@ -929,8 +929,8 @@ class TestKernelAccounting:
 
     @pytest.mark.parametrize("device", [False, True])
     def test_ncafqa_evaluate_many(self, device):
-        """L_0's two layers and ring block, plus one pass per rotation
-        layer and one per static block of the walk."""
+        """One pass per rotation layer and one per static block of the
+        walk, which also yields L_0: no second pull-back."""
         from repro.backends import FakeNairobi
         from repro.core import NcafqaLoss, VQEProblem
         from repro.hamiltonians import ising_model
@@ -943,7 +943,7 @@ class TestKernelAccounting:
         genomes = np.random.default_rng(5).integers(0, 4, size=(9, 24))
         before = KERNEL.snapshot()
         loss.evaluate_many(genomes)
-        assert KERNEL.delta(before)["fused_passes"] == 3 + 2 + 1
+        assert KERNEL.delta(before)["fused_passes"] == 2 + 1
 
 
 class TestLutCache:
