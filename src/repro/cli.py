@@ -1072,7 +1072,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--vqe-iterations", type=int, default=0,
                        help="SPSA iterations of the online VQE phase")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the engine's GA rounds")
+                       help="worker processes sharding each generation's "
+                            "loss batch (same numbers as --jobs 1)")
     p_run.add_argument("--seed", type=int, default=0,
                        help="engine + VQE seed (same seed, same numbers)")
     p_run.add_argument("--save", help="write the ExperimentResult JSON here")

@@ -22,14 +22,11 @@ from .executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    resolve_executor,
-    spawn_seeds,
 )
 
 __all__ = [
     "BatchResult", "CliffordEstimator", "EstimateResult", "Estimator",
     "ExactEstimator", "Executor", "MemoizedLoss", "ProcessExecutor",
     "SerialExecutor", "ShotSamplingEstimator", "ThreadExecutor",
-    "genome_key", "make_estimator", "memoize_loss", "resolve_executor",
-    "spawn_seeds",
+    "genome_key", "make_estimator", "memoize_loss",
 ]

@@ -1,12 +1,11 @@
-"""Shared loss memoisation that works under every executor.
+"""Shared loss memoisation for every search surface.
 
 Converging GA populations re-propose identical genomes constantly, so every
 evaluation surface wants a ``genome -> loss`` memo table.  The table here is
-a plain ``bytes -> float`` dict, wrapped so that the Figure-4 engine can
-ship snapshots to worker threads/processes and merge the new entries back
-after each round -- the serial, threaded, and multi-process paths (and the
-:class:`~repro.optim.genetic.GeneticAlgorithm`, which routes all its
-memoisation through this wrapper) share one cache discipline.
+a plain ``bytes -> float`` dict behind one wrapper: the Figure-4 engine, the
+:class:`~repro.optim.genetic.GeneticAlgorithm` and the search strategies all
+route their evaluations through it, in the driving process, so hit/miss
+accounting has exactly one home whatever executor shards the misses.
 
 :meth:`MemoizedLoss.evaluate_many` is the batch face of the same table:
 dedupe a whole population within the batch and against the cache, then
@@ -61,20 +60,16 @@ def evaluate_batch(loss_fn: Callable[[np.ndarray], float],
 class MemoizedLoss:
     """Picklable memoising wrapper around a loss function.
 
-    The wrapper is callable in place of the loss and exposes the underlying
-    table for sharing: pass :attr:`cache` to a
-    :class:`~repro.optim.genetic.GeneticAlgorithm`, ship :meth:`snapshot`
-    copies to workers, and fold their discoveries back with :meth:`merge`.
+    The wrapper is callable in place of the loss; :attr:`cache` is the
+    underlying table.
 
     Args:
         loss_fn: Maps a genome (1-D int array) to a float loss.
-        cache: Optional existing table to adopt (not copied).
     """
 
-    def __init__(self, loss_fn: Callable[[np.ndarray], float],
-                 cache: dict[bytes, float] | None = None):
+    def __init__(self, loss_fn: Callable[[np.ndarray], float]):
         self.loss_fn = loss_fn
-        self.cache: dict[bytes, float] = {} if cache is None else cache
+        self.cache: dict[bytes, float] = {}
         self.hits = 0
         self.misses = 0
         self.dedups = 0
@@ -143,14 +138,6 @@ class MemoizedLoss:
     def __len__(self) -> int:
         return len(self.cache)
 
-    def snapshot(self) -> dict[bytes, float]:
-        """Copy of the table, safe to ship to a worker."""
-        return dict(self.cache)
-
-    def merge(self, entries: dict[bytes, float]) -> None:
-        """Fold entries discovered elsewhere (a worker) into the table."""
-        self.cache.update(entries)
-
     def __getstate__(self):
         # hit/miss counters are per-process diagnostics; reset on the wire.
         return {"loss_fn": self.loss_fn, "cache": self.cache}
@@ -163,7 +150,6 @@ class MemoizedLoss:
         self.dedups = 0
 
 
-def memoize_loss(loss_fn: Callable[[np.ndarray], float],
-                 cache: dict[bytes, float] | None = None) -> MemoizedLoss:
-    """Wrap ``loss_fn`` with the shared genome-keyed memo table."""
-    return MemoizedLoss(loss_fn, cache)
+def memoize_loss(loss_fn: Callable[[np.ndarray], float]) -> MemoizedLoss:
+    """Wrap ``loss_fn`` in a fresh genome-keyed memo table."""
+    return MemoizedLoss(loss_fn)

@@ -1,38 +1,28 @@
 """Pluggable execution backends: one ``map`` seam for every parallel axis.
 
-The Figure-4 engine (and any future fan-out: batched estimation shards,
-parameter sweeps, population evaluation) dispatches work through an
+The Figure-4 engine, the search strategies and any other fan-out (batched
+estimation shards, parameter sweeps) dispatch work through an
 :class:`Executor` instead of hard-coding a process pool.  Three backends
 ship here:
 
 * :class:`SerialExecutor` -- in-process, submission order, shares caller
-  memory.  The engine keeps its legacy single-rng schedule under it, so
-  serial results are bit-identical to the pre-executor code.
+  memory.
 * :class:`ThreadExecutor` -- a thread pool; useful when the loss releases
   the GIL or is I/O bound.
 * :class:`ProcessExecutor` -- a process pool; requires picklable work items
   (the package's loss objects are).
 
-All backends preserve item order in ``map`` and are context managers.
-Deterministic parallelism comes from :func:`spawn_seeds`: per-item
-``SeedSequence`` streams derived from one root seed, so runs with the same
-seed agree across backends and worker counts.
+All backends preserve item order in ``map`` and are context managers.  The
+searches use them only to shard a batch of genomes into contiguous pieces,
+so results do not depend on the backend or its worker count.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar, runtime_checkable
-
-import numpy as np
+from typing import Callable, Iterable, Protocol, TypeVar, runtime_checkable
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def spawn_seeds(seed_sequence: np.random.SeedSequence,
-                count: int) -> list[np.random.SeedSequence]:
-    """``count`` fresh child seed streams (stateful: successive calls differ)."""
-    return seed_sequence.spawn(count)
 
 
 @runtime_checkable
@@ -40,8 +30,7 @@ class Executor(Protocol):
     """Uniform fan-out interface consumed by the engine and estimators."""
 
     #: True when ``map`` runs items one-by-one in the caller's
-    #: thread/process -- callers may then thread shared mutable state
-    #: (a single rng, a live cache) through the work items.
+    #: thread/process -- sharding a batch over it would gain nothing.
     in_process_sequential: bool
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
@@ -126,8 +115,8 @@ class ThreadExecutor(_PoolExecutor):
 class ProcessExecutor(_PoolExecutor):
     """Fan items out over a lazily created process pool.
 
-    Work items and results must be picklable; every loss object and job
-    tuple the engine produces is.
+    Work items and results must be picklable; the package's loss objects
+    and the engine's shard jobs are.
     """
 
     in_process = False
@@ -137,14 +126,3 @@ class ProcessExecutor(_PoolExecutor):
 
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
-
-def resolve_executor(executor: "Executor | None"
-                     ) -> tuple["Executor", bool]:
-    """The engine's executor-selection rule.
-
-    Returns ``(executor, owned)``: ``owned`` is True when this call created
-    the executor (the caller must close it).
-    """
-    if executor is not None:
-        return executor, False
-    return SerialExecutor(), True

@@ -22,7 +22,7 @@ from ..circuits.ansatz import cafqa_angles
 from ..core.loss import CafqaLoss
 from ..core.problem import VQEProblem
 from ..execution.cache import evaluate_batch
-from ..optim.engine import EngineConfig, _ShardedBatchLoss
+from ..optim.engine import EngineConfig, shard_loss
 from ..search.base import SearchResult, SearchTrace
 from .base import DecodedPoint, InitializationMethod
 from .registry import register_method
@@ -90,14 +90,12 @@ class RandomCliffordMethod(_AnsatzAngleMethod):
                                     * cfg.population_size)
         start = time.perf_counter()
         rng = np.random.default_rng(cfg.seed)
-        loss = self.make_loss(problem)
         genomes = rng.integers(0, self.num_values,
                                size=(k, self.num_parameters(problem)))
-        if executor is not None and not executor.in_process_sequential:
-            # contiguous per-worker shards concatenate in genome order, so
-            # the argmin (and ties) match the serial batch
-            loss = _ShardedBatchLoss(loss, executor)
-        losses = evaluate_batch(loss, genomes)
+        # contiguous per-worker shards concatenate in genome order, so the
+        # argmin (and ties) match the serial batch
+        losses = evaluate_batch(
+            shard_loss(self.make_loss(problem), executor), genomes)
         best = int(np.argmin(losses))
         elapsed = time.perf_counter() - start
         trace = [SearchTrace(round_index=0, best_loss=float(losses[best]),

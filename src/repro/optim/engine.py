@@ -14,25 +14,18 @@ axis's :class:`~repro.search.SearchResult` (one
 :class:`~repro.search.SearchTrace` per round), so engine runs and every
 other strategy share one result type.
 
-Round-level parallelism (the axis the paper parallelizes, Sec. 6.3) is a
-one-argument switch: pass any :mod:`repro.execution` executor as
-``executor=``.  Under :class:`~repro.execution.SerialExecutor` (the
-default) the engine keeps its serial schedule -- one rng threaded through
-every GA instance and the mixing step -- so a serial run is reproducible
-within one version (the GA's whole-generation breeding draws changed
-that trajectory once; see :mod:`repro.optim.genetic`).  Thread/process
-executors give every instance its own deterministic seed stream instead,
-so parallel runs reproduce other parallel runs with the same seed (but
-not the serial schedule), and the shared loss cache travels with the
-jobs: each worker starts from the current table snapshot and the parent
-merges the discoveries back, so repeated genomes never re-pay a full
-evaluation in any mode.
+There is one schedule: within a round the instances run one after
+another on one memo table, and one rng threads through every instance
+and the mixing step, so a seed reproduces a run within one version of
+the GA's draws (see :mod:`repro.optim.genetic`).
 
-``EngineConfig.parallel_axis = "population"`` selects a second parallel
-unit: GA instances stay on the serial schedule and each generation's
-deduped loss batch is sharded across the executor's workers instead
-(:class:`_ShardedBatchLoss`), combining parallel loss evaluation with
-results bit-identical to the serial engine.
+Parallelism (Sec. 6.3) is a one-argument switch: pass any
+:mod:`repro.execution` executor as ``executor=``.  Every executor runs
+that same schedule; a thread or process executor shards each
+generation's deduped miss batch across its workers
+(:class:`_ShardedBatchLoss`), and every per-genome value comes from the
+same batched arithmetic, so serial, threaded and multi-process runs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -44,13 +37,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..execution.cache import evaluate_batch, memoize_loss
-from ..execution.executor import (
-    Executor,
-    SerialExecutor,
-    resolve_executor,
-    spawn_seeds,
-)
+from ..execution.cache import MemoizedLoss, evaluate_batch, memoize_loss
+from ..execution.executor import Executor
 from ..obs import get_tracer
 from ..obs.kernel import KERNEL
 from .genetic import GAConfig, GeneticAlgorithm
@@ -78,13 +66,10 @@ class EngineConfig:
     pool_fraction: float = 0.5
     ga: GAConfig = field(default_factory=GAConfig)
     seed: int | None = None
-    #: Which axis a parallel executor fans out: ``"instances"`` ships whole
-    #: GA instances to workers (each with its own seed stream -- fast, but
-    #: a different schedule than serial); ``"population"`` keeps the exact
-    #: serial schedule and instead shards each generation's deduped loss
-    #: batch across the workers, so results stay bit-identical to the
-    #: serial engine while the loss evaluations -- the dominant cost --
-    #: run in parallel.  Ignored under a serial executor.
+    #: Not read: every executor runs the one engine schedule and shards
+    #: each generation's loss batch.  Kept, and still validated, because
+    #: campaign task ids hash the config's fields (stored campaigns keep
+    #: their ids).
     parallel_axis: str = "instances"
 
     def validate(self) -> None:
@@ -92,7 +77,7 @@ class EngineConfig:
 
         Called by :func:`multi_ga_minimize` before any evaluation is spent,
         so a bad working point fails fast instead of burning a full round
-        and then crashing in the mix step.
+        and then crashing in the breeding or mix step.
         """
         for name in ("num_instances", "population_size", "max_rounds"):
             if getattr(self, name) < 1:
@@ -105,43 +90,18 @@ class EngineConfig:
         if self.parallel_axis not in ("instances", "population"):
             raise ValueError("EngineConfig.parallel_axis must be "
                              "'instances' or 'population'")
-
-
-def _run_one_instance(job) -> tuple[list[tuple[float, np.ndarray]],
-                                    float, np.ndarray, int,
-                                    dict[bytes, float], int, int, dict]:
-    """Worker: one GA instance of one round (top-level for pickling).
-
-    ``job`` is ``(loss_fn, genome_length, num_values, ga_config,
-    rng_or_seed, population, top_k, cache, collect_new)``.  ``rng_or_seed``
-    is the engine's shared generator under the serial schedule and a
-    per-instance ``SeedSequence`` under parallel executors.  ``cache`` is
-    the live memo table (serial) or a round-start snapshot (parallel);
-    with ``collect_new`` set, entries discovered by this instance are
-    returned for the parent to merge.  The trailing ``(cache_hits,
-    cache_dedups, kernel_delta)`` carry the instance's memo accounting
-    and packed-kernel counter advance back explicitly -- counters
-    mutated inside a child process would otherwise be lost (the parent
-    folds ``kernel_delta`` into its own ``KERNEL`` singleton only for
-    out-of-process executors; in-process instances already bumped it).
-    """
-    (loss_fn, genome_length, num_values, ga_config, rng_or_seed,
-     population, top_k, cache, collect_new) = job
-    rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
-           else np.random.default_rng(rng_or_seed))
-    known = set(cache) if collect_new else ()
-    kernel_before = KERNEL.snapshot()
-    ga = GeneticAlgorithm(loss_fn, genome_length, num_values,
-                          config=ga_config, rng=rng, cache=cache)
-    result = ga.run(initial_population=population)
-    top = [(float(result.losses[j]), result.population[j].copy())
-           for j in range(min(top_k, len(result.population)))]
-    new_entries = ({k: cache[k] for k in cache.keys() - known}
-                   if collect_new else {})
-    return (top, result.best_loss, result.best_genome.copy(),
-            result.num_evaluations, new_entries,
-            result.cache_hits, result.cache_dedups,
-            KERNEL.delta(kernel_before))
+        ga = self.ga
+        if ga.tournament_size < 1:
+            raise ValueError("EngineConfig.ga.tournament_size must be >= 1")
+        if not 0.0 <= ga.crossover_rate <= 1.0:
+            raise ValueError("EngineConfig.ga.crossover_rate must be in "
+                             "[0, 1]")
+        if ga.mutation_rate is not None and not 0.0 <= ga.mutation_rate <= 1.0:
+            raise ValueError("EngineConfig.ga.mutation_rate must be None or "
+                             "in [0, 1]")
+        if not 0 <= ga.elite_count <= self.population_size:
+            raise ValueError("EngineConfig.ga.elite_count must be in "
+                             "[0, population_size]")
 
 
 def _evaluate_shard(job) -> np.ndarray:
@@ -169,13 +129,13 @@ def _evaluate_shard_timed(job) -> tuple[np.ndarray, float, dict]:
 class _ShardedBatchLoss:
     """Loss adapter fanning each generation's miss batch over an executor.
 
-    The ``parallel_axis = "population"`` engine mode keeps the legacy
-    serial schedule (one rng, live cache, instances run inline) and makes
-    the *loss evaluations* the parallel unit instead: the deduped batch a
-    GA generation produces is split into one shard per worker and shipped
-    through ``executor.map``.  Shard results concatenate in genome order
-    and every per-genome value is computed by the same batched arithmetic,
-    so results are bit-identical to the serial engine.
+    The deduped batch a generation produces is split into one contiguous
+    shard per worker and shipped through ``executor.map``.  Shard results
+    concatenate in genome order and every per-genome value is computed by
+    the same batched arithmetic, so results are bit-identical to
+    evaluating the batch inline.  Only the loss travels: the memo table
+    and any budget tracker wrap this adapter and stay in the driving
+    process.
     """
 
     def __init__(self, loss_fn, executor: Executor):
@@ -196,12 +156,10 @@ class _ShardedBatchLoss:
             return _evaluate_shard((self.loss_fn, genomes))
         shards = np.array_split(genomes, num_shards)
         jobs = [(self.loss_fn, shard) for shard in shards]
+        if getattr(self.executor, "in_process", True):
+            # threads share the tracer and the KERNEL counters
+            return np.concatenate(self.executor.map(_evaluate_shard, jobs))
         tracer = get_tracer()
-        # In-process workers (threads) record their own loss spans; only
-        # out-of-process workers need in-worker timings shipped back.
-        if not tracer.enabled or getattr(self.executor, "in_process", True):
-            parts = self.executor.map(_evaluate_shard, jobs)
-            return np.concatenate(parts)
         with tracer.span("executor.map_shards", shards=num_shards,
                          batch=len(genomes)):
             timed = self.executor.map(_evaluate_shard_timed, jobs)
@@ -210,6 +168,14 @@ class _ShardedBatchLoss:
                 tracer.event("loss.shard", seconds, batch=len(shard),
                              kernel_words=kernel_delta.get("words", 0))
         return np.concatenate([values for values, _, _ in timed])
+
+
+def shard_loss(loss_fn, executor: Executor | None):
+    """``loss_fn``, its batches sharded over ``executor`` when that runs
+    items in parallel (unchanged under a serial executor or none)."""
+    if executor is None or executor.in_process_sequential:
+        return loss_fn
+    return _ShardedBatchLoss(loss_fn, executor)
 
 
 def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
@@ -221,59 +187,31 @@ def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
     The result is the search axis's :class:`~repro.search.SearchResult`
     with ``strategy="multi_ga"``: one :class:`~repro.search.SearchTrace`
     per round, ``stopped_by`` ``"rounds"`` when ``config.max_rounds``
-    rounds ran and ``"converged"`` otherwise, and the memo table's
-    ``cache_stats`` aggregated across every GA instance of every round --
-    including instances that ran in child processes, whose counters
-    would otherwise be dropped on the wire (each worker reports its own
-    deltas and the parent sums them).
+    rounds ran and ``"converged"`` otherwise, and the memo table's own
+    ``cache_stats``.
 
     Args:
         loss_fn: Maps a genome (1-D int array) to a float loss.  Must be
-            picklable when a process executor fans the instances out.
+            picklable when a process executor shards the batches.
         genome_length: Number of genes.
         num_values: Genes take values ``0..num_values-1``.
         config: Engine hyperparameters.
-        executor: Execution backend for the GA instances of each round;
-            defaults to :class:`~repro.execution.SerialExecutor`.
+        executor: Execution backend the loss batches are sharded over;
+            defaults to evaluating them inline.
     """
     cfg = config or EngineConfig()
     cfg.validate()
-    executor, owned = resolve_executor(executor)
-    try:
-        return _minimize_rounds(loss_fn, genome_length, num_values, cfg,
-                                executor)
-    finally:
-        if owned:
-            executor.close()
+    return _minimize_rounds(memoize_loss(shard_loss(loss_fn, executor)),
+                            genome_length, num_values, cfg)
 
 
-def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
-                     cfg: EngineConfig, executor: Executor) -> SearchResult:
-    """The single round loop shared by every execution backend."""
+def _minimize_rounds(memo: MemoizedLoss, genome_length: int,
+                     num_values: int, cfg: EngineConfig) -> SearchResult:
+    """The round loop: every evaluation goes through ``memo``."""
     # call-time import: repro.search imports this module
     from ..search.base import SearchResult, SearchTrace
 
-    population_axis = (cfg.parallel_axis == "population"
-                       and not executor.in_process_sequential)
-    if population_axis:
-        # Population sharding: instances run inline on the serial
-        # schedule; the executor parallelizes each generation's deduped
-        # loss batch instead (bit-identical to the serial engine).
-        loss_fn = _ShardedBatchLoss(loss_fn, executor)
-        instance_executor: Executor = SerialExecutor()
-        sequential = True
-    else:
-        instance_executor = executor
-        sequential = executor.in_process_sequential
-    memo = memoize_loss(loss_fn)
-    if sequential:
-        # Legacy serial schedule: one rng threads through the GA instances
-        # and the mixing step, and every instance shares the live cache.
-        rng = np.random.default_rng(cfg.seed)
-        seed_seq = None
-    else:
-        seed_seq = np.random.SeedSequence(cfg.seed)
-        rng = np.random.default_rng(spawn_seeds(seed_seq, 1)[0])
+    rng = np.random.default_rng(cfg.seed)
     ga_config = GAConfig(
         population_size=cfg.population_size,
         num_generations=cfg.generations_per_round,
@@ -282,15 +220,11 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
         mutation_rate=cfg.ga.mutation_rate,
         elite_count=cfg.ga.elite_count,
     )
-
     populations: list[np.ndarray | None] = [None] * cfg.num_instances
     best_genome: np.ndarray | None = None
     best_loss = float("inf")
     retries_left = cfg.retry_rounds
     trace: list[SearchTrace] = []
-    total_evals = 0
-    cache_hits = 0
-    cache_dedups = 0
     tracer = get_tracer()
     start_time = time.perf_counter()
 
@@ -301,38 +235,17 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
         with tracer.span("engine.round", round=len(trace),
                          instances=cfg.num_instances) as round_span:
             round_start = time.perf_counter()
-            if sequential:
-                jobs = [(loss_fn, genome_length, num_values, ga_config, rng,
-                         populations[i], cfg.top_k, memo.cache, False)
-                        for i in range(cfg.num_instances)]
-            else:
-                seeds = spawn_seeds(seed_seq, cfg.num_instances)
-                jobs = [(loss_fn, genome_length, num_values, ga_config,
-                         seeds[i], populations[i], cfg.top_k,
-                         memo.snapshot(), True)
-                        for i in range(cfg.num_instances)]
-            outcomes = instance_executor.map(_run_one_instance, jobs)
-
             round_evals = 0
-            pool: list[tuple[float, np.ndarray]] = []
-            # in-process instances bumped the parent's KERNEL directly;
-            # only out-of-process deltas need folding in
-            fold_kernel = not getattr(instance_executor, "in_process",
-                                      True)
-            for (top, instance_best, instance_genome, evals, entries,
-                 instance_hits, instance_dedups,
-                 instance_kernel) in outcomes:
-                memo.merge(entries)
-                round_evals += evals
-                cache_hits += instance_hits
-                cache_dedups += instance_dedups
-                if fold_kernel:
-                    KERNEL.add(instance_kernel)
-                pool.extend(top)
-                if instance_best < best_loss - 1e-12:
-                    best_loss = instance_best
-                    best_genome = instance_genome
-            total_evals += round_evals
+            pool: list[np.ndarray] = []
+            for population in populations:
+                result = GeneticAlgorithm(memo, genome_length, num_values,
+                                          config=ga_config, rng=rng
+                                          ).run(initial_population=population)
+                round_evals += result.num_evaluations
+                pool.extend(result.population[:cfg.top_k])
+                if result.best_loss < best_loss - 1e-12:
+                    best_loss = result.best_loss
+                    best_genome = result.best_genome
             trace.append(SearchTrace(
                 round_index=len(trace), best_loss=best_loss,
                 num_evaluations=round_evals,
@@ -357,19 +270,18 @@ def _minimize_rounds(loss_fn, genome_length: int, num_values: int,
                 # rng.choice.
                 populations = [None] * cfg.num_instances
                 continue
-            pool_genomes = np.array([g for _, g in pool])
-            draw = max(1, int(cfg.pool_fraction * cfg.population_size))
-            for i in range(cfg.num_instances):
-                take = min(draw, len(pool_genomes))
-                picks = rng.choice(len(pool_genomes), size=take,
-                                   replace=False)
-                populations[i] = pool_genomes[picks].copy()
+            pool_genomes = np.array(pool)
+            take = min(max(1, int(cfg.pool_fraction * cfg.population_size)),
+                       len(pool_genomes))
+            populations = [
+                pool_genomes[rng.choice(len(pool_genomes), size=take,
+                                        replace=False)]
+                for _ in range(cfg.num_instances)]
 
     return SearchResult(
         strategy="multi_ga", best_genome=best_genome, best_loss=best_loss,
-        trace=trace, num_evaluations=total_evals,
+        trace=trace, num_evaluations=sum(t.num_evaluations for t in trace),
         total_seconds=time.perf_counter() - start_time,
         stopped_by=("rounds" if len(trace) >= cfg.max_rounds
                     else "converged"),
-        cache_stats={"hits": cache_hits, "misses": total_evals,
-                     "dedups": cache_dedups, "entries": len(memo)})
+        cache_stats=memo.stats())

@@ -59,8 +59,6 @@ class GAResult:
     best_loss: float
     history: list[float] = field(default_factory=list)
     num_evaluations: int = 0
-    cache_hits: int = 0
-    cache_dedups: int = 0
 
 
 class GeneticAlgorithm:
@@ -76,31 +74,25 @@ class GeneticAlgorithm:
             paper: Clifford rotation levels / two-qubit slot choices).
         config: Hyperparameters.
         rng: Random generator (owned by the caller for reproducibility).
-        cache: Optional shared memo table ``genome-bytes -> loss`` so that
-            multiple GA instances in the engine never re-evaluate a genome.
-            Memoisation always goes through one
-            :class:`~repro.execution.cache.MemoizedLoss` wrapper (adopted
-            when ``loss_fn`` already is one and no separate ``cache`` is
-            supplied), so hit/miss accounting has exactly one home.
+
+    Memoisation always goes through one
+    :class:`~repro.execution.cache.MemoizedLoss`: a ``loss_fn`` that
+    already is one is adopted, so GA instances run on the same wrapper
+    (the engine's) share its table and never re-evaluate a genome; any
+    other loss gets a fresh table.
     """
 
     def __init__(self, loss_fn: Callable[[np.ndarray], float],
                  genome_length: int, num_values: int = 4,
                  config: GAConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 cache: dict[bytes, float] | None = None):
+                 rng: np.random.Generator | None = None):
         if genome_length < 1:
             raise ValueError("genome_length must be positive")
         self.loss_fn = loss_fn
-        if isinstance(loss_fn, MemoizedLoss) and (cache is None
-                                                  or cache is loss_fn.cache):
-            self._memo = loss_fn
-        else:
-            self._memo = memoize_loss(loss_fn, cache)
+        self._memo = (loss_fn if isinstance(loss_fn, MemoizedLoss)
+                      else memoize_loss(loss_fn))
         self.cache = self._memo.cache
         self._misses_at_start = self._memo.misses
-        self._hits_at_start = self._memo.hits
-        self._dedups_at_start = self._memo.dedups
         self.genome_length = genome_length
         self.num_values = num_values
         self.config = config or GAConfig()
@@ -113,16 +105,6 @@ class GeneticAlgorithm:
     def num_evaluations(self) -> int:
         """Distinct loss evaluations this instance paid (cache misses)."""
         return self._memo.misses - self._misses_at_start
-
-    @property
-    def cache_hits(self) -> int:
-        """Lookups this instance served from the shared memo table."""
-        return self._memo.hits - self._hits_at_start
-
-    @property
-    def cache_dedups(self) -> int:
-        """Within-batch duplicates collapsed by this instance's batches."""
-        return self._memo.dedups - self._dedups_at_start
 
     # ------------------------------------------------------------------
     # Population utilities
@@ -187,6 +169,4 @@ class GeneticAlgorithm:
         return GAResult(population=population, losses=losses,
                         best_genome=population[0].copy(),
                         best_loss=float(losses[0]), history=history,
-                        num_evaluations=self.num_evaluations,
-                        cache_hits=self.cache_hits,
-                        cache_dedups=self.cache_dedups)
+                        num_evaluations=self.num_evaluations)

@@ -118,8 +118,8 @@ class SearchResult:
         stopped_by: What ended the search: ``"converged"``, ``"rounds"``,
             ``"evaluations"``, or ``"target"``.
         cache_stats: Memo-table accounting of the run (``hits`` /
-            ``misses`` / ``dedups`` / ``entries``), aggregated across
-            process workers when the engine fans instances out.
+            ``misses`` / ``dedups`` / ``entries``); the table lives in
+            the driving process under every executor.
     """
 
     strategy: str
@@ -152,12 +152,11 @@ class BudgetedLoss:
     raises :class:`BudgetExhausted` / :class:`TargetReached` as control
     flow the strategy's round loop catches.
 
-    Accounting is guarded by a lock, so a tracker shared across thread
-    workers (the budgeted multi-GA adapter under a ``ThreadExecutor``)
-    stays exact -- budgeted evaluation serializes in that case; the
-    built-in strategies call the tracker from the driving thread only,
-    where the lock is uncontended.  Process workers each deserialize
-    their own copy and check the cap independently.
+    The tracker sits outside any executor: it wraps the sharded loss and
+    the built-in strategies (``multi_ga`` included) call it from the
+    driving thread only, so the count is exact and the stop lands on the
+    same genome under every executor.  Accounting is still guarded by a
+    lock, so a tracker a caller shares across threads stays exact too.
     """
 
     def __init__(self, loss_fn: Callable[[np.ndarray], float],

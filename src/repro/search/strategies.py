@@ -34,9 +34,16 @@ import numpy as np
 
 from ..execution.cache import memoize_loss
 from ..obs import get_tracer
-# _ShardedBatchLoss is the engine's executor seam for population batches;
-# the strategies reuse it so parallel values stay bit-identical to serial.
-from ..optim.engine import EngineConfig, _ShardedBatchLoss, multi_ga_minimize
+# shard_loss is the engine's executor seam for population batches; the
+# strategies reuse it so parallel values stay bit-identical to serial.  A
+# budgeted multi_ga runs the engine's round loop (_minimize_rounds) on the
+# memo _prepare builds, so its budget tracker sits between memo and shards.
+from ..optim.engine import (
+    EngineConfig,
+    _minimize_rounds,
+    multi_ga_minimize,
+    shard_loss,
+)
 from .base import (
     BudgetedLoss,
     BudgetExhausted,
@@ -61,10 +68,7 @@ def _prepare(loss_fn, budget, config, rng, executor):
     budget = budget if budget is not None else SearchBudget.from_engine(cfg)
     budget.validate()
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    inner = loss_fn
-    if executor is not None and not executor.in_process_sequential:
-        inner = _ShardedBatchLoss(loss_fn, executor)
-    tracker = BudgetedLoss(inner, budget)
+    tracker = BudgetedLoss(shard_loss(loss_fn, executor), budget)
     return cfg, budget, rng, tracker, memoize_loss(tracker)
 
 
@@ -120,12 +124,13 @@ class MultiGAStrategy(SearchStrategy):
     """Adapter over the paper's Figure-4 multi-GA engine.
 
     With no budget (the default) this is a plain ``multi_ga_minimize``
-    call and returns the engine's own result.  A budget wraps the loss
-    in :class:`~repro.search.base.BudgetedLoss`: the engine's schedule
-    is unchanged until a cap binds, at which point the search stops
-    with the incumbent (``max_evaluations`` is honored exactly).  The tracker's lock keeps accounting exact under thread
-    executors (budgeted evaluation serializes); a process executor on
-    the ``instances`` axis checks the cap per worker.
+    call and returns the engine's own result.  A budget puts
+    :class:`~repro.search.base.BudgetedLoss` between the engine's memo
+    table and the (executor-sharded) loss, as every strategy does: the
+    engine's schedule is unchanged until a cap binds, at which point the
+    search stops with the incumbent.  The tracker sees every miss batch
+    in the driving process, so ``max_evaluations`` is honored exactly,
+    with the same result, under every executor.
     """
 
     name = "multi_ga"
@@ -139,22 +144,20 @@ class MultiGAStrategy(SearchStrategy):
             raise ValueError(
                 "multi_ga owns its rng schedule through EngineConfig.seed; "
                 "pass config=EngineConfig(seed=...) instead of rng=")
-        cfg = config or EngineConfig()
         start = time.perf_counter()
         with get_tracer().span("search.minimize", strategy=self.name):
             if budget is None:
                 return multi_ga_minimize(loss_fn, num_parameters,
-                                         num_values=num_values, config=cfg,
-                                         executor=executor)
-            budget.validate()
+                                         num_values=num_values,
+                                         config=config, executor=executor)
+            cfg, budget, _, tracker, memo = _prepare(
+                loss_fn, budget, config, None, executor)
             if (budget.max_rounds is not None
                     and budget.max_rounds < cfg.max_rounds):
                 cfg = replace(cfg, max_rounds=budget.max_rounds)
-            tracker = BudgetedLoss(loss_fn, budget)
             try:
-                return multi_ga_minimize(tracker, num_parameters,
-                                         num_values=num_values, config=cfg,
-                                         executor=executor)
+                return _minimize_rounds(memo, num_parameters, num_values,
+                                        cfg)
             except (BudgetExhausted, TargetReached) as stop:
                 stopped_by = ("evaluations"
                               if isinstance(stop, BudgetExhausted)

@@ -2,7 +2,7 @@
 
 Pins the redesign's contracts: batched ``estimate_many`` matches sequential
 ``estimate`` bit-for-bit, every executor drives the Figure-4 engine
-deterministically (thread and process runs agree with each other), the
+through the same schedule (serial, thread and process runs agree), the
 shared memoiser works under all of them, and the ``Experiment`` façade
 reproduces the legacy runner numbers exactly.
 """
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import VQEProblem, cafqa
+from repro.core import ClaptonLoss, VQEProblem, cafqa
 from repro.execution import (
     BatchResult,
     EstimateResult,
@@ -148,15 +148,29 @@ class TestExecutors:
         assert a.num_evaluations == b.num_evaluations
 
     def test_engine_thread_and_process_agree(self):
-        with ThreadExecutor(2) as threads:
-            t = multi_ga_minimize(count_nonzero_loss, 8, config=ENGINE,
-                                  executor=threads)
-        with ProcessExecutor(2) as processes:
-            p = multi_ga_minimize(count_nonzero_loss, 8, config=ENGINE,
-                                  executor=processes)
-        assert t.best_loss == p.best_loss
-        np.testing.assert_array_equal(t.best_genome, p.best_genome)
-        assert t.num_evaluations == p.num_evaluations
+        """Every executor runs the one engine schedule and only shards
+        each generation's batch, so serial, threaded (any worker count)
+        and multi-process runs are identical round by round."""
+        problem = make_problem()
+        loss = ClaptonLoss(problem)
+        config = EngineConfig(num_instances=2, generations_per_round=5,
+                              top_k=3, population_size=10, retry_rounds=1,
+                              seed=0)
+
+        def run(executor):
+            with executor:
+                result = multi_ga_minimize(
+                    loss, problem.num_transformation_parameters,
+                    config=config, executor=executor)
+            trace = [(t.best_loss, t.num_evaluations) for t in result.trace]
+            return (result.best_genome.tolist(), result.best_loss,
+                    result.num_evaluations, trace)
+
+        serial = run(SerialExecutor())
+        assert len(serial[3]) >= 2
+        for executor in (ThreadExecutor(2), ThreadExecutor(4),
+                         ProcessExecutor(2)):
+            assert run(executor) == serial, executor
 
     def test_engine_parallel_deterministic_across_worker_counts(self):
         with ThreadExecutor(1) as one, ThreadExecutor(4) as four:
@@ -167,6 +181,22 @@ class TestExecutors:
         assert a.best_loss == b.best_loss
         np.testing.assert_array_equal(a.best_genome, b.best_genome)
         assert a.num_evaluations == b.num_evaluations
+
+    def test_process_shards_fold_kernel_counters(self):
+        """Packed-kernel work done in worker processes reaches the
+        parent's KERNEL counters whether or not tracing is on."""
+        from repro.obs.kernel import KERNEL
+
+        problem = make_problem()
+        loss = ClaptonLoss(problem)
+        rows = []
+        for executor in (ThreadExecutor(2), ProcessExecutor(2)):
+            with executor:
+                before = KERNEL.snapshot()
+                multi_ga_minimize(loss, problem.num_transformation_parameters,
+                                  config=ENGINE, executor=executor)
+                rows.append(KERNEL.delta(before)["rows"])
+        assert rows[0] == rows[1] > 0
 
     def test_parallel_cache_persists_across_rounds(self):
         """The old parallel path re-evaluated repeated genomes every round."""
@@ -195,11 +225,7 @@ class TestMemoizeLoss:
         g = np.array([1, 2, 3])
         assert memo(g) == 6.0 and memo(g) == 6.0
         assert len(calls) == 1 and memo.hits == 1 and memo.misses == 1
-        other = memoize_loss(loss, memo.snapshot())
-        assert other(g) == 6.0
-        assert len(calls) == 1
-        memo.merge({b"x": 1.5})
-        assert len(memo) == 2
+        assert len(memo) == 1
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.execution import ProcessExecutor
+from repro.execution import ProcessExecutor, memoize_loss
 from repro.optim import (
     EngineConfig,
     GAConfig,
@@ -60,15 +60,15 @@ class TestGeneticAlgorithm:
             return count_nonzero_loss(genome)
 
         rng = np.random.default_rng(3)
-        cache = {}
-        ga = GeneticAlgorithm(counting_loss, genome_length=4,
+        memo = memoize_loss(counting_loss)
+        ga = GeneticAlgorithm(memo, genome_length=4,
                               config=GAConfig(population_size=20,
                                               num_generations=30),
-                              rng=rng, cache=cache)
+                              rng=rng)
         ga.run()
         # only 4^4 = 256 distinct genomes exist; far fewer calls than the
         # 20 * 31 evaluations a cache-less run would make
-        assert len(calls) == len(cache)
+        assert len(calls) == len(memo.cache)
         assert len(calls) <= 256
 
     def test_initial_population_respected_and_topped_up(self):
@@ -313,6 +313,37 @@ class TestEngineEdgeCases:
                 multi_ga_minimize(counting_loss, genome_length=3,
                                   config=config)
         assert calls == []
+
+    @pytest.mark.parametrize("ga", [
+        {"tournament_size": 0}, {"crossover_rate": 1.5},
+        {"crossover_rate": -0.1}, {"mutation_rate": 2.0},
+        {"mutation_rate": -0.5}, {"elite_count": -3}, {"elite_count": 11},
+    ])
+    def test_ga_block_validated_before_any_evaluation(self, ga):
+        """Campaign spec JSON reaches the GA block through
+        ``engine_from_dict``; a bad value must fail before the first
+        batch, not mid-run."""
+        from repro.campaigns.spec import engine_from_dict
+
+        calls = []
+
+        def counting_loss(genome):
+            calls.append(1)
+            return 0.0
+
+        config = engine_from_dict({"population_size": 10, "ga": ga})
+        (field,) = ga
+        with pytest.raises(ValueError, match=f"EngineConfig.ga.{field}"):
+            multi_ga_minimize(counting_loss, genome_length=3, config=config)
+        assert calls == []
+
+    def test_ga_block_accepts_its_boundaries(self):
+        for ga in (GAConfig(tournament_size=1, crossover_rate=0.0,
+                            mutation_rate=0.0, elite_count=0),
+                   GAConfig(crossover_rate=1.0, mutation_rate=1.0,
+                            elite_count=10),
+                   GAConfig(mutation_rate=None)):
+            EngineConfig(population_size=10, ga=ga).validate()
 
     def test_ga_accounting_lives_in_shared_wrapper(self):
         from repro.execution import memoize_loss

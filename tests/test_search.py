@@ -182,8 +182,7 @@ class TestContracts:
             get_strategy("multi_ga").minimize(
                 quad_loss, 4, config=TINY, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("name", ("annealing", "tabu",
-                                      "restart_climb"))
+    @pytest.mark.parametrize("name", BUILTIN_STRATEGIES)
     def test_executor_sharding_is_bit_identical(self, name):
         from repro.execution import ThreadExecutor
 
@@ -195,6 +194,29 @@ class TestContracts:
         assert np.array_equal(serial.best_genome, sharded.best_genome)
         assert serial.best_loss == sharded.best_loss
         assert serial.num_evaluations == sharded.num_evaluations
+
+    def test_budgeted_multi_ga_is_exact_under_every_executor(self):
+        """The budget tracker wraps the sharded loss in the driving
+        process, so the cap binds exactly, on the same genome, whether
+        the batches run inline, on threads or in worker processes."""
+        from repro.execution import (
+            ProcessExecutor,
+            SerialExecutor,
+            ThreadExecutor,
+        )
+
+        budget = SearchBudget(max_evaluations=50)
+        outcomes = []
+        for executor in (SerialExecutor(), ThreadExecutor(2),
+                         ProcessExecutor(2)):
+            with executor:
+                result = get_strategy("multi_ga").minimize(
+                    quad_loss, 10, config=TINY, budget=budget,
+                    executor=executor)
+            assert result.num_evaluations == 50, executor
+            assert result.stopped_by == "evaluations", executor
+            outcomes.append((result.best_genome.tolist(), result.best_loss))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 @pytest.mark.parametrize("module",
