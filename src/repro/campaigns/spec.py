@@ -382,9 +382,10 @@ class CampaignSpec:
             if bad:
                 raise ValueError(f"unknown backends {bad}; "
                                  f"known: {sorted(ALL_BACKENDS)}")
+        _preset_engine(self.engine_preset)  # an unknown preset names itself
         try:
-            self.engine_config()  # validate preset + overrides early
-        except TypeError as exc:
+            self.engine_config().validate()  # override keys and values
+        except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"bad engine_overrides {self.engine_overrides}: "
                 f"{exc}") from None

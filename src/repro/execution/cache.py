@@ -10,7 +10,9 @@ accounting has exactly one home whatever executor shards the misses.
 :meth:`MemoizedLoss.evaluate_many` is the batch face of the same table:
 dedupe a whole population within the batch and against the cache, then
 dispatch only the distinct misses -- through the loss's own population-
-batched ``evaluate_many`` when it provides one.
+batched ``evaluate_many`` when it provides one.  A loss that stops part-way
+through a batch raises :class:`BatchInterrupted` carrying the prefix it did
+evaluate; the table keeps and counts that prefix before the stop propagates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,19 @@ _CACHE_MISSES = REGISTRY.counter(
 _CACHE_DEDUP = REGISTRY.counter(
     "repro_cache_dedup_total",
     "Within-batch duplicate genomes collapsed by evaluate_many")
+
+
+class BatchInterrupted(Exception):
+    """Raised by a loss that stops part-way through a batch.
+
+    ``values`` are the losses of the batch prefix it did evaluate (possibly
+    none); :meth:`MemoizedLoss.evaluate_many` caches and counts them as
+    misses before re-raising, so a stopped search's accounting adds up.
+    """
+
+    def __init__(self, values=()):
+        super().__init__()
+        self.values = np.asarray(values, dtype=float)
 
 
 def genome_key(genome) -> bytes:
@@ -119,13 +134,21 @@ class MemoizedLoss:
         _CACHE_HITS.inc(num_hits)
         _CACHE_DEDUP.inc(num_dedups)
         if first:
-            values = evaluate_batch(self.loss_fn,
-                                    genomes[list(first.values())])
-            self.cache.update(zip(first, values.tolist()))
-            self.misses += len(first)
-            _CACHE_MISSES.inc(len(first))
+            try:
+                values = evaluate_batch(self.loss_fn,
+                                        genomes[list(first.values())])
+            except BatchInterrupted as stop:
+                self._store(first, stop.values)  # zip keeps the prefix
+                raise
+            self._store(first, values)
             out[miss_at] = [self.cache[keys[i]] for i in miss_at]
         return out
+
+    def _store(self, keys, values: np.ndarray) -> None:
+        """Cache freshly evaluated misses and count them."""
+        self.cache.update(zip(keys, values.tolist()))
+        self.misses += len(values)
+        _CACHE_MISSES.inc(len(values))
 
     def stats(self) -> dict[str, int]:
         """This wrapper's own hit/miss/dedup accounting, for surfacing

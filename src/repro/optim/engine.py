@@ -9,10 +9,11 @@ configurable number of retry rounds -- the paper allows two).
 The same engine drives Clapton, CAFQA, and nCAFQA (Sec. 5.2 builds the
 baselines on "an optimization engine similar to the one shown in Figure 4"),
 so method comparisons isolate the *cost function*, not the optimizer.
-It is the ``multi_ga`` point of the search axis and reports through that
-axis's :class:`~repro.search.SearchResult` (one
-:class:`~repro.search.SearchTrace` per round), so engine runs and every
-other strategy share one result type.
+It is the ``multi_ga`` point of the search axis: the round loop lives in
+:class:`~repro.search.strategies.MultiGAStrategy` and runs through the
+same driver as every other strategy, and :func:`multi_ga_minimize` is
+that strategy under its default budget.  This module keeps the engine's
+working point (:class:`EngineConfig`) and its executor seam.
 
 There is one schedule: within a round the instances run one after
 another on one memo table, and one rng threads through every instance
@@ -23,8 +24,8 @@ Parallelism (Sec. 6.3) is a one-argument switch: pass any
 :mod:`repro.execution` executor as ``executor=``.  Every executor runs
 that same schedule; a thread or process executor shards each
 generation's deduped miss batch across its workers
-(:class:`_ShardedBatchLoss`), and every per-genome value comes from the
-same batched arithmetic, so serial, threaded and multi-process runs give
+(:func:`shard_loss`), and every per-genome value comes from the same
+batched arithmetic, so serial, threaded and multi-process runs give
 bit-identical results.
 """
 
@@ -37,11 +38,11 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..execution.cache import MemoizedLoss, evaluate_batch, memoize_loss
+from ..execution.cache import evaluate_batch
 from ..execution.executor import Executor
 from ..obs import get_tracer
 from ..obs.kernel import KERNEL
-from .genetic import GAConfig, GeneticAlgorithm
+from .genetic import GAConfig
 
 if TYPE_CHECKING:  # annotation only; repro.search imports this module
     from ..search.base import SearchResult
@@ -75,9 +76,10 @@ class EngineConfig:
     def validate(self) -> None:
         """Reject configurations the round loop cannot run to completion.
 
-        Called by :func:`multi_ga_minimize` before any evaluation is spent,
-        so a bad working point fails fast instead of burning a full round
-        and then crashing in the breeding or mix step.
+        Called by :meth:`~repro.search.SearchStrategy.minimize` before
+        any evaluation is spent, so a bad working point fails fast instead
+        of burning a full round and then crashing in the breeding or mix
+        step.
         """
         for name in ("num_instances", "population_size", "max_rounds"):
             if getattr(self, name) < 1:
@@ -184,11 +186,12 @@ def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
                       executor: Executor | None = None) -> SearchResult:
     """Run the Figure-4 engine to convergence and return the best genome.
 
-    The result is the search axis's :class:`~repro.search.SearchResult`
-    with ``strategy="multi_ga"``: one :class:`~repro.search.SearchTrace`
-    per round, ``stopped_by`` ``"rounds"`` when ``config.max_rounds``
-    rounds ran and ``"converged"`` otherwise, and the memo table's own
-    ``cache_stats``.
+    This is the ``multi_ga`` strategy
+    (:class:`~repro.search.strategies.MultiGAStrategy`) under its default
+    budget, which never binds before ``config.max_rounds`` rounds: one
+    :class:`~repro.search.SearchTrace` per round, ``stopped_by``
+    ``"rounds"`` when ``config.max_rounds`` rounds ran and
+    ``"converged"`` otherwise, and the memo table's own ``cache_stats``.
 
     Args:
         loss_fn: Maps a genome (1-D int array) to a float loss.  Must be
@@ -199,89 +202,8 @@ def multi_ga_minimize(loss_fn: Callable[[np.ndarray], float],
         executor: Execution backend the loss batches are sharded over;
             defaults to evaluating them inline.
     """
-    cfg = config or EngineConfig()
-    cfg.validate()
-    return _minimize_rounds(memoize_loss(shard_loss(loss_fn, executor)),
-                            genome_length, num_values, cfg)
-
-
-def _minimize_rounds(memo: MemoizedLoss, genome_length: int,
-                     num_values: int, cfg: EngineConfig) -> SearchResult:
-    """The round loop: every evaluation goes through ``memo``."""
     # call-time import: repro.search imports this module
-    from ..search.base import SearchResult, SearchTrace
+    from ..search.strategies import MultiGAStrategy
 
-    rng = np.random.default_rng(cfg.seed)
-    ga_config = GAConfig(
-        population_size=cfg.population_size,
-        num_generations=cfg.generations_per_round,
-        tournament_size=cfg.ga.tournament_size,
-        crossover_rate=cfg.ga.crossover_rate,
-        mutation_rate=cfg.ga.mutation_rate,
-        elite_count=cfg.ga.elite_count,
-    )
-    populations: list[np.ndarray | None] = [None] * cfg.num_instances
-    best_genome: np.ndarray | None = None
-    best_loss = float("inf")
-    retries_left = cfg.retry_rounds
-    trace: list[SearchTrace] = []
-    tracer = get_tracer()
-    start_time = time.perf_counter()
-
-    for _ in range(cfg.max_rounds):
-        # One real span per round (the SearchTrace keeps its own
-        # perf_counter bookkeeping -- spans are additive, never a source
-        # of record fields).  Loss spans from the instances nest inside.
-        with tracer.span("engine.round", round=len(trace),
-                         instances=cfg.num_instances) as round_span:
-            round_start = time.perf_counter()
-            round_evals = 0
-            pool: list[np.ndarray] = []
-            for population in populations:
-                result = GeneticAlgorithm(memo, genome_length, num_values,
-                                          config=ga_config, rng=rng
-                                          ).run(initial_population=population)
-                round_evals += result.num_evaluations
-                pool.extend(result.population[:cfg.top_k])
-                if result.best_loss < best_loss - 1e-12:
-                    best_loss = result.best_loss
-                    best_genome = result.best_genome
-            trace.append(SearchTrace(
-                round_index=len(trace), best_loss=best_loss,
-                num_evaluations=round_evals,
-                duration_seconds=time.perf_counter() - round_start))
-            round_span.tag(evaluations=round_evals, best_loss=best_loss)
-
-            improved = (len(trace) < 2
-                        or trace[-1].best_loss
-                        < trace[-2].best_loss - 1e-12)
-            if improved:
-                retries_left = cfg.retry_rounds
-            else:
-                retries_left -= 1
-                if retries_left < 0:
-                    break
-
-            # Mix: shuffle the pooled elites into fresh seed populations,
-            # topping up with brand-new random guesses (Figure 4, right).
-            if not pool:
-                # top_k = 0 leaves nothing to pool; reseed every instance
-                # from fresh random guesses instead of crashing in
-                # rng.choice.
-                populations = [None] * cfg.num_instances
-                continue
-            pool_genomes = np.array(pool)
-            take = min(max(1, int(cfg.pool_fraction * cfg.population_size)),
-                       len(pool_genomes))
-            populations = [
-                pool_genomes[rng.choice(len(pool_genomes), size=take,
-                                        replace=False)]
-                for _ in range(cfg.num_instances)]
-
-    return SearchResult(
-        strategy="multi_ga", best_genome=best_genome, best_loss=best_loss,
-        trace=trace, num_evaluations=sum(t.num_evaluations for t in trace),
-        total_seconds=time.perf_counter() - start_time,
-        stopped_by=("rounds" if len(trace) >= cfg.max_rounds
-                    else "converged"),
-        cache_stats=memo.stats())
+    return MultiGAStrategy().minimize(loss_fn, genome_length, num_values,
+                                      config=config, executor=executor)

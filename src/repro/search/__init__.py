@@ -13,6 +13,7 @@ from .base import (
     BudgetExhausted,
     SearchBudget,
     SearchResult,
+    SearchRun,
     SearchStrategy,
     SearchTrace,
     TargetReached,
@@ -36,8 +37,8 @@ from .strategies import (
 __all__ = [
     "AnnealingStrategy", "BudgetExhausted", "BudgetedLoss",
     "DEFAULT_STRATEGY", "MultiGAStrategy", "RestartClimbStrategy",
-    "SearchBudget", "SearchResult", "SearchStrategy", "SearchTrace",
-    "TabuStrategy", "TargetReached", "available_strategies",
+    "SearchBudget", "SearchResult", "SearchRun", "SearchStrategy",
+    "SearchTrace", "TabuStrategy", "TargetReached", "available_strategies",
     "get_strategy", "register_strategy", "resolve_strategy",
     "strategy_names", "unregister_strategy",
 ]

@@ -8,33 +8,41 @@ minimizes an integer-genome loss under a shared :class:`SearchBudget`
 can ask "is the GA actually the right searcher for Clifford loss
 landscapes?" with every other axis held fixed.
 
+:meth:`SearchStrategy.minimize` is the one driver every built-in strategy,
+``multi_ga`` included, runs through: it validates the working point and
+budget, builds the evaluation chain (memo -> :class:`BudgetedLoss` ->
+executor shards -> loss) into a :class:`SearchRun`, calls the strategy's
+:meth:`~SearchStrategy.rounds` hook, turns a budget stop into
+``stopped_by``, and builds the :class:`SearchResult`.  A strategy
+implements only its round loop.
+
 Budget enforcement is shared, not per-strategy: :class:`BudgetedLoss`
-wraps the raw loss, counts every *distinct* evaluation (strategies route
-all evaluation through :class:`~repro.execution.cache.MemoizedLoss`, so
-cache hits are free, exactly like the engine's accounting), tracks the
-incumbent best genome, and raises :class:`BudgetExhausted` /
-:class:`TargetReached` the moment a cap binds -- trimming the final batch
-so ``max_evaluations`` is respected *exactly*, never approximately.
+wraps the raw loss, counts every *distinct* evaluation (the memo table in
+front of it makes cache hits free), tracks the incumbent best genome, and
+raises :class:`BudgetExhausted` / :class:`TargetReached` the moment a cap
+binds -- trimming the final batch so ``max_evaluations`` is respected
+*exactly*, never approximately.
 """
 
 from __future__ import annotations
 
-import abc
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..execution.cache import evaluate_batch
-from ..optim.engine import EngineConfig
+from ..execution.cache import BatchInterrupted, evaluate_batch, memoize_loss
+from ..obs import get_tracer
+from ..optim.engine import EngineConfig, shard_loss
 
 
-class BudgetExhausted(Exception):
+class BudgetExhausted(BatchInterrupted):
     """Raised by :class:`BudgetedLoss` when ``max_evaluations`` binds."""
 
 
-class TargetReached(Exception):
+class TargetReached(BatchInterrupted):
     """Raised by :class:`BudgetedLoss` when ``target_loss`` is hit."""
 
 
@@ -70,8 +78,8 @@ class SearchBudget:
         strategies share one evaluation envelope.  ``max_rounds`` is that
         same ceiling measured in *population batches* (the unit the
         non-GA strategies call a round: one engine round spans ``m + 1``
-        generation batches); the GA adapter still clips it to the
-        engine's own round cap.
+        generation batches); ``multi_ga`` runs at most
+        ``config.max_rounds`` engine rounds whatever this cap says.
         """
         per_round = (config.num_instances * config.population_size
                      * (config.generations_per_round + 1))
@@ -105,21 +113,25 @@ class SearchTrace:
 
 @dataclass
 class SearchResult:
-    """Outcome of one :meth:`SearchStrategy.minimize` call -- and of
-    :func:`~repro.optim.engine.multi_ga_minimize`, which is the
-    ``multi_ga`` strategy's engine.
+    """Outcome of one :meth:`SearchStrategy.minimize` call
+    (:func:`~repro.optim.engine.multi_ga_minimize` is one such call).
 
     Attributes:
         strategy: Registered strategy name that produced this result.
-        best_genome / best_loss: The incumbent.
-        trace: Per-round records, in execution order.
-        num_evaluations: Distinct loss evaluations paid.
+        best_genome / best_loss: The incumbent: the best genome any
+            evaluation of the run paid for.
+        trace: Per-round records, in execution order; a budget stop
+            closes the interrupted round as a last, partial record.
+        num_evaluations: Distinct loss evaluations paid (the sum over
+            ``trace``).
         total_seconds: Wall time of the whole search.
         stopped_by: What ended the search: ``"converged"``, ``"rounds"``,
             ``"evaluations"``, or ``"target"``.
         cache_stats: Memo-table accounting of the run (``hits`` /
             ``misses`` / ``dedups`` / ``entries``); the table lives in
-            the driving process under every executor.
+            the driving process under every executor, and ``misses``
+            equals ``num_evaluations`` for the built-in strategies, a
+            budget-stopped run included.
     """
 
     strategy: str
@@ -143,20 +155,22 @@ class SearchResult:
 class BudgetedLoss:
     """Budget enforcement + incumbent tracking around a raw loss.
 
-    Strategies wrap the (possibly executor-sharded) loss in this class and
-    then memoize it, so only distinct genomes consume budget.  The wrapper
-    evaluates through the loss's own population-batched ``evaluate_many``
-    when it has one, trims the batch that would overshoot
-    ``max_evaluations`` (the allowed prefix is still evaluated and folded
-    into the incumbent, so the count lands *exactly* on the cap), and
-    raises :class:`BudgetExhausted` / :class:`TargetReached` as control
-    flow the strategy's round loop catches.
+    :class:`SearchRun` wraps the (possibly executor-sharded) loss in this
+    class and then memoizes it, so only distinct genomes consume budget.
+    The wrapper evaluates through the loss's own population-batched
+    ``evaluate_many`` when it has one, trims the batch that would
+    overshoot ``max_evaluations`` (the allowed prefix is still evaluated
+    and folded into the incumbent, so the count lands *exactly* on the
+    cap), and raises :class:`BudgetExhausted` / :class:`TargetReached`
+    carrying the values it did evaluate, as control flow
+    :meth:`SearchStrategy.minimize` catches (the memo table keeps those
+    values on the way out).
 
     The tracker sits outside any executor: it wraps the sharded loss and
-    the built-in strategies (``multi_ga`` included) call it from the
-    driving thread only, so the count is exact and the stop lands on the
-    same genome under every executor.  Accounting is still guarded by a
-    lock, so a tracker a caller shares across threads stays exact too.
+    the built-in strategies call it from the driving thread only, so the
+    count is exact and the stop lands on the same genome under every
+    executor.  Accounting is still guarded by a lock, so a tracker a
+    caller shares across threads stays exact too.
     """
 
     def __init__(self, loss_fn: Callable[[np.ndarray], float],
@@ -177,7 +191,7 @@ class BudgetedLoss:
             self.best_genome = np.asarray(genomes[i]).copy()
         target = self.budget.target_loss
         if target is not None and self.best_loss <= target:
-            raise TargetReached
+            raise TargetReached(values)
 
     # ------------------------------------------------------------------
     def __call__(self, genome) -> float:
@@ -187,20 +201,15 @@ class BudgetedLoss:
         genomes = np.asarray(genomes)
         with self._lock:
             cap = self.budget.max_evaluations
-            if cap is not None:
-                allowed = cap - self.evaluations
-                if allowed <= 0:
-                    raise BudgetExhausted
-                if len(genomes) > allowed:
-                    # evaluate the prefix that fits, land exactly on the
-                    # cap, and end the search; the partial round still
-                    # feeds the incumbent (its values are lost only to
-                    # the caller)
-                    values = evaluate_batch(self.loss_fn, genomes[:allowed])
-                    self._record(genomes[:allowed], values)
-                    raise BudgetExhausted
-            values = evaluate_batch(self.loss_fn, genomes)
-            self._record(genomes, values)
+            if cap is not None and self.evaluations >= cap:
+                raise BudgetExhausted()
+            # evaluate the prefix that fits, so the count lands exactly on
+            # the cap; a cut batch still feeds the incumbent
+            room = len(genomes) if cap is None else cap - self.evaluations
+            values = evaluate_batch(self.loss_fn, genomes[:room])
+            self._record(genomes[:room], values)
+            if room < len(genomes):
+                raise BudgetExhausted(values)
         return values
 
     def __getstate__(self):
@@ -214,21 +223,67 @@ class BudgetedLoss:
         self._lock = threading.Lock()
 
 
-class SearchStrategy(abc.ABC):
+class SearchRun:
+    """The state of one :meth:`SearchStrategy.minimize` call, handed to
+    the strategy's :meth:`~SearchStrategy.rounds` hook.
+
+    Attributes:
+        num_parameters / num_values: The genome space.
+        config: The validated working point.
+        rng: The strategy's generator.
+        max_rounds: ``budget.max_rounds``, else ``config.max_rounds``.
+        tracker: The :class:`BudgetedLoss` holding the incumbent and the
+            exact evaluation count.
+        memo: The evaluation entry point (dedupe -> budget -> shard ->
+            loss); every evaluation of the run goes through it.
+        trace: One :class:`SearchTrace` per :meth:`lap`.
+    """
+
+    def __init__(self, loss_fn, num_parameters: int, num_values: int,
+                 budget: SearchBudget, config: EngineConfig,
+                 rng: np.random.Generator, executor):
+        self.num_parameters = num_parameters
+        self.num_values = num_values
+        self.config = config
+        self.rng = rng
+        self.max_rounds = (budget.max_rounds if budget.max_rounds is not None
+                           else config.max_rounds)
+        self.tracker = BudgetedLoss(shard_loss(loss_fn, executor), budget)
+        self.memo = memoize_loss(self.tracker)
+        self.trace: list[SearchTrace] = []
+        self._seen = 0
+        self._last = time.perf_counter()
+
+    def lap(self) -> SearchTrace:
+        """Close one round: record the incumbent, the evaluations since
+        the last lap and the lap time."""
+        now = time.perf_counter()
+        record = SearchTrace(
+            round_index=len(self.trace), best_loss=self.tracker.best_loss,
+            num_evaluations=self.tracker.evaluations - self._seen,
+            duration_seconds=now - self._last)
+        self.trace.append(record)
+        self._seen = self.tracker.evaluations
+        self._last = now
+        return record
+
+
+class SearchStrategy:
     """One discrete-search algorithm, addressable by name.
 
     Subclasses set the class attributes ``name`` (registry key) and
     ``description`` (one line, shown by ``repro strategies``) and
-    implement :meth:`minimize`.  Register with
-    :func:`~repro.search.register_strategy` to make the strategy runnable
-    through ``InitializationMethod.run(strategy=...)``, ``Experiment``,
+    implement :meth:`rounds`, the round loop that :meth:`minimize` drives;
+    a strategy that needs a different driver overrides :meth:`minimize`
+    instead.  Register with :func:`~repro.search.register_strategy` to
+    make the strategy runnable through
+    ``InitializationMethod.run(strategy=...)``, ``Experiment``,
     campaigns, and the CLI.
     """
 
     name: str = ""
     description: str = ""
 
-    @abc.abstractmethod
     def minimize(self, loss_fn: Callable[[np.ndarray], float],
                  num_parameters: int, num_values: int = 4, *,
                  budget: SearchBudget | None = None,
@@ -249,13 +304,51 @@ class SearchStrategy(abc.ABC):
             config: Working-point hyperparameters (population sizes,
                 seeds, round caps) shared with the Figure-4 engine.
             rng: Explicit generator; defaults to
-                ``np.random.default_rng(config.seed)``.  The multi-GA
-                adapter owns its schedule through ``config.seed`` and
-                rejects an explicit ``rng``.
+                ``np.random.default_rng(config.seed)``.
             executor: Any :mod:`repro.execution` backend; batched
                 evaluations are sharded across its workers (values are
                 bit-identical to serial execution).
         """
+        config = config or EngineConfig()
+        config.validate()
+        budget = budget if budget is not None else \
+            SearchBudget.from_engine(config)
+        budget.validate()
+        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        start = time.perf_counter()
+        run = SearchRun(loss_fn, num_parameters, num_values, budget, config,
+                        rng, executor)
+        with get_tracer().span("search.minimize", strategy=self.name):
+            try:
+                stopped_by = self.rounds(run)
+            except (BudgetExhausted, TargetReached) as stop:
+                stopped_by = ("evaluations"
+                              if isinstance(stop, BudgetExhausted)
+                              else "target")
+                if run.tracker.evaluations > run._seen:
+                    run.lap()  # the partial round the stop interrupted
+        tracker = run.tracker
+        if tracker.best_genome is None:
+            raise ValueError(
+                f"strategy {self.name!r} performed no evaluations; the "
+                f"budget must allow at least one")
+        return SearchResult(
+            strategy=self.name, best_genome=tracker.best_genome.copy(),
+            best_loss=tracker.best_loss, trace=run.trace,
+            num_evaluations=tracker.evaluations,
+            total_seconds=time.perf_counter() - start,
+            stopped_by=stopped_by, cache_stats=run.memo.stats())
+
+    def rounds(self, run: SearchRun) -> str:
+        """The strategy's round loop, driven by :meth:`minimize`.
+
+        Evaluate only through ``run.memo``, call ``run.lap()`` once per
+        round, and return ``"rounds"`` or ``"converged"``; a budget stop
+        is raised out of ``run.memo`` and handled by the driver.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither rounds(run) nor "
+            f"minimize")
 
     def __repr__(self) -> str:  # registry listings, error messages
         return f"<{type(self).__name__} name={self.name!r}>"

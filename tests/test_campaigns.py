@@ -106,8 +106,10 @@ class TestSpec:
             tiny_spec(engine_preset="bogus")
 
     def test_rejects_bad_engine_overrides_early(self):
-        with pytest.raises(ValueError, match="engine_overrides"):
-            tiny_spec(engine_overrides={"populaton_size": 10})  # typo
+        for overrides in ({"populaton_size": 10},  # typo
+                          {"num_instances": 0}, {"pool_fraction": 2.0}):
+            with pytest.raises(ValueError, match="engine_overrides"):
+                tiny_spec(engine_overrides=overrides)
 
     def test_rejects_bad_base_noise_and_backends(self):
         with pytest.raises(ValueError, match="base_noise"):

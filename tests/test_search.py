@@ -27,7 +27,7 @@ from repro.cli import main
 from repro.experiments import Experiment, ExperimentResult
 from repro.hamiltonians import ising_model
 from repro.noise import NoiseModel
-from repro.optim import EngineConfig, multi_ga_minimize
+from repro.optim import EngineConfig, GAConfig, multi_ga_minimize
 from repro.search import (
     BudgetedLoss,
     BudgetExhausted,
@@ -54,6 +54,13 @@ def quad_loss(genome) -> float:
     """Cheap synthetic loss with a unique minimum at all-ones."""
     g = np.asarray(genome, dtype=float)
     return float(np.sum((g - 1.0) ** 2) + 0.1 * g[0])
+
+
+def assert_accounting_adds_up(result):
+    """Memo misses, the evaluation count and the trace agree, a budget
+    stop included."""
+    assert result.cache_stats["misses"] == result.num_evaluations == \
+        sum(t.num_evaluations for t in result.trace)
 
 
 def tiny_problem(n=3):
@@ -140,6 +147,7 @@ class TestContracts:
         assert result.num_evaluations == 37
         assert result.stopped_by == "evaluations"
         assert np.isfinite(result.best_loss)
+        assert_accounting_adds_up(result)
 
     @pytest.mark.parametrize("name", BUILTIN_STRATEGIES)
     def test_target_loss_stops_the_search(self, name):
@@ -153,6 +161,7 @@ class TestContracts:
                                              budget=budget)
         assert result.best_loss <= 5.0
         assert result.stopped_by == "target"
+        assert_accounting_adds_up(result)
 
     @pytest.mark.parametrize("name", BUILTIN_STRATEGIES)
     def test_trace_accounts_for_every_evaluation(self, name):
@@ -177,10 +186,38 @@ class TestContracts:
         assert direct.stopped_by == adapted.stopped_by
         assert direct.cache_stats == adapted.cache_stats
 
-    def test_multi_ga_rejects_explicit_rng(self):
-        with pytest.raises(ValueError, match="EngineConfig.seed"):
-            get_strategy("multi_ga").minimize(
-                quad_loss, 4, config=TINY, rng=np.random.default_rng(0))
+    def test_multi_ga_explicit_rng_equals_config_seed(self):
+        strategy = get_strategy("multi_ga")
+        unseeded = EngineConfig(**TINY_OVERRIDES)
+        for seed in (0, 3):
+            by_rng = strategy.minimize(quad_loss, 10, config=unseeded,
+                                       rng=np.random.default_rng(seed))
+            by_seed = strategy.minimize(quad_loss, 10, config=EngineConfig(
+                seed=seed, **TINY_OVERRIDES))
+            assert np.array_equal(by_rng.best_genome, by_seed.best_genome)
+            assert by_rng.best_loss == by_seed.best_loss
+            assert by_rng.num_evaluations == by_seed.num_evaluations
+            assert [t.best_loss for t in by_rng.trace] == \
+                [t.best_loss for t in by_seed.trace]
+
+    def test_multi_ga_reports_the_best_genome_it_evaluated(self):
+        """Without elitism the final populations can lose the best genome
+        a round evaluated; the result still reports it."""
+        recorded = []
+
+        def recording_loss(genome):
+            value = quad_loss(genome)
+            recorded.append(value)
+            return value
+
+        config = EngineConfig(seed=0, num_instances=2,
+                              generations_per_round=4, top_k=3,
+                              population_size=10, retry_rounds=1,
+                              max_rounds=4, ga=GAConfig(elite_count=0))
+        result = get_strategy("multi_ga").minimize(recording_loss, 12,
+                                                   config=config)
+        assert result.best_loss == min(recorded)
+        assert quad_loss(result.best_genome) == result.best_loss
 
     @pytest.mark.parametrize("name", BUILTIN_STRATEGIES)
     def test_executor_sharding_is_bit_identical(self, name):
@@ -223,8 +260,9 @@ class TestContracts:
                          ("repro.optim.engine", "repro.search", "repro"))
 def test_imports_cleanly_in_a_fresh_interpreter(module):
     """``repro.search`` imports the engine at module level and the engine
-    imports ``repro.search.base`` at call time; a module-level import
-    there would close a cycle that only a fresh interpreter sees."""
+    imports ``repro.search.strategies`` at call time; a module-level
+    import there would close a cycle that only a fresh interpreter
+    sees."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
