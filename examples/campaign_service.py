@@ -30,6 +30,7 @@ from repro.campaigns.service import (
     run_worker,
     start_server,
 )
+from repro.campaigns.service.protocol import LeaseRequest
 
 SPEC = CampaignSpec(
     name="service-demo",
@@ -53,9 +54,9 @@ def flaky_worker(url: str) -> None:
     """Executes one task, then leases another and vanishes mid-flight."""
     client = HttpSchedulerClient(url)
     run_worker(client, "flaky", poll_interval=0.1, max_tasks=1)
-    grant = client.lease("flaky")  # lease a second task...
-    if grant.get("task") is not None:
-        print(f"  flaky    : leased {grant['task_id'][:10]} and died "
+    grant = client.lease(LeaseRequest("flaky"))  # lease a second task...
+    if grant.task is not None:
+        print(f"  flaky    : leased {grant.task_id[:10]} and died "
               f"(no heartbeat, no report)")
     # ...and never execute, heartbeat, or report it: a kill -9 in effect
 
@@ -79,7 +80,7 @@ def main() -> None:
         server = start_server(state, port=0)
         print(f"serving at {server.url}")
 
-        campaign, _ = state.submit(SPEC.to_dict())
+        campaign, _ = state.submit(SPEC)
         print(f"campaign {campaign.id}: "
               f"{campaign.status()['total']} tasks\n")
 

@@ -4,7 +4,8 @@ Architecture -- four layers, strictly separated so each is testable
 without the ones above it::
 
     repro serve / repro worker / repro submit        (CLI, http.py)
-        |            JSON over HTTP (stdlib http.server; no new deps)
+        |            JSON over HTTP (stdlib http.server; no new deps),
+        |            each body parsed once into a protocol.py type
     ServiceState                                     (state.py)
         |  campaign registry: idempotent content-addressed submission,
         |  cross-campaign lease dispatch, cached /report rendering
@@ -56,20 +57,21 @@ provenance differ.
 from ..retry import NO_RETRY, RetryPolicy
 from .http import CampaignServer, start_server
 from .leases import Lease, LeaseTable
+from .protocol import ServiceError
 from .scheduler import DEFAULT_LEASE_TTL, CampaignScheduler
 from .state import Campaign, ServiceState, campaign_id
 from .worker import (
+    CLIENT_ERRORS,
     HttpSchedulerClient,
-    LocalSchedulerClient,
     SchedulerClient,
     default_worker_id,
     run_worker,
 )
 
 __all__ = [
-    "Campaign", "CampaignScheduler", "CampaignServer",
+    "CLIENT_ERRORS", "Campaign", "CampaignScheduler", "CampaignServer",
     "DEFAULT_LEASE_TTL", "HttpSchedulerClient", "Lease", "LeaseTable",
-    "LocalSchedulerClient", "NO_RETRY", "RetryPolicy", "SchedulerClient",
+    "NO_RETRY", "RetryPolicy", "SchedulerClient", "ServiceError",
     "ServiceState", "campaign_id", "default_worker_id", "run_worker",
     "start_server",
 ]

@@ -11,7 +11,7 @@ Endpoints::
     GET  /healthz             liveness + uptime + lease/task counters
     GET  /metrics             Prometheus text exposition (version 0.0.4)
     GET  /campaigns           registered campaigns and their counts
-    POST /campaigns           submit a CampaignSpec JSON (idempotent)
+    POST /campaigns           SubmitRequest: a CampaignSpec (idempotent)
     GET  /status?campaign=ID  progress snapshot (per-strategy counts);
                               &stream=1 streams NDJSON snapshots until
                               the campaign completes
@@ -19,15 +19,19 @@ Endpoints::
                               &tier=..., &improver=...)
     GET  /trace?campaign=ID   merged fleet trace as NDJSON (404 until a
                               worker ships its first span batch)
-    POST /lease               {"worker_id"} -> task grant or idle
-    POST /heartbeat           {"worker_id", "leases": [...]}
-    POST /complete            {"worker_id", "campaign", "record"}
-    POST /traces              {"worker_id", "campaign", "unix_t0",
-                              "spans": [...]} span batch -> merged
-                              per-campaign trace.jsonl
+    POST /lease               LeaseRequest -> LeaseGrant (task or idle)
+    POST /heartbeat           HeartbeatRequest -> {"renewed": [...]}
+    POST /complete            CompleteRequest -> {"accepted", "done"}
+    POST /traces              TraceBatch -> {"accepted", "dropped"}; spans
+                              merge into per-campaign trace.jsonl
 
-Worker endpoints are POST because they mutate lease state; read-side
-endpoints are plain GETs so ``curl`` is a usable debugging client.
+Every POST body is parsed once, by its route's type in
+:mod:`~repro.campaigns.service.protocol` (the wire reference), before
+the state is touched.  Refusals are ``{"error": text}``: 400 for a body
+the protocol refuses, 404 for an unknown path or campaign, 413 for a
+body above :data:`MAX_BODY_BYTES`.  Worker endpoints are POST because
+they mutate lease state; read-side endpoints are plain GETs so ``curl``
+is a usable debugging client.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from .protocol import (CompleteRequest, HeartbeatRequest, LeaseRequest,
+                       SubmitRequest, TraceBatch, decode_body)
 from .state import ServiceState
 
 logger = logging.getLogger("repro.service.http")
@@ -51,6 +57,12 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4"
 
 #: Largest request body read; a longer ``Content-Length`` gets 413.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+#: POST route -> the protocol type its body is parsed into.
+POST_REQUESTS = {"/campaigns": SubmitRequest, "/lease": LeaseRequest,
+                 "/heartbeat": HeartbeatRequest,
+                 "/complete": CompleteRequest, "/traces": TraceBatch}
 
 
 class BodyTooLarge(ValueError):
@@ -75,37 +87,28 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def state(self) -> ServiceState:
         return self.server.state
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = (json.dumps(payload) + "\n").encode()
+    def _send(self, body: bytes, content_type: str,
+              status: int = 200) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, payload: dict, status: int = 200) -> None:
+        self._send((json.dumps(payload) + "\n").encode(),
+                   "application/json", status)
+
     def _send_text(self, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(200)
-        self.send_header("Content-Type",
-                         f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(text.encode(), f"{content_type}; charset=utf-8")
 
     def _read_json(self) -> dict:
         """The request body as a JSON object (``{}`` when empty).
 
-        Raises:
-            BodyTooLarge: on a ``Content-Length`` above
-                :data:`MAX_BODY_BYTES`, and
-            ValueError: on a negative or non-integer ``Content-Length``
-                (either way the body is left unread and the connection
-                closed), malformed JSON or a non-object body (a list,
-                ``null``, a number...); the message is the client-facing
-                error.
+        Raises ValueError (:class:`BodyTooLarge` above
+        :data:`MAX_BODY_BYTES`) with the client-facing error; on a bad
+        ``Content-Length`` the body is left unread and the connection
+        closed.
         """
         try:
             length = int(self.headers.get("Content-Length") or 0)
@@ -119,67 +122,54 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise BodyTooLarge("body too large")
         if length == 0:
             return {}
-        try:
-            payload = json.loads(self.rfile.read(length).decode())
-        except ValueError as exc:  # includes UnicodeDecodeError
-            raise ValueError(f"bad JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError("body must be a JSON object")
-        return payload
-
-    @staticmethod
-    def _worker_id(payload: dict) -> str:
-        worker_id = payload.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise ValueError("worker_id must be a non-empty string")
-        return worker_id
+        return decode_body(self.rfile.read(length))
 
     def _campaign(self, query: dict):
         cid = (query.get("campaign") or [None])[0]
         return self.state.get(cid)
 
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
-        url = urlparse(self.path)
-        query = parse_qs(url.query)
+    def _reply(self, route, *args) -> None:
+        """Run one route; an unknown path or campaign gets 404, a
+        refused request 400, each as ``{"error": text}``."""
         try:
-            if url.path == "/healthz":
-                self._send_json(self.state.health())
-            elif url.path == "/metrics":
-                self._send_text(self.state.metrics_text(),
-                                METRICS_CONTENT_TYPE)
-            elif url.path == "/campaigns":
-                self._send_json(self.state.status())
-            elif url.path == "/status":
-                if query.get("stream", ["0"])[0] in ("1", "true"):
-                    self._stream_status(query)
-                else:
-                    self._send_json(self._campaign(query).status())
-            elif url.path == "/report":
-                campaign = self._campaign(query)
-                fmt = (query.get("fmt") or ["markdown"])[0]
-                text = campaign.report(
-                    fmt=fmt,
-                    tier=(query.get("tier") or ["device_model"])[0],
-                    improver=(query.get("improver") or ["clapton"])[0])
-                self._send_text(text, "text/csv" if fmt == "csv"
-                                else "text/markdown")
-            elif url.path == "/trace":
-                text = self._campaign(query).trace_text()
-                if text is None:
-                    self._send_json({"error": "no trace ingested yet"},
-                                    status=404)
-                else:
-                    self._send_text(text, "application/x-ndjson")
-            else:
-                self._send_json({"error": f"unknown path {url.path}"},
-                                status=404)
+            route(*args)
         except KeyError as exc:
             self._send_json({"error": str(exc.args[0])}, status=404)
         except ValueError as exc:
             self._send_json({"error": str(exc)}, status=400)
+
+    def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
+        url = urlparse(self.path)
+        self._reply(self._get, url.path, parse_qs(url.query))
+
+    def _get(self, path: str, query: dict) -> None:
+        if path == "/healthz":
+            self._send_json(self.state.health())
+        elif path == "/metrics":
+            self._send_text(self.state.metrics_text(), METRICS_CONTENT_TYPE)
+        elif path == "/campaigns":
+            self._send_json(self.state.status())
+        elif path == "/status":
+            if query.get("stream", ["0"])[0] in ("1", "true"):
+                self._stream_status(query)
+            else:
+                self._send_json(self._campaign(query).status())
+        elif path == "/report":
+            campaign = self._campaign(query)
+            fmt = (query.get("fmt") or ["markdown"])[0]
+            text = campaign.report(
+                fmt=fmt,
+                tier=(query.get("tier") or ["device_model"])[0],
+                improver=(query.get("improver") or ["clapton"])[0])
+            self._send_text(text, "text/csv" if fmt == "csv"
+                            else "text/markdown")
+        elif path == "/trace":
+            text = self._campaign(query).trace_text()
+            if text is None:
+                raise KeyError("no trace ingested yet")
+            self._send_text(text, "application/x-ndjson")
+        else:
+            raise KeyError(f"unknown path {path}")
 
     def _stream_status(self, query: dict) -> None:
         """NDJSON snapshots every tick until the campaign completes.
@@ -216,32 +206,26 @@ class ServiceHandler(BaseHTTPRequestHandler):
                             status=413 if isinstance(exc, BodyTooLarge)
                             else 400)
             return
-        try:
-            if url.path == "/campaigns":
-                campaign, resumed = self.state.submit(payload)
-                self._send_json({"campaign": campaign.id,
-                                 "resumed": resumed,
-                                 **campaign.status()},
-                                status=200 if resumed else 201)
-            elif url.path == "/lease":
-                self._send_json(self.state.lease(self._worker_id(payload)))
-            elif url.path == "/heartbeat":
-                self._send_json(self.state.heartbeat(
-                    self._worker_id(payload), payload.get("leases")))
-            elif url.path == "/complete":
-                self._send_json(self.state.complete(
-                    self._worker_id(payload), payload.get("campaign"),
-                    payload["record"]))
-            elif url.path == "/traces":
-                self._send_json(self.state.ingest_traces(payload))
-            else:
-                self._send_json({"error": f"unknown path {url.path}"},
-                                status=404)
-        except KeyError as exc:
-            self._send_json({"error": f"missing/unknown key: "
-                                      f"{exc.args[0]}"}, status=400)
-        except (ValueError, TypeError) as exc:
-            self._send_json({"error": str(exc)}, status=400)
+        self._reply(self._post, url.path, payload)
+
+    def _post(self, path: str, payload: dict) -> None:
+        """Parse the body through the route's protocol type, then act."""
+        if path not in POST_REQUESTS:
+            raise KeyError(f"unknown path {path}")
+        request = POST_REQUESTS[path].from_dict(payload)
+        if path == "/campaigns":
+            campaign, resumed = self.state.submit(request.spec)
+            self._send_json({"campaign": campaign.id, "resumed": resumed,
+                             **campaign.status()},
+                            status=200 if resumed else 201)
+        elif path == "/lease":
+            self._send_json(self.state.lease(request).to_dict())
+        elif path == "/heartbeat":
+            self._send_json(self.state.heartbeat(request))
+        elif path == "/complete":
+            self._send_json(self.state.complete(request))
+        else:
+            self._send_json(self.state.post_traces(request))
 
 
 class CampaignServer(ThreadingHTTPServer):

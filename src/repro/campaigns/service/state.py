@@ -30,6 +30,8 @@ from ..report import render_report
 from ..retry import NO_RETRY, RetryPolicy
 from ..spec import CampaignSpec
 from ..store import ResultStore
+from .protocol import (CompleteRequest, HeartbeatRequest, LeaseGrant,
+                       LeaseRequest, TraceBatch)
 from .scheduler import DEFAULT_LEASE_TTL, CampaignScheduler
 
 #: Registry counters surfaced in ``/healthz`` (short key -> metric name).
@@ -63,10 +65,8 @@ class Campaign:
         #: one trace per campaign; every lease grant carries this id
         self.trace_id = new_trace_id()
         self._trace_lock = threading.Lock()
-        self._trace_ready = False
-        self._trace_fh = None
+        self._trace_fh = None  # opened by the first span batch
         self._trace_t0: float | None = None
-        self._trace_mem: list[str] = []
 
     @property
     def store(self) -> ResultStore:
@@ -83,9 +83,21 @@ class Campaign:
 
     def report(self, fmt: str = "markdown", tier: str = "device_model",
                improver: str = "clapton") -> str:
-        """Rendered report, cached until the store gains records."""
-        from ..aggregate import CampaignAggregate
+        """Rendered report, cached until the store gains records.
 
+        Raises ValueError on an unknown format or tier, or on an
+        improver other than the default that is no campaign method (it
+        would silently drop every eta table).
+        """
+        from ..aggregate import TIERS, CampaignAggregate
+
+        methods = self.scheduler.spec.methods
+        if tier not in TIERS:
+            raise ValueError(f"unknown tier {tier!r}; expected one of "
+                             f"{list(TIERS)}")
+        if improver != "clapton" and improver not in methods:
+            raise ValueError(f"improver {improver!r} is not a method of "
+                             f"this campaign; methods: {methods}")
         key = (fmt, tier, improver)
         with self._lock:
             generation = len(self.store)
@@ -109,9 +121,7 @@ class Campaign:
     # Merged fleet trace (POST /traces collector)
     # ------------------------------------------------------------------
     @property
-    def trace_path(self) -> Path | None:
-        if self.store.path is None:
-            return None
+    def trace_path(self) -> Path:
         return Path(self.store.path) / "trace.jsonl"
 
     def _ensure_trace(self, unix_t0: float) -> None:
@@ -122,10 +132,10 @@ class Campaign:
         spans shipped before and after the restart stay on one
         coherent timebase under one trace id.
         """
-        if self._trace_ready:
+        if self._trace_fh is not None:
             return
         path = self.trace_path
-        if path is not None and path.exists():
+        if path.exists():
             try:
                 with path.open("r", encoding="utf-8") as fh:
                     first = json.loads(fh.readline())
@@ -137,23 +147,17 @@ class Campaign:
             if self._trace_t0 is None:
                 self._trace_t0 = unix_t0
             self._trace_fh = path.open("a", encoding="utf-8")
-            self._trace_ready = True
             return
         self._trace_t0 = unix_t0
         meta = {"kind": "meta", "version": 1, "clock": "unix_relative",
                 "merged": True, "trace_id": self.trace_id,
                 "campaign": self.id, "unix_t0": unix_t0, **build_info()}
-        line = json.dumps(meta) + "\n"
-        if path is None:
-            self._trace_mem.append(line)
-        else:
-            self._trace_fh = path.open("w", encoding="utf-8")
-            self._trace_fh.write(line)
-            self._trace_fh.flush()
-        self._trace_ready = True
+        self._trace_fh = path.open("w", encoding="utf-8")
+        self._trace_fh.write(json.dumps(meta) + "\n")
+        self._trace_fh.flush()
 
     def ingest_spans(self, worker_id: str, unix_t0: float,
-                     spans: list[dict]) -> int:
+                     spans) -> int:
         """Merge one worker's span batch into the campaign trace.
 
         Normalization makes batches from independent processes cohere:
@@ -163,14 +167,11 @@ class Campaign:
         via the batch's ``unix_t0``, and every span is stamped with a
         top-level ``"worker"`` for per-worker breakdowns.
         """
-        accepted = 0
         with self._trace_lock:
             self._ensure_trace(unix_t0)
             shift = unix_t0 - self._trace_t0
             lines = []
             for span in spans:
-                if not isinstance(span, dict) or "id" not in span:
-                    continue
                 record = dict(span)
                 record["id"] = f"{worker_id}:{span['id']}"
                 if span.get("parent") is not None:
@@ -180,26 +181,18 @@ class Campaign:
                 record["worker"] = worker_id
                 lines.append(json.dumps(record, separators=(",", ":"))
                              + "\n")
-                accepted += 1
-            if self._trace_fh is not None:
-                self._trace_fh.writelines(lines)
-                self._trace_fh.flush()
-            else:
-                self._trace_mem.extend(lines)
-        return accepted
+            self._trace_fh.writelines(lines)
+            self._trace_fh.flush()
+        return len(lines)
 
     def trace_text(self) -> str | None:
         """The merged trace as NDJSON text (``GET /trace``); ``None``
         until the first batch arrives."""
         with self._trace_lock:
-            if not self._trace_ready:
+            if self._trace_fh is None:
                 return None
-            path = self.trace_path
-            if path is None:
-                return "".join(self._trace_mem)
-            if self._trace_fh is not None:
-                self._trace_fh.flush()
-            return path.read_text(encoding="utf-8")
+            self._trace_fh.flush()
+            return self.trace_path.read_text(encoding="utf-8")
 
     def close_trace(self) -> None:
         with self._trace_lock:
@@ -235,14 +228,13 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def submit(self, spec_payload: dict) -> tuple[Campaign, bool]:
-        """Register a campaign from a spec payload.
+    def submit(self, spec: CampaignSpec) -> tuple[Campaign, bool]:
+        """Register a campaign.
 
         Returns ``(campaign, resumed)``: idempotent on the spec's
         content-addressed id -- an already-registered or on-disk campaign
         is attached and resumed, never restarted.
         """
-        spec = CampaignSpec.from_dict(spec_payload)
         cid = campaign_id(spec)
         with self._lock:
             existing = self._campaigns.get(cid)
@@ -353,15 +345,16 @@ class ServiceState:
         return bool(campaigns) and all(c.scheduler.done for c in campaigns)
 
     # ------------------------------------------------------------------
-    # Worker-facing dispatch (shared by HTTP handlers and local workers)
+    # Worker-facing dispatch: the HTTP routes, and the SchedulerClient
+    # seam in-process workers call directly
     # ------------------------------------------------------------------
-    def lease(self, worker_id: str) -> dict:
-        """One unit of work for ``worker_id``, as a wire-ready payload.
+    def lease(self, request: LeaseRequest) -> LeaseGrant:
+        """One unit of work for the requesting worker.
 
-        ``{"task": null, "done": bool}`` when nothing is available;
-        otherwise the task payload plus its lease metadata.  Campaigns
-        are drained in registration order.
+        An idle grant (``task=None``) says whether every campaign is
+        done; campaigns are drained in registration order.
         """
+        worker_id = request.worker_id
         for campaign in self.campaigns():
             grant = campaign.scheduler.next_task(worker_id)
             if grant is not None:
@@ -371,57 +364,49 @@ class ServiceState:
                                        campaign=campaign.id,
                                        task_id=lease.task_id,
                                        worker=worker_id)
-                return {"task": task.to_dict(),
-                        "campaign": campaign.id,
-                        "task_id": lease.task_id,
-                        "deadline": lease.deadline,
-                        "ttl": campaign.scheduler.lease_ttl,
-                        "scheduling_attempt": lease.attempt,
-                        "trace": context.to_dict()}
-        return {"task": None, "done": self.all_done}
+                return LeaseGrant(task=task.to_dict(),
+                                  campaign=campaign.id,
+                                  task_id=lease.task_id,
+                                  deadline=lease.deadline,
+                                  ttl=campaign.scheduler.lease_ttl,
+                                  scheduling_attempt=lease.attempt,
+                                  trace=context)
+        return LeaseGrant(done=self.all_done)
 
-    def heartbeat(self, worker_id: str,
-                  leases: list[dict] | None = None) -> dict:
-        """Renew a worker's leases; ``leases`` is ``[{"campaign",
-        "task_id"}, ...]`` (``None`` renews everything it holds).
-
-        Raises:
-            ValueError: on malformed ``leases`` (see :func:`_check_leases`),
-                before any lease is renewed.
-        """
-        _check_leases(leases)
+    def heartbeat(self, request: HeartbeatRequest) -> dict:
+        """Renew the named leases (every lease the worker holds when
+        ``request.leases`` is ``None``); unknown campaigns are skipped."""
+        worker_id = request.worker_id
         renewed = []
-        if leases is None:
+        if request.leases is None:
             for campaign in self.campaigns():
                 renewed.extend(
                     {"campaign": campaign.id, "task_id": tid}
                     for tid in campaign.scheduler.heartbeat(worker_id))
         else:
-            for entry in leases:
+            for ref in request.leases:
                 try:
-                    campaign = self.get(entry.get("campaign"))
+                    campaign = self.get(ref.campaign)
                 except KeyError:
                     continue
                 for tid in campaign.scheduler.heartbeat(
-                        worker_id, [entry["task_id"]]):
+                        worker_id, [ref.task_id]):
                     renewed.append({"campaign": campaign.id,
                                     "task_id": tid})
         return {"renewed": renewed}
 
-    def complete(self, worker_id: str, cid: str | None,
-                 record: dict) -> dict:
+    def complete(self, request: CompleteRequest) -> dict:
         """Accept a finished-task record from a worker.
 
         Raises:
-            ValueError: when ``record`` is not an object.
+            KeyError: for an unknown campaign.
         """
-        if not isinstance(record, dict):
-            raise ValueError("record must be an object")
-        campaign = self.get(cid)
-        accepted = campaign.scheduler.report(worker_id, record)
+        campaign = self.get(request.campaign)
+        accepted = campaign.scheduler.report(request.worker_id,
+                                             request.record)
         return {"accepted": accepted, "done": campaign.scheduler.done}
 
-    def ingest_traces(self, payload: dict) -> dict:
+    def post_traces(self, batch: TraceBatch) -> dict:
         """Accept a worker's span batch (``POST /traces``).
 
         Spans route to campaigns by their ``tags.campaign`` (stamped on
@@ -429,18 +414,10 @@ class ServiceState:
         everything else); spans for unknown campaigns are counted as
         dropped, not fatal -- a worker must never crash because the
         server forgot a campaign.
-
-        Raises:
-            ValueError: on a malformed batch (see :func:`_check_span_batch`),
-                before anything is written.
         """
-        _check_span_batch(payload)
-        worker_id = str(payload.get("worker_id") or "unknown")
-        unix_t0 = float(payload.get("unix_t0") or 0.0)
-        hint = payload.get("campaign")
         groups: dict[str | None, list[dict]] = {}
-        for span in payload.get("spans") or []:
-            cid = (span.get("tags") or {}).get("campaign") or hint
+        for span in batch.spans:
+            cid = (span.get("tags") or {}).get("campaign") or batch.campaign
             groups.setdefault(cid, []).append(span)
         accepted = 0
         dropped = 0
@@ -450,7 +427,8 @@ class ServiceState:
             except KeyError:
                 dropped += len(group)
                 continue
-            accepted += campaign.ingest_spans(worker_id, unix_t0, group)
+            accepted += campaign.ingest_spans(batch.worker_id,
+                                              batch.unix_t0, group)
         return {"accepted": accepted, "dropped": dropped}
 
     def tick(self) -> int:
@@ -462,56 +440,3 @@ class ServiceState:
             campaign.close_trace()
             campaign.scheduler.close()
 
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_leases(leases) -> None:
-    """Validate a ``POST /heartbeat`` lease list before any renewal.
-
-    ``leases`` is ``None`` or a list of objects, each with a string
-    ``task_id`` and a string or absent ``campaign``.
-
-    Raises:
-        ValueError: on the first violation.
-    """
-    if leases is not None and (
-            not isinstance(leases, list)
-            or not all(isinstance(entry, dict)
-                       and isinstance(entry.get("task_id"), str)
-                       and isinstance(entry.get("campaign") or "", str)
-                       for entry in leases)):
-        raise ValueError("leases must be a list of objects with string "
-                         "task_id and campaign")
-
-
-def _check_span_batch(payload: dict) -> None:
-    """Validate a whole ``POST /traces`` batch before any write.
-
-    ``spans`` must be a list of objects, each with an ``id``; a span's
-    ``tags`` must be an object, its ``start`` a number, and the batch's
-    ``unix_t0`` a number (``null`` or absent fields take their
-    defaults); campaign ids must be strings.
-
-    Raises:
-        ValueError: naming the first violation.
-    """
-    spans = payload.get("spans")
-    if spans is not None and not isinstance(spans, list):
-        raise ValueError("spans must be a list")
-    if payload.get("unix_t0") is not None \
-            and not _is_number(payload["unix_t0"]):
-        raise ValueError("unix_t0 must be a number")
-    campaigns = [payload.get("campaign")]
-    for span in spans or []:
-        if not isinstance(span, dict) or "id" not in span:
-            raise ValueError("every span must be an object with an id")
-        tags = span.get("tags")
-        if tags is not None and not isinstance(tags, dict):
-            raise ValueError("span tags must be an object")
-        if "start" in span and not _is_number(span["start"]):
-            raise ValueError("span start must be a number")
-        campaigns.append((tags or {}).get("campaign"))
-    if any(c is not None and not isinstance(c, str) for c in campaigns):
-        raise ValueError("campaign ids must be strings")

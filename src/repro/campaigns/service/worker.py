@@ -1,11 +1,12 @@
 """Fault-tolerant worker loop: lease, execute, heartbeat, report.
 
 A worker is a dumb loop over one seam -- :class:`SchedulerClient` --
-with two implementations: :class:`LocalSchedulerClient` calls a
+with two implementations: a
 :class:`~repro.campaigns.service.state.ServiceState` in the same process
 (``repro serve --local-workers N``), and :class:`HttpSchedulerClient`
-speaks the JSON wire protocol to a remote ``repro serve`` (``repro
-worker --connect URL``).  The loop itself is identical either way:
+speaking the wire protocol (:mod:`.protocol`) to a remote ``repro
+serve`` (``repro worker --connect URL``).  The loop itself is identical
+either way:
 
     lease -> execute_task -> report, heartbeating while the task runs
 
@@ -31,13 +32,15 @@ import socket
 import threading
 import time
 import uuid
-from typing import Callable, Protocol
-from urllib import error as urlerror
-from urllib import request as urlrequest
+from typing import Callable, Iterator, Protocol
+from urllib.error import HTTPError
+from urllib.parse import urlencode
+from urllib.request import Request, urlopen
 
-from ...obs import (REGISTRY, ShippingTracer, TraceContext, get_tracer,
-                    set_tracer)
+from ...obs import REGISTRY, ShippingTracer, get_tracer, set_tracer
 from ..runner import execute_task
+from .protocol import (CompleteRequest, HeartbeatRequest, LeaseGrant,
+                       LeaseRef, LeaseRequest, ServiceError, TraceBatch)
 
 logger = logging.getLogger("repro.service.worker")
 
@@ -53,76 +56,91 @@ def default_worker_id() -> str:
             f"{uuid.uuid4().hex[:6]}")
 
 
+#: What a client call raises when the server is unreachable (``OSError``:
+#: ``URLError``, refused connections, timeouts) or refuses the request.
+CLIENT_ERRORS = (ServiceError, OSError)
+
+
 class SchedulerClient(Protocol):
-    """What a worker needs from a scheduler, local or remote.
+    """What a worker needs from a scheduler: a :class:`ServiceState` or
+    an :class:`HttpSchedulerClient`.  A client that also has
+    ``post_traces(TraceBatch)`` (both do) ships the worker's spans."""
 
-    ``post_traces`` is optional: when a client exposes it, the worker
-    loop installs a :class:`~repro.obs.ShippingTracer` and batch-ships
-    finished spans to the scheduler's trace collector.
-    """
+    def lease(self, request: LeaseRequest) -> LeaseGrant: ...
 
-    def lease(self, worker_id: str) -> dict:
-        """One work grant (see ``ServiceState.lease`` for the shape)."""
-        ...
+    def heartbeat(self, request: HeartbeatRequest) -> dict: ...
 
-    def heartbeat(self, worker_id: str, leases: list[dict]) -> dict:
-        ...
-
-    def complete(self, worker_id: str, campaign: str | None,
-                 record: dict) -> dict:
-        ...
-
-
-class LocalSchedulerClient:
-    """In-process client: the serve loop's own worker threads."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def lease(self, worker_id: str) -> dict:
-        return self.state.lease(worker_id)
-
-    def heartbeat(self, worker_id: str, leases: list[dict]) -> dict:
-        return self.state.heartbeat(worker_id, leases)
-
-    def complete(self, worker_id: str, campaign: str | None,
-                 record: dict) -> dict:
-        return self.state.complete(worker_id, campaign, record)
-
-    def post_traces(self, payload: dict) -> dict:
-        return self.state.ingest_traces(payload)
+    def complete(self, request: CompleteRequest) -> dict: ...
 
 
 class HttpSchedulerClient:
-    """JSON-over-HTTP client for a remote ``repro serve``."""
+    """The one HTTP client of ``repro serve``: the worker routes plus
+    the GETs the CLI reads.  Raises :class:`ServiceError` when the
+    server refuses a request, ``OSError`` when it cannot be reached."""
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    def _post(self, path: str, payload: dict) -> dict:
-        body = json.dumps(payload).encode()
-        req = urlrequest.Request(
-            self.base_url + path, data=body,
-            headers={"Content-Type": "application/json"})
-        with urlrequest.urlopen(req, timeout=self.timeout) as resp:
+    def _open(self, path: str, body: dict | None = None, **query):
+        query = {k: v for k, v in query.items() if v is not None}
+        url = self.base_url + path + ("?" + urlencode(query) if query
+                                      else "")
+        request = (Request(url) if body is None else Request(
+            url, data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"}))
+        try:
+            return urlopen(request, timeout=self.timeout)
+        except HTTPError as exc:
+            with exc:
+                try:
+                    error = json.loads(exc.read().decode())["error"]
+                except (ValueError, KeyError, TypeError, OSError):
+                    error = exc.reason
+            raise ServiceError(exc.code, str(error)) from None
+
+    def _json(self, path: str, body: dict | None = None, **query) -> dict:
+        with self._open(path, body, **query) as resp:
             return json.loads(resp.read().decode())
 
-    def lease(self, worker_id: str) -> dict:
-        return self._post("/lease", {"worker_id": worker_id})
+    def _text(self, path: str, **query) -> str:
+        with self._open(path, **query) as resp:
+            return resp.read().decode()
 
-    def heartbeat(self, worker_id: str, leases: list[dict]) -> dict:
-        return self._post("/heartbeat", {"worker_id": worker_id,
-                                         "leases": leases})
+    def lease(self, request: LeaseRequest) -> LeaseGrant:
+        return LeaseGrant.from_dict(self._json("/lease", request.to_dict()))
 
-    def complete(self, worker_id: str, campaign: str | None,
-                 record: dict) -> dict:
-        return self._post("/complete", {"worker_id": worker_id,
-                                        "campaign": campaign,
-                                        "record": record})
+    def heartbeat(self, request: HeartbeatRequest) -> dict:
+        return self._json("/heartbeat", request.to_dict())
 
-    def post_traces(self, payload: dict) -> dict:
-        return self._post("/traces", payload)
+    def complete(self, request: CompleteRequest) -> dict:
+        return self._json("/complete", request.to_dict())
+
+    def post_traces(self, batch: TraceBatch) -> dict:
+        return self._json("/traces", batch.to_dict())
+
+    def submit(self, spec: dict) -> dict:
+        """Post a raw spec: the server validates it against its own
+        registries."""
+        return self._json("/campaigns", spec)
+
+    def status(self, campaign: str | None = None) -> dict:
+        return self._json("/status", campaign=campaign)
+
+    def status_stream(self, campaign: str | None = None) -> Iterator[dict]:
+        """Server-pushed snapshots until the campaign completes."""
+        with self._open("/status", campaign=campaign, stream=1) as resp:
+            for line in resp:
+                yield json.loads(line.decode())
+
+    def report(self, campaign: str | None = None, **params) -> str:
+        return self._text("/report", campaign=campaign, **params)
+
+    def trace(self, campaign: str) -> str:
+        return self._text("/trace", campaign=campaign)
+
+    def metrics(self) -> str:
+        return self._text("/metrics")
 
 
 class _Heartbeat:
@@ -142,19 +160,19 @@ class _Heartbeat:
                     pass
 
         self._client = client
-        self._worker_id = worker_id
-        self._leases = [{"campaign": campaign, "task_id": task_id}]
+        self._request = HeartbeatRequest(worker_id,
+                                         (LeaseRef(task_id, campaign),))
         self._thread = threading.Thread(target=beat, daemon=True,
                                         name=f"heartbeat-{task_id[:8]}")
         self._thread.start()
 
     def _client_beat(self):
         start = time.perf_counter()
-        self._client.heartbeat(self._worker_id, self._leases)
+        self._client.heartbeat(self._request)
         dt = time.perf_counter() - start
         _HEARTBEAT_SECONDS.observe(dt)
         get_tracer().event("worker.heartbeat", dt,
-                           task_id=self._leases[0]["task_id"])
+                           task_id=self._request.leases[0].task_id)
 
     def stop(self):
         self._stop.set()
@@ -172,24 +190,28 @@ def run_worker(client: SchedulerClient,
     """Drain tasks from a scheduler until told (or allowed) to stop.
 
     Args:
-        client: Local or HTTP scheduler client.
+        client: A :class:`ServiceState` or an HTTP scheduler client.
         worker_id: Stable identity for leases (generated when omitted).
         poll_interval: Idle sleep between lease polls.
         exit_on_idle: Return once the scheduler reports every campaign
             done (otherwise keep polling for new submissions forever).
         max_tasks: Stop after this many executions (tests, canaries).
-        max_connect_failures: Consecutive unreachable-server polls
-            tolerated before giving up (raises the last error).
+        max_connect_failures: Consecutive failed lease polls (server
+            unreachable or refusing) tolerated before giving up
+            (raises the last error).
         on_event: Observer hook ``(kind, payload)`` for CLI logging;
-            kinds: ``lease``, ``record``, ``idle``, ``lost``.
+            kinds: ``lease`` and ``idle`` (payload: the
+            :class:`LeaseGrant`), ``record`` and ``lost`` (a dict).
 
-    When the client exposes ``post_traces`` (both bundled clients do),
+    When the client exposes ``post_traces`` (both clients do),
     the loop installs a :class:`~repro.obs.ShippingTracer` for its
     lifetime and batch-ships finished spans to the scheduler's trace
     collector after every completed task and on idle polls -- wrapping
     any already-installed recording tracer as a pass-through sink, or
     sharing a ShippingTracer another local worker thread installed.
-    Shipping failures requeue the batch and never crash the worker.
+    A batch that cannot be shipped is requeued, or dropped when the
+    server refused it (4xx); neither crashes the worker.  A failed
+    ``complete`` leaves the lease to expire and the task to be redone.
 
     Returns the number of tasks executed.
     """
@@ -213,22 +235,27 @@ def run_worker(client: SchedulerClient,
     last_campaign: str | None = None
 
     def ship(campaign: str | None) -> None:
-        """Best-effort batch shipment; failures requeue, never raise."""
+        """Best-effort batch shipment; never raises."""
         if shipper is None or shipper.pending() == 0:
             return
-        batch = shipper.batch(worker_id, campaign)
-        if not batch["spans"]:
+        spans = shipper.drain()
+        if not spans:
             return
         try:
             start = time.perf_counter()
-            post_traces(batch)
+            post_traces(TraceBatch(worker_id, tuple(spans), campaign,
+                                   shipper.unix_t0))
             # lands in the *next* batch: the buffer was just drained
             tracer.event("worker.ship", time.perf_counter() - start,
-                         spans=len(batch["spans"]))
+                         spans=len(spans))
         except Exception as exc:
-            shipper.requeue(batch["spans"])
-            logger.debug("worker %s could not ship %d span(s) (%s); "
-                         "requeued", worker_id, len(batch["spans"]), exc)
+            # a refused batch would be refused again: drop it
+            refused = isinstance(exc, ServiceError) and exc.code < 500
+            if not refused:
+                shipper.requeue(spans)
+            logger.debug("worker %s could not ship %d span(s) (%s); %s",
+                         worker_id, len(spans), exc,
+                         "dropped" if refused else "requeued")
 
     # one span over the whole loop: its *self time* is exactly the
     # otherwise-unattributed glue between tasks (notify hooks, record
@@ -240,11 +267,11 @@ def run_worker(client: SchedulerClient,
             while True:
                 try:
                     lease_start = time.perf_counter()
-                    grant = client.lease(worker_id)
+                    grant = client.lease(LeaseRequest(worker_id))
                     tracer.event("worker.lease",
                                  time.perf_counter() - lease_start)
                     connect_failures = 0
-                except (urlerror.URLError, ConnectionError, TimeoutError) as exc:
+                except CLIENT_ERRORS as exc:
                     connect_failures += 1
                     if connect_failures >= max_connect_failures:
                         logger.error("worker %s giving up after %d consecutive "
@@ -259,8 +286,8 @@ def run_worker(client: SchedulerClient,
                     sleep(poll_interval)
                     tracer.event("worker.idle", poll_interval, reason="lost")
                     continue
-                if grant.get("task") is None:
-                    if exit_on_idle and grant.get("done"):
+                if grant.task is None:
+                    if exit_on_idle and grant.done:
                         logger.info("worker %s: all campaigns done after %d "
                                     "task(s); exiting", worker_id, executed)
                         return executed
@@ -269,15 +296,14 @@ def run_worker(client: SchedulerClient,
                     tracer.event("worker.idle", poll_interval, reason="no_task")
                     ship(last_campaign)
                     continue
-                campaign = grant.get("campaign")
-                task_id = grant.get("task_id")
+                campaign, task_id = grant.campaign, grant.task_id
                 last_campaign = campaign or last_campaign
-                context = TraceContext.from_dict(grant.get("trace"))
+                context = grant.trace
                 logger.info("worker %s leased task %s (campaign %s)", worker_id,
                             task_id, campaign)
                 notify("lease", grant)
                 # heartbeat at a third of the ttl: two missed beats of slack
-                interval = max(0.05, float(grant.get("ttl") or 30.0) / 3.0)
+                interval = max(0.05, (grant.ttl or 30.0) / 3.0)
                 heart = _Heartbeat(client, worker_id, campaign, task_id,
                                    interval)
                 try:
@@ -288,16 +314,17 @@ def run_worker(client: SchedulerClient,
                         if context.parent_span is not None:
                             span_tags["remote_parent"] = context.parent_span
                     with tracer.span("worker.task", **span_tags):
-                        record = execute_task(grant["task"])
+                        record = execute_task(grant.task)
                 finally:
                     heart.stop()
                 try:
                     complete_start = time.perf_counter()
-                    ack = client.complete(worker_id, campaign, record)
+                    ack = client.complete(
+                        CompleteRequest(worker_id, record, campaign))
                     tracer.event("worker.complete",
                                  time.perf_counter() - complete_start,
                                  task_id=task_id)
-                except (urlerror.URLError, ConnectionError, TimeoutError) as exc:
+                except CLIENT_ERRORS as exc:
                     # the record is lost but the work is not: the lease
                     # expires and another worker recomputes the identical
                     # record

@@ -22,6 +22,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 
 from ..hamiltonians.registry import expand_benchmarks
@@ -333,6 +334,7 @@ class CampaignSpec:
     entanglement: str = "circular"
 
     def __post_init__(self):
+        _check_field_types(self)
         if not _LENIENT_METHODS:
             # same did-you-mean ValueError contract as Experiment.run
             resolve_methods(self.methods)
@@ -477,6 +479,53 @@ class CampaignSpec:
     @classmethod
     def load(cls, path: str | Path) -> "CampaignSpec":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+#: List-valued CampaignSpec fields -> (element type, what the error says).
+_LIST_FIELDS = {
+    "benchmarks": (str, "strings"), "qubit_sizes": (Integral, "integers"),
+    "backends": (str, "strings"), "noise_scales": (Real, "numbers"),
+    "methods": (str, "strings"), "strategies": (str, "strings"),
+    "mitigations": (str, "strings"), "seeds": (Integral, "integers"),
+}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_field_types(spec: "CampaignSpec") -> None:
+    """Refuse wrongly typed fields before anything reads them: a spec
+    often arrives as untrusted JSON (``POST /campaigns``).
+
+    The name becomes a directory name (``<name>-<hash8>.campaign``), so
+    it must be a non-empty printable string (no NUL, no lone surrogate)
+    of at most 200 bytes without ``/`` or ``\\``.
+    """
+    name = spec.name
+    if (not isinstance(name, str) or not name or not name.isprintable()
+            or "/" in name or "\\" in name or len(name.encode()) > 200):
+        raise ValueError(f"campaign name must be a non-empty printable "
+                         f"string of at most 200 bytes without '/' or "
+                         f"'\\', not {name!r}")
+    for key, (kind, what) in _LIST_FIELDS.items():
+        values = getattr(spec, key)
+        if not isinstance(values, (list, tuple)) or not all(
+                _is(v, kind) for v in values):
+            raise ValueError(f"{key} must be a list of {what}")
+    if not isinstance(spec.base_noise, dict) or not all(
+            v is None or _is(v, Real) for v in spec.base_noise.values()):
+        raise ValueError("base_noise must be an object of numbers")
+    if not isinstance(spec.engine_overrides, dict):
+        raise ValueError("engine_overrides must be an object")
+    for key, ok in (
+            ("engine_preset", isinstance(spec.engine_preset, str)),
+            ("vqe_iterations", _is(spec.vqe_iterations, Integral)),
+            ("vqe_shots",
+             spec.vqe_shots is None or _is(spec.vqe_shots, Integral)),
+            ("entanglement", isinstance(spec.entanglement, str))):
+        if not ok:
+            raise ValueError(f"bad {key}: {getattr(spec, key)!r}")
 
 
 def _canonical(payload: dict) -> str:

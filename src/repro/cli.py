@@ -545,69 +545,48 @@ def _status_line(snapshot: dict) -> str:
             f"{rate_col}, eta {eta_col}")
 
 
+def _follow(client, campaign: str | None, stream: bool,
+            interval: float) -> dict:
+    """Print a progress line per change until the campaign completes,
+    from the NDJSON stream or by polling; returns the last snapshot."""
+    import time
+
+    def poll():
+        while True:
+            yield client.status(campaign)
+            time.sleep(interval)
+
+    last = None
+    for snapshot in client.status_stream(campaign) if stream else poll():
+        line = _status_line(snapshot)
+        if line != last:
+            print(line)
+            last = line
+        if snapshot["complete"]:
+            return snapshot
+    return snapshot
+
+
 def _remote_status(args) -> int:
     """``repro status --connect URL``: snapshot, stream, or poll."""
-    import json as jsonlib
-    import time
-    from urllib import request as urlrequest
-    from urllib.error import HTTPError, URLError
-    from urllib.parse import urlencode
+    from .campaigns.service import (CLIENT_ERRORS, HttpSchedulerClient,
+                                    ServiceError)
 
-    base = args.connect.rstrip("/")
-
-    def status_url(stream: bool = False) -> str:
-        query = {}
-        if args.campaign:
-            query["campaign"] = args.campaign
-        if stream:
-            query["stream"] = "1"
-        return (base + "/status"
-                + ("?" + urlencode(query) if query else ""))
-
-    def fetch(url: str) -> dict:
-        with urlrequest.urlopen(url, timeout=30.0) as resp:
-            return jsonlib.loads(resp.read().decode())
-
+    client = HttpSchedulerClient(args.connect)
     try:
-        if not args.watch:
-            snapshot = fetch(status_url())
-            print(f"campaign  {snapshot['campaign']} "
-                  f"({snapshot['name']})")
-            print(f"progress  {_status_line(snapshot)}")
+        if args.watch:
+            # the poll fallback serves proxies that buffer chunked replies
+            _follow(client, args.campaign, not args.no_stream,
+                    args.interval)
             return 0
-        if not args.no_stream:
-            # server-pushed NDJSON snapshots until the campaign is done
-            with urlrequest.urlopen(status_url(stream=True),
-                                    timeout=60.0) as resp:
-                last = None
-                for raw in resp:
-                    snapshot = jsonlib.loads(raw.decode())
-                    line = _status_line(snapshot)
-                    if line != last:
-                        print(line)
-                        last = line
-            return 0
-        # poll fallback: plain GETs on an interval (proxies that buffer
-        # chunked responses, or a server without streaming)
-        last = None
-        while True:
-            snapshot = fetch(status_url())
-            line = _status_line(snapshot)
-            if line != last:
-                print(line)
-                last = line
-            if snapshot.get("complete"):
-                return 0
-            time.sleep(args.interval)
-    except HTTPError as exc:
-        try:
-            detail = jsonlib.loads(exc.read().decode()).get("error", "")
-        except (ValueError, OSError):
-            detail = ""
-        print(f"server rejected the request: {exc.code} {detail}",
-              file=sys.stderr)
+        snapshot = client.status(args.campaign)
+        print(f"campaign  {snapshot['campaign']} ({snapshot['name']})")
+        print(f"progress  {_status_line(snapshot)}")
+        return 0
+    except ServiceError as exc:
+        print(f"server rejected the request: {exc}", file=sys.stderr)
         return 2
-    except (URLError, ConnectionError, TimeoutError) as exc:
+    except CLIENT_ERRORS as exc:
         print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
@@ -697,12 +676,8 @@ def _cmd_serve(args) -> int:
     from pathlib import Path
 
     from .campaigns import RetryPolicy
-    from .campaigns.service import (
-        LocalSchedulerClient,
-        ServiceState,
-        run_worker,
-        start_server,
-    )
+    from .campaigns.service import ServiceState, run_worker, start_server
+    from .campaigns.service.protocol import SubmitRequest
 
     _setup_logging(args.verbose - args.quiet)
     try:
@@ -719,8 +694,9 @@ def _cmd_serve(args) -> int:
         if payload is None:
             return 2
         try:
-            campaign, resumed = state.submit(payload)
-        except (ValueError, TypeError, KeyError, OSError) as exc:
+            campaign, resumed = state.submit(
+                SubmitRequest.from_dict(payload).spec)
+        except (ValueError, OSError) as exc:
             print(f"cannot register {spec_path!r}: {exc}",
                   file=sys.stderr)
             return 2
@@ -746,10 +722,9 @@ def _cmd_serve(args) -> int:
         if trace_path is not None:
             print(f"tracing to {trace_path}")
         worker_threads = []
-        client = LocalSchedulerClient(state)
         for i in range(args.local_workers):
             thread = threading.Thread(
-                target=run_worker, args=(client,),
+                target=run_worker, args=(state,),
                 kwargs={"worker_id": f"local-{i}", "poll_interval": 0.2,
                         "exit_on_idle": args.until_done},
                 daemon=True, name=f"local-worker-{i}")
@@ -782,9 +757,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from urllib.error import URLError
-
     from .campaigns.service import (
+        CLIENT_ERRORS,
         HttpSchedulerClient,
         default_worker_id,
         run_worker,
@@ -797,9 +771,8 @@ def _cmd_worker(args) -> int:
 
     def on_event(kind, payload):
         if kind == "lease":
-            task = payload["task"]
-            print(f"  lease {payload['task_id'][:10]} "
-                  f"{task['benchmark']}/{task['method']}")
+            print(f"  lease {payload.task_id[:10]} "
+                  f"{payload.task['benchmark']}/{payload.task['method']}")
         elif kind == "record":
             record = payload["record"]
             print(f"  {record['status']} {record['task_id'][:10]} "
@@ -817,7 +790,7 @@ def _cmd_worker(args) -> int:
                                   exit_on_idle=args.exit_on_idle,
                                   max_tasks=args.max_tasks,
                                   on_event=on_event)
-    except (URLError, ConnectionError, TimeoutError) as exc:
+    except CLIENT_ERRORS as exc:
         print(f"worker {worker_id}: lost the scheduler at "
               f"{args.connect}: {exc}", file=sys.stderr)
         return 1
@@ -831,71 +804,36 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    import json
-    import time
-    from urllib import request as urlrequest
-    from urllib.error import URLError
+    from .campaigns.service import (CLIENT_ERRORS, HttpSchedulerClient,
+                                    ServiceError)
 
     payload = _load_spec_payload(args.spec)
     if payload is None:
         return 2
-    base = args.connect.rstrip("/")
-
-    def http_json(path: str, body: dict | None = None) -> dict:
-        if body is not None:
-            req = urlrequest.Request(
-                base + path, data=json.dumps(body).encode(),
-                headers={"Content-Type": "application/json"})
-        else:
-            req = urlrequest.Request(base + path)
-        with urlrequest.urlopen(req, timeout=30.0) as resp:
-            return json.loads(resp.read().decode())
-
+    client = HttpSchedulerClient(args.connect)
     try:
-        submitted = http_json("/campaigns", payload)
-    except (URLError, ConnectionError, TimeoutError) as exc:
+        submitted = client.submit(payload)
+    except ServiceError as exc:
+        print(f"submit rejected: {exc.error}", file=sys.stderr)
+        return 2
+    except CLIENT_ERRORS as exc:
         print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
         return 1
-    if "error" in submitted:
-        print(f"submit rejected: {submitted['error']}", file=sys.stderr)
-        return 2
     cid = submitted["campaign"]
     print(f"campaign {cid}: {submitted['total']} tasks, "
           f"{submitted['done']} done"
-          f"{' (resumed)' if submitted.get('resumed') else ''}")
+          f"{' (resumed)' if submitted['resumed'] else ''}")
     if not args.watch:
         print(f"watch:  repro submit {args.spec} --connect "
               f"{args.connect} --watch")
         return 0
-    last = None
-    while True:
-        try:
-            status = http_json(f"/status?campaign={cid}")
-        except (URLError, ConnectionError, TimeoutError) as exc:
-            print(f"lost the server: {exc}", file=sys.stderr)
-            return 1
-        line = (f"{status['done']}/{status['total']} done, "
-                f"{status['failed']} failed, {status['leased']} leased")
-        if line != last:
-            print(line)
-            last = line
-        if status["done"] + status["failed"] >= status["total"]:
-            break
-        time.sleep(args.poll)
-    report = urlrequest.urlopen(
-        f"{base}/report?campaign={cid}", timeout=30.0).read().decode()
-    print(report, end="")
+    try:
+        status = _follow(client, cid, stream=False, interval=args.poll)
+        print(client.report(cid), end="")
+    except CLIENT_ERRORS as exc:
+        print(f"lost the server: {exc}", file=sys.stderr)
+        return 1
     return 0 if status["failed"] == 0 else 1
-
-
-def _fetch_merged_trace(connect: str, campaign: str) -> str:
-    """``GET /trace?campaign=ID`` from a running ``repro serve``."""
-    from urllib import request as urlrequest
-
-    url = (connect.rstrip("/") + "/trace?campaign="
-           + urlrequest.quote(campaign))
-    with urlrequest.urlopen(url, timeout=30.0) as resp:
-        return resp.read().decode()
 
 
 def _cmd_trace_summary(args) -> int:
@@ -903,20 +841,19 @@ def _cmd_trace_summary(args) -> int:
                       summarize_spans)
 
     if args.connect:
-        from urllib.error import HTTPError, URLError
+        from .campaigns.service import (CLIENT_ERRORS, HttpSchedulerClient,
+                                        ServiceError)
 
         if not args.campaign:
             print("--connect requires --campaign ID", file=sys.stderr)
             return 2
         try:
-            text = _fetch_merged_trace(args.connect, args.campaign)
-        except HTTPError as exc:
-            detail = ("no trace ingested yet" if exc.code == 404
-                      else str(exc))
+            text = HttpSchedulerClient(args.connect).trace(args.campaign)
+        except ServiceError as exc:
             print(f"server has no trace for campaign "
-                  f"{args.campaign!r}: {detail}", file=sys.stderr)
+                  f"{args.campaign!r}: {exc.error}", file=sys.stderr)
             return 1
-        except (URLError, ConnectionError, TimeoutError) as exc:
+        except CLIENT_ERRORS as exc:
             print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
             return 1
         meta, spans = parse_trace_lines(text.splitlines())
@@ -980,14 +917,11 @@ def _cmd_bench_compare(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from urllib import request as urlrequest
-    from urllib.error import URLError
+    from .campaigns.service import CLIENT_ERRORS, HttpSchedulerClient
 
-    url = args.connect.rstrip("/") + "/metrics"
     try:
-        with urlrequest.urlopen(url, timeout=30.0) as resp:
-            text = resp.read().decode()
-    except (URLError, ConnectionError, TimeoutError) as exc:
+        text = HttpSchedulerClient(args.connect).metrics()
+    except CLIENT_ERRORS as exc:
         print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
         return 1
     if args.name:

@@ -20,9 +20,10 @@ batch into a single per-campaign ``trace.jsonl``
 - each span is stamped with a top-level ``"worker"`` field for
   per-worker breakdowns (word-ops/s, perfetto process lanes).
 
-Shipping failures requeue the batch -- a briefly unreachable collector
-drops nothing, and a SIGKILL'd worker loses only its unshipped tail
-(the chaos test bounds that loss at <5% of wall clock).
+Shipping failures requeue the batch (one the collector refuses is
+dropped) -- a briefly unreachable collector drops nothing, and a
+SIGKILL'd worker loses only its unshipped tail (the chaos test bounds
+that loss at <5% of wall clock).
 """
 
 from __future__ import annotations
@@ -124,14 +125,6 @@ class ShippingTracer(_RecordingBase):
             return
         with self._buffer_lock:
             self._buffer[:0] = records
-
-    def batch(self, worker_id: str, campaign: str | None = None,
-              spans: list[dict] | None = None) -> dict:
-        """Wire payload for ``POST /traces`` from drained ``spans``."""
-        return {"worker_id": worker_id,
-                "campaign": campaign,
-                "unix_t0": self.unix_t0,
-                "spans": self.drain() if spans is None else spans}
 
     def close(self) -> None:
         # does not own `underlying`; the installer flushes via drain()

@@ -193,8 +193,11 @@ class AnnealingStrategy(SearchStrategy):
                     population[rows, positions] + offsets) % num_values
                 proposal_losses = memo.evaluate_many(proposals)
                 delta = proposal_losses - losses
+                # improving moves are accepted outright; exponentiating
+                # only the uphill part keeps exp() from overflowing
                 accept = (delta <= 0) | (
-                    rng.random(size) < np.exp(-delta / temperature))
+                    rng.random(size)
+                    < np.exp(-np.maximum(delta, 0.0) / temperature))
                 population[accept] = proposals[accept]
                 losses[accept] = proposal_losses[accept]
                 run.lap()
@@ -306,8 +309,8 @@ class RestartClimbStrategy(SearchStrategy):
 
     def rounds(self, run: SearchRun) -> str:
         cfg, rng, memo = run.config, run.rng, run.memo
-        restarts = min(self.num_restarts or cfg.num_instances,
-                       run.max_rounds)
+        wanted = self.num_restarts or cfg.num_instances
+        restarts = min(wanted, run.max_rounds)
         batch = min(run.num_parameters * (run.num_values - 1),
                     cfg.population_size)
         plateau_limit = (self.plateau_limit
@@ -338,4 +341,4 @@ class RestartClimbStrategy(SearchStrategy):
                     current = neighbors[step]
                     current_loss = float(losses[step])
                 run.lap()
-        return "converged"
+        return "rounds" if restarts < wanted else "converged"

@@ -269,6 +269,25 @@ class TestServiceCLI:
         finally:
             server.stop()
 
+    def test_submit_rejected_spec(self, capsys, tmp_path, spec_path):
+        """A spec the server refuses prints the server's own error and
+        exits 2, like ``repro status`` on an unknown campaign."""
+        import json
+
+        from repro.campaigns.service import ServiceState, start_server
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(spec_path.read_text()),
+                                   "methods": ["no-such-method"]}))
+        server = start_server(ServiceState(tmp_path / "root"), port=0)
+        try:
+            assert main(["submit", str(bad), "--connect", server.url]) == 2
+            err = capsys.readouterr().err
+            assert "submit rejected: " in err and "no-such-method" in err
+            assert "cannot reach" not in err
+        finally:
+            server.stop()
+
     def test_submit_unreachable_server(self, capsys, spec_path):
         assert main(["submit", str(spec_path),
                      "--connect", "http://127.0.0.1:9"]) == 1

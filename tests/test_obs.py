@@ -454,7 +454,7 @@ class TestSchedulerThroughput:
 @pytest.fixture()
 def live_service(tmp_path):
     state = ServiceState(root=tmp_path / "root")
-    campaign, _ = state.submit(tiny_spec().to_dict())
+    campaign, _ = state.submit(tiny_spec())
     # complete the whole grid with synthetic records (no engines)
     while (grant := campaign.scheduler.next_task("w0")) is not None:
         task, _lease = grant

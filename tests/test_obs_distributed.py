@@ -22,11 +22,11 @@ import pytest
 from repro.campaigns import CampaignSpec
 from repro.campaigns.service import (
     HttpSchedulerClient,
-    LocalSchedulerClient,
     ServiceState,
     run_worker,
     start_server,
 )
+from repro.campaigns.service.protocol import TraceBatch
 from repro.cli import main
 from repro.obs import (
     KERNEL,
@@ -53,14 +53,14 @@ TINY_OVERRIDES = {"num_instances": 1, "generations_per_round": 6,
                   "top_k": 3, "population_size": 10, "retry_rounds": 0}
 
 
-def tiny_spec(**kwargs) -> dict:
+def tiny_spec(**kwargs) -> CampaignSpec:
     defaults = dict(name="obsd", benchmarks=["ising_J1.00"],
                     qubit_sizes=[3], noise_scales=[1.0],
                     methods=["clapton"], seeds=[0],
                     engine_preset="smoke",
                     engine_overrides=TINY_OVERRIDES)
     defaults.update(kwargs)
-    return CampaignSpec(**defaults).to_dict()
+    return CampaignSpec(**defaults)
 
 
 def interval_coverage(spans: list[dict]) -> float:
@@ -114,14 +114,12 @@ class TestShippingTracer:
         with tracer.span("worker.task", task_id="t1"):
             tracer.event("loss.shard", 0.01, batch=4)
         assert tracer.pending() == 2
-        batch = tracer.batch("w0", "c-1")
+        spans = tracer.drain()
         assert tracer.pending() == 0
-        assert batch["worker_id"] == "w0" and batch["campaign"] == "c-1"
-        assert {s["name"] for s in batch["spans"]} == {"worker.task",
-                                                       "loss.shard"}
+        assert {s["name"] for s in spans} == {"worker.task", "loss.shard"}
         # the anchor is wall-clock time of tracer construction, not a
         # perf_counter offset: the merge rebases span starts with it
-        assert abs(batch["unix_t0"] - time.time()) < 60.0
+        assert abs(tracer.unix_t0 - time.time()) < 60.0
 
     def test_requeue_preserves_order(self):
         tracer = ShippingTracer()
@@ -274,12 +272,12 @@ class TestCollector:
     def test_unknown_campaign_spans_are_dropped(self, tmp_path):
         state = ServiceState(root=tmp_path / "root")
         state.submit(tiny_spec())
-        ack = state.ingest_traces({
+        ack = state.post_traces(TraceBatch.from_dict({
             "worker_id": "wA", "campaign": "no-such-campaign",
             "unix_t0": time.time(),
             "spans": [{"kind": "span", "name": "x", "start": 0.0,
                        "dur": 0.1, "id": 1, "parent": None,
-                       "thread": "main", "tags": {}}]})
+                       "thread": "main", "tags": {}}]}))
         assert ack == {"accepted": 0, "dropped": 1}
         state.close()
 
@@ -303,7 +301,7 @@ class TestFleetTrace:
         return campaign, meta, spans
 
     @pytest.mark.parametrize("client_of", [
-        lambda state, server: LocalSchedulerClient(state),
+        lambda state, server: state,
         lambda state, server: HttpSchedulerClient(server.url),
     ], ids=["local", "http"])
     def test_one_merged_trace_with_full_context(self, tmp_path,

@@ -173,6 +173,30 @@ class TestContracts:
         bests = [t.best_loss for t in result.trace]
         assert bests == sorted(bests, reverse=True)
 
+    def test_restart_climb_cut_by_max_rounds_reports_rounds(self):
+        config = EngineConfig(seed=0, **{**TINY_OVERRIDES,
+                                         "num_instances": 10})
+        result = get_strategy("restart_climb").minimize(
+            quad_loss, 8, config=config, budget=SearchBudget(max_rounds=2))
+        assert result.num_rounds == 2
+        assert result.stopped_by == "rounds"
+        full = get_strategy("restart_climb").minimize(quad_loss, 8,
+                                                      config=config)
+        assert full.stopped_by == "converged"
+
+    def test_annealing_never_overflows_on_improving_moves(self):
+        """A cold schedule makes ``-delta / T`` huge for improving
+        moves; only the uphill part may be exponentiated."""
+        from repro.search.strategies import AnnealingStrategy
+
+        def steep_loss(genome) -> float:
+            return 10.0 * quad_loss(genome)
+
+        strategy = AnnealingStrategy(initial_temperature=1e-3)
+        with np.errstate(over="raise"):
+            result = strategy.minimize(steep_loss, 8, config=TINY)
+        assert np.isfinite(result.best_loss)
+
     def test_multi_ga_bit_identical_to_direct_engine(self):
         direct = multi_ga_minimize(quad_loss, 10, config=TINY)
         adapted = get_strategy("multi_ga").minimize(quad_loss, 10,

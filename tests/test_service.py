@@ -27,7 +27,6 @@ from repro.campaigns.service import (
     CampaignScheduler,
     HttpSchedulerClient,
     LeaseTable,
-    LocalSchedulerClient,
     ServiceState,
     campaign_id,
     run_worker,
@@ -64,13 +63,15 @@ LEASED = "<leased task id>"
 #: Malformed POST bodies -> (routes that must refuse them, error).
 ALL_POST_ROUTES = ("/campaigns", "/lease", "/heartbeat", "/complete",
                    "/traces")
-WORKER_ROUTES = ("/lease", "/heartbeat", "/complete")
+WORKER_ROUTES = ("/lease", "/heartbeat", "/complete", "/traces")
 MALFORMED_BODIES = {
     **{body: (ALL_POST_ROUTES, "body must be a JSON object")
        for body in ("[]", "null", "3")},
     **{json.dumps({"worker_id": worker_id, "record": {}}):
        (WORKER_ROUTES, "worker_id must be a non-empty string")
        for worker_id in (None, {"a": 1}, "", 7)},
+    json.dumps({"record": {}}):
+       (WORKER_ROUTES, "worker_id must be a non-empty string"),
     **{json.dumps({"worker_id": "w0", **batch}): (("/traces",), error)
        for batch, error in (
            ({"spans": {"id": 1}}, "spans must be a list"),
@@ -103,6 +104,17 @@ MALFORMED_BODIES = {
                       [{"campaign": ["x"], "task_id": "t"}])},
     json.dumps({"worker_id": "w0", "record": 5}):
        (("/complete",), "record must be an object"),
+    # the parent parked the held task as permanently failed
+    json.dumps({"worker_id": "w0", "campaign": CID,
+                "record": {"task_id": LEASED, "status": 7}}):
+       (("/complete",), "record status must be 'done' or 'failed'"),
+    # raw non-finite literals: the parent wrote them into trace.jsonl
+    '{"worker_id": "w0", "unix_t0": NaN, "spans": '
+    f'[{{"id": 1, "tags": {{"campaign": "{CID}"}}}}]}}':
+       (("/traces",), "bad JSON body: non-finite number NaN"),
+    '{"worker_id": "w0", "unix_t0": 1.0, "spans": '
+    f'[{{"id": 1, "start": Infinity, "tags": {{"campaign": "{CID}"}}}}]}}':
+       (("/traces",), "bad JSON body: non-finite number Infinity"),
 }
 
 
@@ -401,9 +413,9 @@ class TestServiceState:
     def test_submit_is_idempotent(self, tmp_path):
         state = ServiceState(tmp_path / "root")
         spec = tiny_spec()
-        first, resumed = state.submit(spec.to_dict())
+        first, resumed = state.submit(spec)
         assert resumed is False
-        again, resumed = state.submit(spec.to_dict())
+        again, resumed = state.submit(spec)
         assert resumed is True and again is first
         assert first.id == campaign_id(spec)
         assert (tmp_path / "root" / f"{first.id}.campaign").is_dir()
@@ -411,14 +423,14 @@ class TestServiceState:
     def test_submit_resumes_on_disk_store(self, tmp_path):
         spec = tiny_spec()
         state = ServiceState(tmp_path / "root")
-        campaign, _ = state.submit(spec.to_dict())
+        campaign, _ = state.submit(spec)
         task = spec.tasks()[0]
         campaign.scheduler.next_task("w")
         campaign.scheduler.report("w", fake_record(task))
         state.close()
 
         fresh = ServiceState(tmp_path / "root")
-        campaign, resumed = fresh.submit(spec.to_dict())
+        campaign, resumed = fresh.submit(spec)
         assert resumed is True
         assert campaign.status()["done"] == 1
 
@@ -426,9 +438,9 @@ class TestServiceState:
         state = ServiceState(tmp_path / "root")
         with pytest.raises(KeyError):
             state.get()
-        a, _ = state.submit(tiny_spec().to_dict())
+        a, _ = state.submit(tiny_spec())
         assert state.get() is a
-        state.submit(tiny_spec(name="other").to_dict())
+        state.submit(tiny_spec(name="other"))
         with pytest.raises(KeyError, match="campaign id required"):
             state.get()
         with pytest.raises(KeyError, match="unknown campaign"):
@@ -436,7 +448,7 @@ class TestServiceState:
 
     def test_report_cache_invalidates_on_new_records(self, tmp_path):
         state = ServiceState(tmp_path / "root")
-        campaign, _ = state.submit(tiny_spec().to_dict())
+        campaign, _ = state.submit(tiny_spec())
         empty = campaign.report()
         assert "No completed tasks yet" in empty
         assert campaign.report() is empty  # cached object, not re-rendered
@@ -508,8 +520,9 @@ class TestServiceEndToEnd:
         """Every POST route that must refuse a malformed body answers it
         with a 400 and leaves the lease log and the store byte-identical:
         non-object JSON on all five routes, a ``worker_id`` that is not a
-        non-empty string on the three worker routes, malformed span
-        batches, heartbeat ``leases`` and ``/complete`` records."""
+        non-empty string on the four worker routes, malformed span
+        batches, heartbeat ``leases`` and ``/complete`` records, and
+        non-finite number literals."""
         from urllib.error import HTTPError
         from urllib.request import Request, urlopen
 
@@ -537,6 +550,33 @@ class TestServiceEndToEnd:
                 assert json.loads(excinfo.value.read()) == {
                     "error": error}, route
             assert snapshot_files(root) == before
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("name", ["../../escape", "..\\..\\escape",
+                                      "nul\x00byte", "lone\ud800", "",
+                                      7])
+    def test_campaign_name_cannot_leave_the_root(self, tmp_path, name):
+        """A campaign name becomes a directory name under ``--root``: a
+        path-like (or empty, or non-string) one gets a 400 and creates
+        nothing anywhere."""
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
+        root = tmp_path / "a" / "b" / "root"
+        server = start_server(ServiceState(root), port=0)
+        try:
+            before = sorted(tmp_path.rglob("*"))
+            spec = {**tiny_spec().to_dict(), "name": name}
+            with pytest.raises(HTTPError) as excinfo:
+                urlopen(Request(server.url + "/campaigns",
+                                data=json.dumps(spec).encode(),
+                                headers={"Content-Type":
+                                         "application/json"}))
+            assert excinfo.value.code == 400
+            assert "campaign name must be" in json.loads(
+                excinfo.value.read())["error"]
+            assert sorted(tmp_path.rglob("*")) == before
         finally:
             server.stop()
 
@@ -604,16 +644,15 @@ class TestServiceEndToEnd:
             server.stop()
 
     def test_local_worker_threads_match_serial(self, tmp_path):
-        """serve --local-workers path: LocalSchedulerClient threads."""
+        """serve --local-workers path: threads calling the state."""
         import threading
 
         spec = tiny_spec()  # 4 tasks
         reference = serial_reference(tmp_path, spec)
         state = ServiceState(tmp_path / "root")
-        state.submit(spec.to_dict())
-        client = LocalSchedulerClient(state)
+        state.submit(spec)
         threads = [threading.Thread(
-            target=run_worker, args=(client,),
+            target=run_worker, args=(state,),
             kwargs={"worker_id": f"local-{i}", "poll_interval": 0.02,
                     "exit_on_idle": True}) for i in range(3)]
         for t in threads:
@@ -654,7 +693,7 @@ class TestWorkerCrashChaos:
         reference = serial_reference(tmp_path, spec)
 
         state = ServiceState(tmp_path / "root", lease_ttl=1.5)
-        campaign, _ = state.submit(spec.to_dict())
+        campaign, _ = state.submit(spec)
         scheduler = campaign.scheduler
         server = start_server(state, port=0)
         victim = survivor = None
