@@ -157,19 +157,28 @@ def _record(value) -> dict:
     _of(str, "record task_id must be a string")(value.get("task_id"))
     _check(value.get("status") in (STATUS_DONE, STATUS_FAILED),
            f"record status must be {STATUS_DONE!r} or {STATUS_FAILED!r}")
+    if value["status"] == STATUS_DONE:
+        # the campaign report reads both of a done record
+        _of(dict, "a done record's task must be an object")(
+            value.get("task"))
+        _of(dict, "a done record's result must be an object")(
+            value.get("result"))
     return value
 
 
 @dataclass(frozen=True)
 class CompleteRequest(_Message):
     """``POST /complete``: a finished task's record (free-form, but
-    with the string ``task_id`` and the status the scheduler reads)."""
+    with the string ``task_id`` and the status the scheduler reads, and
+    for a done record the ``task`` and ``result`` objects the report
+    reads)."""
 
     worker_id: str
     record: dict
     campaign: str | None = None
-    checks = {"worker_id": _WORKER_ID, "record": _record,
-              "campaign": _optional(_of(str, "campaign must be a string"))}
+    checks = {"worker_id": _WORKER_ID,
+              "campaign": _optional(_of(str, "campaign must be a string")),
+              "record": _record}
 
 
 _CAMPAIGN_ID = _optional(_of(str, "campaign ids must be strings"))

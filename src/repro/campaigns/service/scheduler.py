@@ -182,9 +182,11 @@ class CampaignScheduler:
         already completed -- the latter happens when a presumed-dead
         worker finishes after its lease was stolen and the thief also
         finished; both produced the same deterministic payload, so the
-        duplicate is simply ignored.  The record is stamped with its
-        ``attempt``/``backoff_seconds`` before the append, mirroring the
-        serial runner.
+        duplicate is simply ignored.  A record for a task that was never
+        leased, or whose live lease another worker holds, is refused
+        too, and nothing is written or released.  The record is stamped
+        with its ``attempt``/``backoff_seconds`` before the append,
+        mirroring the serial runner.
         """
         tid = record.get("task_id")
         with self._lock:
@@ -195,6 +197,14 @@ class CampaignScheduler:
                     logger.info("dropped duplicate report for task %s "
                                 "from worker %s (lease was stolen)", tid,
                                 worker_id)
+                return False
+            lease = self.leases.get(tid)
+            if self.leases.grants(tid) == 0 or (
+                    lease is not None and lease.worker_id != worker_id
+                    and not lease.expired(self.clock())):
+                logger.warning("refused report for task %s from worker %s: "
+                               "it holds no lease on the task", tid,
+                               worker_id)
                 return False
             attempt = self.store.attempts(tid) + 1
             record = dict(record)

@@ -51,15 +51,18 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     word pass over the stack
     (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, every
     genome's own composed single-qubit Clifford on every qubit at once,
-    :func:`~repro.stabilizer.tableau.rotation_layer_cliffords`), and each
-    two-qubit slot is one leveled-LUT pass: the genome's gene at that slot
-    is the row's level, and level 0 is the identity entry -- exactly the
-    gates the decode of
+    :func:`~repro.stabilizer.tableau.rotation_layer_cliffords`), and the
+    two-qubit slots run as one compiled
+    :class:`~repro.stabilizer.tableau.PairRing`: each slot's gene picks
+    its gate per genome (level 0 is the identity -- exactly the gates the
+    decode of
     :func:`~repro.circuits.ansatz.clapton_transformation_circuit` never
-    emits.  A transformation is ``len(pairs) + 2`` passes.
+    emits), and up to four adjacent chain slots share one per-plane
+    window pass.  A transformation is ``len(ring.windows) + 2`` passes
+    (6 at N = 12: the wrap pair and three chain windows).
     """
     from ..stabilizer.tableau import (
-        apply_gate_levels_to_table,
+        PairRing,
         gate_tableau,
         pull_back_rotation_layer,
         rotation_layer_cliffords,
@@ -76,7 +79,6 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     if np.any((gammas < 0) | (gammas > 3)):
         raise ValueError("gamma entries must be in {0, 1, 2, 3}")
 
-    num_terms = hamiltonian.table.num_rows
     # the slot layout: 2N first-layer genes (ry, rz per qubit), the pair
     # slots, then 2N second-layer genes
     last = len(slots) - 2 * n
@@ -84,15 +86,17 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
                     (gate_tableau("cx"), False),
                     (gate_tableau("cx"), True),
                     (gate_tableau("swap"), False)]
+    # the pull-back walks the ring last slot first
+    ring = PairRing.compile(
+        pair_entries, [qubits for _, qubits, _ in reversed(slots[2 * n:last])],
+        n)
     # one aggregated kernel event per transformation (per-pass events
     # would multiply span counts for no insight)
     with kernel_event("kernel.fused_levels", passes=True):
         stacked = hamiltonian.table.tile(len(gammas))
         pull_back_rotation_layer(stacked, rotation_layer_cliffords(
             gammas[:, last::2], gammas[:, last + 1::2]))
-        for _, qubits, gene in reversed(slots[2 * n:last]):
-            apply_gate_levels_to_table(stacked, pair_entries, qubits,
-                                       np.repeat(gammas[:, gene], num_terms))
+        ring.apply(stacked, gammas[:, 2 * n:last][:, ::-1])
         pull_back_rotation_layer(stacked, rotation_layer_cliffords(
             gammas[:, 0:2 * n:2], gammas[:, 1:2 * n:2]))
     return stacked

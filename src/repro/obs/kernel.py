@@ -14,12 +14,14 @@ Counter vocabulary:
 
 - ``words``         uint64 words run through a LUT/XOR update
 - ``rows``          Pauli-table rows touched by those updates
-- ``lut_hits`` / ``lut_misses``   conjugation + leveled LUT and
-                    compiled static-block caches
+- ``lut_hits`` / ``lut_misses``   conjugation, leveled and pair-ring
+                    LUT and compiled static-block caches
 - ``fused_passes``  population-wide single passes over a stacked table:
-                    one per leveled-LUT slot, one per bit-sliced
-                    single-qubit Clifford layer -- a noiseless RY/RZ
-                    layer or a run of rotations in the noisy walk -- and
+                    one per leveled-LUT slot, one per pair-ring window
+                    (up to four of Clapton's two-qubit slots), one per
+                    bit-sliced single-qubit Clifford layer -- a
+                    noiseless RY/RZ layer or a run of rotations in the
+                    noisy walk -- and
                     one per compiled static block (a run of static
                     gates; an nCAFQA batch on the hardware-efficient
                     ansatz is 3 + 3)
@@ -124,7 +126,8 @@ _PROM = {
         "Conjugation/leveled LUT cache misses (builds)"),
     "fused_passes": REGISTRY.counter(
         "repro_kernel_fused_passes_total",
-        "Leveled-LUT and rotation-layer single passes over a packed table"),
+        "Pair-ring window, rotation-layer and static-block single passes "
+        "over a packed table"),
 }
 
 _publish_lock = threading.Lock()

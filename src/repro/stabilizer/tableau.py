@@ -9,9 +9,11 @@ rows with exact phase tracking (word-wise XORs and popcounts).  Gates
 applied to a whole table go through per-gate lookup tables instead
 (:func:`apply_gate_to_table`), one word-level pass per gate; a whole
 layer of single-qubit Cliffords -- any run of RX/RY/RZ rotations --
-goes through one bit-sliced pass (:func:`pull_back_rotation_layer`), and
+goes through one bit-sliced pass (:func:`pull_back_rotation_layer`),
 a fixed run of gates, compiled once into a :class:`StaticBlock`, through
-one table-driven pass.
+one table-driven pass, and a ring of two-qubit CX/SWAP slots with a
+per-point gate choice (:class:`PairRing`) through one per-plane pass per
+window of up to four slots.
 
 Tableaus for individual gates are *derived from their unitaries* at import
 time (:func:`tableau_from_unitary`), so the gate library's dense matrices are
@@ -313,6 +315,12 @@ def _apply_lut_to_words(table: PauliTable, lut, columns: list[int],
     np.bitwise_and(phase, 3, out=phase)
 
 
+def _entries_key(entries) -> tuple:
+    """Content key of ``(gate, reversed)``/``None`` level entries."""
+    return tuple(None if entry is None else (_gate_lut_key(entry[0]), entry[1])
+                 for entry in entries)
+
+
 #: combined multi-level LUT cache (same bounded-LRU policy as _LUT_CACHE)
 _LEVELED_LUT_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
 
@@ -332,14 +340,7 @@ def _leveled_lut(entries, k: int
     target order.
     """
     size = 4 ** k
-    key_parts = []
-    for entry in entries:
-        if entry is None:
-            key_parts.append(None)
-        else:
-            gate, flipped = entry
-            key_parts.append((_gate_lut_key(gate), flipped))
-    key = (k, tuple(key_parts))
+    key = (k, _entries_key(entries))
     cached = _LEVELED_LUT_CACHE.get(key)
     if cached is not None:
         KERNEL.lut_hits += 1
@@ -399,6 +400,261 @@ def apply_gate_levels_to_table(table: PauliTable, entries,
     lut = _leveled_lut(entries, len(columns))
     KERNEL.fused_passes += 1
     _apply_lut_to_words(table, lut, columns, level_of_row)
+
+
+#: slots per pair-ring window: a window's plane LUT has 4**4 levels x
+#: 2**5 codes, 64 KB of uint64
+_RING_WINDOW_SLOTS = 4
+
+#: per-plane window LUTs and compiled pair rings (bounded LRU, as the
+#: other LUT caches; a compiled ring holds two pre-shifted plane LUTs of
+#: at most 64 KB per window)
+_PAIR_PLANE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = \
+    OrderedDict()
+_PAIR_RING_CACHE: OrderedDict[tuple, "PairRing"] = OrderedDict()
+_PAIR_RING_CACHE_MAX = 32
+
+
+def _pair_plane_luts(entries, local_pairs: tuple, k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-plane LUTs of a window of pair slots on ``k`` local columns.
+
+    Slot ``j`` of the window (``local_pairs[j]``, in application order)
+    picks its gate from ``entries`` by the level digit ``(level >> 2j) &
+    3``, as :func:`apply_gate_levels_to_table` would.  Entry ``level <<
+    k | code`` of the X (Z) LUT is the X (Z) image code on the ``k``
+    columns of the input ``X**code`` (``Z**code``).  The basis rows are
+    pushed through :func:`apply_gate_to_table`, so the LUT kernel stays
+    the one source of the gates' action.
+
+    Raises:
+        ValueError: if a gate maps an X-only input off the X plane, a
+            Z-only input off the Z plane, or adds a phase -- i.e. it is
+            not in the CNOT group, and a per-plane pass cannot run it.
+    """
+    key = (_entries_key(entries), local_pairs, k)
+    cached = _PAIR_PLANE_CACHE.get(key)
+    if cached is not None:
+        KERNEL.lut_hits += 1
+        _PAIR_PLANE_CACHE.move_to_end(key)
+        return cached
+    KERNEL.lut_misses += 1
+    for entry in entries:
+        if entry is not None and entry[0].num_qubits != 2:
+            raise ValueError("pair-ring entries must be 2-qubit gates")
+    size = 1 << k
+    num_levels = 4 ** len(local_pairs)
+    # rows (plane, level, code): X**code first, then Z**code
+    level_of = np.tile(np.repeat(np.arange(num_levels), size), 2)
+    bits = np.tile((np.arange(size)[:, None] >> np.arange(k)) & 1,
+                   (num_levels, 1)).astype(bool)
+    none = np.zeros_like(bits)
+    basis = PauliTable.from_bits(np.vstack([bits, none]),
+                                 np.vstack([none, bits]))
+    for j, (a, b) in enumerate(local_pairs):
+        digit = (level_of >> (2 * j)) & 3
+        for level, entry in enumerate(entries):
+            if entry is None:
+                continue
+            gate, flipped = entry
+            rows = np.flatnonzero(digit == level)
+            sub = basis.take(rows)
+            apply_gate_to_table(sub, gate, (b, a) if flipped else (a, b))
+            basis.x[rows] = sub.x
+            basis.z[rows] = sub.z
+            basis.phase_exp[rows] = sub.phase_exp
+    half = num_levels * size
+    if (basis.z[:half].any() or basis.x[half:].any()
+            or basis.phase_exp.any()):
+        raise ValueError("a pair-ring gate mixes the X and Z planes or adds "
+                         "a phase; the per-plane pass needs CNOT-group gates")
+    luts = (basis.x[:half, 0].copy(), basis.z[half:, 0].copy())
+    _PAIR_PLANE_CACHE[key] = luts
+    while len(_PAIR_PLANE_CACHE) > _LUT_CACHE_MAX:
+        _PAIR_PLANE_CACHE.popitem(last=False)
+    return luts
+
+
+def _ring_windows(pairs: list) -> list[list[int]]:
+    """Group ring slots, in order, into windows of the pair-ring pass.
+
+    A window is up to :data:`_RING_WINDOW_SLOTS` consecutive slots on
+    adjacent qubits, each one qubit below the last (the pull-back's walk
+    down the chain), all inside one word; any other slot (the ring's wrap
+    pair, a pair straddling a word boundary) is a window of its own.
+    """
+    windows = []
+    j = 0
+    while j < len(pairs):
+        lo, hi = sorted(pairs[j])
+        run = [j]
+        if hi == lo + 1 and lo // bitops.WORD_BITS == hi // bitops.WORD_BITS:
+            word = lo // bitops.WORD_BITS
+            while len(run) < _RING_WINDOW_SLOTS and j + len(run) < len(pairs):
+                c, d = sorted(pairs[j + len(run)])
+                if d != lo or c != lo - 1 or c // bitops.WORD_BITS != word:
+                    break
+                lo = c
+                run.append(j + len(run))
+        windows.append(run)
+        j += len(run)
+    return windows
+
+
+class _RingWindow(NamedTuple):
+    """One pass of a :class:`PairRing`."""
+
+    #: the ring slots it applies, in order, and its code width in bits
+    slots: tuple
+    code_bits: int
+    #: ``(word, bit, mask, offset)`` runs of contiguous columns: code bits
+    #: ``offset..`` are ``(word >> bit) & mask``
+    reads: tuple
+    #: ``(word, keep, lut_x, lut_z)``: the word's untouched bits and its
+    #: pre-shifted uint64 image words per ``level << code_bits | code``
+    deposits: tuple
+
+
+class PairRing:
+    """A ring of two-qubit slots with a per-point gate choice, compiled.
+
+    Each slot picks one of ``entries`` (``None`` = identity, else
+    ``(gate, reversed)`` as in :func:`apply_gate_levels_to_table`) per
+    point.  With CNOT-group gates (CX, SWAP) a row ``Z**z X**x`` maps to
+    ``Z**(A⁻ᵀz) X**(Ax)`` with no phase, so each plane is conjugated on
+    its own: up to four slots on a contiguous qubit span inside one word
+    (:func:`_ring_windows`) are one pass that reads the span's code with a
+    shift and a mask, ORs in the row's level (the window's genes, packed
+    once per point), gathers the image word from a pre-shifted per-plane
+    LUT (:func:`_pair_plane_luts`) and deposits it with one clear-and-OR.
+    Other slots gather their two code bits one by one; the phase is never
+    touched.
+    """
+
+    def __init__(self, windows: list, num_slots: int, num_qubits: int):
+        self.windows = windows
+        self.num_slots = num_slots
+        self.num_qubits = num_qubits
+        # each window's genes and their level shifts, padded with slot
+        # ``num_slots`` (a zero column) to the widest window
+        width = max((len(win.slots) for win in windows), default=0)
+        self._genes = np.full((len(windows), width), num_slots,
+                              dtype=np.int64)
+        self._shifts = np.zeros((len(windows), width), dtype=np.int64)
+        for i, win in enumerate(windows):
+            self._genes[i, :len(win.slots)] = win.slots
+            self._shifts[i] = win.code_bits + 2 * np.arange(width)
+
+    @classmethod
+    def compile(cls, entries, pairs, num_qubits: int) -> "PairRing":
+        """Compile the slots ``pairs`` (application order) on ``n`` qubits.
+
+        Cached on the entries' contents and the pairs (bounded LRU).
+        """
+        pairs = tuple(map(tuple, pairs))
+        key = (_entries_key(entries), pairs, num_qubits)
+        ring = _PAIR_RING_CACHE.get(key)
+        if ring is not None:
+            KERNEL.lut_hits += 1
+            _PAIR_RING_CACHE.move_to_end(key)
+            return ring
+        KERNEL.lut_misses += 1
+        if any(q < 0 or q >= num_qubits for pair in pairs for q in pair) \
+                or any(a == b for a, b in pairs):
+            raise ValueError("a pair slot is outside the register or repeats "
+                             "a qubit")
+        windows = [cls._window(entries, pairs, run)
+                   for run in _ring_windows(list(pairs))]
+        ring = cls(windows, len(pairs), num_qubits)
+        _PAIR_RING_CACHE[key] = ring
+        while len(_PAIR_RING_CACHE) > _PAIR_RING_CACHE_MAX:
+            _PAIR_RING_CACHE.popitem(last=False)
+        return ring
+
+    @staticmethod
+    def _window(entries, pairs: tuple, run: list) -> _RingWindow:
+        columns = sorted({q for j in run for q in pairs[j]})
+        local = {q: i for i, q in enumerate(columns)}
+        k = len(columns)
+        lut_x, lut_z = _pair_plane_luts(
+            entries, tuple((local[a], local[b]) for a, b in
+                           (pairs[j] for j in run)), k)
+        reads = []
+        for i, q in enumerate(columns):
+            word, bit = divmod(q, bitops.WORD_BITS)
+            if reads and reads[-1][0] == word \
+                    and reads[-1][1] + reads[-1][2] == bit:
+                reads[-1][2] += 1
+            else:
+                reads.append([word, bit, 1, i])
+        # per word: its window bits, and the image bits moved onto them
+        deposits = {}
+        one = np.uint64(1)
+        for i, q in enumerate(columns):
+            word, bit = divmod(q, bitops.WORD_BITS)
+            if word not in deposits:
+                deposits[word] = [np.uint64(0), np.zeros_like(lut_x),
+                                  np.zeros_like(lut_z)]
+            entry = deposits[word]
+            shift = np.uint64(bit)
+            entry[0] |= one << shift
+            entry[1] |= ((lut_x >> np.uint64(i)) & one) << shift
+            entry[2] |= ((lut_z >> np.uint64(i)) & one) << shift
+        return _RingWindow(
+            tuple(run), k,
+            tuple((word, bit, (1 << length) - 1, offset)
+                  for word, bit, length, offset in reads),
+            tuple((word, ~clear, dx, dz)
+                  for word, (clear, dx, dz) in deposits.items()))
+
+    def apply(self, table: PauliTable, levels) -> None:
+        """In place, conjugate each point's rows through its ring choice.
+
+        ``table`` is ``P`` contiguous blocks of ``M`` rows, block ``p``
+        belonging to point ``p``, and ``levels`` the ``(P, num_slots)``
+        entry index of every point's slot.  One pass per window.
+        """
+        levels = np.asarray(levels, dtype=np.int64)
+        num_points = len(levels)
+        if levels.shape != (num_points, self.num_slots):
+            raise ValueError("levels must be a (P, num_slots) matrix")
+        if table.num_qubits != self.num_qubits:
+            raise ValueError("qubit-count mismatch")
+        num_rows = table.num_rows
+        if num_rows != num_points * (num_rows // max(num_points, 1)):
+            raise ValueError("the table must hold one equal row block per point")
+        if not self.windows or not num_rows:
+            return
+        padded = np.zeros((num_points, self.num_slots + 1), dtype=np.int64)
+        padded[:, :-1] = levels
+        # (windows, P) levels, already shifted past each window's code
+        packed = (padded[:, self._genes] << self._shifts).sum(axis=2).T
+        row_levels = np.repeat(packed, num_rows // num_points, axis=1)
+        planes = (table.x, table.z)
+        signed = (table.x.view(np.int64), table.z.view(np.int64))
+        code = np.empty(num_rows, dtype=np.int64)
+        part = np.empty(num_rows, dtype=np.int64)
+        image = np.empty(num_rows, dtype=np.uint64)
+        for win, row_level in zip(self.windows, row_levels):
+            KERNEL.rows += num_rows
+            KERNEL.words += num_rows * len(win.deposits)
+            KERNEL.fused_passes += 1
+            for p in (0, 1):
+                words = signed[p]
+                for i, (word, bit, mask, offset) in enumerate(win.reads):
+                    out = part if i else code
+                    np.right_shift(words[:, word], bit, out=out)
+                    np.bitwise_and(out, mask, out=out)
+                    if offset:
+                        np.left_shift(out, offset, out=out)
+                    if i:
+                        np.bitwise_or(code, part, out=code)
+                np.bitwise_or(code, row_level, out=code)
+                for word, keep, *luts in win.deposits:
+                    column = planes[p][:, word]
+                    np.take(luts[p], code, out=image)
+                    column &= keep
+                    column |= image
 
 
 _LITTLE_ENDIAN = sys.byteorder == "little"

@@ -24,9 +24,14 @@ from repro.stabilizer.tableau import (
     _LEVELED_LUT_CACHE,
     _LUT_CACHE,
     _LUT_CACHE_MAX,
+    _PAIR_PLANE_CACHE,
+    _PAIR_RING_CACHE,
+    _PAIR_RING_CACHE_MAX,
     _conjugation_lut,
     _gate_lut_key,
+    _pair_plane_luts,
     apply_gate_levels_to_table,
+    PairRing,
     StaticBlock,
     apply_gate_to_table,
     pull_back_rotation_layer,
@@ -505,6 +510,20 @@ def oracle_rotation_layer(table, ry_levels, rz_levels):
         table.scatter(rows, block)
 
 
+#: widths for the pair-ring pass: tiny rings, one word, the boundaries
+RING_SIZES = [2, 3, 4, 5, 12, 63, 64, 65, 100, 130]
+
+
+def _edge_pair_genes(n, entanglement):
+    """Genes of the wrap pair ``(n-1, 0)`` and the pairs straddling words."""
+    from repro.circuits.ansatz import transformation_slots
+
+    return [gene for kind, (a, b), gene in (
+                slot for slot in transformation_slots(n, entanglement)
+                if slot[0] == "pair")
+            if abs(a - b) != 1 or a // 64 != b // 64]
+
+
 def serial_pull_back(hamiltonian, circuit):
     """``C† P C`` of every term through the serial tableau path."""
     tableau = CliffordTableau.from_circuit(circuit.inverse())
@@ -615,7 +634,7 @@ class TestRotationLayer:
         np.testing.assert_array_equal(packed.codes_on(0),
                                       group.codes[:, [0, 1, 2, 3]].ravel())
 
-    @pytest.mark.parametrize("n", [3, 64, 65])
+    @pytest.mark.parametrize("n", RING_SIZES)
     @pytest.mark.parametrize("entanglement", ["circular", "linear"])
     def test_transform_table_many_matches_serial_tableau(self, n,
                                                          entanglement):
@@ -629,9 +648,14 @@ class TestRotationLayer:
         ham = ising_model(n, 1.0)
         rng = np.random.default_rng(n + 7)
         gammas = rng.integers(
-            0, 4, size=(4, num_transformation_parameters(n, entanglement)))
-        gammas[:, 1] = 0  # a rotation gene every genome leaves at 0
-        gammas[:, -1] = 0
+            0, 4, size=(6, num_transformation_parameters(n, entanglement)))
+        gammas[:4, 1] = 0  # a rotation gene every genome leaves at 0
+        gammas[:4, -1] = 0
+        gammas[4] = 0
+        gammas[5] = 3
+        # every level on the wrap pair and the word-straddling pair
+        for gene in _edge_pair_genes(n, entanglement):
+            gammas[:4, gene] = np.arange(4)
         stacked = transform_table_many(ham, gammas, entanglement)
         m = ham.num_terms
         for p, gamma in enumerate(gammas):
@@ -706,6 +730,123 @@ def assert_block_matches_oracle(block, steps, table, packed):
             (table.x[:, qubits] | table.z[:, qubits]).any(axis=1))
         oracle.apply_gate(table, inst.name, inst.params, inst.qubits)
     assert_tables_equal(packed, table)
+
+
+RING_ENTRIES = [None,
+                (gate_tableau("cx"), False),
+                (gate_tableau("cx"), True),
+                (gate_tableau("swap"), False)]
+
+
+def per_slot_ring(packed, pairs, levels):
+    """The pair ring one leveled-LUT pass per slot (the reference)."""
+    rows_per_point = packed.num_rows // len(levels)
+    for j, pair in enumerate(pairs):
+        apply_gate_levels_to_table(packed, RING_ENTRIES, pair,
+                                   np.repeat(levels[:, j], rows_per_point))
+
+
+class TestPairRing:
+    """The per-plane window passes against one leveled pass per slot."""
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    @pytest.mark.parametrize("entanglement", ["circular", "linear"])
+    def test_ring_matches_per_slot_passes(self, n, entanglement):
+        from repro.circuits import entanglement_pairs
+
+        pairs = entanglement_pairs(n, entanglement)[::-1]
+        points, rows_per_point = 7, 5
+        _, packed, rng = random_tables(n, points * rows_per_point, n + 90)
+        expected = packed.copy()
+        levels = rng.integers(0, 4, size=(points, len(pairs)))
+        levels[4] = 0
+        levels[5] = 3
+        edges = [j for j, (a, b) in enumerate(pairs)
+                 if abs(a - b) != 1 or a // 64 != b // 64]
+        for j in edges:
+            levels[:4, j] = np.arange(4)
+        PairRing.compile(RING_ENTRIES, pairs, n).apply(packed, levels)
+        per_slot_ring(expected, pairs, levels)
+        assert_packed_equal(packed, expected)
+
+    @pytest.mark.parametrize("n", [9, 70, 130])
+    def test_arbitrary_pairs(self, n):
+        """Any slot sequence, chains running either way included."""
+        rng = np.random.default_rng(n + 91)
+        pairs = [(int(a), int(b)) for a, b in
+                 (rng.choice(n, 2, replace=False) for _ in range(6))]
+        pairs += [(q + 1, q) for q in range(5)] + [(q, q + 1)
+                                                 for q in range(58, 66)]
+        pairs = [(a % n, b % n) for a, b in pairs if a % n != b % n]
+        _, packed, _ = random_tables(n, 4 * 6, n + 92)
+        expected = packed.copy()
+        levels = rng.integers(0, 4, size=(4, len(pairs)))
+        PairRing.compile(RING_ENTRIES, pairs, n).apply(packed, levels)
+        per_slot_ring(expected, pairs, levels)
+        assert_packed_equal(packed, expected)
+
+    def test_windows(self):
+        """Up to four chain slots per window, never across a word."""
+        from repro.circuits import entanglement_pairs
+
+        ring = PairRing.compile(RING_ENTRIES, entanglement_pairs(130)[::-1],
+                                130)
+        slots = [win.slots for win in ring.windows]
+        # the wrap pair (129, 0); (128, 129), cut off by the straddling
+        # (127, 128); then word 1's chain from (126, 127) down
+        assert slots[:4] == [(0,), (1,), (2,), (3, 4, 5, 6)]
+        assert sorted(j for win in slots for j in win) == list(range(130))
+        for win in ring.windows:
+            assert len(win.slots) <= 4
+            if len(win.slots) > 1:
+                assert len(win.reads) == len(win.deposits) == 1
+        # two-word windows: the wrap pair (129, 0) and the straddling
+        # pairs (127, 128) and (63, 64)
+        straddling = [win for win in ring.windows if len(win.deposits) == 2]
+        assert [win.slots for win in straddling] == [(0,), (2,), (66,)]
+
+    def test_plane_luts_refuse_non_cnot_gates(self):
+        from repro.stabilizer.tableau import tableau_from_unitary
+
+        z_on_one = tableau_from_unitary(np.kron(np.diag([1.0, -1.0]),
+                                                np.eye(2)))
+        for gate in (gate_tableau("cz"), z_on_one):
+            with pytest.raises(ValueError, match="phase"):
+                _pair_plane_luts([None, (gate, False)], ((0, 1),), 2)
+        with pytest.raises(ValueError, match="2-qubit"):
+            _pair_plane_luts([None, (gate_tableau("h"), False)], ((0, 1),), 2)
+
+    def test_luts_small_and_cache_bounded(self, monkeypatch):
+        import repro.stabilizer.tableau as tableau_mod
+
+        monkeypatch.setattr(tableau_mod, "_PAIR_RING_CACHE_MAX", 3)
+        _PAIR_RING_CACHE.clear()
+        try:
+            for n in range(5, 12):
+                ring = PairRing.compile(RING_ENTRIES,
+                                        [(q, q + 1) for q in range(n - 1)], n)
+                assert len(_PAIR_RING_CACHE) <= 3
+            for win in ring.windows:
+                for _, _, lut_x, lut_z in win.deposits:
+                    assert lut_x.nbytes <= 64 * 1024
+                    assert lut_z.nbytes <= 64 * 1024
+            assert PairRing.compile(RING_ENTRIES,
+                                    [(q, q + 1) for q in range(10)],
+                                    11) is ring
+        finally:
+            _PAIR_RING_CACHE.clear()
+        assert len(_PAIR_PLANE_CACHE) <= _LUT_CACHE_MAX
+        assert _PAIR_RING_CACHE_MAX <= _LUT_CACHE_MAX
+
+    def test_rejects_bad_shapes(self):
+        ring = PairRing.compile(RING_ENTRIES, [(0, 1), (1, 2)], 3)
+        packed = PauliTable.identity(6, 3)
+        with pytest.raises(ValueError, match="num_slots"):
+            ring.apply(packed, np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="row block"):
+            ring.apply(packed, np.zeros((4, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="register"):
+            PairRing.compile(RING_ENTRIES, [(0, 3)], 3)
 
 
 class TestStaticBlock:
@@ -908,7 +1049,10 @@ class TestKernelAccounting:
         ham = ising_model(n, 1.0)
         gammas = np.random.default_rng(3).integers(
             0, 4, size=(num_genomes, num_transformation_parameters(n)))
-        passes = len(entanglement_pairs(n)) + 2
+        # the wrap pair, then the 11 chain slots in windows of 4, 4 and
+        # 3, between the two rotation layers
+        passes = 1 + 3 + 2
+        assert len(entanglement_pairs(n)) == 12
         before = KERNEL.snapshot()
         transform_table_many(ham, gammas)
         delta = KERNEL.delta(before)

@@ -108,6 +108,13 @@ MALFORMED_BODIES = {
     json.dumps({"worker_id": "w0", "campaign": CID,
                 "record": {"task_id": LEASED, "status": 7}}):
        (("/complete",), "record status must be 'done' or 'failed'"),
+    # the parent stored it, and GET /report then answered 404
+    **{json.dumps({"worker_id": "w0", "campaign": CID,
+                   "record": {"task_id": LEASED, "status": "done",
+                              "task": {}, "result": {}, **field}}):
+       (("/complete",), f"a done record's {name} must be an object")
+       for name, field in (("result", {"result": 7}),
+                           ("task", {"task": 7}))},
     # raw non-finite literals: the parent wrote them into trace.jsonl
     '{"worker_id": "w0", "unix_t0": NaN, "spans": '
     f'[{{"id": 1, "tags": {{"campaign": "{CID}"}}}}]}}':
@@ -330,6 +337,25 @@ class TestScheduler:
         assert scheduler.report("w1", fake_record(task)) is False
         assert scheduler.store.attempts(task.task_id) == 1  # one record
 
+    def test_report_for_never_leased_task_refused(self):
+        scheduler, tasks, _ = make_scheduler()
+        assert scheduler.report("intruder", fake_record(tasks[0])) is False
+        assert len(scheduler.store) == 0
+        assert scheduler.counts()["done"] == 0
+        # the task is still handed out, to the first worker that asks
+        assert scheduler.next_task("w1")[0].task_id == tasks[0].task_id
+
+    def test_report_against_live_lease_of_another_worker_refused(self):
+        scheduler, _, clock = make_scheduler(lease_ttl=5.0)
+        task, _ = scheduler.next_task("w1")
+        assert scheduler.report("intruder", fake_record(task)) is False
+        assert len(scheduler.store) == 0
+        assert scheduler.leases.get(task.task_id).worker_id == "w1"
+        # once the lease has lapsed, a late record is kept, as before
+        clock.advance(6.0)
+        assert scheduler.report("w1", fake_record(task)) is True
+        assert scheduler.store.attempts(task.task_id) == 1
+
     def test_failed_task_backs_off_then_retries(self):
         retry = RetryPolicy(max_attempts=3, backoff_base=2.0)
         scheduler, tasks, clock = make_scheduler(retry=retry)
@@ -550,6 +576,8 @@ class TestServiceEndToEnd:
                 assert json.loads(excinfo.value.read()) == {
                     "error": error}, route
             assert snapshot_files(root) == before
+            with urlopen(f"{server.url}/report?campaign={CID}") as r:
+                assert r.status == 200
         finally:
             server.stop()
 

@@ -246,7 +246,8 @@ class TestWireFuzz:
             grant = LeaseGrant.from_dict(service.check(
                 "POST", "/lease", json.dumps({"worker_id": "w0"}))[1])
             record = {"task_id": grant.task_id, "status": "done",
-                      "result": {"ok": True}, "error": None}
+                      "task": grant.task, "result": {"ok": True},
+                      "error": None}
             # /campaigns last: each spec it accepts adds a store, and
             # every later request would snapshot those files too
             valid = {
