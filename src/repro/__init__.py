@@ -23,11 +23,13 @@ Energy estimation goes through one batched protocol::
     batch = estimator.estimate_many(thetas)       # shares circuit setup
     print(batch.values)
 
-and round-level parallelism everywhere is a one-argument switch::
+Parallelism lives at the campaign-task level: a search evaluates its
+batches inline, and ``CampaignRunner`` (``repro sweep --jobs N``) or the
+lease service runs whole tasks side by side::
 
-    from repro import ProcessExecutor
+    from repro import CampaignRunner, ProcessExecutor
 
-    Experiment(...).run(config=..., executor=ProcessExecutor(8))
+    CampaignRunner(spec, store, executor=ProcessExecutor(8)).run()
 """
 
 from .paulis import PauliString, PauliSum, PauliTable

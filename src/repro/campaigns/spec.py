@@ -67,14 +67,22 @@ ENGINE_PRESETS = ("paper", "fast", "smoke")
 # ----------------------------------------------------------------------
 # EngineConfig <-> dict
 # ----------------------------------------------------------------------
+#: A retired EngineConfig field that every payload still carries:
+#: ``TaskSpec.task_id`` hashes the engine payload, so dropping the key
+#: would change every task id and stores recorded before it went would
+#: no longer resume.
+_RETIRED_ENGINE_FIELDS = {"parallel_axis": "instances"}
+
+
 def engine_to_dict(config: EngineConfig) -> dict:
     """JSON form of an :class:`EngineConfig` (nested ``ga`` included)."""
-    return asdict(config)
+    return {**asdict(config), **_RETIRED_ENGINE_FIELDS}
 
 
 def engine_from_dict(data: dict) -> EngineConfig:
     ga = GAConfig(**data.get("ga", {}))
-    fields = {k: v for k, v in data.items() if k != "ga"}
+    fields = {k: v for k, v in data.items()
+              if k != "ga" and k not in _RETIRED_ENGINE_FIELDS}
     return EngineConfig(ga=ga, **fields)
 
 
@@ -367,10 +375,6 @@ class CampaignSpec:
                 # duplicates would expand to colliding task ids, leaving
                 # phantom forever-pending tasks in every status count
                 raise ValueError(f"duplicate values in {axis}: {values}")
-        if "num_processes" in self.engine_overrides:
-            raise ValueError(
-                "engine_overrides cannot set num_processes: campaigns "
-                "parallelize by sharding tasks (`repro sweep --jobs N`)")
         bad_noise = set(self.base_noise) - set(DEFAULT_BASE_NOISE)
         if bad_noise:
             # a typo'd key would silently run the default noise point

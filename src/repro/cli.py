@@ -231,7 +231,6 @@ def _cmd_run(args) -> int:
     from dataclasses import replace
 
     from .backends import ALL_BACKENDS
-    from .execution import ProcessExecutor
     from .experiments import Experiment, bench_engine
 
     methods = _resolve_method_names(args.methods or args.method)
@@ -264,30 +263,21 @@ def _cmd_run(args) -> int:
     print(f"{args.benchmark} ({hamiltonian.num_qubits}q) on "
           f"{backend.name}, methods={','.join(methods)}, "
           f"strategy={strategy}{mitigation_tag}, seed={args.seed}")
-    executor = ProcessExecutor(args.jobs) if args.jobs > 1 else None
     experiment = Experiment(hamiltonian, backend=backend,
                             name=args.benchmark)
     config = replace(bench_engine(), seed=args.seed,
                      **_engine_overrides(args))
     ctx, trace_path = _trace_context(args.trace, "trace.jsonl")
-    try:
-        with ctx:
-            from .obs import get_tracer
+    with ctx:
+        from .obs import get_tracer
 
-            with get_tracer().span("cli.run", benchmark=args.benchmark,
-                                   strategy=strategy,
-                                   mitigation=mitigation,
-                                   seed=args.seed):
-                result = experiment.run(methods=tuple(methods),
-                                        config=config,
-                                        vqe_iterations=args.vqe_iterations,
-                                        seed=args.seed,
-                                        executor=executor,
-                                        strategy=strategy,
-                                        mitigation=mitigation)
-    finally:
-        if executor is not None:
-            executor.close()
+        with get_tracer().span("cli.run", benchmark=args.benchmark,
+                               strategy=strategy, mitigation=mitigation,
+                               seed=args.seed):
+            result = experiment.run(methods=tuple(methods), config=config,
+                                    vqe_iterations=args.vqe_iterations,
+                                    seed=args.seed, strategy=strategy,
+                                    mitigation=mitigation)
     if trace_path is not None:
         print(f"trace written to {trace_path} "
               f"(repro trace summary {trace_path})")
@@ -1005,9 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--qubits", type=int, default=6)
     p_run.add_argument("--vqe-iterations", type=int, default=0,
                        help="SPSA iterations of the online VQE phase")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes sharding each generation's "
-                            "loss batch (same numbers as --jobs 1)")
     p_run.add_argument("--seed", type=int, default=0,
                        help="engine + VQE seed (same seed, same numbers)")
     p_run.add_argument("--save", help="write the ExperimentResult JSON here")

@@ -99,8 +99,8 @@ class InitializationResult:
 
 def clapton(problem: VQEProblem, config: EngineConfig | None = None,
             clifford_model: CliffordNoiseModel | None = None,
-            noisy_weight: float = 1.0, noiseless_weight: float = 1.0,
-            executor=None) -> InitializationResult:
+            noisy_weight: float = 1.0, noiseless_weight: float = 1.0
+            ) -> InitializationResult:
     """Run the Clapton transformation search (Sec. 4.1).
 
     Args:
@@ -109,30 +109,28 @@ def clapton(problem: VQEProblem, config: EngineConfig | None = None,
             s=10 / m=100 / k=20 / |S|=100 working point.
         clifford_model: Override the L_N noise projection (ablations).
         noisy_weight / noiseless_weight: Cost-term weights (ablations).
-        executor: Execution backend for the engine's GA rounds (any
-            :mod:`repro.execution` executor); serial by default.
     """
     from ..methods.builtin import ClaptonMethod
 
     method = ClaptonMethod(clifford_model=clifford_model,
                            noisy_weight=noisy_weight,
                            noiseless_weight=noiseless_weight)
-    return method.run(problem, config=config, executor=executor)
+    return method.run(problem, config=config)
 
 
-def cafqa(problem: VQEProblem, config: EngineConfig | None = None,
-          executor=None) -> InitializationResult:
+def cafqa(problem: VQEProblem, config: EngineConfig | None = None
+          ) -> InitializationResult:
     """The CAFQA baseline: noiseless Clifford search over ansatz angles."""
     from ..methods.builtin import CafqaMethod
 
-    return CafqaMethod().run(problem, config=config, executor=executor)
+    return CafqaMethod().run(problem, config=config)
 
 
 def ncafqa(problem: VQEProblem, config: EngineConfig | None = None,
-           clifford_model: CliffordNoiseModel | None = None,
-           executor=None) -> InitializationResult:
+           clifford_model: CliffordNoiseModel | None = None
+           ) -> InitializationResult:
     """Noise-aware CAFQA: the paper's strengthened baseline (Sec. 5.2)."""
     from ..methods.builtin import NcafqaMethod
 
     return NcafqaMethod(clifford_model=clifford_model).run(
-        problem, config=config, executor=executor)
+        problem, config=config)

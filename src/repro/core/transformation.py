@@ -9,6 +9,8 @@ implementable in the VQE framework, as the paper emphasizes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..circuits.ansatz import (
@@ -19,7 +21,13 @@ from ..circuits.circuit import Circuit
 from ..obs.kernel import kernel_event
 from ..paulis.pauli_sum import PauliSum
 from ..paulis.table import PauliTable
-from ..stabilizer.tableau import CliffordTableau
+from ..stabilizer.tableau import (
+    CliffordTableau,
+    PairRing,
+    gate_tableau,
+    pull_back_rotation_layer,
+    rotation_layer_cliffords,
+)
 
 
 def transformation_tableau(gamma, num_qubits: int,
@@ -27,6 +35,27 @@ def transformation_tableau(gamma, num_qubits: int,
     """Tableau of ``C†(gamma)`` (the anticonjugation direction)."""
     circuit = clapton_transformation_circuit(gamma, num_qubits, entanglement)
     return CliffordTableau.from_circuit(circuit.inverse())
+
+
+@lru_cache(maxsize=64)
+def _pair_ring(num_qubits: int, entanglement: str) -> PairRing:
+    """The compiled two-qubit slots of ``C(gamma)``, in pull-back order.
+
+    Compiled once per ``(n, entanglement)``: the slot layout of
+    :func:`~repro.circuits.ansatz.transformation_slots` is the 2N
+    first-layer genes (ry, rz per qubit), the ``ring.num_slots`` pair
+    slots, then the 2N second-layer genes.
+    """
+    slots = transformation_slots(num_qubits, entanglement)
+    pair_entries = [None,
+                    (gate_tableau("cx"), False),
+                    (gate_tableau("cx"), True),
+                    (gate_tableau("swap"), False)]
+    # the pull-back walks the ring last slot first
+    return PairRing.compile(
+        pair_entries,
+        [qubits for kind, qubits, _ in reversed(slots) if kind == "pair"],
+        num_qubits)
 
 
 def transform_table(hamiltonian: PauliSum, gamma,
@@ -61,35 +90,18 @@ def transform_table_many(hamiltonian: PauliSum, gammas,
     window pass.  A transformation is ``len(ring.windows) + 2`` passes
     (6 at N = 12: the wrap pair and three chain windows).
     """
-    from ..stabilizer.tableau import (
-        PairRing,
-        gate_tableau,
-        pull_back_rotation_layer,
-        rotation_layer_cliffords,
-    )
-
     gammas = np.asarray(gammas, dtype=np.int64)
     if gammas.ndim != 2:
         raise ValueError("gammas must be a (P, d) integer matrix")
     n = hamiltonian.num_qubits
-    slots = transformation_slots(n, entanglement)
-    if gammas.shape[1] != len(slots):
-        raise ValueError(f"gamma must have length {len(slots)}, "
+    ring = _pair_ring(n, entanglement)
+    last = 2 * n + ring.num_slots  # first gene of the second layer
+    if gammas.shape[1] != last + 2 * n:
+        raise ValueError(f"gamma must have length {last + 2 * n}, "
                          f"got {gammas.shape[1]}")
     if np.any((gammas < 0) | (gammas > 3)):
         raise ValueError("gamma entries must be in {0, 1, 2, 3}")
 
-    # the slot layout: 2N first-layer genes (ry, rz per qubit), the pair
-    # slots, then 2N second-layer genes
-    last = len(slots) - 2 * n
-    pair_entries = [None,
-                    (gate_tableau("cx"), False),
-                    (gate_tableau("cx"), True),
-                    (gate_tableau("swap"), False)]
-    # the pull-back walks the ring last slot first
-    ring = PairRing.compile(
-        pair_entries, [qubits for _, qubits, _ in reversed(slots[2 * n:last])],
-        n)
     # one aggregated kernel event per transformation (per-pass events
     # would multiply span counts for no insight)
     with kernel_event("kernel.fused_levels", passes=True):

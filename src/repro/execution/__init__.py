@@ -2,9 +2,8 @@
 
 ``make_estimator`` builds batched energy estimators (exact density-matrix,
 shot-sampling, Clifford fast path) behind one protocol; the ``Executor``
-backends (serial/thread/process) give the Figure-4 engine and any future
-fan-out a uniform ``map``; ``memoize_loss`` is the shared loss cache that
-works under all of them.
+backends (serial/thread/process) give campaign task fan-out a uniform
+``map``; ``memoize_loss`` is the shared loss cache of every search.
 """
 
 from .cache import MemoizedLoss, genome_key, memoize_loss

@@ -4,8 +4,8 @@ Converging GA populations re-propose identical genomes constantly, so every
 evaluation surface wants a ``genome -> loss`` memo table.  The table here is
 a plain ``bytes -> float`` dict behind one wrapper: the Figure-4 engine, the
 :class:`~repro.optim.genetic.GeneticAlgorithm` and the search strategies all
-route their evaluations through it, in the driving process, so hit/miss
-accounting has exactly one home whatever executor shards the misses.
+route their evaluations through it, so hit/miss accounting has exactly
+one home.
 
 :meth:`MemoizedLoss.evaluate_many` is the batch face of the same table:
 dedupe a whole population within the batch and against the cache, then

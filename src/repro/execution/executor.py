@@ -1,9 +1,9 @@
-"""Pluggable execution backends: one ``map`` seam for every parallel axis.
+"""Pluggable execution backends: one ``map`` seam for task fan-out.
 
-The Figure-4 engine, the search strategies and any other fan-out (batched
-estimation shards, parameter sweeps) dispatch work through an
-:class:`Executor` instead of hard-coding a process pool.  Three backends
-ship here:
+Campaigns (:class:`~repro.campaigns.CampaignRunner`, ``repro sweep
+--jobs``) and parameter sweeps dispatch whole tasks through an
+:class:`Executor` instead of hard-coding a process pool.  A search never
+fans out: it evaluates its batches inline.  Three backends ship here:
 
 * :class:`SerialExecutor` -- in-process, submission order, shares caller
   memory.
@@ -12,9 +12,8 @@ ship here:
 * :class:`ProcessExecutor` -- a process pool; requires picklable work items
   (the package's loss objects are).
 
-All backends preserve item order in ``map`` and are context managers.  The
-searches use them only to shard a batch of genomes into contiguous pieces,
-so results do not depend on the backend or its worker count.
+All backends preserve item order in ``map`` and are context managers, so
+results do not depend on the backend or its worker count.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ R = TypeVar("R")
 
 @runtime_checkable
 class Executor(Protocol):
-    """Uniform fan-out interface consumed by the engine and estimators."""
+    """Uniform fan-out interface consumed by the campaign runner."""
 
     #: True when ``map`` runs items one-by-one in the caller's
-    #: thread/process -- sharding a batch over it would gain nothing.
+    #: thread/process.
     in_process_sequential: bool
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
@@ -46,10 +45,6 @@ class SerialExecutor:
     """Run every item inline, in submission order."""
 
     in_process_sequential = True
-    #: Workers share the caller's process (tracer, metric registry,
-    #: memo counters).  Not part of the Executor protocol; consumers use
-    #: ``getattr(executor, "in_process", True)``.
-    in_process = True
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         return [fn(item) for item in items]
@@ -104,8 +99,6 @@ class _PoolExecutor:
 class ThreadExecutor(_PoolExecutor):
     """Fan items out over a lazily created thread pool."""
 
-    in_process = True
-
     def _make_pool(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -115,11 +108,9 @@ class ThreadExecutor(_PoolExecutor):
 class ProcessExecutor(_PoolExecutor):
     """Fan items out over a lazily created process pool.
 
-    Work items and results must be picklable; the package's loss objects
-    and the engine's shard jobs are.
+    Work items and results must be picklable; campaign tasks and their
+    records are.
     """
-
-    in_process = False
 
     def _make_pool(self):
         from concurrent.futures import ProcessPoolExecutor

@@ -24,7 +24,6 @@ from ..backends.backend import Backend
 from ..core.clapton import InitializationResult
 from ..core.evaluation import PointEvaluation, evaluate_initial_point
 from ..core.problem import VQEProblem
-from ..execution.executor import Executor
 from ..hamiltonians.exact import ground_state_energy
 from ..metrics import relative_improvement
 from ..noise.model import NoiseModel
@@ -308,8 +307,7 @@ class Experiment:
 
     def run(self, methods=None, *, config: EngineConfig | None = None,
             vqe_iterations: int = 0, vqe_shots: int | None = None,
-            seed: int = 0, executor: Executor | None = None,
-            evaluate_tiers: bool = True, strategy=None,
+            seed: int = 0, evaluate_tiers: bool = True, strategy=None,
             budget=None, mitigation=None) -> ExperimentResult:
         """Run the requested methods and evaluate all tiers.
 
@@ -324,7 +322,6 @@ class Experiment:
                 VQE entirely).
             vqe_shots: Optional per-term shot budget for the VQE phase.
             seed: VQE seed (the engine's seed lives in ``config``).
-            executor: Execution backend for the engine's GA rounds.
             evaluate_tiers: Evaluate each initial point under the three
                 noise tiers; pass False when only the engine output or
                 the VQE traces matter (``MethodRun.evaluation`` is then
@@ -362,8 +359,8 @@ class Experiment:
         for method in resolved:
             method_start = time.perf_counter()
             result = method.run(self.problem, config=config,
-                                executor=executor, strategy=strategy,
-                                budget=budget, mitigation=mitigation)
+                                strategy=strategy, budget=budget,
+                                mitigation=mitigation)
             results[method.name] = result
             evaluation = (evaluate_initial_point(result,
                                                  mitigation=mitigation)

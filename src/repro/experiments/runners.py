@@ -84,24 +84,24 @@ def build_problem(hamiltonian: PauliSum, backend: Backend | None,
 def compare_initializations(benchmark_name: str, hamiltonian: PauliSum,
                             problem: VQEProblem, config: EngineConfig,
                             methods=None, vqe_iterations: int = 0,
-                            seed: int = 0, executor=None) -> ComparisonRow:
+                            seed: int = 0) -> ComparisonRow:
     """Run the requested methods on one problem and evaluate all tiers."""
     experiment = Experiment(hamiltonian, problem=problem,
                             name=benchmark_name)
     return experiment.run(methods, config=config,
-                          vqe_iterations=vqe_iterations, seed=seed,
-                          executor=executor).to_row()
+                          vqe_iterations=vqe_iterations,
+                          seed=seed).to_row()
 
 
 def convergence_traces(hamiltonian: PauliSum, problem: VQEProblem,
                        config: EngineConfig, vqe_iterations: int,
-                       methods=None, seed: int = 0, executor=None
+                       methods=None, seed: int = 0
                        ) -> dict[str, VQETrace]:
     """Per-method VQE convergence histories (one Fig. 6 panel)."""
     experiment = Experiment(hamiltonian, problem=problem)
     return experiment.run(methods, config=config,
                           vqe_iterations=vqe_iterations, seed=seed,
-                          executor=executor, evaluate_tiers=False).traces
+                          evaluate_tiers=False).traces
 
 
 def sweep_relative_improvement(hamiltonian: PauliSum,
@@ -120,9 +120,9 @@ def sweep_relative_improvement(hamiltonian: PauliSum,
     The Fig. 7/8 harnesses build the noise-model list by sweeping one
     channel's strength with everything else fixed.  Numbers are identical
     to the historical per-Experiment loop: each task's engine is seeded
-    by ``config.seed`` exactly as before.  ``executor`` now shards sweep
-    *cells* (each engine stays serial inside its task), so parallel runs
-    reproduce the serial numbers bit for bit.
+    by ``config.seed`` exactly as before.  ``executor`` runs sweep
+    *cells* in parallel (each search stays serial inside its task), so
+    parallel runs reproduce the serial numbers bit for bit.
     """
     from ..campaigns.runner import CampaignRunner
     from ..campaigns.spec import CampaignSpec, TaskSpec, engine_to_dict

@@ -39,6 +39,22 @@ from ..search.base import SearchResult
 from ..search.registry import resolve_strategy
 
 
+def check_search_executor(executor) -> None:
+    """Refuse an executor that would run a search's batches in parallel.
+
+    A search evaluates every batch inline: sharding one generation over
+    workers was slower than serial at every measured size.  ``None`` and
+    sequential in-process executors (``SerialExecutor``) are accepted so
+    existing ``executor=`` call sites keep working; parallelism lives at
+    the campaign-task level.
+    """
+    if executor is not None and not executor.in_process_sequential:
+        raise ValueError(
+            f"a search runs its batches inline and cannot use "
+            f"{type(executor).__name__}; parallelize over campaign tasks "
+            f"instead (`repro sweep --jobs N`, CampaignRunner)")
+
+
 @dataclass(frozen=True)
 class DecodedPoint:
     """What a genome means as a VQE starting point.
@@ -85,8 +101,8 @@ class InitializationMethod(abc.ABC):
     @abc.abstractmethod
     def make_loss(self, problem: VQEProblem
                   ) -> Callable[[np.ndarray], float]:
-        """The cost function the search minimizes (picklable for process
-        executors)."""
+        """The cost function the search minimizes (picklable, so campaign
+        tasks can ship it to process workers)."""
 
     @abc.abstractmethod
     def decode(self, problem: VQEProblem, genome: np.ndarray) -> DecodedPoint:
@@ -100,6 +116,10 @@ class InitializationMethod(abc.ABC):
                executor=None, strategy=None, budget=None) -> SearchResult:
         """Minimize :meth:`make_loss` over the genome space.
 
+        Batches are evaluated inline; ``executor`` accepts only ``None``
+        or a sequential in-process executor (see
+        :func:`check_search_executor`).
+
         The default resolves ``strategy`` through the
         :mod:`repro.search` registry and falls back to ``multi_ga`` --
         the paper builds every method on "an optimization engine similar
@@ -109,15 +129,15 @@ class InitializationMethod(abc.ABC):
         (e.g. best-of-K random sampling) override this method and ignore
         the strategy axis.
         """
+        check_search_executor(executor)
         resolved = resolve_strategy(strategy)
         return resolved.minimize(self.make_loss(problem),
                                  self.num_parameters(problem),
                                  num_values=self.num_values,
-                                 budget=budget, config=config,
-                                 executor=executor)
+                                 budget=budget, config=config)
 
     def run(self, problem: VQEProblem, config: EngineConfig | None = None,
-            executor=None, strategy=None, budget=None,
+            strategy=None, budget=None,
             mitigation=None) -> InitializationResult:
         """Search, decode the best genome, and bundle the result.
 
@@ -133,8 +153,8 @@ class InitializationMethod(abc.ABC):
         from ..mitigation import resolve_mitigation as _resolve_mitigation
 
         mitigation_name = _resolve_mitigation(mitigation).name
-        search = self.search(problem, config=config, executor=executor,
-                             strategy=strategy, budget=budget)
+        search = self.search(problem, config=config, strategy=strategy,
+                             budget=budget)
         decoded = self.decode(problem, search.best_genome)
         return InitializationResult(
             method=self.name,

@@ -22,9 +22,9 @@ from ..circuits.ansatz import cafqa_angles
 from ..core.loss import CafqaLoss
 from ..core.problem import VQEProblem
 from ..execution.cache import evaluate_batch
-from ..optim.engine import EngineConfig, shard_loss
+from ..optim.engine import EngineConfig
 from ..search.base import SearchResult, SearchTrace
-from .base import DecodedPoint, InitializationMethod
+from .base import DecodedPoint, InitializationMethod, check_search_executor
 from .registry import register_method
 
 
@@ -54,6 +54,7 @@ class VanillaMethod(_AnsatzAngleMethod):
                config: EngineConfig | None = None,
                executor=None, strategy=None, budget=None) -> SearchResult:
         # no search at all: the strategy/budget axes do not apply
+        check_search_executor(executor)
         start = time.perf_counter()
         genome = np.zeros(self.num_parameters(problem), dtype=np.int64)
         loss = float(self.make_loss(problem)(genome))
@@ -85,6 +86,7 @@ class RandomCliffordMethod(_AnsatzAngleMethod):
         # own search shape (best-of-K sampling); the strategy axis does
         # not apply -- `restart_climb` is this search generalized to
         # climb from each sample
+        check_search_executor(executor)
         cfg = config or EngineConfig()
         k = self.num_samples or max(1, cfg.num_instances
                                     * cfg.population_size)
@@ -92,10 +94,7 @@ class RandomCliffordMethod(_AnsatzAngleMethod):
         rng = np.random.default_rng(cfg.seed)
         genomes = rng.integers(0, self.num_values,
                                size=(k, self.num_parameters(problem)))
-        # contiguous per-worker shards concatenate in genome order, so the
-        # argmin (and ties) match the serial batch
-        losses = evaluate_batch(
-            shard_loss(self.make_loss(problem), executor), genomes)
+        losses = evaluate_batch(self.make_loss(problem), genomes)
         best = int(np.argmin(losses))
         elapsed = time.perf_counter() - start
         trace = [SearchTrace(round_index=0, best_loss=float(losses[best]),

@@ -12,14 +12,12 @@ is installed (``repro ... --trace PATH`` installs a
 ``ResultStore``).  Spans are context managers on the monotonic clock,
 nested through per-thread stacks, tagged with batch sizes / qubit
 counts / strategy names; ``tracer.event(name, seconds)`` adopts
-externally-timed work (process-pool shards, heartbeat round trips,
-idle sleeps) into the current span.  The span vocabulary, bottom up::
+externally-timed work (heartbeat round trips, idle sleeps, backoff
+waits) into the current span.  The span vocabulary, bottom up::
 
     kernel.conjugate_table  one packed conjugation walk  (kernel)
     kernel.fused_levels     one Clapton transformation's passes
     loss.evaluate_many      one batched loss call       (loss_eval)
-    loss.shard              one executor shard, in-worker timed
-    executor.map_shards     the parent's scatter/gather wait
     engine.round            one engine round (tags: evaluations, best)
     search.round            one strategy round loop iteration
     search.minimize         a whole SearchStrategy.minimize call
@@ -51,8 +49,8 @@ trace-event JSON for flamegraph viewers.
 conjugation hot path bumps always-on counters (:data:`KERNEL`: words,
 rows, LUT hits/misses, fused passes) that surface as Prometheus
 ``repro_kernel_*`` series and as the summary's per-worker word-ops/s
-table.  Process-pool children return snapshots over the cache-stats
-path; the parent folds them in.
+table.  The counters are per process; a search never leaves the
+process that drives it.
 
 **Metrics** (:mod:`repro.obs.metrics`).  A process-wide
 :data:`REGISTRY` of ``Counter`` / ``Gauge`` / ``Histogram`` families,
@@ -74,10 +72,9 @@ Invariants
   traced runs are bit-identical to untraced runs (tier-1 goldens run
   with tracing enabled).
 - No third-party dependencies; stdlib only.
-- Process-pool children fall back to the null tracer; their timings
-  are returned to the parent and re-emitted as events, and their cache
-  and kernel counters are aggregated explicitly
-  (``SearchResult.cache_stats``, ``KERNEL.add``).
+- Process-pool children (campaign tasks under ``ProcessExecutor``)
+  fall back to the null tracer; a task's record carries its wall time
+  and its search's cache accounting (``SearchResult.cache_stats``).
 """
 
 from .bench_compare import (

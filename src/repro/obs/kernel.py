@@ -26,10 +26,10 @@ Counter vocabulary:
                     gates; an nCAFQA batch on the hardware-efficient
                     ansatz is 3 + 3)
 
-Process-pool children bump their own (fresh) singleton; the engine
-ships ``KERNEL.snapshot()`` deltas back over the existing cache-stats
-return path and the parent folds them in with :meth:`KernelCounters.
-add` -- the same aggregation idiom as ``SearchResult.cache_stats``.
+The counters are per process: a campaign task run in a process-pool
+child bumps that child's (fresh) singleton.  Consumers measure a stretch
+of work as ``KERNEL.delta(before)`` against a ``before =
+KERNEL.snapshot()`` taken at its start.
 
 :func:`publish_kernel_metrics` mirrors the singleton into Prometheus
 counters (monotonic, delta-since-last-publish) so ``GET /metrics``
@@ -77,13 +77,6 @@ class KernelCounters:
         """Counters advanced since a previous :meth:`snapshot`."""
         return {name: getattr(self, name) - since.get(name, 0)
                 for name in FIELDS}
-
-    def add(self, delta: dict) -> None:
-        """Fold a child's delta into this (parent) singleton."""
-        for name in FIELDS:
-            value = delta.get(name, 0)
-            if value:
-                setattr(self, name, getattr(self, name) + int(value))
 
 
 #: Process singleton every packed-kernel call site increments.

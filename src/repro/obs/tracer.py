@@ -11,15 +11,12 @@ correct under ``ThreadExecutor``: a span started on thread T becomes
 the parent of spans opened later on T, never of spans on other threads.
 Spans use the monotonic clock (``time.perf_counter``) and are emitted
 on *exit* as one JSON object per line; ``tracer.event(name, seconds)``
-records work that was timed externally (executor shards, heartbeat
-round trips, idle sleeps) as an already-finished child of the current
-span.
+records work that was timed externally (heartbeat round trips, idle
+sleeps) as an already-finished child of the current span.
 
 Child processes never inherit a recording tracer: tracers are process
 state, not task state, and ``ProcessExecutor`` workers fall back to the
-null default.  Code that runs inside process pools therefore *returns*
-its timings (see ``_evaluate_shard_timed`` in ``optim/engine.py``) and
-the parent emits them as events.
+null default.
 
 Observability never touches RNG streams or record contents: spans only
 *read* batch sizes / losses / durations, so traced runs stay

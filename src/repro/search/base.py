@@ -11,7 +11,7 @@ landscapes?" with every other axis held fixed.
 :meth:`SearchStrategy.minimize` is the one driver every built-in strategy,
 ``multi_ga`` included, runs through: it validates the working point and
 budget, builds the evaluation chain (memo -> :class:`BudgetedLoss` ->
-executor shards -> loss) into a :class:`SearchRun`, calls the strategy's
+loss) into a :class:`SearchRun`, calls the strategy's
 :meth:`~SearchStrategy.rounds` hook, turns a budget stop into
 ``stopped_by``, and builds the :class:`SearchResult`.  A strategy
 implements only its round loop.
@@ -21,7 +21,9 @@ wraps the raw loss, counts every *distinct* evaluation (the memo table in
 front of it makes cache hits free), tracks the incumbent best genome, and
 raises :class:`BudgetExhausted` / :class:`TargetReached` the moment a cap
 binds -- trimming the final batch so ``max_evaluations`` is respected
-*exactly*, never approximately.
+*exactly*, never approximately.  Every batch is evaluated inline, in the
+calling thread; parallelism lives at the campaign-task level
+(:class:`~repro.campaigns.CampaignRunner`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from ..execution.cache import BatchInterrupted, evaluate_batch, memoize_loss
 from ..obs import get_tracer
-from ..optim.engine import EngineConfig, shard_loss
+from ..optim.engine import EngineConfig
 
 
 class BudgetExhausted(BatchInterrupted):
@@ -128,9 +130,8 @@ class SearchResult:
         stopped_by: What ended the search: ``"converged"``, ``"rounds"``,
             ``"evaluations"``, or ``"target"``.
         cache_stats: Memo-table accounting of the run (``hits`` /
-            ``misses`` / ``dedups`` / ``entries``); the table lives in
-            the driving process under every executor, and ``misses``
-            equals ``num_evaluations`` for the built-in strategies, a
+            ``misses`` / ``dedups`` / ``entries``); ``misses`` equals
+            ``num_evaluations`` for the built-in strategies, a
             budget-stopped run included.
     """
 
@@ -155,8 +156,8 @@ class SearchResult:
 class BudgetedLoss:
     """Budget enforcement + incumbent tracking around a raw loss.
 
-    :class:`SearchRun` wraps the (possibly executor-sharded) loss in this
-    class and then memoizes it, so only distinct genomes consume budget.
+    :class:`SearchRun` wraps the raw loss in this class and then
+    memoizes it, so only distinct genomes consume budget.
     The wrapper evaluates through the loss's own population-batched
     ``evaluate_many`` when it has one, trims the batch that would
     overshoot ``max_evaluations`` (the allowed prefix is still evaluated
@@ -166,11 +167,9 @@ class BudgetedLoss:
     :meth:`SearchStrategy.minimize` catches (the memo table keeps those
     values on the way out).
 
-    The tracker sits outside any executor: it wraps the sharded loss and
-    the built-in strategies call it from the driving thread only, so the
-    count is exact and the stop lands on the same genome under every
-    executor.  Accounting is still guarded by a lock, so a tracker a
-    caller shares across threads stays exact too.
+    The built-in strategies call the tracker from the driving thread
+    only; accounting is still guarded by a lock, so a tracker a caller
+    shares across threads stays exact too.
     """
 
     def __init__(self, loss_fn: Callable[[np.ndarray], float],
@@ -234,21 +233,21 @@ class SearchRun:
         max_rounds: ``budget.max_rounds``, else ``config.max_rounds``.
         tracker: The :class:`BudgetedLoss` holding the incumbent and the
             exact evaluation count.
-        memo: The evaluation entry point (dedupe -> budget -> shard ->
-            loss); every evaluation of the run goes through it.
+        memo: The evaluation entry point (dedupe -> budget -> loss);
+            every evaluation of the run goes through it.
         trace: One :class:`SearchTrace` per :meth:`lap`.
     """
 
     def __init__(self, loss_fn, num_parameters: int, num_values: int,
                  budget: SearchBudget, config: EngineConfig,
-                 rng: np.random.Generator, executor):
+                 rng: np.random.Generator):
         self.num_parameters = num_parameters
         self.num_values = num_values
         self.config = config
         self.rng = rng
         self.max_rounds = (budget.max_rounds if budget.max_rounds is not None
                            else config.max_rounds)
-        self.tracker = BudgetedLoss(shard_loss(loss_fn, executor), budget)
+        self.tracker = BudgetedLoss(loss_fn, budget)
         self.memo = memoize_loss(self.tracker)
         self.trace: list[SearchTrace] = []
         self._seen = 0
@@ -288,8 +287,7 @@ class SearchStrategy:
                  num_parameters: int, num_values: int = 4, *,
                  budget: SearchBudget | None = None,
                  config: EngineConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 executor=None) -> SearchResult:
+                 rng: np.random.Generator | None = None) -> SearchResult:
         """Minimize ``loss_fn`` over ``{0..num_values-1}^num_parameters``.
 
         Args:
@@ -305,9 +303,6 @@ class SearchStrategy:
                 seeds, round caps) shared with the Figure-4 engine.
             rng: Explicit generator; defaults to
                 ``np.random.default_rng(config.seed)``.
-            executor: Any :mod:`repro.execution` backend; batched
-                evaluations are sharded across its workers (values are
-                bit-identical to serial execution).
         """
         config = config or EngineConfig()
         config.validate()
@@ -317,7 +312,7 @@ class SearchStrategy:
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         start = time.perf_counter()
         run = SearchRun(loss_fn, num_parameters, num_values, budget, config,
-                        rng, executor)
+                        rng)
         with get_tracer().span("search.minimize", strategy=self.name):
             try:
                 stopped_by = self.rounds(run)

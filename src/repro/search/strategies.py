@@ -19,10 +19,8 @@ on the one driver, :meth:`~repro.search.base.SearchStrategy.minimize`:
 
 All strategies draw hyperparameters from the shared
 :class:`~repro.optim.engine.EngineConfig` working point (population size,
-seed, round caps), evaluate through the run's
-:class:`~repro.execution.cache.MemoizedLoss` (repeated genomes are free),
-and shard batches over any :mod:`repro.execution` executor with values
-bit-identical to serial runs.
+seed, round caps) and evaluate through the run's
+:class:`~repro.execution.cache.MemoizedLoss` (repeated genomes are free).
 """
 
 from __future__ import annotations

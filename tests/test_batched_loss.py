@@ -24,10 +24,10 @@ from repro.core import (
     VQEProblem,
     transform_table_many,
 )
-from repro.execution import ThreadExecutor, make_estimator, memoize_loss
+from repro.execution import make_estimator, memoize_loss
 from repro.hamiltonians import get_benchmark, ising_model, xxz_model
 from repro.noise import CliffordNoiseModel, NoiseModel
-from repro.optim import EngineConfig, GAConfig, GeneticAlgorithm, multi_ga_minimize
+from repro.optim import GAConfig, GeneticAlgorithm
 from repro.paulis import PauliString
 from repro.paulis.pauli_sum import _coefficient_dots
 
@@ -509,28 +509,6 @@ class TestBatchedSearch:
         result = ga.run()
         assert result.num_evaluations == memo.misses == len(memo.cache)
         assert memo.hits > 0
-
-    def test_engine_population_axis_bit_identical_to_serial(self):
-        problem = logical_problem(3)
-        loss = ClaptonLoss(problem)
-        config = EngineConfig(num_instances=2, generations_per_round=5,
-                              top_k=3, population_size=10, retry_rounds=0,
-                              seed=0)
-        serial = multi_ga_minimize(loss,
-                                   problem.num_transformation_parameters,
-                                   config=config)
-        sharded_config = dataclasses.replace(config,
-                                             parallel_axis="population")
-        with ThreadExecutor(3) as executor:
-            sharded = multi_ga_minimize(
-                loss, problem.num_transformation_parameters,
-                config=sharded_config, executor=executor)
-        assert sharded.best_loss == serial.best_loss
-        np.testing.assert_array_equal(sharded.best_genome,
-                                      serial.best_genome)
-        assert sharded.num_evaluations == serial.num_evaluations
-        assert [t.best_loss for t in sharded.trace] \
-            == [t.best_loss for t in serial.trace]
 
 
 # ----------------------------------------------------------------------

@@ -86,9 +86,25 @@ class TestSpec:
         tasks = tiny_spec(seeds=[7]).tasks()
         assert all(t.engine["seed"] == 7 and t.seed == 7 for t in tasks)
 
+    def test_task_ids_are_pinned(self):
+        # golden ids: a changed EngineConfig field, default or payload
+        # shape would orphan every stored campaign, since resume skips
+        # exactly the ids a store already holds
+        ids = {t.label: t.task_id for t in tiny_spec().tasks()}
+        assert ids == {
+            "ising_J1.00/3q/noise_x1/ncafqa/s0": "t2709a21d924be6e4",
+            "ising_J1.00/3q/noise_x1/clapton/s0": "t52660f7a0f7f61a5",
+            "ising_J1.00/3q/noise_x2/ncafqa/s0": "t44b09ce05bb2f5ff",
+            "ising_J1.00/3q/noise_x2/clapton/s0": "tde32dacb85b4ebfb",
+        }
+
     def test_engine_round_trip(self):
         config = EngineConfig(num_instances=4, seed=3, pool_fraction=0.25)
         assert engine_from_dict(engine_to_dict(config)) == config
+
+    def test_engine_from_dict_reads_old_payloads(self):
+        payload = dict(engine_to_dict(TINY), parallel_axis="instances")
+        assert engine_from_dict(payload) == TINY
 
     def test_backends_and_scales_compose(self):
         spec = tiny_spec(backends=["nairobi"], noise_scales=[2.0])
@@ -107,7 +123,8 @@ class TestSpec:
 
     def test_rejects_bad_engine_overrides_early(self):
         for overrides in ({"populaton_size": 10},  # typo
-                          {"num_instances": 0}, {"pool_fraction": 2.0}):
+                          {"num_instances": 0}, {"pool_fraction": 2.0},
+                          {"num_processes": 2}):
             with pytest.raises(ValueError, match="engine_overrides"):
                 tiny_spec(engine_overrides=overrides)
 

@@ -1,10 +1,10 @@
 """Equivalence suite for the unified estimation/execution API.
 
 Pins the redesign's contracts: batched ``estimate_many`` matches sequential
-``estimate`` bit-for-bit, every executor drives the Figure-4 engine
-through the same schedule (serial, thread and process runs agree), the
-shared memoiser works under all of them, and the ``Experiment`` façade
-reproduces the legacy runner numbers exactly.
+``estimate`` bit-for-bit, every executor backend preserves item order,
+a search accepts a serial executor and changes nothing under it, the
+shared memoiser keeps its table across engine rounds, and the
+``Experiment`` façade reproduces the legacy runner numbers exactly.
 """
 
 import json
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ClaptonLoss, VQEProblem, cafqa
+from repro.core import VQEProblem, cafqa
 from repro.execution import (
     BatchResult,
     EstimateResult,
@@ -25,6 +25,7 @@ from repro.execution import (
 )
 from repro.experiments import Experiment, ExperimentResult, compare_initializations
 from repro.hamiltonians import ising_model
+from repro.methods import get_method
 from repro.noise import NoiseModel
 from repro.optim import EngineConfig, multi_ga_minimize
 
@@ -41,7 +42,7 @@ def make_problem(n=3, noisy=True):
 
 
 def count_nonzero_loss(genome):
-    """Toy objective (top-level so process executors can pickle it)."""
+    """Toy objective: global minimum 0 at the all-zeros genome."""
     return float(np.count_nonzero(genome))
 
 
@@ -140,72 +141,22 @@ class TestExecutors:
                 assert executor.map(str, items) == [str(i) for i in items]
 
     def test_engine_serial_default_unchanged(self):
-        a = multi_ga_minimize(count_nonzero_loss, 8, config=ENGINE)
-        b = multi_ga_minimize(count_nonzero_loss, 8, config=ENGINE,
-                              executor=SerialExecutor())
+        """A serial executor is the one executor a search accepts, and
+        it changes nothing: batches run inline either way."""
+        problem = make_problem()
+        a = cafqa(problem, config=ENGINE).search
+        b = get_method("cafqa").search(problem, config=ENGINE,
+                                       executor=SerialExecutor())
         assert a.best_loss == b.best_loss
         np.testing.assert_array_equal(a.best_genome, b.best_genome)
         assert a.num_evaluations == b.num_evaluations
-
-    def test_engine_thread_and_process_agree(self):
-        """Every executor runs the one engine schedule and only shards
-        each generation's batch, so serial, threaded (any worker count)
-        and multi-process runs are identical round by round."""
-        problem = make_problem()
-        loss = ClaptonLoss(problem)
-        config = EngineConfig(num_instances=2, generations_per_round=5,
-                              top_k=3, population_size=10, retry_rounds=1,
-                              seed=0)
-
-        def run(executor):
-            with executor:
-                result = multi_ga_minimize(
-                    loss, problem.num_transformation_parameters,
-                    config=config, executor=executor)
-            trace = [(t.best_loss, t.num_evaluations) for t in result.trace]
-            return (result.best_genome.tolist(), result.best_loss,
-                    result.num_evaluations, trace)
-
-        serial = run(SerialExecutor())
-        assert len(serial[3]) >= 2
-        for executor in (ThreadExecutor(2), ThreadExecutor(4),
-                         ProcessExecutor(2)):
-            assert run(executor) == serial, executor
-
-    def test_engine_parallel_deterministic_across_worker_counts(self):
-        with ThreadExecutor(1) as one, ThreadExecutor(4) as four:
-            a = multi_ga_minimize(count_nonzero_loss, 8, config=ENGINE,
-                                  executor=one)
-            b = multi_ga_minimize(count_nonzero_loss, 8, config=ENGINE,
-                                  executor=four)
-        assert a.best_loss == b.best_loss
-        np.testing.assert_array_equal(a.best_genome, b.best_genome)
-        assert a.num_evaluations == b.num_evaluations
-
-    def test_process_shards_fold_kernel_counters(self):
-        """Packed-kernel work done in worker processes reaches the
-        parent's KERNEL counters whether or not tracing is on."""
-        from repro.obs.kernel import KERNEL
-
-        problem = make_problem()
-        loss = ClaptonLoss(problem)
-        rows = []
-        for executor in (ThreadExecutor(2), ProcessExecutor(2)):
-            with executor:
-                before = KERNEL.snapshot()
-                multi_ga_minimize(loss, problem.num_transformation_parameters,
-                                  config=ENGINE, executor=executor)
-                rows.append(KERNEL.delta(before)["rows"])
-        assert rows[0] == rows[1] > 0
 
     def test_parallel_cache_persists_across_rounds(self):
         """The old parallel path re-evaluated repeated genomes every round."""
         config = EngineConfig(num_instances=2, generations_per_round=6,
                               top_k=3, population_size=10, retry_rounds=2,
                               max_rounds=6, seed=2)
-        with ThreadExecutor(2) as threads:
-            result = multi_ga_minimize(count_nonzero_loss, 2, config=config,
-                                       executor=threads)
+        result = multi_ga_minimize(count_nonzero_loss, 2, config=config)
         # only 4^2 = 16 distinct genomes exist; with a cross-round cache the
         # later rounds cannot spend full population * generations evaluations
         assert result.num_rounds >= 3
@@ -261,16 +212,6 @@ class TestExperiment:
         with pytest.raises(ValueError):
             Experiment(ising_model(3, 1.0)).run(methods=("bogus",),
                                                 config=ENGINE)
-
-    def test_executor_threads_through_facade(self):
-        h = ising_model(3, 1.0)
-        with ThreadExecutor(2) as threads:
-            a = Experiment(h).run(methods=("cafqa",), config=ENGINE,
-                                  executor=threads)
-            b = Experiment(h).run(methods=("cafqa",), config=ENGINE,
-                                  executor=threads)
-        assert (a.runs["cafqa"].evaluation.device_model
-                == b.runs["cafqa"].evaluation.device_model)
 
 
 # ----------------------------------------------------------------------

@@ -309,21 +309,24 @@ class TestExtraMethods:
         np.testing.assert_array_equal(
             again.runs["random_clifford"].genome, rc.genome)
 
-    def test_random_clifford_parallel_matches_serial(self):
-        from repro.execution import ThreadExecutor
+    @pytest.mark.parametrize("name", ("clapton", "vanilla",
+                                      "random_clifford"))
+    def test_search_refuses_parallel_executors(self, name):
+        """A search evaluates its batches inline; a thread or process
+        pool is refused with a pointer to task-level parallelism."""
+        from repro.execution import SerialExecutor, ThreadExecutor
 
-        h, problem = tiny_problem()
-        serial = Experiment(h, problem=problem).run(
-            methods=("random_clifford",), config=TINY)
-        with ThreadExecutor(3) as executor:
-            parallel = Experiment(h, problem=problem).run(
-                methods=("random_clifford",), config=TINY,
-                executor=executor)
-        np.testing.assert_array_equal(
-            parallel.runs["random_clifford"].genome,
-            serial.runs["random_clifford"].genome)
-        assert parallel.runs["random_clifford"].loss \
-            == serial.runs["random_clifford"].loss
+        _, problem = tiny_problem()
+        method = get_method(name)
+        with ThreadExecutor(2) as threads, \
+                pytest.raises(ValueError, match="repro sweep --jobs"):
+            method.search(problem, config=TINY, executor=threads)
+        serial = method.search(problem, config=TINY,
+                               executor=SerialExecutor())
+        default = method.search(problem, config=TINY)
+        np.testing.assert_array_equal(serial.best_genome,
+                                      default.best_genome)
+        assert serial.best_loss == default.best_loss
 
     @pytest.mark.parametrize("device", (False, True))
     def test_random_clifford_batch_matches_per_genome_loop(self, device):

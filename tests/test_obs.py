@@ -5,7 +5,8 @@ untraced runs (observability never touches RNG streams or record
 contents); ``repro sweep --trace`` produces a trace whose summary
 accounts for >=95% of wall-clock; ``GET /metrics`` serves valid
 Prometheus text with lease/task/cache counters; and MemoizedLoss
-statistics survive ProcessExecutor (aggregated back to the parent).
+statistics reach ``SearchResult.cache_stats`` and survive a campaign task
+run in a ProcessExecutor worker.
 """
 
 import json
@@ -52,7 +53,7 @@ VOLATILE = {"seconds", "engine_seconds", "total_seconds",
 
 
 def quad_loss(genome) -> float:
-    """Cheap synthetic loss (top-level so process pools can pickle it)."""
+    """Cheap synthetic loss with a unique minimum at all-ones."""
     g = np.asarray(genome, dtype=float)
     return float(np.sum((g - 1.0) ** 2) + 0.1 * g[0])
 
@@ -213,9 +214,9 @@ class TestTracer:
     def test_event_is_finished_child(self):
         tracer = RecordingTracer()
         with tracer.span("parent"):
-            tracer.event("loss.shard", 0.25, batch=16)
+            tracer.event("worker.heartbeat", 0.25, batch=16)
         by_name = {s["name"]: s for s in tracer.spans}
-        event = by_name["loss.shard"]
+        event = by_name["worker.heartbeat"]
         assert event["parent"] == by_name["parent"]["id"]
         assert event["dur"] == pytest.approx(0.25)
         assert event["tags"] == {"batch": 16}
@@ -331,31 +332,33 @@ class TestInstrumentation:
         assert plain.num_evaluations == traced.num_evaluations
         assert plain.cache_stats == traced.cache_stats
 
-    def test_cache_stats_survive_process_executor(self):
-        serial = get_strategy("multi_ga").minimize(quad_loss, 8,
+    def test_cache_stats_reach_search_result(self):
+        result = get_strategy("multi_ga").minimize(quad_loss, 8,
                                                    config=TINY)
+        assert result.cache_stats is not None
+        assert result.cache_stats["hits"] > 0
+        assert result.cache_stats["misses"] == result.num_evaluations
+
+    def test_cache_stats_survive_process_executor(self):
+        """A campaign task run in a pool process ships its search's memo
+        accounting back in the record, equal to an inline run's."""
+        task = tiny_spec(methods=["clapton"], seeds=[0]).tasks()[0]
+        serial = execute_task(task.to_dict())
         with ProcessExecutor(2) as executor:
-            sharded = get_strategy("multi_ga").minimize(
-                quad_loss, 8, config=TINY, executor=executor)
-        assert serial.cache_stats is not None
-        assert serial.cache_stats["hits"] > 0
-        # the search lands on the same optimum either way...
-        assert np.array_equal(serial.best_genome, sharded.best_genome)
-        # ...and the child-process counters are shipped back explicitly
-        # instead of dying with the pool workers (the counts legitimately
-        # differ from serial: each child starts from a memo *snapshot*,
-        # so cross-instance hits become misses -- but they are not zero)
-        assert sharded.cache_stats is not None
-        assert sharded.cache_stats["hits"] > 0
-        assert sharded.cache_stats["misses"] > 0
+            [child] = executor.map(execute_task, [task.to_dict()])
+        stats = child["result"]["runs"]["clapton"]["cache_stats"]
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        assert stats == serial["result"]["runs"]["clapton"]["cache_stats"]
 
     def test_thread_executor_shards_keep_stats(self):
-        serial = get_strategy("annealing").minimize(quad_loss, 8,
-                                                    config=TINY)
+        """Campaign tasks sharded over threads keep their own memo
+        accounting: the records equal a serial run's."""
+        tasks = [t.to_dict() for t in tiny_spec().tasks()]
+        serial = [execute_task(t) for t in tasks]
         with ThreadExecutor(2) as executor:
-            sharded = get_strategy("annealing").minimize(
-                quad_loss, 8, config=TINY, executor=executor)
-        assert sharded.cache_stats == serial.cache_stats
+            threaded = executor.map(execute_task, tasks)
+        assert ([strip_volatile(r) for r in threaded]
+                == [strip_volatile(r) for r in serial])
 
     def test_loss_batch_counters_increment(self):
         batches = REGISTRY.get("repro_loss_batches_total")

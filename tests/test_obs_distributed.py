@@ -112,11 +112,12 @@ class TestShippingTracer:
     def test_buffers_spans_and_batches(self):
         tracer = ShippingTracer()
         with tracer.span("worker.task", task_id="t1"):
-            tracer.event("loss.shard", 0.01, batch=4)
+            tracer.event("loss.evaluate_many", 0.01, batch=4)
         assert tracer.pending() == 2
         spans = tracer.drain()
         assert tracer.pending() == 0
-        assert {s["name"] for s in spans} == {"worker.task", "loss.shard"}
+        assert {s["name"] for s in spans} == {"worker.task",
+                                              "loss.evaluate_many"}
         # the anchor is wall-clock time of tracer construction, not a
         # perf_counter offset: the merge rebases span starts with it
         assert abs(tracer.unix_t0 - time.time()) < 60.0
@@ -143,14 +144,12 @@ class TestShippingTracer:
 # Kernel counters
 # ----------------------------------------------------------------------
 class TestKernelCounters:
-    def test_snapshot_delta_add(self):
+    def test_snapshot_delta(self):
         before = KERNEL.snapshot()
         KERNEL.words += 10
         KERNEL.rows += 3
         delta = KERNEL.delta(before)
         assert delta["words"] == 10 and delta["rows"] == 3
-        KERNEL.add({"words": 5})
-        assert KERNEL.delta(before)["words"] == 15
 
     def test_packed_conjugation_advances_counters(self):
         from repro.circuits import Circuit
@@ -192,7 +191,7 @@ class TestCollector:
             {"kind": "span", "name": "worker.task", "start": 1.0,
              "dur": 0.5, "id": 1, "parent": None, "thread": "main",
              "tags": {}},
-            {"kind": "span", "name": "loss.shard", "start": 1.1,
+            {"kind": "span", "name": "loss.evaluate_many", "start": 1.1,
              "dur": 0.2, "id": 2, "parent": 1, "thread": "main",
              "tags": {}},
         ])
@@ -205,7 +204,7 @@ class TestCollector:
         info = build_info()
         assert meta["hostname"] == info["hostname"]
         assert meta["version"] == info["version"]
-        child = next(s for s in spans if s["name"] == "loss.shard")
+        child = next(s for s in spans if s["name"] == "loss.evaluate_many")
         assert child["id"] == "wA:2" and child["parent"] == "wA:1"
         assert child["worker"] == "wA"
         # rebased onto the campaign clock: anchor delta + local start
@@ -351,8 +350,8 @@ class TestPerfettoExport:
         {"kind": "span", "name": "worker.task", "start": 0.5,
          "dur": 0.25, "id": "wA:1", "parent": None, "thread": "main",
          "worker": "wA", "tags": {"task_id": "t1"}},
-        {"kind": "span", "name": "loss.shard", "start": 0.6, "dur": 0.1,
-         "id": "wA:2", "parent": "wA:1", "thread": "main",
+        {"kind": "span", "name": "loss.evaluate_many", "start": 0.6,
+         "dur": 0.1, "id": "wA:2", "parent": "wA:1", "thread": "main",
          "worker": "wA", "tags": {}},
         {"kind": "span", "name": "worker.task", "start": 0.55,
          "dur": 0.2, "id": "wB:1", "parent": None, "thread": "main",
@@ -376,9 +375,9 @@ class TestPerfettoExport:
                     if e["ph"] == "X" and e["name"] == "worker.task"
                     and e["dur"] == pytest.approx(250000))
         assert task["ts"] == pytest.approx(500000)
-        shard = next(e for e in doc["traceEvents"]
-                     if e["name"] == "loss.shard")
-        assert shard["cat"] == "loss_eval"
+        loss = next(e for e in doc["traceEvents"]
+                    if e["name"] == "loss.evaluate_many")
+        assert loss["cat"] == "loss_eval"
 
     def test_export_cli_round_trip(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

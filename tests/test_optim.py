@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.execution import ProcessExecutor, memoize_loss
+from repro.execution import memoize_loss
 from repro.optim import (
     EngineConfig,
     GAConfig,
@@ -306,8 +306,7 @@ class TestEngineEdgeCases:
                EngineConfig(top_k=-1),
                EngineConfig(retry_rounds=-1),
                EngineConfig(generations_per_round=-1),
-               EngineConfig(pool_fraction=1.5),
-               EngineConfig(parallel_axis="bogus")]
+               EngineConfig(pool_fraction=1.5)]
         for config in bad:
             with pytest.raises(ValueError, match="EngineConfig"):
                 multi_ga_minimize(counting_loss, genome_length=3,
@@ -403,28 +402,3 @@ class TestSPSA:
 
         minimize_spsa(loss, np.ones(2), SPSAConfig(maxiter=10, a=0.1, seed=4))
         assert len(calls) == 2 * 10 + 1  # no calibration probes
-
-
-class TestParallelEngine:
-    def test_parallel_matches_quality(self):
-        """Parallel engine finds the same optimum on a toy problem."""
-        config = EngineConfig(num_instances=2, generations_per_round=10,
-                              top_k=4, population_size=16, retry_rounds=0,
-                              seed=3)
-        with ProcessExecutor(2) as executor:
-            result = multi_ga_minimize(count_nonzero_loss, genome_length=8,
-                                       config=config, executor=executor)
-        assert result.best_loss == 0.0
-        assert result.num_evaluations > 0
-
-    def test_parallel_reproducible(self):
-        config = EngineConfig(num_instances=2, generations_per_round=8,
-                              top_k=3, population_size=12, retry_rounds=0,
-                              seed=5)
-        with ProcessExecutor(2) as executor:
-            a = multi_ga_minimize(count_nonzero_loss, genome_length=6,
-                                  config=config, executor=executor)
-            b = multi_ga_minimize(count_nonzero_loss, genome_length=6,
-                                  config=config, executor=executor)
-        assert a.best_loss == b.best_loss
-        np.testing.assert_array_equal(a.best_genome, b.best_genome)
