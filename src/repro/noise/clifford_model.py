@@ -33,9 +33,18 @@ paper's implementation).  It has two step kinds:
   the skeleton has;
 * a run of parameterized rotations (nCAFQA's L_N and
   :class:`~repro.execution.estimator.CliffordEstimator`, through
-  :class:`CliffordCircuitPlan`) is one layer step: per-rotation factors,
-  then one bit-sliced pass.
+  :class:`CliffordCircuitPlan`) is one layer step: one bit-sliced pass,
+  and per-rotation factors read off the row's code before the run.
 
+The walk runs in two passes.  The *table pass* conjugates the whole
+table through every step and keeps only what the factors need (each
+block's location bits, each run's x/z words before the run); it ends on
+the all-zeros expectations.  Only a row that ends Z-type has a nonzero
+one, so the *factor pass* computes the noise factors of those *live*
+rows alone.  In the benchmark's searches (``perfbench/``) 5-35% of
+nCAFQA's walked rows and 17-42% of Clapton's are live, and on their
+recorded batches the split took 14-45% off nCAFQA's loss time and
+3-24% off Clapton's.
 Factors multiply in walk order, one float multiply per channel, so the
 values are bit-identical to attenuating and conjugating gate by gate.
 """
@@ -46,11 +55,13 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
+from ..obs import REGISTRY, get_tracer
 from ..paulis import bitops
 from ..paulis.pauli_sum import PauliSum
 from ..stabilizer.simulator import StabilizerSimulator
@@ -68,6 +79,13 @@ from .model import NoiseModel
 from .twirling import pauli_channel_attenuation, twirled_relaxation_probabilities
 
 _TWO_QUBIT_PAULIS = [(a, b) for a in "IXYZ" for b in "IXYZ"][1:]
+
+_WALK_ROWS = REGISTRY.counter(
+    "repro_noise_walk_rows_total", "Rows walked by the noisy Clifford walk")
+_WALK_LIVE_ROWS = REGISTRY.counter(
+    "repro_noise_walk_live_rows_total",
+    "Walked rows whose noise factors the walk computed (rows ending "
+    "Z-type)")
 
 
 def _inverse_gate_tableau(inst) -> CliffordTableau:
@@ -108,19 +126,24 @@ class CliffordNoiseModel:
         self.include_twirled_relaxation = include_twirled_relaxation
         self.include_basis_prep_error = include_basis_prep_error
         self._twirl_cache: dict[tuple[int, float], np.ndarray] = {}
-        #: per static block: its factors, looked up by location bits
-        self._block_factors: weakref.WeakKeyDictionary = \
+        #: per walk step (static block or rotation run): its channels
+        self._step_channels: weakref.WeakKeyDictionary = \
             weakref.WeakKeyDictionary()
+        #: whether every readout and basis-prep factor is in (0, 1]
+        self._measurement_in_unit = _in_unit(
+            noise_model.readout_z_attenuation()) and (
+                not include_basis_prep_error
+                or _in_unit(1.0 - 4.0 * noise_model.depol_1q / 3.0))
 
     def __getstate__(self) -> dict:
         # weak references do not pickle; the cache refills on first use
         state = self.__dict__.copy()
-        del state["_block_factors"]
+        del state["_step_channels"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._block_factors = weakref.WeakKeyDictionary()
+        self._step_channels = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Attenuation pieces
@@ -189,15 +212,15 @@ class CliffordNoiseModel:
         ``table`` (the ``M`` observable terms) is tiled once per point and
         walked through ``plan``'s :meth:`CliffordCircuitPlan.reverse_schedule`
         at ``thetas`` (Clifford angles).  The copies share their
-        measurement attenuations, so those are computed once.
+        measurement attenuations, so those are computed once, on the
+        untiled table, and the walk reads live row ``i``'s at ``i % M``.
         ``zeros_out``, if given, is passed through to the walk.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         num_points = len(thetas)
         values = self.noisy_zero_state_term_values_steps(
             plan.reverse_schedule(thetas), table.tile(num_points),
-            measured=np.tile(self.measurement_attenuations(table),
-                             num_points),
+            measured=self.measurement_attenuations(table),
             zeros_out=zeros_out)
         return values.reshape(num_points, table.num_rows)
 
@@ -216,50 +239,88 @@ class CliffordNoiseModel:
         (:meth:`~repro.paulis.table.PauliTable.tile`), so all points' term
         values come out of one vectorized walk.
 
-        A block step is one table pass that also returns every gate
-        location's bits on the gate's qubits; the location's factors are
-        then looked up from those bits and multiplied in walk order
-        (depolarizing if the row touches the gate, logical flips per
-        qubit, twirled relaxation per qubit), a factor of exactly 1.0
-        where a channel leaves the row alone.  A layer step is one support
-        unpack, one factor multiply per rotation in reverse gate order,
-        and one bit-sliced pass
-        (:func:`~repro.stabilizer.tableau.pull_back_rotation_layer`).  A
-        single-qubit Clifford keeps a row's support on its qubit, so the
-        support read before the layer is the support every rotation of
-        the run sees, and a rotation's depolarizing multiplies only the
-        rows touching its qubit; its noise attenuates only the points
-        that keep it (the others multiply by 1.0).  Logical flips and
-        twirled relaxation depend on the 2-bit code of a row on the
-        gate's qubit, so those codes are carried through the run by the
-        rotations' code maps.  So every row sees the same float products,
-        in the same order, as when attenuating and conjugating gate by
-        gate, and a point's values do not depend on the rest of its
-        batch.
+        The walk is two passes.  The *table pass* conjugates a copy of
+        the whole table through every step: a block step is one
+        :meth:`~repro.stabilizer.tableau.StaticBlock.apply`, which also
+        returns every gate location's bits on the gate's qubits, and a
+        layer step is one bit-sliced
+        :func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, before
+        which the pass keeps the table's x/z words.  It ends on the
+        all-zeros expectations, which are 0 for every row that does not
+        end Z-type: whatever those rows' noise factors, their value is 0.
+        The *factor pass* then computes the noise factors of the other,
+        *live* rows only, from what the table pass kept, and multiplies
+        them in walk order, one channel after another: the measurement
+        attenuations, then per block location depolarizing (if the row
+        touches the gate), logical flips per qubit and twirled relaxation
+        per qubit, looked up from the location's bits; per rotation of a
+        run (:meth:`_attenuate_layer`) the same three channels, looked up
+        from the row's code on the rotation's qubit.  A channel that
+        leaves a row alone contributes an exact 1.0.  So every live row
+        sees the same float products, in the same order, as when
+        attenuating and conjugating gate by gate, and a point's values do
+        not depend on the rest of its batch.
+
+        A dead row's value is the exact ``+0.0`` of the all-zeros
+        expectation, as ``factors * 0.0`` is whenever every factor is in
+        ``(0, 1]``.  When some factor the walk can multiply is not (a
+        negative depolarizing factor turns a dead row's value into
+        ``-0.0``), every row counts as live.
 
         ``measured``, if given, is ``table``'s
         :meth:`measurement_attenuations`, passed by a caller that has
-        them cheaper (a tiled table's are its block's, tiled).
+        them cheaper: one per row, or, for a table of equal row blocks,
+        one per row of a block (live row ``i`` reads entry ``i % M``).
         ``zeros_out``, if given, receives the final table's all-zeros
         expectations: the noiseless values the returned ones attenuate.
         """
-        table = table.copy()
-        factors = (self.measurement_attenuations(table) if measured is None
-                   else np.array(measured, dtype=float))
-        relax = (self.include_twirled_relaxation
-                 and self.noise_model.t1 is not None)
-        flip_by_code = self._flip_by_code()
-        for item, layer in steps:
-            if layer is None:
-                self._attenuate_block(factors, item, item.apply(table))
-                continue
-            self._attenuate_layer(factors, table, item, layer,
-                                  flip_by_code, relax)
-            pull_back_rotation_layer(table, layer.cliffords)
-        zeros = table.expectation_all_zeros()
-        if zeros_out is not None:
-            zeros_out[...] = zeros
-        return factors * zeros
+        num_rows = table.num_rows
+        if measured is not None:
+            measured = np.asarray(measured, dtype=float)
+            if num_rows and (not len(measured) or num_rows % len(measured)):
+                raise ValueError("measured needs one factor per row, or per "
+                                 "row of one of the table's equal blocks")
+        with get_tracer().span("noise_walk", rows=num_rows) as span:
+            channels = [self._channels(item) for item, _ in steps]
+            # the table pass
+            walked = table.copy()
+            saved = []
+            for (item, layer), step_channels in zip(steps, channels):
+                if layer is None:
+                    saved.append(item.apply(walked))
+                    continue
+                saved.append((walked.x.copy(), walked.z.copy())
+                             if len(step_channels.sources) else None)
+                pull_back_rotation_layer(walked, layer.cliffords)
+            zeros = walked.expectation_all_zeros()
+            if zeros_out is not None:
+                zeros_out[...] = zeros
+            # the factor pass
+            in_unit = (self._measurement_in_unit if measured is None
+                       else _in_unit(measured))
+            if in_unit and all(c.in_unit for c in channels):
+                live = np.flatnonzero(zeros)
+            else:
+                live = np.arange(num_rows)
+            span.tag(live_rows=len(live))
+            _WALK_ROWS.inc(num_rows)
+            _WALK_LIVE_ROWS.inc(len(live))
+            values = zeros.copy()
+            if not len(live):
+                return values
+            factors = (self.measurement_attenuations(table.take(live))
+                       if measured is None
+                       else measured[live % len(measured)])
+            for (item, layer), step_channels, step_saved in zip(
+                    steps, channels, saved):
+                if layer is None:
+                    factors = _fold(factors, step_channels.values,
+                                    step_saved[:, live][step_channels.sources])
+                else:
+                    factors = self._attenuate_layer(
+                        factors, live, step_saved, layer, step_channels)
+            values[live] = factors * zeros[live]
+            return values
 
     def _flip_by_code(self) -> np.ndarray | None:
         """Logical-flip attenuation per code ``x + 2z``, if modeled."""
@@ -270,23 +331,18 @@ class CliffordNoiseModel:
         f_i, f_x, f_y, f_z = pauli_channel_attenuation(probs)
         return np.array([f_i, f_x, f_z, f_y])
 
-    def _attenuate_block(self, factors, block: StaticBlock, bits) -> None:
-        """In place, every noise factor of one static block, in walk order.
+    def _channels(self, item) -> "_Channels":
+        """A walk step's noise channels, compiled once per step."""
+        channels = self._step_channels.get(item)
+        if channels is None:
+            channels = self._step_channels[item] = (
+                self._run_channels(item) if isinstance(item, RotationRun)
+                else self._block_channels(item))
+        return channels
 
-        ``bits`` are the block's ``(L, M)`` location bits
-        (:meth:`~repro.stabilizer.tableau.StaticBlock.apply`).
-        """
-        slots = self._block_factors.get(block)
-        if slots is None:
-            slots = self._block_factors[block] = self._factor_slots(block)
-        locations, by_bits = slots
-        for values, row_bits in zip(by_bits, bits[locations]):
-            factors *= values.take(row_bits)
-
-    def _factor_slots(self, block: StaticBlock
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """A block's factors in walk order: ``(K,)`` location of each and
-        its ``(K, 16)`` value per location bits."""
+    def _block_channels(self, block: StaticBlock) -> "_Channels":
+        """A block's channels in walk order: each one's location and its
+        16 factors by location bits."""
         if block.num_locations != len(block.instructions):
             raise ValueError("the noisy walk needs a block compiled with "
                              "its locations")
@@ -314,52 +370,142 @@ class CliffordNoiseModel:
                     locations.append(j)
                     by_bits.append(
                         self._relaxation_factors_by_code(q, duration)[code])
-        return (np.array(locations, dtype=np.intp),
-                np.array(by_bits, dtype=float).reshape(-1, 16))
+        by_bits = np.array(by_bits, dtype=float).reshape(-1, 16)
+        return _Channels(np.array(locations, dtype=np.intp), by_bits, (),
+                         _in_unit(by_bits))
 
-    def _attenuate_layer(self, factors, table, run: "RotationRun",
-                         layer: "RotationLayer", flip_by_code, relax: bool
-                         ) -> None:
-        """In place, every noise factor of one rotation layer step."""
-        num_points = len(layer.kept)
-        if num_points == 0:
-            return
+    def _run_channels(self, run: "RotationRun") -> "_Channels":
+        """A rotation run's channels in walk order: each one's rotation
+        and its factors by the row's code on the rotation's qubit, then
+        four 1.0s for a point that drops the rotation (code + 4)."""
         nm = self.noise_model
-        num_terms = table.num_rows // num_points
-        # depolarizing reaches only the rows touching the rotation's
-        # qubit (a support read before the run holds for all of it):
-        # their flat indices and points, per qubit
-        support = bitops.unpack_columns(table.x | table.z, table.num_qubits)
-        touching = {q: np.flatnonzero(support[q]) for q in set(run.qubits)}
-        touching_points = {q: rows // num_terms
-                           for q, rows in touching.items()}
-        kept_by_rotation = np.ascontiguousarray(layer.kept.T)
-        # flips and relaxation reach every row: (P, M) views, a point's
-        # keep decision broadcasting over its block
-        by_point = factors.reshape(num_points, num_terms)
-        codes = None
-        if flip_by_code is not None or relax:
-            codes = {q: table.codes_on(q).reshape(num_points, num_terms)
-                     for q in set(run.qubits)}
-            code_maps = single_qubit_cliffords().codes
+        flip_by_code = self._flip_by_code()
+        relax = self.include_twirled_relaxation and nm.t1 is not None
+        rotations, by_code = [], []
         for j, (inst, q) in enumerate(zip(run.instructions, run.qubits)):
-            if not layer.any_kept[j]:
-                continue
             p = nm.gate_depol(inst)
             if p > 0:
-                factors[touching[q]] *= np.where(
-                    kept_by_rotation[j].take(touching_points[q]),
-                    1.0 - 4.0 * p / 3.0, 1.0)
-            if codes is None:
-                continue
-            kept = layer.kept[:, j, None]
+                factor = 1.0 - 4.0 * p / 3.0
+                rotations.append(j)
+                by_code.append([1.0, factor, factor, factor])
             if flip_by_code is not None:
-                by_point *= np.where(kept, flip_by_code[codes[q]], 1.0)
+                rotations.append(j)
+                by_code.append(flip_by_code)
             if relax:
-                by_code = self._relaxation_factors_by_code(
-                    q, nm.gate_duration(inst))
-                by_point *= np.where(kept, by_code[codes[q]], 1.0)
-            codes[q] = code_maps[layer.gates[:, j, None], codes[q]]
+                rotations.append(j)
+                by_code.append(self._relaxation_factors_by_code(
+                    q, nm.gate_duration(inst)))
+        by_code = np.array(by_code, dtype=float).reshape(-1, 4)
+        by_code = np.concatenate([by_code, np.ones((len(by_code), 4))],
+                                 axis=1)
+        num_rotations = len(run.qubits)
+        positions = tuple((np.flatnonzero(columns < num_rotations),
+                           columns[columns < num_rotations])
+                          for columns in run.compose_order)
+        return _Channels(np.array(rotations, dtype=np.intp), by_code,
+                         positions, _in_unit(by_code))
+
+    def _attenuate_layer(self, factors, live, words, layer: "RotationLayer",
+                         channels: "_Channels") -> np.ndarray:
+        """The live rows' ``factors`` through one rotation layer step.
+
+        ``words`` are the table's x/z words before the run.  Live row
+        ``i`` belongs to point ``i // M``, whose keep flags
+        (``layer.kept``) and elements (``layer.gates``) it reads.  Its
+        code ``x + 2z`` on each qubit is read off ``words`` and carried
+        through the run, position by position of the per-qubit compose
+        order, by the rotations' code maps, so each rotation's channels
+        read the code the row has just before that rotation; a point that
+        drops the rotation reads its code + 4, the channels' 1.0.  A
+        single-qubit Clifford keeps a row's support on its qubit, so
+        depolarizing attenuates exactly the rows with a nonzero code.
+        The run's channels then fold into ``factors`` as one ``(C, L)``
+        matrix (:func:`_fold`): per rotation in walk order,
+        depolarizing, then logical flips, then twirled relaxation.
+        """
+        if not len(channels.sources):
+            return factors
+        x, z = words
+        points = live // (len(x) // len(layer.kept))
+        num_qubits = layer.cliffords.shape[1]
+        codes = bitops.unpack_columns(x[live], num_qubits).view(np.uint8) \
+            | (bitops.unpack_columns(z[live], num_qubits).view(np.uint8)
+               << np.uint8(1))
+        code_maps = single_qubit_cliffords().codes.ravel()
+        gates = layer.gates.T
+        before = np.empty((len(gates), len(live)), dtype=np.uint8)
+        last = len(channels.positions) - 1
+        for position, (qubits, rotations) in enumerate(
+                channels.positions):
+            current = codes[qubits]
+            before[rotations] = current
+            if position < last:
+                codes[qubits] = code_maps[4 * gates[rotations][:, points]
+                                          + current]
+        # a point that drops a rotation reads codes 4..7: the 1.0s
+        before |= (~layer.kept.T[:, points]).view(np.uint8) << np.uint8(2)
+        return _fold(factors, channels.values, before[channels.sources])
+
+
+class _Channels(NamedTuple):
+    """One walk step's noise channels, in walk order, compiled once per
+    (model, step).  Channel ``c`` multiplies a row by ``values[c, code]``,
+    ``code`` being what the row has at ``sources[c]``.
+
+    Attributes:
+        sources: ``(C,)`` the location (block) or rotation (run) whose
+            bits or code each channel reads.
+        values: ``(C, 16)`` factors by location bits (block), or ``(C,
+            8)`` by code ``x + 2z``, then 1.0 for codes 4..7 (run).
+        positions: A run's rotations by position in its per-qubit
+            compose order: ``(qubits, rotations)`` per position (empty
+            for a block).
+        in_unit: Whether every factor is in ``(0, 1]``.
+    """
+
+    sources: np.ndarray
+    values: np.ndarray
+    positions: tuple
+    in_unit: bool
+
+
+#: The factor pass folds at most about this many factors at a time: a
+#: chunk's matrix and index then stay near L2 size and under glibc's
+#: default 128 KiB mmap threshold, so a fold reuses heap memory instead
+#: of mapping and faulting in fresh pages on every batch.
+_FOLD_CELLS = 1 << 14
+
+
+def _fold(factors: np.ndarray, values: np.ndarray, codes: np.ndarray
+          ) -> np.ndarray:
+    """``factors`` multiplied by each channel's factor, channel by channel.
+
+    Row ``c`` of the ``(C, L)`` ``codes`` picks channel ``c``'s factor for
+    each of the ``L`` rows from ``values[c]``.  One axis-0 product over a
+    ``(1 + C, L)`` matrix whose row 0 is ``factors``: the same left fold,
+    bit for bit, as multiplying the channels in one at a time
+    (:func:`_ordered_product`), taken over chunks of channels so the
+    matrix stays near ``_FOLD_CELLS`` entries.
+    """
+    num_channels, width = values.shape
+    flat = values.ravel()
+    step = max(1, _FOLD_CELLS // max(len(factors), 1))
+    for start in range(0, num_channels, step):
+        chunk = codes[start:start + step]
+        offsets = width * np.arange(start, start + len(chunk))
+        matrix = np.empty((1 + len(chunk), len(factors)))
+        matrix[0] = factors
+        # the indices are in range by construction; "clip" lets take
+        # write into the matrix without an intermediate buffer
+        np.take(flat, chunk + offsets[:, None], out=matrix[1:], mode="clip")
+        factors = matrix.prod(axis=0)
+    return factors
+
+
+def _in_unit(values) -> bool:
+    """Whether every entry is in ``(0, 1]`` (NaN is not)."""
+    values = np.asarray(values)
+    return bool(np.all((values > 0) & (values <= 1)))
 
 
 def _ordered_product(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -377,7 +523,9 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
+# eq=False: a run hashes by identity, so a noise model can cache the
+# run's compiled channels in a WeakKeyDictionary (its arrays do not hash)
+@dataclass(frozen=True, eq=False)
 class RotationRun:
     """A maximal run of parameterized single-qubit rotations, compiled.
 

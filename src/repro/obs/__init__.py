@@ -17,6 +17,8 @@ waits) into the current span.  The span vocabulary, bottom up::
 
     kernel.conjugate_table  one packed conjugation walk  (kernel)
     kernel.fused_levels     one Clapton transformation's passes
+    noise_walk              one noisy Clifford walk     (loss_eval;
+                            tags: rows, live_rows)
     loss.evaluate_many      one batched loss call       (loss_eval)
     engine.round            one engine round (tags: evaluations, best)
     search.round            one strategy round loop iteration

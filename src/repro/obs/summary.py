@@ -13,7 +13,8 @@ five buckets by span name:
 - ``kernel``         -- names starting with ``kernel.`` (the packed
   word-conjugation hot path; these are children of ``loss.`` spans, so
   this is the physics *inside* the physics)
-- ``loss_eval``      -- names starting with ``loss.`` (the physics)
+- ``loss_eval``      -- names starting with ``loss.`` (the physics), and
+  ``noise_walk`` (one noisy Clifford walk, inside a loss or an estimator)
 - ``mitigation``     -- names starting with ``mitigation.`` (folding,
   extrapolation, readout inversion; the raw evaluations a wrapped
   estimator issues re-appear as ``loss.`` children, so this bucket is
@@ -41,7 +42,7 @@ from pathlib import Path
 def bucket_of(name: str) -> str:
     if name.startswith("kernel."):
         return "kernel"
-    if name.startswith("loss."):
+    if name.startswith("loss.") or name == "noise_walk":
         return "loss_eval"
     if name.startswith("mitigation."):
         return "mitigation"
