@@ -28,7 +28,7 @@ from ..noise.clifford_model import (
     CliffordNoiseModel,
     static_block,
 )
-from ..obs import REGISTRY, get_tracer
+from ..obs import REGISTRY, get_tracer, minor_faults
 from ..obs.kernel import kernel_event
 from ..paulis.pauli_sum import _coefficient_dots
 from .problem import VQEProblem
@@ -39,6 +39,25 @@ _LOSS_BATCHES = REGISTRY.counter(
 _LOSS_EVALS = REGISTRY.counter(
     "repro_loss_evaluations_total",
     "Genomes evaluated through batched losses")
+
+
+def _traced_batch(loss, name: str, genomes: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``loss.components_many(genomes)`` under one ``loss.evaluate_many``
+    span, counted in the loss metrics.  While tracing is on, the span
+    also carries the batch's minor page faults (``minor_faults``; the
+    count is per process, so a thread running beside the batch adds
+    its own)."""
+    tracer = get_tracer()
+    with tracer.span("loss.evaluate_many", loss=name, batch=len(genomes),
+                     qubits=loss.problem.num_logical_qubits) as span:
+        faults = minor_faults() if tracer.enabled else None
+        components = loss.components_many(genomes)
+        if faults is not None:
+            span.tag(minor_faults=minor_faults() - faults)
+    _LOSS_BATCHES.inc()
+    _LOSS_EVALS.inc(len(genomes))
+    return components
 
 
 class ClaptonLoss:
@@ -90,21 +109,18 @@ class ClaptonLoss:
                                        problem.entanglement)
         noiseless = _coefficient_dots(stacked.expectation_all_zeros(),
                                       coeffs, len(gammas))
-        eval_stack = embed_table(stacked, problem.positions,
-                                 problem.num_eval_qubits)
+        # the walk copies its table: dropping the logical stack first
+        # keeps the batch at two copies of it, not three
+        stacked = embed_table(stacked, problem.positions,
+                              problem.num_eval_qubits)
         values = self.clifford_model.noisy_zero_state_term_values_steps(
-            [(self._skeleton, None)], eval_stack)
+            [(self._skeleton, None)], stacked)
         return _coefficient_dots(values, coeffs, len(gammas)), noiseless
 
     def evaluate_many(self, gammas) -> np.ndarray:
         """``(P,)`` losses of a genome population in one batched pass."""
         gammas = np.asarray(gammas, dtype=np.int64)
-        with get_tracer().span("loss.evaluate_many", loss="clapton",
-                               batch=len(gammas),
-                               qubits=self.problem.num_logical_qubits):
-            noisy, noiseless = self.components_many(gammas)
-        _LOSS_BATCHES.inc()
-        _LOSS_EVALS.inc(len(gammas))
+        noisy, noiseless = _traced_batch(self, "clapton", gammas)
         return self.noisy_weight * noisy + self.noiseless_weight * noiseless
 
 
@@ -220,14 +236,8 @@ class CafqaLoss:
     def evaluate_many(self, genomes) -> np.ndarray:
         """``(P,)`` losses of a genome population in one batched pass."""
         genomes = np.asarray(genomes, dtype=np.int64)
-        with get_tracer().span(
-                "loss.evaluate_many",
-                loss="ncafqa" if self.noise_aware else "cafqa",
-                batch=len(genomes),
-                qubits=self.problem.num_logical_qubits):
-            noisy, noiseless = self.components_many(genomes)
-        _LOSS_BATCHES.inc()
-        _LOSS_EVALS.inc(len(genomes))
+        noisy, noiseless = _traced_batch(
+            self, "ncafqa" if self.noise_aware else "cafqa", genomes)
         return noisy + noiseless
 
 

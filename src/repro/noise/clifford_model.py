@@ -27,10 +27,10 @@ paper's implementation).  It has two step kinds:
 * a run of static gates is one compiled
   :class:`~repro.stabilizer.tableau.StaticBlock` (:func:`static_block`):
   one table pass conjugates every row through the whole run and returns
-  each gate location's bits on the gate's qubits, from which the
-  location's factors are looked up.  Clapton's skeleton ``A'(0)`` is a
-  single block, so its L_N costs one pass per batch however many gates
-  the skeleton has;
+  the input bytes it read, from which each gate location's bits on the
+  gate's qubits (and so the location's factors) are derived later.
+  Clapton's skeleton ``A'(0)`` is a single block, so its L_N costs one
+  pass per batch however many gates the skeleton has;
 * a run of parameterized rotations (nCAFQA's L_N and
   :class:`~repro.execution.estimator.CliffordEstimator`, through
   :class:`CliffordCircuitPlan`) is one layer step: one bit-sliced pass,
@@ -38,13 +38,18 @@ paper's implementation).  It has two step kinds:
 
 The walk runs in two passes.  The *table pass* conjugates the whole
 table through every step and keeps only what the factors need (each
-block's location bits, each run's x/z words before the run); it ends on
-the all-zeros expectations.  Only a row that ends Z-type has a nonzero
-one, so the *factor pass* computes the noise factors of those *live*
-rows alone.  In the benchmark's searches (``perfbench/``) 5-35% of
-nCAFQA's walked rows and 17-42% of Clapton's are live, and on their
-recorded batches the split took 14-45% off nCAFQA's loss time and
-3-24% off Clapton's.
+block's ``(C, N)`` uint8 input bytes, each run's x/z words before the
+run); it ends on the all-zeros expectations.  Only a row that ends
+Z-type has a nonzero one, so the *factor pass* computes the noise
+factors of those *live* rows alone, deriving a block's location bits
+for the live rows from its saved bytes
+(:meth:`~repro.stabilizer.tableau.StaticBlock.locations`).  In the
+benchmark's searches (``perfbench/``) 5-35% of nCAFQA's walked rows and
+17-42% of Clapton's are live, and on their recorded batches the split
+took 14-45% off nCAFQA's loss time and 3-24% off Clapton's.  Both passes
+work in bounded buffers, so a steady-state batch reuses the heap pages
+the previous one freed instead of having glibc trim them and faulting
+them back in (``benchmarks/test_batch_faults.py``).
 Factors multiply in walk order, one float multiply per channel, so the
 values are bit-identical to attenuating and conjugating gate by gate.
 """
@@ -241,9 +246,8 @@ class CliffordNoiseModel:
 
         The walk is two passes.  The *table pass* conjugates a copy of
         the whole table through every step: a block step is one
-        :meth:`~repro.stabilizer.tableau.StaticBlock.apply`, which also
-        returns every gate location's bits on the gate's qubits, and a
-        layer step is one bit-sliced
+        :meth:`~repro.stabilizer.tableau.StaticBlock.apply`, whose input
+        bytes the pass keeps, and a layer step is one bit-sliced
         :func:`~repro.stabilizer.tableau.pull_back_rotation_layer`, before
         which the pass keeps the table's x/z words.  It ends on the
         all-zeros expectations, which are 0 for every row that does not
@@ -253,9 +257,12 @@ class CliffordNoiseModel:
         them in walk order, one channel after another: the measurement
         attenuations, then per block location depolarizing (if the row
         touches the gate), logical flips per qubit and twirled relaxation
-        per qubit, looked up from the location's bits; per rotation of a
-        run (:meth:`_attenuate_layer`) the same three channels, looked up
-        from the row's code on the rotation's qubit.  A channel that
+        per qubit, looked up from the location's bits (derived for the
+        live rows alone from the kept bytes,
+        :meth:`~repro.stabilizer.tableau.StaticBlock.locations`); per
+        rotation of a run (:meth:`_attenuate_layer`) the same three
+        channels, looked up from the row's code on the rotation's qubit.
+        A channel that
         leaves a row alone contributes an exact 1.0.  So every live row
         sees the same float products, in the same order, as when
         attenuating and conjugating gate by gate, and a point's values do
@@ -282,17 +289,7 @@ class CliffordNoiseModel:
                                  "row of one of the table's equal blocks")
         with get_tracer().span("noise_walk", rows=num_rows) as span:
             channels = [self._channels(item) for item, _ in steps]
-            # the table pass
-            walked = table.copy()
-            saved = []
-            for (item, layer), step_channels in zip(steps, channels):
-                if layer is None:
-                    saved.append(item.apply(walked))
-                    continue
-                saved.append((walked.x.copy(), walked.z.copy())
-                             if len(step_channels.sources) else None)
-                pull_back_rotation_layer(walked, layer.cliffords)
-            zeros = walked.expectation_all_zeros()
+            saved, zeros = _table_pass(steps, channels, table)
             if zeros_out is not None:
                 zeros_out[...] = zeros
             # the factor pass
@@ -305,22 +302,23 @@ class CliffordNoiseModel:
             span.tag(live_rows=len(live))
             _WALK_ROWS.inc(num_rows)
             _WALK_LIVE_ROWS.inc(len(live))
-            values = zeros.copy()
             if not len(live):
-                return values
+                return zeros
             factors = (self.measurement_attenuations(table.take(live))
                        if measured is None
                        else measured[live % len(measured)])
             for (item, layer), step_channels, step_saved in zip(
                     steps, channels, saved):
                 if layer is None:
+                    bits = item.locations(step_saved, live)
                     factors = _fold(factors, step_channels.values,
-                                    step_saved[:, live][step_channels.sources])
+                                    bits[step_channels.sources])
                 else:
                     factors = self._attenuate_layer(
                         factors, live, step_saved, layer, step_channels)
-            values[live] = factors * zeros[live]
-            return values
+            # a dead row's value is its all-zeros expectation
+            zeros[live] = factors * zeros[live]
+            return zeros
 
     def _flip_by_code(self) -> np.ndarray | None:
         """Logical-flip attenuation per code ``x + 2z``, if modeled."""
@@ -440,11 +438,37 @@ class CliffordNoiseModel:
             current = codes[qubits]
             before[rotations] = current
             if position < last:
-                codes[qubits] = code_maps[4 * gates[rotations][:, points]
-                                          + current]
+                index = gates[rotations[:, None], points]
+                index <<= 2
+                index += current
+                codes[qubits] = code_maps[index]
         # a point that drops a rotation reads codes 4..7: the 1.0s
         before |= (~layer.kept.T[:, points]).view(np.uint8) << np.uint8(2)
         return _fold(factors, channels.values, before[channels.sources])
+
+
+def _table_pass(steps, channels: list, table) -> tuple[list, np.ndarray]:
+    """The walk's table pass over a copy of ``table``.
+
+    Returns what each step keeps for the factor pass (a block's input
+    bytes, a run's x/z words before it, ``None`` for a run without
+    channels) and the final all-zeros expectations.  The walked copy is
+    dropped on return, before the factor pass allocates.
+    """
+    walked = table.copy()
+    saved = []
+    for (item, layer), step_channels in zip(steps, channels):
+        if layer is None:
+            saved.append(item.apply(walked))
+            continue
+        if not len(step_channels.sources):
+            saved.append(None)
+        elif saved:
+            saved.append((walked.x.copy(), walked.z.copy()))
+        else:  # nothing has touched the copy yet
+            saved.append((table.x, table.z))
+        pull_back_rotation_layer(walked, layer.cliffords)
+    return saved, walked.expectation_all_zeros()
 
 
 class _Channels(NamedTuple):
@@ -470,10 +494,15 @@ class _Channels(NamedTuple):
 
 
 #: The factor pass folds at most about this many factors at a time: a
-#: chunk's matrix and index then stay near L2 size and under glibc's
-#: default 128 KiB mmap threshold, so a fold reuses heap memory instead
-#: of mapping and faulting in fresh pages on every batch.
-_FOLD_CELLS = 1 << 14
+#: chunk's float matrix and intp index are 64 KiB each, under glibc's
+#: 128 KiB mmap threshold, so they come from the heap.  They are also
+#: part of a batch's transient heap, and a batch whose transient heap
+#: grows past glibc's trim threshold (twice the largest mmapped chunk
+#: freed so far) gets its heap top trimmed on free and faults the pages
+#: back in on the next batch.  nCAFQA's batch at 32 qubits sits near
+#: that threshold: with 2^14-factor chunks (130 KB more at its peak) it
+#: faulted ~180 pages back in per steady-state batch, with 2^13 none.
+_FOLD_CELLS = 1 << 13
 
 
 def _fold(factors: np.ndarray, values: np.ndarray, codes: np.ndarray
@@ -489,16 +518,22 @@ def _fold(factors: np.ndarray, values: np.ndarray, codes: np.ndarray
     """
     num_channels, width = values.shape
     flat = values.ravel()
+    # channel c's factors start at flat[width * c]
+    offsets = width * np.arange(num_channels)[:, None]
     step = max(1, _FOLD_CELLS // max(len(factors), 1))
+    size = min(step, num_channels)
+    matrix = np.empty((1 + size, len(factors)))
+    index = np.empty((size, len(factors)), dtype=np.intp)
     for start in range(0, num_channels, step):
         chunk = codes[start:start + step]
-        offsets = width * np.arange(start, start + len(chunk))
-        matrix = np.empty((1 + len(chunk), len(factors)))
+        count = len(chunk)
+        index[:count] = chunk
+        index[:count] += offsets[start:start + count]
         matrix[0] = factors
         # the indices are in range by construction; "clip" lets take
         # write into the matrix without an intermediate buffer
-        np.take(flat, chunk + offsets[:, None], out=matrix[1:], mode="clip")
-        factors = matrix.prod(axis=0)
+        np.take(flat, index[:count], out=matrix[1:1 + count], mode="clip")
+        factors = matrix[:1 + count].prod(axis=0)
     return factors
 
 
@@ -513,10 +548,16 @@ def _ordered_product(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``bits[q, m]``, ``q`` ascending: a ``(n, M)`` bit matrix in, ``(M,)``
     out.  An unset bit contributes an exact 1.0 and the axis-0 product
     multiplies one row at a time, so this is the same left fold, bit for
-    bit, as attenuating qubit by qubit."""
-    factors = bits * values[:, None]
-    factors += ~bits
-    return np.prod(factors, axis=0)
+    bit, as attenuating qubit by qubit.  Columns go through in chunks of
+    at most about ``_FOLD_CELLS`` factors."""
+    out = np.empty(bits.shape[1])
+    step = max(1, _FOLD_CELLS // max(len(values), 1))
+    for start in range(0, bits.shape[1], step):
+        chunk = bits[:, start:start + step]
+        factors = chunk * values[:, None]
+        factors += ~chunk
+        np.prod(factors, axis=0, out=out[start:start + step])
+    return out
 
 
 _TWO_PI = 2.0 * math.pi
@@ -566,25 +607,31 @@ class RotationRun:
         return cls(
             instructions=instructions, qubits=qubits,
             params=np.array([index for _, index in walk], dtype=np.int64),
+            # element indices fit a byte: a batch's (P, R) gates then do
             elements=np.stack([rotations[inst.name]
-                               for inst in instructions]),
+                               for inst in instructions]).astype(np.uint8),
             compose_order=order)
 
     def layer(self, thetas: np.ndarray, tol: float) -> "RotationLayer":
         """The run's per-point data at a ``(P, d)`` batch of angles."""
         angles = thetas[:, self.params]
-        # vectorized CliffordCircuitPlan._kept over the whole population
-        folded = angles % _TWO_PI
-        kept = np.minimum(folded, _TWO_PI - folded) >= tol
-        turns = angles / _HALF_PI
-        levels = np.rint(turns)
-        if np.any(np.abs(turns - levels) >= 1e-9):
+        # vectorized CliffordCircuitPlan._kept over the whole population,
+        # in two (P, R) float buffers: the angles (then the turns) and a
+        # scratch one
+        scratch = np.remainder(angles, _TWO_PI)
+        np.minimum(scratch, _TWO_PI - scratch, out=scratch)
+        kept = scratch >= tol
+        turns = np.divide(angles, _HALF_PI, out=angles)
+        levels = np.rint(turns, out=scratch)
+        np.subtract(turns, levels, out=turns)
+        if np.any(np.abs(turns, out=turns) >= 1e-9):
             raise ValueError("a rotation angle is not a multiple of pi/2")
-        gates = self.elements[np.arange(len(self.params)),
-                              levels.astype(np.int64) % 4]
+        levels = levels.astype(np.int64)
+        levels %= 4
+        gates = self.elements[np.arange(len(self.params)), levels]
         group = single_qubit_cliffords()
         with_identity = np.concatenate(
-            [gates, np.zeros((len(gates), 1), dtype=np.int64)], axis=1)
+            [gates, np.zeros((len(gates), 1), dtype=np.uint8)], axis=1)
         cliffords = with_identity[:, self.compose_order[0]]
         for columns in self.compose_order[1:]:
             cliffords = group.compose[cliffords, with_identity[:, columns]]

@@ -19,7 +19,8 @@ waits) into the current span.  The span vocabulary, bottom up::
     kernel.fused_levels     one Clapton transformation's passes
     noise_walk              one noisy Clifford walk     (loss_eval;
                             tags: rows, live_rows)
-    loss.evaluate_many      one batched loss call       (loss_eval)
+    loss.evaluate_many      one batched loss call       (loss_eval;
+                            tags: loss, batch, qubits, minor_faults)
     engine.round            one engine round (tags: evaluations, best)
     search.round            one strategy round loop iteration
     search.minimize         a whole SearchStrategy.minimize call
@@ -126,6 +127,7 @@ from .tracer import (
     build_info,
     current_span_id,
     get_tracer,
+    minor_faults,
     set_tracer,
     use_tracer,
 )
@@ -165,6 +167,7 @@ __all__ = [
     "build_info",
     "current_span_id",
     "get_tracer",
+    "minor_faults",
     "set_tracer",
     "use_tracer",
 ]

@@ -26,7 +26,10 @@ five buckets by span name:
 :mod:`repro.obs.kernel`; the summary aggregates them per worker (merged
 fleet traces stamp a top-level ``"worker"`` on every span) into
 word-ops/s throughput -- the paper's headline unit for the stabilizer
-hot path.
+hot path.  ``loss.evaluate_many`` spans carry a ``minor_faults`` tag
+(the batch's page faults); the summary reports them per loss batch,
+since a batch that faults its heap back in every time pays for it in
+wall clock.
 
 For a serial run rooted in one CLI span the buckets partition the
 wall-clock exactly; the acceptance bar is >=95% accounted.
@@ -109,6 +112,9 @@ class TraceSummary:
     #: per-worker packed-kernel totals: {worker: {"words", "rows",
     #: "seconds"}} aggregated from ``kernel.*`` span tags
     kernel: dict = field(default_factory=dict)
+    #: per-loss page faults: {loss: {"batches", "minor_faults"}} over the
+    #: ``loss.evaluate_many`` spans that carry a ``minor_faults`` tag
+    faults: dict = field(default_factory=dict)
 
     @property
     def accounted(self) -> float:
@@ -143,6 +149,11 @@ class TraceSummary:
                              stats["words"] / stats["seconds"], 1)
                          if stats["seconds"] > 0 else None}
                 for worker, stats in self.kernel.items()}
+        if self.faults:
+            out["loss_faults"] = {
+                loss: {**stats, "per_batch": round(
+                    stats["minor_faults"] / stats["batches"], 2)}
+                for loss, stats in self.faults.items()}
         return out
 
 
@@ -174,6 +185,7 @@ def summarize_spans(spans: list[dict], meta: dict | None = None) -> TraceSummary
     buckets = {"loss_eval": 0.0, "kernel": 0.0, "mitigation": 0.0,
                "orchestration": 0.0, "idle": 0.0}
     kernel: dict[str, dict] = {}
+    faults: dict[str, dict] = {}
     starts, ends = [], []
     for span in spans:
         starts.append(span["start"])
@@ -189,6 +201,13 @@ def summarize_spans(spans: list[dict], meta: dict | None = None) -> TraceSummary
             stats["words"] += int(tags.get("words") or 0)
             stats["rows"] += int(tags.get("rows") or 0)
             stats["seconds"] += span["dur"]
+        if span["name"] == "loss.evaluate_many":
+            tags = span.get("tags") or {}
+            if "minor_faults" in tags:
+                stats = faults.setdefault(str(tags.get("loss")),
+                                          {"batches": 0, "minor_faults": 0})
+                stats["batches"] += 1
+                stats["minor_faults"] += int(tags["minor_faults"])
         path = path_of(span)
         node = nodes.get(path)
         if node is None:
@@ -211,7 +230,7 @@ def summarize_spans(spans: list[dict], meta: dict | None = None) -> TraceSummary
     wall = (max(ends) - min(starts)) if spans else 0.0
     return TraceSummary(wall_seconds=wall, num_spans=len(spans),
                         buckets=buckets, roots=roots, meta=meta or {},
-                        kernel=kernel)
+                        kernel=kernel, faults=faults)
 
 
 def summarize(path: str | Path) -> TraceSummary:
@@ -265,6 +284,16 @@ def render_summary(summary: TraceSummary, max_depth: int = 6) -> str:
                     if stats["seconds"] > 0 else "--")
             lines.append(f"{worker:<28} {_fmt_count(stats['words']):>12} "
                          f"{_fmt_count(stats['rows']):>12} {rate:>12}")
+    if summary.faults:
+        lines.append("")
+        lines.append("page faults per loss batch")
+        lines.append(f"{'loss':<28} {'batches':>12} {'faults':>12} "
+                     f"{'per batch':>12}")
+        for loss in sorted(summary.faults):
+            stats = summary.faults[loss]
+            lines.append(f"{loss:<28} {stats['batches']:>12} "
+                         f"{_fmt_count(stats['minor_faults']):>12} "
+                         f"{stats['minor_faults'] / stats['batches']:>12.1f}")
     lines.append("")
     lines.append(f"{'span':<46} {'count':>6} {'total':>9} {'self':>9} "
                  f"{'%wall':>6}")

@@ -38,6 +38,11 @@ import threading
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - no getrusage off Unix
+    resource = None
+
 
 @functools.lru_cache(maxsize=1)
 def build_info() -> dict:
@@ -267,6 +272,18 @@ class JsonlTracer(_RecordingBase):
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover - interpreter teardown
             pass
+
+
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far (``getrusage``;
+    0 where the platform has no ``resource`` module).
+
+    A batch whose heap top glibc trims on free faults its pages back in
+    on the next batch; the loss spans tag each batch's delta.
+    """
+    if resource is None:  # pragma: no cover - no getrusage off Unix
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 _NULL = NullTracer()

@@ -627,15 +627,17 @@ class PairRing:
             return
         padded = np.zeros((num_points, self.num_slots + 1), dtype=np.int64)
         padded[:, :-1] = levels
-        # (windows, P) levels, already shifted past each window's code
+        # (windows, P, 1) levels, already shifted past each window's code,
+        # broadcast over each point's row block as they are ORed in
         packed = (padded[:, self._genes] << self._shifts).sum(axis=2).T
-        row_levels = np.repeat(packed, num_rows // num_points, axis=1)
+        packed = packed[:, :, None]
         planes = (table.x, table.z)
         signed = (table.x.view(np.int64), table.z.view(np.int64))
         code = np.empty(num_rows, dtype=np.int64)
+        point_code = code.reshape(num_points, num_rows // num_points)
         part = np.empty(num_rows, dtype=np.int64)
         image = np.empty(num_rows, dtype=np.uint64)
-        for win, row_level in zip(self.windows, row_levels):
+        for win, level in zip(self.windows, packed):
             KERNEL.rows += num_rows
             KERNEL.words += num_rows * len(win.deposits)
             KERNEL.fused_passes += 1
@@ -649,7 +651,7 @@ class PairRing:
                         np.left_shift(out, offset, out=out)
                     if i:
                         np.bitwise_or(code, part, out=code)
-                np.bitwise_or(code, row_level, out=code)
+                np.bitwise_or(point_code, level, out=point_code)
                 for word, keep, *luts in win.deposits:
                     column = planes[p][:, word]
                     np.take(luts[p], code, out=image)
@@ -663,6 +665,18 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 #: tables are at most ~1 MB at 100 qubits)
 _BLOCK_CACHE: OrderedDict[tuple, "StaticBlock"] = OrderedDict()
 _BLOCK_CACHE_MAX = 32
+
+#: A block pass gathers at most about this many image words at a time
+#: (:meth:`StaticBlock.apply`), in row chunks of one size (the last may
+#: be shorter), so its buffers stay at most 128 KiB each however many
+#: rows a batch stacks.  A batch whose transient heap grows past glibc's
+#: trim threshold (twice the largest mmapped chunk freed so far) has its
+#: heap top trimmed on free and faults the pages back in on the next
+#: one: at 32 qubits and 6,300 rows, one chunk's 400 KB of buffers made
+#: every steady-state Clapton batch fault ~165 pages back in
+#: (``benchmarks/test_batch_faults.py``); two chunks fault none and ran
+#: no slower in perfbench's searches.
+_BLOCK_CELLS = 1 << 14
 
 
 class StaticBlock:
@@ -682,13 +696,20 @@ class StaticBlock:
     With ``c = l + 2h`` and ``popcount(v & l) = parity + 2 C(s, 2)``
     (mod 4), that is ``q + parity(v & l) + 2 parity(v & Qv)`` for one
     upper-triangular GF(2) matrix ``Q`` with ``h`` on its diagonal.  So
-    the image bits, ``Qv``, the ``l`` parity and every location's bits
-    are GF(2) linear forms in ``v``.  :meth:`compile` tabulates them per
-    input byte (the Four-Russians method), and a pass (:meth:`apply`) is
-    ``acc ^= table[c][byte_c]`` over the block's input bytes: a few
-    uint64 gathers, with no unpacking.  The image bits and ``Qv`` are
-    laid out in the table's own words, so they are written back (and
-    ANDed with the input for the phase) as they come out.
+    the image bits, ``Qv`` and every location's bits are GF(2) linear
+    forms in ``v``, and the ``l`` parity is one AND against two fixed
+    words per table word.  :meth:`compile` tabulates the linear forms per
+    input byte (the Four-Russians method) in two tables: the image words
+    (``x'``, ``z'``, ``Qv`` on x, ``Qv`` on z: ``4T`` uint64 per byte
+    value, ``T`` being the words the block rewrites) and the location
+    nibbles.  A pass (:meth:`apply`) is ``acc ^= table[c][byte_c]`` over
+    the block's input bytes on the image table alone: a few ``4T``-word
+    gathers, with no unpacking.  The image bits and ``Qv`` are laid out
+    in the table's own words, so they are written back (and ANDed with
+    the input for the phase, next to the ``l`` words) as they come out.
+    The pass returns the input bytes it read, from which
+    :meth:`locations` gathers the location bits of just the rows a caller
+    needs (a noisy walk's live rows).
 
     A block reads only the bytes holding its support qubits and rewrites
     only those bits: the other qubits map to themselves and add nothing
@@ -699,14 +720,15 @@ class StaticBlock:
             order.  Only its ``qubits`` are read here; callers key their
             per-location data (noise channels) on it.
         num_qubits: The register width the block was compiled for.
-        num_locations: The locations whose bits :meth:`apply` returns
+        num_locations: The locations whose bits :meth:`locations` returns
             (0 when compiled without them).
     """
 
     def __init__(self, instructions: tuple, num_qubits: int,
                  num_locations: int, byte_columns: np.ndarray,
                  words: np.ndarray, keep: np.ndarray | None,
-                 tables: np.ndarray):
+                 parity: np.ndarray, tables: np.ndarray,
+                 location_tables: np.ndarray | None):
         self.instructions = instructions
         self.num_qubits = num_qubits
         self.num_locations = num_locations
@@ -716,9 +738,15 @@ class StaticBlock:
         #: keeps (``None``: it rewrites every word whole)
         self._words = words
         self._keep = keep
-        #: (C, 256, 4T + E) output words per input byte value: x', z',
-        #: Qv on x, Qv on z, then the location nibbles and the l parity
+        #: (2, T) the ``l`` words on x and on z: bit q of plane p is
+        #: ``l`` of the generator X_q (p = 0) or Z_q (p = 1)
+        self._parity = parity
+        #: (C, 256, 4T) image words per input byte value: x', z', Qv on
+        #: x, Qv on z
         self._tables = tables
+        #: (C, 256, E) location nibbles per input byte value (``None``:
+        #: compiled without locations)
+        self._location_tables = location_tables
 
     @classmethod
     def compile(cls, steps, num_qubits: int, locations: bool = True
@@ -729,10 +757,10 @@ class StaticBlock:
         table as :func:`apply_gate_to_table` would.  The basis Paulis of
         the block's bytes are walked through the gates by that LUT
         kernel, and with ``locations`` each location's bits are recorded
-        on the way, so :meth:`apply` can return them.  Blocks are cached
-        on their contents (the bounded-LRU policy of the LUT caches), so
-        a loss rebuilt for every search compiles its blocks once per
-        process.
+        on the way, so :meth:`locations` can return them.  Blocks are
+        cached on their contents (the bounded-LRU policy of the LUT
+        caches), so a loss rebuilt for every search compiles its blocks
+        once per process.
         """
         steps = list(steps)
         key = (num_qubits, locations,
@@ -806,11 +834,9 @@ class StaticBlock:
         qv_z = np.zeros((2 * nq, n), dtype=bool)
         qv_x[:, qubits] = quad[nq:].T
         qv_z[:, qubits] = quad[:nq].T
-        columns = np.concatenate(
-            [bitops.pack_bits(plane, n)[:, words]
-             for plane in (image_x, image_z, qv_x, qv_z)]
-            + [bitops.pack_bits(np.concatenate([loc_bits, low[:, None]],
-                                               axis=1))], axis=1)
+        image = np.concatenate([bitops.pack_bits(plane, n)[:, words]
+                                for plane in (image_x, image_z, qv_x, qv_z)],
+                               axis=1)
         # each input bit's generator row: X_q for the x bytes, Z_q for
         # the z bytes, and the zero row 2nq for bits past the register
         z_row = np.full(8 * (byte_ids[-1] + 1) if byte_ids else 0, 2 * nq,
@@ -820,15 +846,14 @@ class StaticBlock:
         in_bytes = (8 * np.array(byte_ids, dtype=np.int64)[:, None]
                     + np.arange(8))
         rows = np.concatenate([x_row[in_bytes], z_row[in_bytes]])
-        by_bit = np.concatenate(
-            [columns, np.zeros((1, columns.shape[1]), dtype=np.uint64)]
-        )[rows]
-        # Four-Russians: entry u is the XOR of the columns of u's bits
-        tables = np.zeros((len(by_bit), 256, columns.shape[1]),
-                          dtype=np.uint64)
-        for i in range(8):
-            tables[:, 1 << i:2 << i] = (tables[:, :1 << i]
-                                        ^ by_bit[:, i, None, :])
+        location_tables = None
+        if locations:
+            location_tables = _four_russians(
+                bitops.pack_bits(loc_bits) if num_locations
+                else np.zeros((2 * nq, 0), dtype=np.uint64), rows)
+        parity = np.zeros((2, n), dtype=bool)
+        parity[0, qubits] = low[nq:]
+        parity[1, qubits] = low[:nq]
         byte_columns = np.tile(np.array(byte_ids, dtype=np.int64), 2)
         covered = np.zeros(64 * bitops.num_words(n), dtype=bool)
         covered[n:] = True  # the zero tail counts as covered
@@ -838,72 +863,159 @@ class StaticBlock:
         if len(words) == bitops.num_words(n) and not keep.any():
             keep = None
         return cls(instructions, n, num_locations, byte_columns,
-                   np.array(words, dtype=np.int64), keep, tables)
+                   np.array(words, dtype=np.int64), keep,
+                   bitops.pack_bits(parity, n)[:, words],
+                   _four_russians(image, rows), location_tables)
 
     def apply(self, table: PauliTable) -> np.ndarray:
         """In place, conjugate every row of ``table`` through the block.
 
-        One pass over the block's input bytes.  Returns the ``(L, M)``
-        uint8 location bits, ``L`` being :attr:`num_locations`: row ``j``
-        holds, for location ``j`` on qubits ``(q0[, q1])``, each table
-        row's bits on them just before that gate, as ``x_q0 | z_q0 << 1 |
-        x_q1 << 2 | z_q1 << 3`` (so a nonzero entry means the table row
-        touches the gate, and ``bits & 3`` / ``bits >> 2`` are the
-        per-qubit codes ``x + 2z``).
+        One pass over the block's input bytes, gathering only the image
+        words.  Returns those bytes, the ``(C, M)`` uint8 matrix of what
+        each row held in the block's bytes before the pass (x bytes, then
+        z bytes): the input :meth:`locations` reads a row's location bits
+        from.
         """
         if table.num_qubits != self.num_qubits:
             raise ValueError("qubit-count mismatch")
         num_rows = table.num_rows
-        if not len(self._byte_columns):
-            return np.zeros((0, num_rows), dtype=np.uint8)
+        columns = self._byte_columns
+        in_bytes = np.empty((len(columns), num_rows), dtype=np.uint8)
+        if not len(columns):
+            return in_bytes
         words = self._words
         num_words = len(words)
         KERNEL.rows += num_rows
         KERNEL.words += num_rows * num_words
         KERNEL.fused_passes += 1
+        if not num_rows:
+            return in_bytes
         x, z = table.x, table.z
         if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
             x, z = x.byteswap(), z.byteswap()
-        columns = self._byte_columns
         half = len(columns) // 2
-        in_bytes = np.empty((len(columns), num_rows), dtype=np.intp)
         in_bytes[:half] = x.view(np.uint8)[:, columns[:half]].T
         in_bytes[half:] = z.view(np.uint8)[:, columns[half:]].T
-        acc = self._tables[0].take(in_bytes[0], axis=0)
-        for table_c, bytes_c in zip(self._tables[1:], in_bytes[1:]):
-            acc ^= table_c.take(bytes_c, axis=0)
-        old_x = table.x[:, words]
-        old_z = table.z[:, words]
-        odd = ((old_x & acc[:, 2 * num_words:3 * num_words])
-               ^ (old_z & acc[:, 3 * num_words:4 * num_words]))
+        # the rows go through in chunks of at most _BLOCK_CELLS gathered
+        # words, so the pass's buffers stay small however many rows the
+        # table has
+        chunks = -(-num_rows * 4 * num_words // _BLOCK_CELLS)
+        size = -(-num_rows // chunks)
+        # one intp index buffer: take would convert each uint8 row anew
+        buffers = (np.empty(size, dtype=np.intp),
+                   np.empty((size, 4 * num_words), dtype=np.uint64),
+                   np.empty((size, 4 * num_words), dtype=np.uint64))
+        for start in range(0, num_rows, size):
+            self._apply_rows(table, in_bytes, start,
+                             min(start + size, num_rows), buffers)
+        return in_bytes
+
+    def _apply_rows(self, table: PauliTable, in_bytes: np.ndarray,
+                    start: int, stop: int, buffers: tuple) -> None:
+        """:meth:`apply` on the rows ``start:stop``, in ``buffers``."""
+        count = stop - start
+        index, acc, gathered = (buffer[:count] for buffer in buffers)
+        for c, (table_c, bytes_c) in enumerate(
+                zip(self._tables, in_bytes[:, start:stop])):
+            index[...] = bytes_c
+            # the indices are in range by construction; "clip" lets take
+            # write into its output without an intermediate buffer
+            np.take(table_c, index, axis=0, out=gathered if c else acc,
+                    mode="clip")
+            if c:
+                acc ^= gathered
+        words = self._words
+        num_words = len(words)
+        x, z = table.x[start:stop], table.z[start:stop]
+        if self._keep is None:  # the block rewrites every word, in order
+            old_x, old_z = x, z
+        else:
+            old_x, old_z = x[:, words], z[:, words]
+        # the phase: parity(v & Qv) and parity(v & l), in gathered's room
+        odd, low, part = (gathered[:, k * num_words:(k + 1) * num_words]
+                          for k in range(3))
+        np.bitwise_and(old_x, acc[:, 2 * num_words:3 * num_words], out=odd)
+        np.bitwise_and(old_z, acc[:, 3 * num_words:], out=part)
+        odd ^= part
+        l_x, l_z = self._parity
+        np.bitwise_and(old_x, l_x, out=low)
+        np.bitwise_and(old_z, l_z, out=part)
+        low ^= part
         if num_words > 1:
             odd = np.bitwise_xor.reduce(odd, axis=1)
+            low = np.bitwise_xor.reduce(low, axis=1)
         else:
             odd = odd[:, 0]
-        bit = 4 * self.num_locations
-        low = (acc[:, 4 * num_words + bit // 64]
-               >> np.uint64(bit % 64)) & np.uint64(1)
-        phase = table.phase_exp
-        phase += low.astype(np.int64)
-        phase += (bitops.popcount(odd) & np.uint8(1)).astype(np.int64) << 1
+            low = low[:, 0]
+        dq = bitops.popcount(odd) & np.uint8(1)
+        dq <<= np.uint8(1)
+        dq |= bitops.popcount(low) & np.uint8(1)
+        phase = table.phase_exp[start:stop]
+        phase += dq
         np.bitwise_and(phase, 3, out=phase)
         if self._keep is None:
-            table.x[...] = acc[:, :num_words]
-            table.z[...] = acc[:, num_words:2 * num_words]
+            x[...] = acc[:, :num_words]
+            z[...] = acc[:, num_words:2 * num_words]
         else:
-            table.x[:, words] = (old_x & self._keep) | acc[:, :num_words]
-            table.z[:, words] = ((old_z & self._keep)
-                                 | acc[:, num_words:2 * num_words])
+            old_x &= self._keep
+            old_x |= acc[:, :num_words]
+            x[:, words] = old_x
+            old_z &= self._keep
+            old_z |= acc[:, num_words:2 * num_words]
+            z[:, words] = old_z
+
+    def locations(self, in_bytes: np.ndarray, rows=None) -> np.ndarray:
+        """The ``(L, R)`` uint8 location bits of rows ``rows`` of a table.
+
+        ``in_bytes`` is what :meth:`apply` returned for the table, and
+        ``rows`` indexes its columns (default: every row).  ``L`` is
+        :attr:`num_locations`: row ``j`` holds, for location ``j`` on
+        qubits ``(q0[, q1])``, each selected table row's bits on them
+        just before that gate, as ``x_q0 | z_q0 << 1 | x_q1 << 2 | z_q1
+        << 3`` (so a nonzero entry means the table row touches the gate,
+        and ``bits & 3`` / ``bits >> 2`` are the per-qubit codes ``x +
+        2z``).  One gather per input byte, over the selected rows only.
+
+        Raises:
+            ValueError: if the block was compiled without its locations,
+                or ``in_bytes`` is not one of this block's byte matrices.
+        """
+        if self._location_tables is None:
+            raise ValueError("the block was compiled without its locations")
+        if in_bytes.ndim != 2 or len(in_bytes) != len(self._byte_columns):
+            raise ValueError("in_bytes must be the (C, M) byte matrix the "
+                             "block's apply returned")
+        if rows is not None:
+            in_bytes = in_bytes[:, rows]
+        num_rows = in_bytes.shape[1]
         if not self.num_locations:
             return np.zeros((0, num_rows), dtype=np.uint8)
-        extra = np.ascontiguousarray(acc[:, 4 * num_words:])
+        tables = self._location_tables
+        acc = tables[0].take(in_bytes[0], axis=0)
+        for table_c, bytes_c in zip(tables[1:], in_bytes[1:]):
+            acc ^= table_c.take(bytes_c, axis=0)
         if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-            extra = extra.byteswap()
-        packed = np.ascontiguousarray(extra.view(np.uint8).T)
+            acc = acc.byteswap()
+        packed = np.ascontiguousarray(acc.view(np.uint8).T)
         nibbles = np.empty((2 * len(packed), num_rows), dtype=np.uint8)
         np.bitwise_and(packed, 15, out=nibbles[0::2])
         np.right_shift(packed, 4, out=nibbles[1::2])
         return nibbles[:self.num_locations]
+
+
+def _four_russians(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(C, 256, K)`` byte tables of the ``(G, K)`` word ``columns``.
+
+    ``rows[c, i]`` is the generator row of bit ``i`` of input byte ``c``
+    (``G``, one past the last, for a bit past the register), and entry
+    ``u`` of byte ``c`` is the XOR of the columns of ``u``'s set bits.
+    """
+    by_bit = np.concatenate(
+        [columns, np.zeros((1, columns.shape[1]), dtype=np.uint64)])[rows]
+    tables = np.zeros((len(by_bit), 256, columns.shape[1]), dtype=np.uint64)
+    for i in range(8):
+        tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ by_bit[:, i, None, :]
+    return tables
 
 
 class SingleQubitCliffords(NamedTuple):
@@ -1024,7 +1136,9 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
 
     while the phase gains ``popcount(low) + 2 popcount(high)`` mod 4,
     ``low``/``high`` being the X-, Y- and Z-class bits, each ANDed with
-    its increment-bit mask.
+    its increment-bit mask.  The classes are disjoint, so with ``y = x &
+    z`` that is ``(x & X) ^ (z & Z) ^ (y & (X ^ Y ^ Z))``, and the pass
+    works in two ``(P, M, W)`` buffers.
     """
     cliffords = np.asarray(cliffords)
     if cliffords.ndim != 2 or not np.issubdtype(cliffords.dtype, np.integer):
@@ -1043,28 +1157,47 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
     KERNEL.rows += num_rows
     KERNEL.words += num_rows * words
     KERNEL.fused_passes += 1
-    bits = single_qubit_cliffords().bits[cliffords]
-    masks = bitops.pack_bits(
-        bits.transpose(2, 0, 1).reshape(10 * num_points, n), n)
+    masks = bitops.pack_bits(single_qubit_cliffords().bits[cliffords]
+                             .transpose(2, 0, 1).reshape(10 * num_points, n),
+                             n)
     (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.reshape(
         10, num_points, 1, words)
+    y_lo = x_lo ^ y_lo ^ z_lo
+    y_hi = x_hi ^ y_hi ^ z_hi
     shape = (num_points, num_rows // num_points, words)
     x = table.x.reshape(shape)
     z = table.z.reshape(shape)
-    y_class = x & z
-    x_class = x ^ y_class
-    z_class = z ^ y_class
-    low = (x_class & x_lo) | (y_class & y_lo) | (z_class & z_lo)
-    high = (x_class & x_hi) | (y_class & y_hi) | (z_class & z_hi)
-    new_x = (x & ax) ^ (z & bx)
-    new_z = (x & az) ^ (z & bz)
-    table.x[...] = new_x.reshape(num_rows, words)
-    table.z[...] = new_z.reshape(num_rows, words)
+    part = np.empty(shape, dtype=np.uint64)
+    bit = np.empty(shape, dtype=np.uint64)
     # at most 64 + 2 * 64 per word, so the per-word count fits uint8
-    dq = bitops.popcount(low) + (bitops.popcount(high) << np.uint8(1))
+    dq = None
+    for x_mask, y_mask, z_mask in ((x_hi, y_hi, z_hi), (x_lo, y_lo, z_lo)):
+        np.bitwise_and(x, z, out=bit)
+        bit &= y_mask
+        np.bitwise_and(x, x_mask, out=part)
+        bit ^= part
+        np.bitwise_and(z, z_mask, out=part)
+        bit ^= part
+        count = bitops.popcount(bit)
+        if dq is None:
+            dq = count
+            dq <<= np.uint8(1)
+        else:
+            dq += count
+    # x' goes back into x once z' no longer needs the old x
+    np.bitwise_and(x, ax, out=bit)
+    np.bitwise_and(z, bx, out=part)
+    bit ^= part
+    np.bitwise_and(x, az, out=part)
+    x[...] = bit
+    np.bitwise_and(z, bz, out=bit)
+    part ^= bit
+    z[...] = part
     phase = table.phase_exp
-    np.add(phase, dq.sum(axis=2, dtype=np.int64).reshape(num_rows),
-           out=phase)
+    if words == 1:
+        phase += dq.reshape(num_rows)
+    else:
+        phase += dq.sum(axis=2, dtype=np.int64).reshape(num_rows)
     np.bitwise_and(phase, 3, out=phase)
 
 

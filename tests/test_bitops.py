@@ -714,8 +714,12 @@ def random_block_steps(n, num_gates, rng, qubits=None):
 
 def assert_block_matches_oracle(block, steps, table, packed):
     """One block pass equals the oracle's gate-by-gate walk, and each
-    location's bits are the oracle row's bits just before that gate."""
-    bits = block.apply(packed)
+    location's bits, read back from the bytes the pass returns, are the
+    oracle row's bits just before that gate."""
+    in_bytes = block.apply(packed)
+    assert in_bytes.dtype == np.uint8
+    assert in_bytes.shape[1] == table.num_rows
+    bits = block.locations(in_bytes)
     assert bits.shape == (len(steps), table.num_rows)
     assert bits.dtype == np.uint8
     for j, (inst, _) in enumerate(steps):
@@ -862,6 +866,21 @@ class TestStaticBlock:
         assert block.num_locations == len(steps)
         assert_block_matches_oracle(block, steps, table, packed)
 
+    @pytest.mark.parametrize("n, qubits", [(9, None), (100, None),
+                                           (100, [3, 5, 70])])
+    def test_pass_in_row_chunks(self, n, qubits, monkeypatch):
+        """A pass over more rows than one chunk holds: every chunk, the
+        short last one included, matches the oracle."""
+        import repro.stabilizer.tableau as tableau_mod
+
+        table, packed, rng = random_tables(n, 45, 790 + n)
+        steps = random_block_steps(n, 20, rng, qubits)
+        block = StaticBlock.compile(steps, n)
+        # 4T words per row: chunks of 7 rows at T = 1 (the last of 3),
+        # of 4 at T = 2 (the last of 1)
+        monkeypatch.setattr(tableau_mod, "_BLOCK_CELLS", 28)
+        assert_block_matches_oracle(block, steps, table, packed)
+
     @pytest.mark.parametrize("qubits", [[60, 61, 62, 63, 64, 65, 66],
                                         [3, 5], [129]])
     def test_support_restricted_block(self, qubits):
@@ -886,11 +905,14 @@ class TestStaticBlock:
         table, packed, rng = random_tables(9, 11, 5)
         empty = StaticBlock.compile([], 9)
         before = KERNEL.snapshot()
-        assert empty.apply(packed).shape == (0, 11)
+        in_bytes = empty.apply(packed)
+        assert in_bytes.shape == (0, 11)
+        assert empty.locations(in_bytes).shape == (0, 11)
         assert KERNEL.delta(before)["fused_passes"] == 0
         assert_tables_equal(packed, table)
         steps = random_block_steps(9, 6, rng)
-        bits = StaticBlock.compile(steps, 9).apply(packed.take(slice(0, 0)))
+        block = StaticBlock.compile(steps, 9)
+        bits = block.locations(block.apply(packed.take(slice(0, 0))))
         assert bits.shape == (6, 0)
 
     def test_without_locations(self):
@@ -898,10 +920,60 @@ class TestStaticBlock:
         steps = random_block_steps(65, 10, rng)
         block = StaticBlock.compile(steps, 65, locations=False)
         assert block.num_locations == 0
-        assert block.apply(packed).shape == (0, 13)
+        in_bytes = block.apply(packed)
+        assert in_bytes.shape[1] == 13
+        with pytest.raises(ValueError, match="without its locations"):
+            block.locations(in_bytes)
         for inst, _ in steps:
             oracle.apply_gate(table, inst.name, inst.params, inst.qubits)
         assert_tables_equal(packed, table)
+
+    @pytest.mark.parametrize("n", [9, 65, 100])
+    def test_locations_of_a_row_subset(self, n):
+        """A subset's location bits are those rows of the all-rows bits."""
+        _, packed, rng = random_tables(n, 31, 760 + n)
+        steps = random_block_steps(n, 25, rng)
+        block = StaticBlock.compile(steps, n)
+        in_bytes = block.apply(packed)
+        every = block.locations(in_bytes)
+        rows = np.arange(0, 31, 3)
+        np.testing.assert_array_equal(block.locations(in_bytes, rows),
+                                      every[:, rows])
+        none = block.locations(in_bytes, np.arange(0))
+        assert none.shape == (len(steps), 0)
+        assert none.dtype == np.uint8
+        with pytest.raises(ValueError, match="byte matrix"):
+            block.locations(in_bytes[1:])
+
+    @pytest.mark.parametrize("n, qubits", [(65, [60, 61, 62, 63, 64]),
+                                           (100, [3, 5, 70, 99])])
+    def test_parity_words(self, n, qubits):
+        """The ``l`` words hold the low phase bit of each generator's
+        image, on the words of a support-restricted block (one that
+        keeps bits of its words), and its pass still matches the
+        oracle."""
+        table, packed, rng = random_tables(n, 23, 770 + n)
+        steps = random_block_steps(n, 14, rng, qubits)
+        block = StaticBlock.compile(steps, n)
+        assert block._keep is not None
+        covered = sorted({q for byte in {q // 8 for q in qubits}
+                          for q in range(8 * byte, min(8 * byte + 8, n))})
+        unit = np.zeros((len(covered), n), dtype=bool)
+        unit[np.arange(len(covered)), covered] = True
+        none = np.zeros_like(unit)
+        # X_q for every covered qubit, then Z_q
+        generators = oracle.BoolTable(np.vstack([unit, none]),
+                                      np.vstack([none, unit]),
+                                      np.zeros(2 * len(covered)))
+        for inst, _ in steps:
+            oracle.apply_gate(generators, inst.name, inst.params,
+                              inst.qubits)
+        low = np.zeros((2, n), dtype=bool)
+        low[:, covered] = (generators.phase_exp & 1).reshape(2, -1) == 1
+        assert low.any()
+        np.testing.assert_array_equal(
+            block._parity, bitops.pack_bits(low, n)[:, block._words])
+        assert_block_matches_oracle(block, steps, table, packed)
 
     def test_rejects_bad_registers(self):
         from repro.circuits.circuit import Instruction

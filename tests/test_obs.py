@@ -295,6 +295,30 @@ class TestSummary:
         assert payload["tree"][0]["path"] == "cli.run"
         json.dumps(payload)  # JSON-clean
 
+    def test_loss_faults_per_batch(self):
+        spans = [_span(1, "cli.run", 0.0, 4.0)]
+        for sid, (loss, faults) in enumerate(
+                [("clapton", 3), ("clapton", 5), ("ncafqa", 40)], start=2):
+            span = _span(sid, "loss.evaluate_many", sid - 2.0, 1.0,
+                         parent=1)
+            span["tags"] = {"loss": loss, "batch": 100,
+                            "minor_faults": faults}
+            spans.append(span)
+        # a batch traced before the tag existed is left out
+        spans.append(_span(9, "loss.evaluate_many", 3.0, 0.5, parent=1))
+        summary = summarize_spans(spans)
+        assert summary.faults == {
+            "clapton": {"batches": 2, "minor_faults": 8},
+            "ncafqa": {"batches": 1, "minor_faults": 40}}
+        text = render_summary(summary)
+        assert "page faults per loss batch" in text
+        assert any(line.split()[:4] == ["clapton", "2", "8", "4.0"]
+                   for line in text.splitlines())
+        payload = summary.to_dict()
+        assert payload["loss_faults"]["clapton"]["per_batch"] == 4.0
+        assert payload["loss_faults"]["ncafqa"]["minor_faults"] == 40
+        assert "loss_faults" not in summarize_spans(spans[:1]).to_dict()
+
 
 # ----------------------------------------------------------------------
 # Instrumentation wiring (engine / search / cache stats)
@@ -359,6 +383,36 @@ class TestInstrumentation:
             threaded = executor.map(execute_task, tasks)
         assert ([strip_volatile(r) for r in threaded]
                 == [strip_volatile(r) for r in serial])
+
+    def test_loss_spans_carry_minor_faults(self):
+        """Traced, every loss batch's span carries its page faults;
+        untraced, the batch runs through the no-op span."""
+        from repro.core import VQEProblem
+        from repro.core.loss import CafqaLoss, ClaptonLoss
+        from repro.hamiltonians import ising_model
+        from repro.noise import NoiseModel
+
+        problem = VQEProblem.logical(ising_model(4, 1.0),
+                                     NoiseModel.uniform(4))
+        rng = np.random.default_rng(1)
+        losses = [(ClaptonLoss(problem),
+                   problem.num_transformation_parameters),
+                  (CafqaLoss(problem), 16),
+                  (CafqaLoss(problem, noise_aware=True), 16)]
+        batches = [rng.integers(0, 4, size=(6, d)) for _, d in losses]
+        with use_tracer(RecordingTracer()) as tracer:
+            traced = [loss.evaluate_many(g)
+                      for (loss, _), g in zip(losses, batches)]
+        spans = [s for s in tracer.spans
+                 if s["name"] == "loss.evaluate_many"]
+        assert [s["tags"]["loss"] for s in spans] \
+            == ["clapton", "cafqa", "ncafqa"]
+        for span in spans:
+            faults = span["tags"]["minor_faults"]
+            assert isinstance(faults, int) and faults >= 0
+        assert get_tracer().span("loss.evaluate_many") is NULL_SPAN
+        for (loss, _), g, values in zip(losses, batches, traced):
+            np.testing.assert_array_equal(loss.evaluate_many(g), values)
 
     def test_loss_batch_counters_increment(self):
         batches = REGISTRY.get("repro_loss_batches_total")
