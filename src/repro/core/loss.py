@@ -4,8 +4,10 @@
   genomes ``gamma in {0,1,2,3}^{5N}``; the Hamiltonian moves, the circuit is
   the fixed skeleton ``A'(0)``.
 * CAFQA:    ``L(theta) = L_0(theta)`` over Clifford rotation genomes
-  ``theta in {0,1,2,3}^{4N}`` (angles ``theta * pi/2``); the circuit moves,
-  the Hamiltonian is fixed, and there is no noise term (its blind spot).
+  ``theta in {0,1,2,3}^{4N}`` (rotation levels: angles ``theta * pi/2``,
+  though no loss builds the angles; the genome indexes the Clifford
+  tables directly); the circuit moves, the Hamiltonian is fixed, and
+  there is no noise term (its blind spot).
 * nCAFQA:   ``L(theta) = L_N(theta) + L_0(theta)`` -- CAFQA plus this
   work's noise modeling, isolating the value of the *transformation* step
   when compared against Clapton.
@@ -16,8 +18,6 @@ stabilizer evaluations, nCAFQA's read off the end of its L_N walk.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -209,10 +209,13 @@ class CafqaLoss:
 
         CAFQA reads L_0 off :meth:`logical_tables_many` (two
         rotation-layer passes and the CX ring's block pass).  nCAFQA runs
-        only :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_many`
-        over the transpiled circuit at angles ``genome * pi/2`` -- the one
-        noisy walk :class:`~repro.execution.estimator.CliffordEstimator`
-        runs too, each run of rotations one layer step and each run of
+        only :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_scheduled`
+        over the transpiled circuit, its genomes passed as the integer
+        rotation levels they are (keep flags ``genome != 0``,
+        :meth:`~repro.noise.clifford_model.CliffordCircuitPlan.reverse_leveled_schedule`)
+        -- the one noisy walk
+        :class:`~repro.execution.estimator.CliffordEstimator` runs too,
+        from angles, each run of rotations one layer step and each run of
         static gates one block pass -- and reads L_0 off the noiseless
         values that walk ends on (the transpiled circuit is the logical
         ansatz, and ``mapped_hamiltonian`` keeps the term order).  Every
@@ -226,9 +229,9 @@ class CafqaLoss:
             return (np.zeros(num_genomes),
                     _coefficient_dots(zeros, coeffs, num_genomes))
         zeros = np.empty(num_genomes * len(coeffs))
-        values = self.clifford_model.noisy_term_values_many(
-            self._eval_plan, genomes * (math.pi / 2), self._mapped.table,
-            zeros_out=zeros)
+        values = self.clifford_model.noisy_term_values_scheduled(
+            self._eval_plan.reverse_leveled_schedule(genomes, genomes != 0),
+            num_genomes, self._mapped.table, zeros_out=zeros)
         return (_coefficient_dots(values, self._mapped.coefficients,
                                   num_genomes),
                 _coefficient_dots(zeros, coeffs, num_genomes))

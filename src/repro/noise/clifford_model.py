@@ -210,21 +210,34 @@ class CliffordNoiseModel:
 
     def noisy_term_values_many(self, plan: "CliffordCircuitPlan", thetas,
                                table, zeros_out=None) -> np.ndarray:
-        """``(P, M)`` per-term noisy values of a whole parameter batch.
+        """``(P, M)`` per-term noisy values of a whole batch of angles.
 
-        The one noisy walk of a parameterized template, shared by nCAFQA's
-        L_N and :class:`~repro.execution.estimator.CliffordEstimator`:
-        ``table`` (the ``M`` observable terms) is tiled once per point and
-        walked through ``plan``'s :meth:`CliffordCircuitPlan.reverse_schedule`
-        at ``thetas`` (Clifford angles).  The copies share their
-        measurement attenuations, so those are computed once, on the
-        untiled table, and the walk reads live row ``i``'s at ``i % M``.
-        ``zeros_out``, if given, is passed through to the walk.
+        :meth:`noisy_term_values_scheduled` through ``plan``'s
+        :meth:`CliffordCircuitPlan.reverse_schedule` at ``thetas``
+        (Clifford angles): the walk
+        :class:`~repro.execution.estimator.CliffordEstimator` runs.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        num_points = len(thetas)
+        return self.noisy_term_values_scheduled(
+            plan.reverse_schedule(thetas), len(thetas), table, zeros_out)
+
+    def noisy_term_values_scheduled(self, schedule: list[tuple],
+                                    num_points: int, table, zeros_out=None
+                                    ) -> np.ndarray:
+        """``(P, M)`` per-term noisy values of a ``P``-point schedule.
+
+        The one noisy walk of a parameterized template, shared by nCAFQA's
+        L_N (``schedule`` from
+        :meth:`CliffordCircuitPlan.reverse_leveled_schedule` at its
+        integer genomes) and :meth:`noisy_term_values_many`: ``table``
+        (the ``M`` observable terms) is tiled once per point and walked
+        through ``schedule``.  The copies share their measurement
+        attenuations, so those are computed once, on the untiled table,
+        and the walk reads live row ``i``'s at ``i % M``.  ``zeros_out``,
+        if given, is passed through to the walk.
+        """
         values = self.noisy_zero_state_term_values_steps(
-            plan.reverse_schedule(thetas), table.tile(num_points),
+            schedule, table.tile(num_points),
             measured=self.measurement_attenuations(table),
             zeros_out=zeros_out)
         return values.reshape(num_points, table.num_rows)
@@ -236,7 +249,8 @@ class CliffordNoiseModel:
         ``steps`` holds two kinds of step.  ``(block, None)`` is a
         :class:`~repro.stabilizer.tableau.StaticBlock` (from
         :func:`static_block`) of static gates every row sees.  ``(run,
-        layer)``, from a :meth:`CliffordCircuitPlan.reverse_schedule`, is
+        layer)``, from a
+        :meth:`CliffordCircuitPlan.reverse_leveled_schedule`, is
         a run of parameterized single-qubit rotations: ``run`` is the
         plan's :class:`RotationRun` and ``layer`` its per-point
         :class:`RotationLayer`.  ``table`` then stacks ``P`` equal row
@@ -570,7 +584,9 @@ _HALF_PI = 0.5 * math.pi
 class RotationRun:
     """A maximal run of parameterized single-qubit rotations, compiled.
 
-    Per-rotation fields are in *walk* (reverse circuit) order.
+    Per-rotation fields are in *walk* (reverse circuit) order.  A batch
+    reaches the run as integer rotation levels (:meth:`layer`); no angle
+    arithmetic happens here.
 
     Attributes:
         instructions: The template's rotation instructions.
@@ -612,23 +628,16 @@ class RotationRun:
                                for inst in instructions]).astype(np.uint8),
             compose_order=order)
 
-    def layer(self, thetas: np.ndarray, tol: float) -> "RotationLayer":
-        """The run's per-point data at a ``(P, d)`` batch of angles."""
-        angles = thetas[:, self.params]
-        # vectorized CliffordCircuitPlan._kept over the whole population,
-        # in two (P, R) float buffers: the angles (then the turns) and a
-        # scratch one
-        scratch = np.remainder(angles, _TWO_PI)
-        np.minimum(scratch, _TWO_PI - scratch, out=scratch)
-        kept = scratch >= tol
-        turns = np.divide(angles, _HALF_PI, out=angles)
-        levels = np.rint(turns, out=scratch)
-        np.subtract(turns, levels, out=turns)
-        if np.any(np.abs(turns, out=turns) >= 1e-9):
-            raise ValueError("a rotation angle is not a multiple of pi/2")
-        levels = levels.astype(np.int64)
-        levels %= 4
-        gates = self.elements[np.arange(len(self.params)), levels]
+    def layer(self, levels: np.ndarray, kept: np.ndarray) -> "RotationLayer":
+        """The run's per-point data at a batch of rotation levels.
+
+        ``levels`` is a ``(P, d)`` integer matrix over 0..3 (angle
+        ``level·π/2``) and ``kept`` its ``(P, d)`` per-parameter keep
+        flags; both are read through :attr:`params`.
+        """
+        kept = kept[:, self.params]
+        gates = self.elements[np.arange(len(self.params)),
+                              levels[:, self.params]]
         group = single_qubit_cliffords()
         with_identity = np.concatenate(
             [gates, np.zeros((len(gates), 1), dtype=np.uint8)], axis=1)
@@ -641,13 +650,15 @@ class RotationRun:
 
 @dataclass(frozen=True)
 class RotationLayer:
-    """A :class:`RotationRun` at one batch of points.
+    """A :class:`RotationRun` at one batch of points, gathered from the
+    batch's ``(P, d)`` levels and keep flags by the run's parameters.
 
     Attributes:
         kept: ``(P, R)`` whether each point keeps each rotation (it is
             not an exact identity), i.e. whether its noise attaches.
         any_kept: ``(R,)`` whether any point keeps the rotation.
-        gates: ``(P, R)`` each rotation's single-qubit Clifford element.
+        gates: ``(P, R)`` each rotation's single-qubit Clifford element
+            (uint8), ``elements[r, level]``.
         cliffords: ``(P, n)`` the run composed per qubit: the index
             :func:`~repro.stabilizer.tableau.pull_back_rotation_layer`
             takes.
@@ -673,11 +684,14 @@ class CliffordCircuitPlan:
     :class:`~repro.stabilizer.tableau.StaticBlock`).  Per point only the
     parameterized rotations are re-dispatched: :meth:`bind` rebuilds one
     bound circuit, :meth:`keep_mask` / :meth:`steps_for` group points for
-    the batched density-matrix evolver, and :meth:`reverse_schedule` turns a
-    ``(P, d)`` batch into the one schedule the noisy Clifford walk runs
-    (:meth:`CliffordNoiseModel.noisy_term_values_many`: nCAFQA's L_N and
-    :class:`~repro.execution.estimator.CliffordEstimator`), one step
-    per run.  The per-point instruction sequence is identical to
+    the batched density-matrix evolver, and :meth:`reverse_leveled_schedule`
+    turns a ``(P, d)`` batch of integer rotation levels into the one
+    schedule the noisy Clifford walk runs
+    (:meth:`CliffordNoiseModel.noisy_term_values_scheduled`), one step
+    per run: nCAFQA's L_N passes its genomes as they are, and
+    :class:`~repro.execution.estimator.CliffordEstimator` passes angles
+    through :meth:`reverse_schedule`, which converts them once.  The
+    per-point instruction sequence is identical to
     ``drop_identity_rotations(template.bind(theta))``.
     """
 
@@ -700,6 +714,10 @@ class CliffordCircuitPlan:
             else:
                 self._items.append(tuple(inst for inst, _ in run))
         self._walk_items: list | None = None
+        #: parameters no rotation reads (a gap in the template's indices)
+        self._unread = np.setdiff1d(
+            np.arange(self.num_parameters),
+            [index for _, index in self.steps if index is not None])
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -776,29 +794,59 @@ class CliffordCircuitPlan:
         return True
 
     def reverse_schedule(self, thetas: np.ndarray) -> list[tuple]:
-        """The batch's gates as one schedule in reverse circuit order.
+        """:meth:`reverse_leveled_schedule` at a ``(P, d)`` batch of angles.
 
-        A run of static instructions comes out as ``(block, None)``,
-        ``block`` its compiled
-        :class:`~repro.stabilizer.tableau.StaticBlock`; a rotation run
-        as ``(run, layer)``, ``layer`` being the run's
-        per-point :class:`RotationLayer` at ``thetas``: ``(P, R)`` keep
-        flags and Clifford elements per rotation and the ``(P, n)``
-        composed layer.  Levels are ``round(angle / (pi/2)) mod 4`` and a
-        rotation is kept exactly where :meth:`bind` keeps it.  Nothing in
-        the schedule is per stacked row.  A run no point keeps any
-        rotation of is left out.
+        The one angle-to-level conversion of the noisy walk, run once
+        over the batch.  A rotation is kept exactly where :meth:`bind`
+        keeps it (its angle folded into ``[0, π]`` is at least ``tol``,
+        so an angle just off 0 keeps level 0 and its noise), and its
+        level is ``round(angle / (π/2)) mod 4``.  A parameter no rotation
+        reads is not checked.
 
         Raises:
             ValueError: if a rotation angle is not a multiple of pi/2.
         """
-        thetas = self._check_thetas(thetas)
+        thetas = self._check_thetas(thetas)[:, :self.num_parameters]
+        if len(self._unread):
+            thetas = thetas.copy()
+            thetas[:, self._unread] = 0.0
+        folded = np.remainder(thetas, _TWO_PI)
+        kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
+        turns = thetas / _HALF_PI
+        levels = np.rint(turns)
+        if np.any(np.abs(turns - levels) >= 1e-9):
+            raise ValueError("a rotation angle is not a multiple of pi/2")
+        levels = levels.astype(np.int64)
+        levels %= 4
+        return self.reverse_leveled_schedule(levels, kept)
+
+    def reverse_leveled_schedule(self, levels: np.ndarray, kept: np.ndarray
+                                 ) -> list[tuple]:
+        """The batch's gates as one schedule in reverse circuit order.
+
+        ``levels`` is a ``(P, d)`` integer matrix over 0..3, parameter
+        ``k`` of point ``p`` at angle ``levels[p, k]·π/2`` (a CAFQA
+        genome is one as it is), and ``kept`` the ``(P, d)`` flags of
+        the rotations each point keeps (for a genome, ``levels != 0``).
+        A run of static instructions comes out as ``(block, None)``,
+        ``block`` its compiled
+        :class:`~repro.stabilizer.tableau.StaticBlock`; a rotation run
+        as ``(run, layer)``, ``layer`` being the run's per-point
+        :class:`RotationLayer`: ``(P, R)`` keep flags and Clifford
+        elements per rotation and the ``(P, n)`` composed layer.  Nothing
+        in the schedule is per stacked row.  A run no point keeps any
+        rotation of is left out.
+        """
+        if levels.ndim != 2 or levels.shape[1] < self.num_parameters \
+                or kept.shape != levels.shape:
+            raise ValueError(f"need (P, >= {self.num_parameters}) levels "
+                             "and keep flags of one shape")
         schedule: list[tuple] = []
         for item in self._walk():
             if not isinstance(item, RotationRun):
                 schedule.append((item, None))
                 continue
-            layer = item.layer(thetas, self.tol)
+            layer = item.layer(levels, kept)
             if layer.any_kept.any():
                 schedule.append((item, layer))
         return schedule
@@ -816,10 +864,6 @@ class CliffordCircuitPlan:
                 else static_block(reversed(item), self.num_qubits)
                 for item in reversed(self._items)]
         return self._walk_items
-
-    #: The same method under its earlier name; ``perfbench/layers.py``
-    #: wraps both names as the plan layer.
-    reverse_leveled_schedule = reverse_schedule
 
 
 def sample_noisy_energy(circuit: Circuit, hamiltonian: PauliSum,

@@ -11,6 +11,7 @@ import numpy as np
 import pauli_oracle as oracle
 import pytest
 
+from repro.circuits import Circuit, Parameter
 from repro.circuits.ansatz import (
     hardware_efficient_ansatz,
     layered_hardware_efficient_ansatz,
@@ -254,3 +255,109 @@ class TestObservability:
         with use_tracer(RecordingTracer()):
             traced = model.noisy_term_values_many(plan, thetas, table)
         assert_same_bytes(untraced, traced)
+
+
+class TestIntegerLevels:
+    """nCAFQA's integer genomes go straight into the plan as rotation
+    levels (``reverse_leveled_schedule``); ``reverse_schedule`` converts
+    angles to the same levels and keep flags once, in front of it."""
+
+    def layers(self, schedule):
+        return [layer for _, layer in schedule if layer is not None]
+
+    def assert_same_schedule(self, actual, expected):
+        assert [item for item, _ in actual] == [item for item, _ in expected]
+        for got, want in zip(self.layers(actual), self.layers(expected),
+                             strict=True):
+            for field in ("kept", "gates", "cliffords"):
+                np.testing.assert_array_equal(getattr(got, field),
+                                              getattr(want, field))
+
+    @pytest.mark.parametrize("n, num_points", [(12, 6), (65, 2)],
+                             ids=["n12", "n65"])
+    @pytest.mark.parametrize("flips, relax", [(False, False), (True, True)])
+    def test_levels_match_angles_and_oracle(self, n, num_points, flips,
+                                            relax):
+        model = clifford_model(n, flips, relax)
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(n))
+        genomes = np.random.default_rng(n).integers(
+            0, 4, size=(num_points, plan.num_parameters))
+        genomes[:, ::5] = 0  # rotations every point drops
+        thetas = genomes * (np.pi / 2)
+        table = ising_model(n, 1.0).table
+        leveled = plan.reverse_leveled_schedule(genomes, genomes != 0)
+        self.assert_same_schedule(leveled, plan.reverse_schedule(thetas))
+        zeros = np.empty(num_points * table.num_rows)
+        values = model.noisy_term_values_scheduled(leveled, num_points,
+                                                   table, zeros_out=zeros)
+        angle_zeros = np.empty_like(zeros)
+        angle_values = model.noisy_term_values_many(
+            plan, thetas, table, zeros_out=angle_zeros)
+        assert_same_bytes(values, angle_values)
+        assert_same_bytes(zeros, angle_zeros)
+        expected, expected_zeros = oracle_walk(model, plan, thetas, table)
+        assert_same_bytes(values, expected)
+        assert_same_bytes(zeros, expected_zeros.ravel())
+
+    def test_angle_just_off_zero_keeps_level_zero_and_its_noise(self):
+        model = clifford_model(4, flips=True, relax=True)
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))
+        thetas = np.zeros((2, plan.num_parameters))
+        thetas[1, 3] = 5e-10  # not an identity to bind, yet level 0
+        levels = np.zeros(thetas.shape, dtype=np.int64)
+        kept = np.zeros(thetas.shape, dtype=bool)
+        kept[1, 3] = True
+        schedule = plan.reverse_schedule(thetas)
+        self.assert_same_schedule(
+            schedule, plan.reverse_leveled_schedule(levels, kept))
+        assert len(self.layers(schedule)) == 1
+        assert plan.keep_mask(thetas[1]).count(True) == 1
+        table = ising_model(4, 1.0).table
+        values = model.noisy_term_values_many(plan, thetas, table)
+        dropped = model.noisy_term_values_many(plan, thetas[:1], table)
+        assert_same_bytes(values[0], dropped[0])
+        # the kept identity rotation's noise attenuates point 1's terms
+        live = values[0] != 0
+        assert live.any()
+        assert np.all(np.abs(values[1, live]) < np.abs(values[0, live]))
+
+    def test_angles_fold_to_levels(self):
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))
+        thetas = np.zeros((1, plan.num_parameters))
+        thetas[0, :3] = [-np.pi / 2, 4 * np.pi, 2 * np.pi + np.pi / 2]
+        levels = np.zeros(thetas.shape, dtype=np.int64)
+        levels[0, :3] = [3, 0, 1]
+        self.assert_same_schedule(
+            plan.reverse_schedule(thetas),
+            plan.reverse_leveled_schedule(levels, levels != 0))
+
+    def test_non_clifford_angle_raises(self):
+        model = clifford_model(4)
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))
+        thetas = np.zeros((2, plan.num_parameters))
+        thetas[1, 5] = 0.3
+        with pytest.raises(ValueError, match="not a multiple of pi/2"):
+            plan.reverse_schedule(thetas)
+        with pytest.raises(ValueError, match="not a multiple of pi/2"):
+            model.noisy_term_values_many(plan, thetas,
+                                         ising_model(4, 1.0).table)
+
+    def test_a_parameter_no_rotation_reads_is_not_checked(self):
+        template = Circuit(2)
+        template.ry(Parameter(0), 0)
+        template.cx(0, 1)
+        template.rz(Parameter(2), 1)
+        plan = CliffordCircuitPlan(template)
+        thetas = np.array([[np.pi / 2, 0.3, np.pi]])
+        levels = np.array([[1, 0, 2]])
+        self.assert_same_schedule(
+            plan.reverse_schedule(thetas),
+            plan.reverse_leveled_schedule(levels, levels != 0))
+
+    def test_leveled_schedule_checks_shapes(self):
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))
+        levels = np.zeros((3, plan.num_parameters), dtype=np.int64)
+        with pytest.raises(ValueError, match="levels"):
+            plan.reverse_leveled_schedule(levels[:, 1:], levels[:, 1:] != 0)
+        with pytest.raises(ValueError, match="levels"):
+            plan.reverse_leveled_schedule(levels, levels[:2] != 0)

@@ -150,6 +150,61 @@ class TestPauliTable:
         c.x[0, 0] = False
         assert t.x[0, 0]
 
+    @staticmethod
+    def sub_table_expectations(t: PauliTable) -> np.ndarray:
+        """The sub-table formula: the Z-type rows' canonical signs, phase
+        minus popcount(x & z) mod 4, and 0 for every other row."""
+        x, z = t.unpack_x(), t.unpack_z()
+        mask = ~x.any(axis=1)
+        rel = (t.phase_exp[mask] - (x & z)[mask].sum(axis=1)) % 4
+        assert not np.any(rel % 2)
+        out = np.zeros(t.num_rows)
+        out[mask] = np.where(rel == 0, 1.0, -1.0)
+        return out
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 100], ids=lambda n: f"n{n}")
+    @pytest.mark.parametrize("z_share", [0.0, 0.5, 1.0],
+                             ids=["no-Z", "mixed", "all-Z"])
+    def test_expectation_all_zeros_matches_sub_table_formula(self, n,
+                                                             z_share):
+        rng = np.random.default_rng(n)
+        rows = 300
+        x = rng.random((rows, n)) < 0.3
+        x[rng.random(rows) < z_share] = False
+        if z_share == 0.0:
+            x[:, rng.integers(n)] = True
+        if z_share < 1.0:
+            x[:5] = False
+            x[:5, n - 1] = True  # an X bit in the last word alone
+        z = rng.random((rows, n)) < 0.5
+        # a real phase on every row: popcount(x & z) plus 0 or 2
+        phase = (x & z).sum(axis=1) + 2 * rng.integers(2, size=rows)
+        t = PauliTable.from_bits(x, z, phase)
+        # phase exponents count mod 4, also when a kernel leaves them
+        # outside 0..3
+        t.phase_exp += 4 * rng.integers(-2, 3, size=rows)
+        expected = self.sub_table_expectations(t)
+        np.testing.assert_array_equal(t.z_type_mask(), ~x.any(axis=1))
+        got = t.expectation_all_zeros()
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expected.view(np.uint64))
+        if z_share in (0.0, 1.0):
+            assert np.count_nonzero(got) == z_share * rows
+
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_expectation_all_zeros_of_an_empty_table(self, n):
+        t = PauliTable.identity(0, n)
+        assert t.expectation_all_zeros().shape == (0,)
+        assert t.z_type_mask().shape == (0,)
+
+    def test_imaginary_phase_raises_only_on_z_type_rows(self):
+        t = PauliTable.from_labels(["ZZ", "XI", "IZ"])
+        t.phase_exp[1] = 1  # an X-type row's phase is never read
+        np.testing.assert_array_equal(t.expectation_all_zeros(), [1, 0, 1])
+        t.phase_exp[2] = 3
+        with pytest.raises(ValueError, match="imaginary phase"):
+            t.expectation_all_zeros()
+
 
 class TestPauliSum:
     def test_duplicate_merge(self):
