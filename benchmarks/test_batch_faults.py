@@ -14,7 +14,10 @@ The gate runs in a fresh interpreter, so no other test's heap history
 moves the thresholds: it builds the 32-qubit logical Ising problem
 (P = 100 genomes a batch, as perfbench's ``large-ising32``), then per
 loss runs warm-up batches and counts ``ru_minflt`` over ten more
-seeded batches.  A fault count does not depend on machine load the way
+seeded batches.  A last case does the same for Clapton on the 12-qubit
+Ising problem transpiled onto FakeToronto (as perfbench's
+``tabu-toronto12``), the one shape whose batches run the layout embed
+(logical -> physical register) and so hold its buffers too.  A fault count does not depend on machine load the way
 wall time does, so the bound is hard.  glibc only: other allocators
 trim by other rules.
 
@@ -35,6 +38,8 @@ from pathlib import Path
 import pytest
 
 NUM_QUBITS = 32
+#: Logical qubits of the transpiled case (embedded onto FakeToronto's 27)
+DEVICE_QUBITS = 12
 POPULATION = 100
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 10
@@ -54,6 +59,7 @@ def count_faults() -> dict:
 
     import numpy as np
 
+    from repro.backends import FakeToronto
     from repro.core import VQEProblem
     from repro.core.loss import CafqaLoss, ClaptonLoss
     from repro.hamiltonians import ising_model
@@ -61,11 +67,15 @@ def count_faults() -> dict:
 
     problem = VQEProblem.logical(ising_model(NUM_QUBITS, 1.0),
                                  NoiseModel.uniform(NUM_QUBITS))
+    device = VQEProblem.from_backend(ising_model(DEVICE_QUBITS, 1.0),
+                                     FakeToronto())
     losses = {
         "clapton": (ClaptonLoss(problem),
                     problem.num_transformation_parameters),
         "cafqa": (CafqaLoss(problem), 4 * NUM_QUBITS),
         "ncafqa": (CafqaLoss(problem, noise_aware=True), 4 * NUM_QUBITS),
+        "clapton_toronto12": (ClaptonLoss(device),
+                              device.num_transformation_parameters),
     }
     rng = np.random.default_rng(2024)
     faults = {}

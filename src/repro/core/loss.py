@@ -141,6 +141,10 @@ class CafqaLoss:
             problem.noise_model)
         self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
         self._mapped = problem.mapped_hamiltonian()
+        # nCAFQA walks the same mapped terms under the same model every
+        # batch, so their measurement attenuations are computed once
+        self._measured = (self.clifford_model.measurement_attenuations(
+            self._mapped.table) if noise_aware else None)
         n = problem.num_logical_qubits
         ring = Circuit(n)
         for pair in entanglement_pairs(n, problem.entanglement):
@@ -231,7 +235,8 @@ class CafqaLoss:
         zeros = np.empty(num_genomes * len(coeffs))
         values = self.clifford_model.noisy_term_values_scheduled(
             self._eval_plan.reverse_leveled_schedule(genomes, genomes != 0),
-            num_genomes, self._mapped.table, zeros_out=zeros)
+            num_genomes, self._mapped.table, zeros_out=zeros,
+            measured=self._measured)
         return (_coefficient_dots(values, self._mapped.coefficients,
                                   num_genomes),
                 _coefficient_dots(zeros, coeffs, num_genomes))

@@ -19,6 +19,7 @@ from ..circuits.ansatz import (
 )
 from ..circuits.circuit import Circuit
 from ..obs.kernel import kernel_event
+from ..paulis import bitops
 from ..paulis.pauli_sum import PauliSum
 from ..paulis.table import PauliTable
 from ..stabilizer.tableau import (
@@ -135,19 +136,59 @@ def untransform_state_circuit(gamma, num_qubits: int, vqe_circuit: Circuit,
     return vqe_circuit.compose(transform)
 
 
+@lru_cache(maxsize=64)
+def _embed_tables(positions: tuple, num_qubits: int) -> np.ndarray:
+    """The compiled layout ``positions``: ``(ceil(n/8), 256, W)`` byte tables.
+
+    Entry ``u`` of source byte ``c`` holds, on the ``num_qubits``-wide
+    register's ``W`` words, the columns ``positions[8c + i]`` of ``u``'s
+    set bits ``i`` (:func:`~repro.paulis.bitops.byte_tables`; the
+    columns are distinct, so their XOR is their OR).  Compiled once per
+    layout.
+    """
+    n = len(positions)
+    if len(set(positions)) != n:
+        raise ValueError("positions must be distinct")
+    if any(q < 0 or q >= num_qubits for q in positions):
+        raise ValueError(f"positions must lie in 0..{num_qubits - 1}")
+    unit = np.zeros((n, num_qubits), dtype=bool)
+    unit[np.arange(n), positions] = True
+    # source bit 8c + i is unit row 8c + i, or the zero row n past the end
+    rows = np.minimum(np.arange(8 * -(-n // 8)), n).reshape(-1, 8)
+    tables = bitops.byte_tables(bitops.pack_bits(unit, num_qubits), rows)
+    tables.flags.writeable = False  # shared by every call on this layout
+    return tables
+
+
 def embed_table(table: PauliTable, positions: list[int],
                 num_qubits: int) -> PauliTable:
     """Scatter table columns onto a wider register (logical -> physical).
 
-    The trivial embedding (identity layout at equal width) is a plain copy
-    -- the common case for untranspiled problems, and free of any bit
-    shuffling.
+    Column ``q`` of ``table`` becomes column ``positions[q]`` of a
+    ``num_qubits``-wide table; the phases are copied.  The layout is
+    compiled once into Four-Russians byte tables (:func:`_embed_tables`),
+    so each plane's words are one gather per source byte, ORed together,
+    with nothing unpacked.  The trivial embedding (identity layout at
+    equal width) is a plain copy -- the common case for untranspiled
+    problems.
+
+    Raises:
+        ValueError: if ``positions`` does not hold one index per table
+            column, repeats an index, or holds one outside
+            ``0..num_qubits - 1``.
     """
+    positions = tuple(int(q) for q in positions)
+    if len(positions) != table.num_qubits:
+        raise ValueError(f"positions must hold {table.num_qubits} indices, "
+                         f"got {len(positions)}")
     if (num_qubits == table.num_qubits
-            and list(positions) == list(range(num_qubits))):
+            and positions == tuple(range(num_qubits))):
         return table.copy()
-    x = np.zeros((table.num_rows, num_qubits), dtype=bool)
-    z = np.zeros_like(x)
-    x[:, list(positions)] = table.unpack_x()
-    z[:, list(positions)] = table.unpack_z()
-    return PauliTable.from_bits(x, z, table.phase_exp.copy())
+    tables = _embed_tables(positions, num_qubits)
+    shape = (table.num_rows, bitops.num_words(num_qubits))
+    planes = (np.zeros(shape, dtype=np.uint64),
+              np.zeros(shape, dtype=np.uint64))
+    for out, words in zip(planes, (table.x, table.z)):
+        for table_c, bytes_c in zip(tables, bitops.word_bytes(words).T):
+            out |= table_c.take(bytes_c, axis=0)
+    return PauliTable(*planes, num_qubits, table.phase_exp)

@@ -222,8 +222,8 @@ class CliffordNoiseModel:
             plan.reverse_schedule(thetas), len(thetas), table, zeros_out)
 
     def noisy_term_values_scheduled(self, schedule: list[tuple],
-                                    num_points: int, table, zeros_out=None
-                                    ) -> np.ndarray:
+                                    num_points: int, table, zeros_out=None,
+                                    measured=None) -> np.ndarray:
         """``(P, M)`` per-term noisy values of a ``P``-point schedule.
 
         The one noisy walk of a parameterized template, shared by nCAFQA's
@@ -232,13 +232,16 @@ class CliffordNoiseModel:
         integer genomes) and :meth:`noisy_term_values_many`: ``table``
         (the ``M`` observable terms) is tiled once per point and walked
         through ``schedule``.  The copies share their measurement
-        attenuations, so those are computed once, on the untiled table,
-        and the walk reads live row ``i``'s at ``i % M``.  ``zeros_out``,
-        if given, is passed through to the walk.
+        attenuations, so those are computed once, on the untiled table
+        (or passed in as ``measured`` by a caller that walks the same
+        table batch after batch), and the walk reads live row ``i``'s at
+        ``i % M``.  ``zeros_out``, if given, is passed through to the
+        walk.
         """
+        if measured is None:
+            measured = self.measurement_attenuations(table)
         values = self.noisy_zero_state_term_values_steps(
-            schedule, table.tile(num_points),
-            measured=self.measurement_attenuations(table),
+            schedule, table.tile(num_points), measured=measured,
             zeros_out=zeros_out)
         return values.reshape(num_points, table.num_rows)
 

@@ -8,8 +8,15 @@ arXiv:quant-ph/0406196).  This module is that layout's toolbox:
 
 * :func:`pack_bits` / :func:`unpack_bits` -- ``(M, n)`` bool matrices to and
   from ``(M, ceil(n/64))`` uint64 words, column ``q`` living at bit
-  ``q % 64`` of word ``q // 64`` (little-endian bit order, so packing is one
-  ``np.packbits`` call);
+  ``q % 64`` of word ``q // 64``.  The bit order is little-endian and every
+  row is padded to whole bytes, so each direction is one flat
+  ``np.packbits`` / ``np.unpackbits`` call over the whole matrix, with no
+  per-row axis loop;
+* :func:`word_bytes` -- the bytes of a word matrix, byte ``k`` of a row
+  holding its columns ``8k .. 8k+7`` on any host (the one place byte
+  order is handled), and :func:`byte_tables`, the Four-Russians tables
+  that map each input byte of a GF(2)-linear row map straight to its
+  image words (the static-block pass and the layout embed);
 * :func:`popcount` / :func:`popcount_rows` -- per-word and per-row set-bit
   counts (``np.bitwise_count`` when available, a byte-table fallback
   otherwise);
@@ -49,7 +56,12 @@ def tail_mask(num_qubits: int) -> np.uint64:
 
 
 def pack_bits(bits: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
-    """Pack an ``(M, n)`` bool matrix into ``(M, ceil(n/64))`` uint64 words."""
+    """Pack an ``(M, n)`` bool matrix into ``(M, ceil(n/64))`` uint64 words.
+
+    The rows are padded to whole bytes (only when ``n % 8 != 0``), packed
+    by one flat ``np.packbits`` call, and padded to whole words (only
+    when the byte count falls short of ``8·W``).
+    """
     bits = np.ascontiguousarray(bits, dtype=bool)
     if bits.ndim != 2:
         raise ValueError("bits must be an (M, n) matrix")
@@ -58,29 +70,71 @@ def pack_bits(bits: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
         num_qubits = n
     elif num_qubits < n:
         raise ValueError("num_qubits smaller than the bit matrix width")
-    words = num_words(num_qubits)
-    packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-    padded = np.zeros((rows, words * 8), dtype=np.uint8)
-    padded[:, :packed_bytes.shape[1]] = packed_bytes
-    out = padded.view(np.uint64)
+    width = 8 * num_words(num_qubits)
+    row_bytes = -(-n // 8)
+    if n % 8:
+        padded = np.zeros((rows, 8 * row_bytes), dtype=bool)
+        padded[:, :n] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(
+        rows, row_bytes)
+    if row_bytes != width:
+        padded = np.zeros((rows, width), dtype=np.uint8)
+        padded[:, :row_bytes] = packed
+        packed = padded
+    out = packed.view(np.uint64)
     if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
         out = out.byteswap()
-    return np.ascontiguousarray(out)
+    return out
 
 
 def unpack_bits(words: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Unpack ``(M, W)`` uint64 words back into an ``(M, num_qubits)`` bool matrix."""
+    """Unpack ``(M, W)`` uint64 words back into an ``(M, num_qubits)`` bool matrix.
+
+    One flat ``np.unpackbits`` call over the words' bytes, then the first
+    ``num_qubits`` columns of each row (copied out contiguous when that
+    drops any).
+    """
+    as_bytes = word_bytes(words)
+    rows, width = as_bytes.shape
+    if width < 8 * num_words(num_qubits):
+        raise ValueError("word matrix too narrow for num_qubits")
+    bits = np.unpackbits(as_bytes.reshape(-1), bitorder="little")
+    bits = bits.view(bool).reshape(rows, 8 * width)
+    return np.ascontiguousarray(bits[:, :num_qubits])
+
+
+def word_bytes(words: np.ndarray) -> np.ndarray:
+    """The ``(M, 8W)`` uint8 bytes of ``(M, W)`` uint64 words.
+
+    Byte ``k`` of a row holds its columns ``8k .. 8k+7``, bit ``i`` being
+    column ``8k + i``, on hosts of either byte order: a view of
+    contiguous words on little-endian hosts, a byte-swapped copy on
+    big-endian ones.
+    """
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != 2:
         raise ValueError("words must be an (M, W) matrix")
-    rows, wcount = words.shape
-    if wcount < num_words(num_qubits):
-        raise ValueError("word matrix too narrow for num_qubits")
     if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
         words = words.byteswap()
-    as_bytes = words.view(np.uint8).reshape(rows, wcount * 8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :num_qubits].astype(bool)
+    return words.view(np.uint8)
+
+
+def byte_tables(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(C, 256, K)`` Four-Russians byte tables of the ``(G, K)`` word ``columns``.
+
+    ``rows[c, i]`` is the generator row of bit ``i`` of input byte ``c``
+    (``G``, one past the last, for a bit past the register), and entry
+    ``u`` of byte ``c`` is the XOR of the columns of ``u``'s set bits.  A
+    GF(2)-linear map of a row's bits is then the XOR over its input
+    bytes ``c`` of ``tables[c][byte_c]`` (read by :func:`word_bytes`).
+    """
+    by_bit = np.concatenate(
+        [columns, np.zeros((1, columns.shape[1]), dtype=np.uint64)])[rows]
+    tables = np.zeros((len(by_bit), 256, columns.shape[1]), dtype=np.uint64)
+    for i in range(8):
+        tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ by_bit[:, i, None, :]
+    return tables
 
 
 def unpack_columns(words: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -90,18 +144,11 @@ def unpack_columns(words: np.ndarray, num_qubits: int) -> np.ndarray:
     data than transposing the unpacked bits; each bit column comes out
     contiguous.
     """
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.ndim != 2:
-        raise ValueError("words must be an (M, W) matrix")
-    rows, wcount = words.shape
-    if wcount < num_words(num_qubits):
+    as_bytes = word_bytes(words)
+    if as_bytes.shape[1] < 8 * num_words(num_qubits):
         raise ValueError("word matrix too narrow for num_qubits")
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        words = words.byteswap()
-    as_bytes = np.ascontiguousarray(
-        words.view(np.uint8).reshape(rows, wcount * 8).T)
-    bits = np.unpackbits(as_bytes, axis=0, count=num_qubits,
-                         bitorder="little")
+    bits = np.unpackbits(np.ascontiguousarray(as_bytes.T), axis=0,
+                         count=num_qubits, bitorder="little")
     return bits.view(bool)
 
 

@@ -239,7 +239,9 @@ class TabuStrategy(SearchStrategy):
         tenure = (self.tenure if self.tenure is not None
                   else max(2, int(np.ceil(np.sqrt(full_size)))))
         tracer = get_tracer()
-        tabu_until: dict[tuple[int, int], int] = {}
+        # the round from which each (position, value) move is allowed
+        tabu_until = np.full((run.num_parameters, num_values), -1,
+                             dtype=np.int64)
         current = rng.integers(0, num_values, size=run.num_parameters)
         memo.evaluate_many(current[None, :])
         run.lap()
@@ -250,16 +252,14 @@ class TabuStrategy(SearchStrategy):
                     current, num_values, limit, rng)
                 aspiration = run.tracker.best_loss
                 candidate_losses = memo.evaluate_many(candidates)
-                admissible = np.array([
-                    tabu_until.get((int(p), int(v)), -1) <= round_index
-                    or candidate_losses[i] < aspiration
-                    for i, (p, v) in enumerate(zip(positions, values))])
+                admissible = ((tabu_until[positions, values] <= round_index)
+                              | (candidate_losses < aspiration))
                 pool = (np.flatnonzero(admissible) if admissible.any()
                         else np.arange(len(positions)))
                 pick = pool[int(np.argmin(candidate_losses[pool]))]
                 position = int(positions[pick])
                 # forbid restoring the value this move overwrites
-                tabu_until[(position, int(current[position]))] = \
+                tabu_until[position, current[position]] = \
                     round_index + 1 + tenure
                 current = candidates[pick]
                 run.lap()

@@ -24,7 +24,6 @@ with the simulators.
 from __future__ import annotations
 
 import math
-import sys
 from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -659,8 +658,6 @@ class PairRing:
                     column |= image
 
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 #: compiled static blocks, keyed on their contents (bounded LRU; a block's
 #: tables are at most ~1 MB at 100 qubits)
 _BLOCK_CACHE: OrderedDict[tuple, "StaticBlock"] = OrderedDict()
@@ -848,7 +845,7 @@ class StaticBlock:
         rows = np.concatenate([x_row[in_bytes], z_row[in_bytes]])
         location_tables = None
         if locations:
-            location_tables = _four_russians(
+            location_tables = bitops.byte_tables(
                 bitops.pack_bits(loc_bits) if num_locations
                 else np.zeros((2 * nq, 0), dtype=np.uint64), rows)
         parity = np.zeros((2, n), dtype=bool)
@@ -865,7 +862,7 @@ class StaticBlock:
         return cls(instructions, n, num_locations, byte_columns,
                    np.array(words, dtype=np.int64), keep,
                    bitops.pack_bits(parity, n)[:, words],
-                   _four_russians(image, rows), location_tables)
+                   bitops.byte_tables(image, rows), location_tables)
 
     def apply(self, table: PauliTable) -> np.ndarray:
         """In place, conjugate every row of ``table`` through the block.
@@ -890,12 +887,9 @@ class StaticBlock:
         KERNEL.fused_passes += 1
         if not num_rows:
             return in_bytes
-        x, z = table.x, table.z
-        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-            x, z = x.byteswap(), z.byteswap()
         half = len(columns) // 2
-        in_bytes[:half] = x.view(np.uint8)[:, columns[:half]].T
-        in_bytes[half:] = z.view(np.uint8)[:, columns[half:]].T
+        in_bytes[:half] = bitops.word_bytes(table.x)[:, columns[:half]].T
+        in_bytes[half:] = bitops.word_bytes(table.z)[:, columns[half:]].T
         # the rows go through in chunks of at most _BLOCK_CELLS gathered
         # words, so the pass's buffers stay small however many rows the
         # table has
@@ -994,28 +988,11 @@ class StaticBlock:
         acc = tables[0].take(in_bytes[0], axis=0)
         for table_c, bytes_c in zip(tables[1:], in_bytes[1:]):
             acc ^= table_c.take(bytes_c, axis=0)
-        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-            acc = acc.byteswap()
-        packed = np.ascontiguousarray(acc.view(np.uint8).T)
+        packed = np.ascontiguousarray(bitops.word_bytes(acc).T)
         nibbles = np.empty((2 * len(packed), num_rows), dtype=np.uint8)
         np.bitwise_and(packed, 15, out=nibbles[0::2])
         np.right_shift(packed, 4, out=nibbles[1::2])
         return nibbles[:self.num_locations]
-
-
-def _four_russians(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``(C, 256, K)`` byte tables of the ``(G, K)`` word ``columns``.
-
-    ``rows[c, i]`` is the generator row of bit ``i`` of input byte ``c``
-    (``G``, one past the last, for a bit past the register), and entry
-    ``u`` of byte ``c`` is the XOR of the columns of ``u``'s set bits.
-    """
-    by_bit = np.concatenate(
-        [columns, np.zeros((1, columns.shape[1]), dtype=np.uint64)])[rows]
-    tables = np.zeros((len(by_bit), 256, columns.shape[1]), dtype=np.uint64)
-    for i in range(8):
-        tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ by_bit[:, i, None, :]
-    return tables
 
 
 class SingleQubitCliffords(NamedTuple):
@@ -1032,13 +1009,17 @@ class SingleQubitCliffords(NamedTuple):
     * ``compose``: ``(24, 24)``; ``compose[a, b]`` pulls back through
       ``a``, then through ``b``;
     * ``rotations``: ``{"rx" | "ry" | "rz": (4,)}`` -- the pull-back
-      through that rotation at angle ``level·π/2``, per level.
+      through that rotation at angle ``level·π/2``, per level;
+    * ``mask_bits``: ``(10, 24)`` bool -- ``bits.T``, contiguous, so the
+      layer pass (:func:`pull_back_rotation_layer`) gathers its ten mask
+      planes in one ``take`` with no transpose copy.
     """
 
     bits: np.ndarray
     codes: np.ndarray
     compose: np.ndarray
     rotations: dict
+    mask_bits: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -1088,9 +1069,10 @@ def single_qubit_cliffords() -> SingleQubitCliffords:
                         for a in elements], dtype=np.int64)
     rotations = {kind: np.array([index[a] for a in actions], dtype=np.int64)
                  for kind, actions in rotation_actions.items()}
-    for table in (bits, codes, compose, *rotations.values()):
+    mask_bits = np.ascontiguousarray(bits.T)
+    for table in (bits, codes, compose, mask_bits, *rotations.values()):
         table.flags.writeable = False
-    return SingleQubitCliffords(bits, codes, compose, rotations)
+    return SingleQubitCliffords(bits, codes, compose, rotations, mask_bits)
 
 
 def _follow_codes(luts, code: int) -> tuple[int, int]:
@@ -1157,9 +1139,9 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
     KERNEL.rows += num_rows
     KERNEL.words += num_rows * words
     KERNEL.fused_passes += 1
-    masks = bitops.pack_bits(single_qubit_cliffords().bits[cliffords]
-                             .transpose(2, 0, 1).reshape(10 * num_points, n),
-                             n)
+    masks = bitops.pack_bits(single_qubit_cliffords().mask_bits
+                             .take(cliffords, axis=1)
+                             .reshape(10 * num_points, n), n)
     (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.reshape(
         10, num_points, 1, words)
     y_lo = x_lo ^ y_lo ^ z_lo

@@ -100,6 +100,39 @@ class TestBitops:
                                                dtype=np.uint64), n)
         assert empty.shape == (n, 0)
 
+    @pytest.mark.parametrize("rows", [0, 29])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 127, 128,
+                                   129])
+    def test_flat_pack_unpack_round_trip(self, n, rows):
+        # every byte and word padding case of the flat (un)pack calls
+        rng = np.random.default_rng(1000 + n + rows)
+        bits = rng.random((rows, n)) < 0.5
+        words = bitops.pack_bits(bits, n)
+        assert words.shape == (rows, bitops.num_words(n))
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        for q in range(n):
+            np.testing.assert_array_equal(
+                (words[:, q // 64] >> np.uint64(q % 64)) & np.uint64(1),
+                bits[:, q])
+        if n:
+            assert np.all(words[:, -1] & ~bitops.tail_mask(n) == 0)
+        back = bitops.unpack_bits(words, n)
+        assert back.dtype == bool and back.flags.c_contiguous
+        np.testing.assert_array_equal(back, bits)
+        # a wider register keeps the extra columns zero
+        wide = bitops.pack_bits(bits, n + 70)
+        np.testing.assert_array_equal(bitops.unpack_bits(wide, n + 70),
+                                      np.pad(bits, ((0, 0), (0, 70))))
+
+    def test_word_bytes_hold_eight_columns_each(self):
+        rng = np.random.default_rng(4)
+        bits = rng.random((9, 130)) < 0.5
+        as_bytes = bitops.word_bytes(bitops.pack_bits(bits))
+        assert as_bytes.shape == (9, 24) and as_bytes.dtype == np.uint8
+        padded = np.pad(bits, ((0, 0), (0, 192 - 130)))
+        np.testing.assert_array_equal(
+            as_bytes, np.packbits(padded, axis=1, bitorder="little"))
+
     def test_pack_unpack_zero_rows(self):
         words = bitops.pack_bits(np.zeros((0, 65), dtype=bool), 65)
         assert words.shape == (0, 2)
@@ -491,6 +524,38 @@ class TestTransformationEquivalence:
         assert same is not packed
         assert same.x is not packed.x
         assert_tables_equal(same, table)
+
+    @pytest.mark.parametrize("rows", [0, 31])
+    @pytest.mark.parametrize("n, width", [(5, 10), (12, 27), (70, 130),
+                                          (64, 64)])
+    def test_embed_table_shuffled_layouts(self, n, width, rows):
+        # shuffled layouts whose columns cross byte and word boundaries
+        from repro.core.transformation import embed_table
+
+        table, packed, rng = random_tables(n, rows, 91 + n)
+        for _ in range(3):
+            positions = rng.permutation(width)[:n]
+            out = embed_table(packed, positions, width)
+            assert out.num_qubits == width
+            assert_tables_equal(out,
+                                oracle.embed_table(table, positions, width))
+            assert out.phase_exp is not packed.phase_exp
+        assert_tables_equal(packed, table)  # the source is left alone
+
+    @pytest.mark.parametrize("positions, width, match", [
+        ([0, 1, 2], 5, "hold 4 indices"),
+        ([0, 1, 2, 3, 4], 5, "hold 4 indices"),
+        ([3, 0, 3, 1], 5, "distinct"),
+        ([0, 1, 2, 5], 5, "lie in 0..4"),
+        ([0, -1, 2, 3], 5, "lie in 0..4"),
+        ([0, 1, 2, 3], 3, "lie in 0..2"),
+    ])
+    def test_embed_table_rejects_bad_layouts(self, positions, width, match):
+        from repro.core.transformation import embed_table
+
+        _, packed, _ = random_tables(4, 6, 92)
+        with pytest.raises(ValueError, match=match):
+            embed_table(packed, positions, width)
 
 
 def oracle_rotation_layer(table, ry_levels, rz_levels):

@@ -299,6 +299,39 @@ class TestIntegerLevels:
         assert_same_bytes(values, expected)
         assert_same_bytes(zeros, expected_zeros.ravel())
 
+    def test_ncafqa_measures_its_terms_once_per_loss(self, monkeypatch):
+        """nCAFQA walks the same mapped terms under the same model every
+        batch: their measurement attenuations are computed when the loss
+        is built, and the walk reads the same bytes as one that computes
+        them itself."""
+        from repro.paulis.pauli_sum import _coefficient_dots
+
+        n, num_points = 6, 7
+        noise = clifford_model(n, flips=True).noise_model
+        loss = NcafqaLoss(VQEProblem.logical(ising_model(n, 1.0),
+                                             noise_model=noise))
+        model = loss.clifford_model
+        calls = []
+
+        def counted(table):
+            calls.append(table.num_rows)
+            return CliffordNoiseModel.measurement_attenuations(model, table)
+
+        monkeypatch.setattr(model, "measurement_attenuations", counted)
+        rng = np.random.default_rng(8)
+        batches = rng.integers(0, 4, size=(2, num_points, 4 * n))
+        noisy = [loss.components_many(genomes)[0] for genomes in batches]
+        assert calls == []
+        mapped = loss.problem.mapped_hamiltonian()
+        plan = CliffordCircuitPlan(loss.problem.eval_ansatz)
+        for genomes, got in zip(batches, noisy):
+            values = model.noisy_term_values_scheduled(
+                plan.reverse_leveled_schedule(genomes, genomes != 0),
+                num_points, mapped.table)
+            assert_same_bytes(got, _coefficient_dots(
+                values, mapped.coefficients, num_points))
+        assert calls == [mapped.num_terms] * 2
+
     def test_angle_just_off_zero_keeps_level_zero_and_its_noise(self):
         model = clifford_model(4, flips=True, relax=True)
         plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))

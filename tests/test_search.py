@@ -39,6 +39,7 @@ from repro.search import (
     get_strategy,
     register_strategy,
     resolve_strategy,
+    strategies,
     strategy_names,
     unregister_strategy,
 )
@@ -275,6 +276,88 @@ def test_imports_cleanly_in_a_fresh_interpreter(module):
     done = subprocess.run([sys.executable, "-c", f"import {module}"],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+class TestTabuAdmissibility:
+    """Tabu's tabu list is a ``(d, num_values)`` array of the round from
+    which each ``(position, value)`` move is allowed again.  It must step
+    to the same genome every round as the dict it replaced, whose rule
+    is spelled out here."""
+
+    class DictRuleTabu(strategies.TabuStrategy):
+        """Tabu with the original per-candidate dict lookup."""
+
+        blocked = 0
+
+        def rounds(self, run):
+            rng, memo, num_values = run.rng, run.memo, run.num_values
+            limit = run.config.population_size
+            full_size = run.num_parameters * (num_values - 1)
+            tenure = (self.tenure if self.tenure is not None
+                      else max(2, int(np.ceil(np.sqrt(full_size)))))
+            tabu_until = {}
+            current = rng.integers(0, num_values, size=run.num_parameters)
+            memo.evaluate_many(current[None, :])
+            run.lap()
+            for round_index in range(run.max_rounds):
+                positions, values, candidates = \
+                    strategies._single_gene_moves(current, num_values,
+                                                  limit, rng)
+                aspiration = run.tracker.best_loss
+                candidate_losses = memo.evaluate_many(candidates)
+                admissible = np.array([
+                    tabu_until.get((int(p), int(v)), -1) <= round_index
+                    or candidate_losses[i] < aspiration
+                    for i, (p, v) in enumerate(zip(positions, values))])
+                self.blocked += int(np.sum(~admissible))
+                pool = (np.flatnonzero(admissible) if admissible.any()
+                        else np.arange(len(positions)))
+                pick = pool[int(np.argmin(candidate_losses[pool]))]
+                position = int(positions[pick])
+                tabu_until[(position, int(current[position]))] = \
+                    round_index + 1 + tenure
+                current = candidates[pick]
+                run.lap()
+            return "rounds"
+
+    @pytest.mark.parametrize("population", [24, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_move_every_round_as_the_dict_rule(self, monkeypatch,
+                                                    population, seed):
+        # integer plateaus: many ties, so tabu and aspiration both decide
+        num_parameters = 8
+        weights = np.random.default_rng(3).integers(
+            0, 3, size=(num_parameters, 4))
+
+        def plateau_loss(genome):
+            return float(weights[np.arange(num_parameters), genome].sum())
+
+        visited = []
+        moves = strategies._single_gene_moves
+
+        def recording_moves(current, *args):
+            visited.append(current.copy())
+            return moves(current, *args)
+
+        monkeypatch.setattr(strategies, "_single_gene_moves",
+                            recording_moves)
+        config = EngineConfig(seed=seed, population_size=population)
+        dict_rule = self.DictRuleTabu()
+        runs = []
+        for strategy in (strategies.TabuStrategy(), dict_rule):
+            visited.clear()
+            result = strategy.minimize(
+                plateau_loss, num_parameters, config=config,
+                budget=SearchBudget(max_rounds=60))
+            runs.append((np.array(visited), result))
+        (got, result), (want, reference) = runs
+        assert len(want) > 20
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(result.best_genome,
+                                      reference.best_genome)
+        assert result.best_loss == reference.best_loss
+        # the tabu list did refuse moves on this landscape
+        assert dict_rule.blocked > 0
 
 
 class TestBudget:
