@@ -61,7 +61,7 @@ def count_faults() -> dict:
 
     from repro.backends import FakeToronto
     from repro.core import VQEProblem
-    from repro.core.loss import CafqaLoss, ClaptonLoss
+    from repro.core.loss import CafqaLoss, ClaptonLoss, NcafqaLoss
     from repro.hamiltonians import ising_model
     from repro.noise import NoiseModel
 
@@ -73,7 +73,7 @@ def count_faults() -> dict:
         "clapton": (ClaptonLoss(problem),
                     problem.num_transformation_parameters),
         "cafqa": (CafqaLoss(problem), 4 * NUM_QUBITS),
-        "ncafqa": (CafqaLoss(problem, noise_aware=True), 4 * NUM_QUBITS),
+        "ncafqa": (NcafqaLoss(problem), 4 * NUM_QUBITS),
         "clapton_toronto12": (ClaptonLoss(device),
                               device.num_transformation_parameters),
     }

@@ -82,7 +82,7 @@ def test_evaluations_to_target():
     envelope = SearchBudget.from_engine(config)
     # reference: the converged Figure-4 engine defines "the answer"
     reference = get_strategy("multi_ga").minimize(
-        CafqaLoss(problem, noise_aware=False),
+        CafqaLoss(problem),
         problem.num_vqe_parameters, budget=envelope, config=config)
     target = reference.best_loss + SLACK_FRACTION * (e_mixed - e0)
     budget = replace(envelope, target_loss=target)
@@ -93,7 +93,7 @@ def test_evaluations_to_target():
         f"{NUM_QUBITS}q ising)")
     rows = []
     for name in strategy_names():
-        loss = CafqaLoss(problem, noise_aware=False)
+        loss = CafqaLoss(problem)
         start = time.perf_counter()
         result = get_strategy(name).minimize(
             loss, problem.num_vqe_parameters, budget=budget, config=config)

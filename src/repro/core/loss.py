@@ -31,6 +31,10 @@ from ..noise.clifford_model import (
 from ..obs import REGISTRY, get_tracer, minor_faults
 from ..obs.kernel import kernel_event
 from ..paulis.pauli_sum import _coefficient_dots
+from ..stabilizer.tableau import (
+    pull_back_rotation_layer,
+    rotation_layer_cliffords,
+)
 from .problem import VQEProblem
 from .transformation import embed_table, transform_table_many
 
@@ -125,26 +129,18 @@ class ClaptonLoss:
 
 
 class CafqaLoss:
-    """``theta-genome -> L_0`` (CAFQA) or ``L_N + L_0`` (nCAFQA).
+    """``theta-genome -> L_0``: the CAFQA baseline (Sec. 5.2).
 
     Genomes have length ``4N`` with values 0..3 encoding rotation angles
-    ``k * pi/2``.  The noiseless term is the *logical* ansatz's energy (the
-    algorithmic quantity CAFQA optimizes); the noisy term, when enabled,
-    uses the transpiled circuit exactly like Clapton's L_N.
+    ``k * pi/2``.  The loss is the *logical* ansatz's noiseless energy
+    (the algorithmic quantity CAFQA optimizes); there is no noise term.
     """
 
-    def __init__(self, problem: VQEProblem, noise_aware: bool = False,
-                 clifford_model: CliffordNoiseModel | None = None):
+    #: the ``loss`` tag of the batch's trace span
+    trace_name = "cafqa"
+
+    def __init__(self, problem: VQEProblem):
         self.problem = problem
-        self.noise_aware = noise_aware
-        self.clifford_model = clifford_model or CliffordNoiseModel(
-            problem.noise_model)
-        self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
-        self._mapped = problem.mapped_hamiltonian()
-        # nCAFQA walks the same mapped terms under the same model every
-        # batch, so their measurement attenuations are computed once
-        self._measured = (self.clifford_model.measurement_attenuations(
-            self._mapped.table) if noise_aware else None)
         n = problem.num_logical_qubits
         ring = Circuit(n)
         for pair in entanglement_pairs(n, problem.entanglement):
@@ -189,13 +185,6 @@ class CafqaLoss:
         and the fixed CX ring between them is one compiled
         :class:`~repro.stabilizer.tableau.StaticBlock` pass.
         """
-        # resolved at call time, so a profiler wrapping the tableau
-        # module's kernels also sees the calls made from here
-        from ..stabilizer.tableau import (
-            pull_back_rotation_layer,
-            rotation_layer_cliffords,
-        )
-
         genomes = self._genome_matrix(genomes)
         n = self.problem.num_logical_qubits
         conj = self.problem.hamiltonian.table.tile(len(genomes))
@@ -211,54 +200,74 @@ class CafqaLoss:
     def components_many(self, genomes) -> tuple[np.ndarray, np.ndarray]:
         """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
 
-        CAFQA reads L_0 off :meth:`logical_tables_many` (two
-        rotation-layer passes and the CX ring's block pass).  nCAFQA runs
-        only :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_scheduled`
-        over the transpiled circuit, its genomes passed as the integer
-        rotation levels they are (keep flags ``genome != 0``,
+        L_N is 0; L_0 is read off :meth:`logical_tables_many` (two
+        rotation-layer passes and the CX ring's block pass), which also
+        checks the genomes.  Every step is row-wise, so a genome's values
+        do not depend on its batch.
+        """
+        zeros = self.logical_tables_many(genomes).expectation_all_zeros()
+        num_genomes = len(genomes)
+        return (np.zeros(num_genomes),
+                _coefficient_dots(zeros, self.problem.hamiltonian.coefficients,
+                                  num_genomes))
+
+    def evaluate_many(self, genomes) -> np.ndarray:
+        """``(P,)`` losses of a genome population in one batched pass."""
+        genomes = np.asarray(genomes, dtype=np.int64)
+        noisy, noiseless = _traced_batch(self, self.trace_name, genomes)
+        return noisy + noiseless
+
+
+class NcafqaLoss(CafqaLoss):
+    """``theta-genome -> L_N + L_0``: CAFQA's search under this work's
+    noise modeling (Sec. 5.2).
+
+    The genome is CAFQA's.  Both terms come out of one noisy walk over the
+    transpiled circuit, exactly like Clapton's L_N.
+
+    Args:
+        problem: The VQE problem bundle.
+        clifford_model: Noise model projection used for L_N (defaults to
+            the problem's device model).
+    """
+
+    trace_name = "ncafqa"
+
+    def __init__(self, problem: VQEProblem,
+                 clifford_model: CliffordNoiseModel | None = None):
+        super().__init__(problem)
+        self.clifford_model = clifford_model or CliffordNoiseModel(
+            problem.noise_model)
+        self._eval_plan = CliffordCircuitPlan(problem.eval_ansatz)
+        self._mapped = problem.mapped_hamiltonian()
+        # every batch walks the same mapped terms under the same model,
+        # so their measurement attenuations are computed once
+        self._measured = self.clifford_model.measurement_attenuations(
+            self._mapped.table)
+
+    def components_many(self, genomes) -> tuple[np.ndarray, np.ndarray]:
+        """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
+
+        One :meth:`~repro.noise.clifford_model.CliffordNoiseModel.noisy_term_values_scheduled`
+        walk over the transpiled circuit, the genomes passed as the
+        integer rotation levels they are (keep flags ``genome != 0``,
         :meth:`~repro.noise.clifford_model.CliffordCircuitPlan.reverse_leveled_schedule`)
         -- the one noisy walk
         :class:`~repro.execution.estimator.CliffordEstimator` runs too,
         from angles, each run of rotations one layer step and each run of
-        static gates one block pass -- and reads L_0 off the noiseless
+        static gates one block pass.  L_0 is read off the noiseless
         values that walk ends on (the transpiled circuit is the logical
         ansatz, and ``mapped_hamiltonian`` keeps the term order).  Every
         step is row-wise, so a genome's values do not depend on its batch.
         """
         genomes = self._genome_matrix(genomes)
         num_genomes = len(genomes)
-        coeffs = self.problem.hamiltonian.coefficients
-        if not self.noise_aware:
-            zeros = self.logical_tables_many(genomes).expectation_all_zeros()
-            return (np.zeros(num_genomes),
-                    _coefficient_dots(zeros, coeffs, num_genomes))
-        zeros = np.empty(num_genomes * len(coeffs))
+        zeros = np.empty(num_genomes * self._mapped.num_terms)
         values = self.clifford_model.noisy_term_values_scheduled(
             self._eval_plan.reverse_leveled_schedule(genomes, genomes != 0),
             num_genomes, self._mapped.table, zeros_out=zeros,
             measured=self._measured)
         return (_coefficient_dots(values, self._mapped.coefficients,
                                   num_genomes),
-                _coefficient_dots(zeros, coeffs, num_genomes))
-
-    def evaluate_many(self, genomes) -> np.ndarray:
-        """``(P,)`` losses of a genome population in one batched pass."""
-        genomes = np.asarray(genomes, dtype=np.int64)
-        noisy, noiseless = _traced_batch(
-            self, "ncafqa" if self.noise_aware else "cafqa", genomes)
-        return noisy + noiseless
-
-
-class NcafqaLoss(CafqaLoss):
-    """``theta-genome -> L_N + L_0``: CAFQA's search under this work's
-    noise modeling (Sec. 5.2), as a named loss.
-
-    Identical to ``CafqaLoss(problem, noise_aware=True)``; exists so the
-    three methods of the paper each have a first-class loss type with the
-    same batched :meth:`~CafqaLoss.evaluate_many` surface.
-    """
-
-    def __init__(self, problem: VQEProblem,
-                 clifford_model: CliffordNoiseModel | None = None):
-        super().__init__(problem, noise_aware=True,
-                         clifford_model=clifford_model)
+                _coefficient_dots(zeros, self.problem.hamiltonian.coefficients,
+                                  num_genomes))

@@ -11,7 +11,6 @@ from .batched import BatchedDensityMatrixSimulator, evolve_steps_with_noise
 from . import channels
 from .evaluator import (
     evolve_with_noise,
-    measurement_attenuations,
     noiseless_energy,
     noisy_energy,
 )
@@ -19,7 +18,7 @@ from .evaluator import (
 __all__ = [
     "BatchedDensityMatrixSimulator", "DensityMatrixSimulator",
     "apply_matrix", "channels", "evolve_steps_with_noise",
-    "evolve_with_noise", "measurement_attenuations", "noiseless_energy",
+    "evolve_with_noise", "noiseless_energy",
     "noisy_energy", "pauli_expectation", "pauli_sum_expectation",
     "simulate_statevector",
 ]

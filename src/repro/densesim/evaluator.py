@@ -7,7 +7,10 @@ Hamiltonian energies with readout-error attenuation.
 
 Readout handling: each measured Pauli term is attenuated by
 ``prod_k (1 - p01_k - p10_k)`` over its support, plus one single-qubit
-depolarizing factor per X/Y qubit for the noisy basis-prep rotation.  For
+depolarizing factor per X/Y qubit for the noisy basis-prep rotation
+(:meth:`~repro.noise.model.NoiseModel.measurement_attenuations`, the
+convention the Clifford model shares, so the two evaluators differ *only*
+in how gate noise propagates -- the (2) vs (3) comparison of Fig. 5).  For
 symmetric misassignment this is exact; for asymmetric misassignment it drops
 only the identity-substitution cross terms, which are second order in the
 asymmetry ``|p01 - p10|`` (the counts-based path in
@@ -78,31 +81,13 @@ def evolve_with_noise(circuit: Circuit, noise_model: NoiseModel
     return sim
 
 
-def measurement_attenuations(hamiltonian: PauliSum, noise_model: NoiseModel,
-                             include_basis_prep_error: bool = True) -> np.ndarray:
-    """Per-term readout (+ basis-prep) attenuation factors.
-
-    Shared convention with the Clifford model so that the two evaluators
-    differ *only* in how gate noise propagates -- exactly the (2) vs (3)
-    comparison the paper draws in Fig. 5.
-    """
-    support = hamiltonian.table.supports_mask()
-    att = noise_model.readout_z_attenuation()
-    factors = np.prod(np.where(support, att[None, :], 1.0), axis=1)
-    if include_basis_prep_error:
-        prep = 1.0 - 4.0 * noise_model.depol_1q / 3.0
-        factors = factors * np.prod(
-            np.where(hamiltonian.table.unpack_x(), prep[None, :], 1.0), axis=1)
-    return factors
-
-
 def noisy_energy(circuit: Circuit, hamiltonian: PauliSum,
                  noise_model: NoiseModel,
                  include_basis_prep_error: bool = True) -> float:
     """Device-model energy ``tr[rho H]`` with readout attenuation."""
     sim = evolve_with_noise(circuit, noise_model)
-    attenuation = measurement_attenuations(hamiltonian, noise_model,
-                                           include_basis_prep_error)
+    attenuation = noise_model.measurement_attenuations(
+        hamiltonian.table, include_basis_prep_error)
     return sim.expectation_sum(hamiltonian, attenuation)
 
 

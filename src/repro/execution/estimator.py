@@ -17,11 +17,14 @@ the bound ansatz ``A'(theta)``.  This module gives them a single seam:
   orders of magnitude faster than density-matrix evolution.
 
 All estimators implement ``estimate(theta) -> EstimateResult`` and the
-batched ``estimate_many(thetas) -> BatchResult``.  The batched path
-precomputes and shares the bound-circuit skeleton (a fused bind +
-identity-drop plan over the ansatz template) and the per-term measurement
-attenuations across the whole batch instead of rebuilding them per call --
-this is what amortizes circuit setup across a GA population or SPSA sweep.
+batched ``estimate_many(thetas) -> BatchResult``.  Each estimator compiles
+one :class:`~repro.noise.clifford_model.CliffordCircuitPlan` over the
+ansatz template (a fused bind + identity-drop plan) and computes the
+per-term measurement attenuations once, when it is built; every point,
+single or batched, binds through that plan.  ``estimate_many`` loops over
+``estimate`` unless the engine shares more across a batch: the exact
+engine evolves points of one circuit structure as one tensor, and the
+Clifford engine walks the whole batch in one backward tableau pass.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
-from ..densesim.evaluator import evolve_with_noise, measurement_attenuations
-from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
+from ..densesim.evaluator import evolve_with_noise
+from ..noise.clifford_model import (
+    CliffordCircuitPlan,
+    CliffordNoiseModel,
+    NonCliffordError,
+)
 from ..noise.model import NoiseModel
 from ..paulis.pauli_sum import PauliSum, _coefficient_dots
 
@@ -134,27 +140,19 @@ class BaseEstimator:
         if self.noise_model.num_qubits != problem.num_eval_qubits:
             raise ValueError("noise model width must match the eval register")
         self.num_evaluations = 0
-        #: the bind/schedule plan over the eval ansatz, shared by a batch
+        #: the bind/schedule plan over the eval ansatz, the one every
+        #: point binds through
         self._plan = CliffordCircuitPlan(problem.eval_ansatz)
-
-    # -- batched circuit construction ---------------------------------
-    def _bound_circuit_batched(self, theta: np.ndarray) -> Circuit:
-        """Bind via the shared precomputed skeleton plan."""
-        return self._plan.bind(theta)
 
     # -- protocol surface ---------------------------------------------
     def estimate(self, theta: np.ndarray) -> EstimateResult:
         raise NotImplementedError
 
-    def _estimate_batched(self, theta: np.ndarray) -> EstimateResult:
-        """One point of a batch; subclasses override to share setup."""
-        return self.estimate(theta)
-
     def estimate_many(self, thetas: np.ndarray) -> BatchResult:
-        """Estimate a whole batch, amortizing circuit setup across points."""
+        """Estimate a whole batch, one :meth:`estimate` per point."""
         start = time.perf_counter()
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        results = [self._estimate_batched(theta) for theta in thetas]
+        results = [self.estimate(theta) for theta in thetas]
         return BatchResult(
             values=np.array([r.value for r in results]),
             results=results,
@@ -203,8 +201,8 @@ class ExactEstimator(BaseEstimator):
         super().__init__(problem, observable, noise_model)
         self.shots = shots
         self.rng = np.random.default_rng(seed)
-        self._attenuation = measurement_attenuations(observable,
-                                                     self.noise_model)
+        self._attenuation = self.noise_model.measurement_attenuations(
+            observable.table)
         self._paulis = [p for _, p in observable.terms()]
         self._coefficients = observable.coefficients
 
@@ -220,33 +218,30 @@ class ExactEstimator(BaseEstimator):
         clone.rng = self.rng
         return clone
 
-    def _finish(self, circuit: Circuit, start: float) -> EstimateResult:
-        sim = evolve_with_noise(circuit, self.noise_model)
-        values = np.array([sim.pauli_expectation(p) for p in self._paulis])
-        values = values * self._attenuation
-        exact = float(self._coefficients @ values)
-        self.num_evaluations += 1
-        if self.shots is None:
-            return EstimateResult(
-                value=exact, exact_value=exact, term_expectations=values,
-                variance=0.0, shots=None,
-                seconds=time.perf_counter() - start, mode=self.mode)
-        variances = (self._coefficients ** 2
-                     * np.clip(1.0 - values ** 2, 0.0, 1.0) / self.shots)
-        variance = float(variances.sum())
-        value = exact + float(self.rng.normal(0.0, np.sqrt(variance)))
+    def _result(self, exact: float, values: np.ndarray, seconds: float
+                ) -> EstimateResult:
+        """One point's result from its infinite-shot value and term
+        values; with ``shots`` set, ``value`` draws its Gaussian shot
+        noise from :attr:`rng` (one draw per call)."""
+        value, variance = exact, 0.0
+        if self.shots is not None:
+            variances = (self._coefficients ** 2
+                         * np.clip(1.0 - values ** 2, 0.0, 1.0) / self.shots)
+            variance = float(variances.sum())
+            value = exact + float(self.rng.normal(0.0, np.sqrt(variance)))
         return EstimateResult(
             value=value, exact_value=exact, term_expectations=values,
-            variance=variance, shots=self.shots,
-            seconds=time.perf_counter() - start, mode=self.mode)
+            variance=variance, shots=self.shots, seconds=seconds,
+            mode=self.mode)
 
     def estimate(self, theta: np.ndarray) -> EstimateResult:
         start = time.perf_counter()
-        return self._finish(self.problem.bound_ansatz(theta), start)
-
-    def _estimate_batched(self, theta: np.ndarray) -> EstimateResult:
-        start = time.perf_counter()
-        return self._finish(self._bound_circuit_batched(theta), start)
+        sim = evolve_with_noise(self._plan.bind(theta), self.noise_model)
+        values = np.array([sim.pauli_expectation(p) for p in self._paulis])
+        values = values * self._attenuation
+        self.num_evaluations += 1
+        return self._result(float(self._coefficients @ values), values,
+                            time.perf_counter() - start)
 
     #: Complex state entries per chunk tensor (~2 MB): keeps each chunk's
     #: working set cache-resident so batching never trades locality away.
@@ -265,9 +260,9 @@ class ExactEstimator(BaseEstimator):
         register sizes, is paid once per chunk instead of once per point.
         Above ~7 qubits a single point's state already amortizes the
         dispatch and the batch tensor would just thrash the cache, so the
-        evaluation falls back to a per-point loop over the shared
-        precomputed skeleton.  Shot-noise draws happen in point order,
-        matching the sequential ``estimate`` stream exactly.
+        evaluation falls back to a per-point :meth:`estimate` loop.
+        Shot-noise draws happen in point order, matching the sequential
+        ``estimate`` stream exactly.
         """
         from ..densesim.batched import evolve_steps_with_noise
 
@@ -303,27 +298,9 @@ class ExactEstimator(BaseEstimator):
                 point_seconds[chunk] = ((time.perf_counter() - chunk_start)
                                         / len(chunk))
         self.num_evaluations += num_points
-
-        results = []
-        for b in range(num_points):
-            exact = float(exact_values[b])
-            if self.shots is None:
-                results.append(EstimateResult(
-                    value=exact, exact_value=exact,
-                    term_expectations=term_matrix[b], variance=0.0,
-                    shots=None, seconds=float(point_seconds[b]),
-                    mode=self.mode))
-                continue
-            variances = (self._coefficients ** 2
-                         * np.clip(1.0 - term_matrix[b] ** 2, 0.0, 1.0)
-                         / self.shots)
-            variance = float(variances.sum())
-            value = exact + float(self.rng.normal(0.0, np.sqrt(variance)))
-            results.append(EstimateResult(
-                value=value, exact_value=exact,
-                term_expectations=term_matrix[b], variance=variance,
-                shots=self.shots, seconds=float(point_seconds[b]),
-                mode=self.mode))
+        results = [self._result(float(exact_values[b]), term_matrix[b],
+                                float(point_seconds[b]))
+                   for b in range(num_points)]
         return BatchResult(
             values=np.array([r.value for r in results]),
             results=results,
@@ -389,12 +366,14 @@ class ShotSamplingEstimator(BaseEstimator):
     def num_bases(self) -> int:
         return len(self.groups)
 
-    def _finish(self, circuit: Circuit, start: float) -> EstimateResult:
+    def estimate(self, theta: np.ndarray) -> EstimateResult:
         from ..mitigation.readout import (
             mitigate_probabilities,
             z_expectation_from_probabilities,
         )
 
+        start = time.perf_counter()
+        circuit = self._plan.bind(theta)
         coefficients = self.observable.coefficients
         term_values = np.zeros(self.observable.num_terms)
         for group, rotation in zip(self.groups, self._rotations):
@@ -415,14 +394,6 @@ class ShotSamplingEstimator(BaseEstimator):
             variance=None, shots=self.shots,
             seconds=time.perf_counter() - start, mode=self.mode)
 
-    def estimate(self, theta: np.ndarray) -> EstimateResult:
-        start = time.perf_counter()
-        return self._finish(self.problem.bound_ansatz(theta), start)
-
-    def _estimate_batched(self, theta: np.ndarray) -> EstimateResult:
-        start = time.perf_counter()
-        return self._finish(self._bound_circuit_batched(theta), start)
-
 
 # ----------------------------------------------------------------------
 # Clifford fast-path estimator
@@ -437,8 +408,11 @@ class CliffordEstimator(BaseEstimator):
     the uniform estimator interface so GA populations and Clifford sweeps
     can use it as a drop-in.
 
-    Raises ``ValueError`` from :meth:`estimate` when the bound circuit is
-    not Clifford.
+    Raises ``ValueError`` from :meth:`estimate` and :meth:`estimate_many`
+    when a point's bound circuit is not Clifford: a static gate of the
+    template is not (checked once, when the plan is compiled), or a
+    rotation angle is not a multiple of pi/2 (checked once per batch, as
+    the walk's schedule is built).
     """
 
     mode = "clifford"
@@ -475,13 +449,13 @@ class CliffordEstimator(BaseEstimator):
         start = time.perf_counter()
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         num_points = len(thetas)
-        plan = self._plan
-        if not plan.is_clifford(thetas):
+        try:
+            term_matrix = self.clifford_model.noisy_term_values_many(
+                self._plan, thetas, self.observable.table)
+        except NonCliffordError:
             raise ValueError(
                 "CliffordEstimator requires a Clifford parameter point "
-                "(every angle a multiple of pi/2)")
-        term_matrix = self.clifford_model.noisy_term_values_many(
-            plan, thetas, self.observable.table)
+                "(every angle a multiple of pi/2)") from None
         values = _coefficient_dots(term_matrix, self._coefficients, num_points)
         self.num_evaluations += num_points
         seconds = time.perf_counter() - start

@@ -27,18 +27,12 @@ class CafqaMethod(InitializationMethod):
     name = "cafqa"
     description = ("CAFQA baseline: noiseless Clifford search over ansatz "
                    "angles (L_0 only)")
-    noise_aware = False
-
-    def __init__(self, clifford_model: CliffordNoiseModel | None = None):
-        self.clifford_model = clifford_model
 
     def num_parameters(self, problem: VQEProblem) -> int:
         return problem.num_vqe_parameters
 
     def make_loss(self, problem: VQEProblem):
-        if self.noise_aware:
-            return NcafqaLoss(problem, clifford_model=self.clifford_model)
-        return CafqaLoss(problem, clifford_model=self.clifford_model)
+        return CafqaLoss(problem)
 
     def decode(self, problem: VQEProblem, genome) -> DecodedPoint:
         return DecodedPoint(vqe_hamiltonian=problem.hamiltonian,
@@ -47,12 +41,21 @@ class CafqaMethod(InitializationMethod):
 
 @register_method
 class NcafqaMethod(CafqaMethod):
-    """Noise-aware CAFQA: the paper's strengthened baseline (Sec. 5.2)."""
+    """Noise-aware CAFQA: the paper's strengthened baseline (Sec. 5.2).
+
+    Args:
+        clifford_model: Override the L_N noise projection (ablations).
+    """
 
     name = "ncafqa"
     description = ("noise-aware CAFQA: Clifford angle search under "
                    "L_N + L_0 (Sec. 5.2)")
-    noise_aware = True
+
+    def __init__(self, clifford_model: CliffordNoiseModel | None = None):
+        self.clifford_model = clifford_model
+
+    def make_loss(self, problem: VQEProblem):
+        return NcafqaLoss(problem, clifford_model=self.clifford_model)
 
 
 @register_method

@@ -35,7 +35,7 @@ class _AnsatzAngleMethod(InitializationMethod):
         return problem.num_vqe_parameters
 
     def make_loss(self, problem: VQEProblem):
-        return CafqaLoss(problem, noise_aware=False)
+        return CafqaLoss(problem)
 
     def decode(self, problem: VQEProblem, genome) -> DecodedPoint:
         return DecodedPoint(vqe_hamiltonian=problem.hamiltonian,

@@ -361,7 +361,7 @@ class _ReadoutEstimator(_WrappedEstimator):
 
     The evaluators attenuate each measured term by ``prod (1 - p01 - p10)``
     over its support (the shared convention of
-    ``densesim.evaluator.measurement_attenuations``); this wrapper inverts
+    ``NoiseModel.measurement_attenuations``); this wrapper inverts
     exactly that factor -- the tensored confusion-matrix inversion in the
     symmetric-channel expectation picture -- and leaves the basis-prep depol
     factor alone, since it models gate noise, not assignment error.  The

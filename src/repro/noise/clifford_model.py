@@ -64,7 +64,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
 from ..obs import REGISTRY, get_tracer
 from ..paulis import bitops
@@ -80,7 +79,7 @@ from ..stabilizer.tableau import (  # noqa: F401
     pull_back_rotation_layer,
     single_qubit_cliffords,
 )
-from .model import NoiseModel
+from .model import _FOLD_CELLS, NoiseModel
 from .twirling import pauli_channel_attenuation, twirled_relaxation_probabilities
 
 _TWO_QUBIT_PAULIS = [(a, b) for a in "IXYZ" for b in "IXYZ"][1:]
@@ -91,6 +90,11 @@ _WALK_LIVE_ROWS = REGISTRY.counter(
     "repro_noise_walk_live_rows_total",
     "Walked rows whose noise factors the walk computed (rows ending "
     "Z-type)")
+
+
+class NonCliffordError(ValueError):
+    """A parameter point does not bind a template to a Clifford circuit,
+    so the noisy Clifford walk cannot run it."""
 
 
 def _inverse_gate_tableau(inst) -> CliffordTableau:
@@ -154,16 +158,10 @@ class CliffordNoiseModel:
     # Attenuation pieces
     # ------------------------------------------------------------------
     def measurement_attenuations(self, table) -> np.ndarray:
-        """Per-term factor from readout error and basis-prep gate error."""
-        nm = self.noise_model
-        n = table.num_qubits
-        factors = _ordered_product(bitops.unpack_columns(table.x | table.z, n),
-                                   nm.readout_z_attenuation())
-        if self.include_basis_prep_error:
-            prep = 1.0 - 4.0 * nm.depol_1q / 3.0
-            factors = factors * _ordered_product(
-                bitops.unpack_columns(table.x, n), prep)
-        return factors
+        """Per-term factor from readout error and, if modeled, basis-prep
+        gate error (:meth:`NoiseModel.measurement_attenuations`)."""
+        return self.noise_model.measurement_attenuations(
+            table, self.include_basis_prep_error)
 
     def _relaxation_factors_by_code(self, qubit: int, duration: float
                                     ) -> np.ndarray:
@@ -188,25 +186,16 @@ class CliffordNoiseModel:
 
         Walks the circuit in reverse (Heisenberg picture), attenuating at
         each noise location and conjugating the whole word-packed term
-        table through the inverse gate tableau.
-        """
-        values = self.noisy_zero_state_term_values(circuit,
-                                                   hamiltonian.table)
-        return float(hamiltonian.coefficients @ values)
-
-    def noisy_zero_state_term_values(self, circuit: Circuit, table
-                                     ) -> np.ndarray:
-        """Per-term noisy expectations ``<0| A~† P_i A~ |0>`` (one pass).
-
-        The coefficient-weighted sum of these is the L_N energy.  ``table``
-        is a word-packed term table whose rows may carry +-1 signs from a
-        preceding transformation (they fold into the all-zeros
-        expectation).  The whole circuit is one :func:`static_block`.
+        table through the inverse gate tableau: the whole circuit is one
+        :func:`static_block`, and the energy is the coefficient-weighted
+        sum of the per-term values
+        (:meth:`noisy_zero_state_term_values_steps`).
         """
         block = static_block(reversed(circuit.instructions),
                              circuit.num_qubits)
-        return self.noisy_zero_state_term_values_steps([(block, None)],
-                                                       table)
+        values = self.noisy_zero_state_term_values_steps([(block, None)],
+                                                         hamiltonian.table)
+        return float(hamiltonian.coefficients @ values)
 
     def noisy_term_values_many(self, plan: "CliffordCircuitPlan", thetas,
                                table, zeros_out=None) -> np.ndarray:
@@ -216,6 +205,10 @@ class CliffordNoiseModel:
         :meth:`CliffordCircuitPlan.reverse_schedule` at ``thetas``
         (Clifford angles): the walk
         :class:`~repro.execution.estimator.CliffordEstimator` runs.
+
+        Raises:
+            NonCliffordError: if a point does not bind ``plan``'s template
+                to a Clifford circuit.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         return self.noisy_term_values_scheduled(
@@ -510,18 +503,6 @@ class _Channels(NamedTuple):
     in_unit: bool
 
 
-#: The factor pass folds at most about this many factors at a time: a
-#: chunk's float matrix and intp index are 64 KiB each, under glibc's
-#: 128 KiB mmap threshold, so they come from the heap.  They are also
-#: part of a batch's transient heap, and a batch whose transient heap
-#: grows past glibc's trim threshold (twice the largest mmapped chunk
-#: freed so far) gets its heap top trimmed on free and faults the pages
-#: back in on the next batch.  nCAFQA's batch at 32 qubits sits near
-#: that threshold: with 2^14-factor chunks (130 KB more at its peak) it
-#: faulted ~180 pages back in per steady-state batch, with 2^13 none.
-_FOLD_CELLS = 1 << 13
-
-
 def _fold(factors: np.ndarray, values: np.ndarray, codes: np.ndarray
           ) -> np.ndarray:
     """``factors`` multiplied by each channel's factor, channel by channel.
@@ -530,8 +511,8 @@ def _fold(factors: np.ndarray, values: np.ndarray, codes: np.ndarray
     each of the ``L`` rows from ``values[c]``.  One axis-0 product over a
     ``(1 + C, L)`` matrix whose row 0 is ``factors``: the same left fold,
     bit for bit, as multiplying the channels in one at a time
-    (:func:`_ordered_product`), taken over chunks of channels so the
-    matrix stays near ``_FOLD_CELLS`` entries.
+    (:func:`~repro.noise.model._ordered_product`), taken over chunks of
+    channels so the matrix stays near ``_FOLD_CELLS`` entries.
     """
     num_channels, width = values.shape
     flat = values.ravel()
@@ -558,23 +539,6 @@ def _in_unit(values) -> bool:
     """Whether every entry is in ``(0, 1]`` (NaN is not)."""
     values = np.asarray(values)
     return bool(np.all((values > 0) & (values <= 1)))
-
-
-def _ordered_product(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per column ``m``, the product of ``values[q]`` over the set
-    ``bits[q, m]``, ``q`` ascending: a ``(n, M)`` bit matrix in, ``(M,)``
-    out.  An unset bit contributes an exact 1.0 and the axis-0 product
-    multiplies one row at a time, so this is the same left fold, bit for
-    bit, as attenuating qubit by qubit.  Columns go through in chunks of
-    at most about ``_FOLD_CELLS`` factors."""
-    out = np.empty(bits.shape[1])
-    step = max(1, _FOLD_CELLS // max(len(values), 1))
-    for start in range(0, bits.shape[1], step):
-        chunk = bits[:, start:start + step]
-        factors = chunk * values[:, None]
-        factors += ~chunk
-        np.prod(factors, axis=0, out=out[start:start + step])
-    return out
 
 
 _TWO_PI = 2.0 * math.pi
@@ -686,16 +650,22 @@ class CliffordCircuitPlan:
     run of static gates one
     :class:`~repro.stabilizer.tableau.StaticBlock`).  Per point only the
     parameterized rotations are re-dispatched: :meth:`bind` rebuilds one
-    bound circuit, :meth:`keep_mask` / :meth:`steps_for` group points for
-    the batched density-matrix evolver, and :meth:`reverse_leveled_schedule`
-    turns a ``(P, d)`` batch of integer rotation levels into the one
-    schedule the noisy Clifford walk runs
+    bound circuit (the one bind path of every estimator),
+    :meth:`keep_mask` / :meth:`steps_for` group points for the batched
+    density-matrix evolver, and :meth:`reverse_leveled_schedule` turns a
+    ``(P, d)`` batch of integer rotation levels into the one schedule the
+    noisy Clifford walk runs
     (:meth:`CliffordNoiseModel.noisy_term_values_scheduled`), one step
     per run: nCAFQA's L_N passes its genomes as they are, and
     :class:`~repro.execution.estimator.CliffordEstimator` passes angles
     through :meth:`reverse_schedule`, which converts them once.  The
     per-point instruction sequence is identical to
     ``drop_identity_rotations(template.bind(theta))``.
+
+    Whether a point binds the template to a Clifford circuit is checked
+    in two places, each once: the static gates when the plan is compiled
+    (any template binds and groups; only a schedule needs them Clifford),
+    and the rotation angles by :meth:`reverse_schedule`, once per batch.
     """
 
     def __init__(self, template: Circuit, tol: float = 1e-12):
@@ -721,6 +691,10 @@ class CliffordCircuitPlan:
         self._unread = np.setdiff1d(
             np.arange(self.num_parameters),
             [index for _, index in self.steps if index is not None])
+        #: whether every static gate is Clifford (a schedule needs it)
+        self._static_clifford = all(
+            inst.spec.is_clifford(tuple(float(p) for p in inst.params))
+            for inst, index in self.steps if index is None)
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -780,22 +754,6 @@ class CliffordCircuitPlan:
             out.append((replace(inst, params=(float(angles[0]),)), angles))
         return out
 
-    def is_clifford(self, thetas: np.ndarray) -> bool:
-        """Whether every point binds the template to a Clifford circuit."""
-        thetas = self._check_thetas(thetas)
-        for inst, index in self.steps:
-            if index is None:
-                if not inst.is_bound or not inst.spec.is_clifford(
-                        tuple(float(p) for p in inst.params)):
-                    return False
-                continue
-            for angle in np.unique(thetas[:, index]):
-                if is_identity_angle(float(angle), self.tol):
-                    continue  # dropped as an exact identity
-                if not inst.spec.is_clifford((float(angle),)):
-                    return False
-        return True
-
     def reverse_schedule(self, thetas: np.ndarray) -> list[tuple]:
         """:meth:`reverse_leveled_schedule` at a ``(P, d)`` batch of angles.
 
@@ -804,21 +762,29 @@ class CliffordCircuitPlan:
         keeps it (its angle folded into ``[0, π]`` is at least ``tol``,
         so an angle just off 0 keeps level 0 and its noise), and its
         level is ``round(angle / (π/2)) mod 4``.  A parameter no rotation
-        reads is not checked.
+        reads is not checked.  An angle within ``tol`` of 0 (mod 2π) is a
+        multiple of π/2 within the 1e-9 used here (and by
+        :meth:`~repro.circuits.gates.GateSpec.is_clifford`), so the
+        rotations that :meth:`bind` drops pass the check too.
 
         Raises:
-            ValueError: if a rotation angle is not a multiple of pi/2.
+            ValueError: if ``thetas`` has fewer than ``num_parameters``
+                columns.
+            NonCliffordError: if a rotation angle is not a multiple of
+                pi/2 (NaN and infinities are not), or a static gate is not
+                Clifford.
         """
         thetas = self._check_thetas(thetas)[:, :self.num_parameters]
         if len(self._unread):
             thetas = thetas.copy()
             thetas[:, self._unread] = 0.0
-        folded = np.remainder(thetas, _TWO_PI)
-        kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
         turns = thetas / _HALF_PI
         levels = np.rint(turns)
-        if np.any(np.abs(turns - levels) >= 1e-9):
-            raise ValueError("a rotation angle is not a multiple of pi/2")
+        if not np.all(np.abs(turns - levels) < 1e-9):
+            raise NonCliffordError("a rotation angle is not a multiple of "
+                                   "pi/2")
+        folded = np.remainder(thetas, _TWO_PI)
+        kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
         levels = levels.astype(np.int64)
         levels %= 4
         return self.reverse_leveled_schedule(levels, kept)
@@ -839,6 +805,10 @@ class CliffordCircuitPlan:
         elements per rotation and the ``(P, n)`` composed layer.  Nothing
         in the schedule is per stacked row.  A run no point keeps any
         rotation of is left out.
+
+        Raises:
+            NonCliffordError: if a static gate of the template is not
+                Clifford.
         """
         if levels.ndim != 2 or levels.shape[1] < self.num_parameters \
                 or kept.shape != levels.shape:
@@ -861,6 +831,9 @@ class CliffordCircuitPlan:
         Compiled on first use, so a template with non-Clifford static
         gates still binds and groups (only the Clifford walk needs it).
         """
+        if not self._static_clifford:
+            raise NonCliffordError("a static gate of the template is not "
+                                   "Clifford")
         if self._walk_items is None:
             self._walk_items = [
                 item if isinstance(item, RotationRun)

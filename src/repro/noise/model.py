@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..densesim import channels as ch
+from ..paulis import bitops
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,37 @@ class ChannelSpec:
                     ops.append(np.sqrt(p) * PAULI_MATRICES[label])
             return ops
         raise ValueError(f"unknown channel kind {self.kind!r}")
+
+
+#: The noisy walk's factor pass (:mod:`repro.noise.clifford_model`) and
+#: :meth:`NoiseModel.measurement_attenuations` fold at most about this
+#: many factors at a time: a chunk's float matrix and intp index are
+#: 64 KiB each, under glibc's 128 KiB mmap threshold, so they come from
+#: the heap.  They are also part of a batch's transient heap, and a
+#: batch whose transient heap grows past glibc's trim threshold (twice
+#: the largest mmapped chunk freed so far) gets its heap top trimmed on
+#: free and faults the pages back in on the next batch.  nCAFQA's batch
+#: at 32 qubits sits near that threshold: with 2^14-factor chunks (130 KB
+#: more at its peak) it faulted ~180 pages back in per steady-state
+#: batch, with 2^13 none.
+_FOLD_CELLS = 1 << 13
+
+
+def _ordered_product(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per column ``m``, the product of ``values[q]`` over the set
+    ``bits[q, m]``, ``q`` ascending: a ``(n, M)`` bit matrix in, ``(M,)``
+    out.  An unset bit contributes an exact 1.0 and the axis-0 product
+    multiplies one row at a time, so this is the same left fold, bit for
+    bit, as attenuating qubit by qubit.  Columns go through in chunks of
+    at most about ``_FOLD_CELLS`` factors."""
+    out = np.empty(bits.shape[1])
+    step = max(1, _FOLD_CELLS // max(len(values), 1))
+    for start in range(0, bits.shape[1], step):
+        chunk = bits[:, start:start + step]
+        factors = chunk * values[:, None]
+        factors += ~chunk
+        np.prod(factors, axis=0, out=out[start:start + step])
+    return out
 
 
 def _per_qubit(value, num_qubits: int) -> np.ndarray:
@@ -257,6 +289,29 @@ class NoiseModel:
         offset vanishes for symmetric error and is second-order otherwise).
         """
         return 1.0 - self.readout_p01 - self.readout_p10
+
+    def measurement_attenuations(self, table,
+                                 include_basis_prep_error: bool = True
+                                 ) -> np.ndarray:
+        """Per-term readout (+ basis-prep) attenuation factors.
+
+        ``table`` is a word-packed term table.  Term ``m`` is attenuated
+        by :meth:`readout_z_attenuation` on every support qubit and, with
+        ``include_basis_prep_error``, by one single-qubit depolarizing
+        factor ``1 - 4p/3`` per X/Y qubit for its noisy basis-prep
+        rotation, each product taken qubit by qubit in ascending order.
+        The one implementation both evaluators read, so they differ *only*
+        in how gate noise propagates -- the (2) vs (3) comparison the
+        paper draws in Fig. 5.
+        """
+        n = table.num_qubits
+        factors = _ordered_product(bitops.unpack_columns(table.x | table.z, n),
+                                   self.readout_z_attenuation())
+        if include_basis_prep_error:
+            prep = 1.0 - 4.0 * self.depol_1q / 3.0
+            factors = factors * _ordered_product(
+                bitops.unpack_columns(table.x, n), prep)
+        return factors
 
     # ------------------------------------------------------------------
     # Full-model channels

@@ -178,6 +178,28 @@ def gate_tableau(name: str, params: tuple = ()) -> CliffordTableau:
     return tableau_from_unitary(spec.matrix(params))
 
 
+def _lru(cache: OrderedDict, limit: int, key, build, *args):
+    """``cache[key]``, built as ``build(*args)`` on a miss.
+
+    Every compiled-kernel cache of this module is such a bounded LRU,
+    keyed on contents: a hit moves its entry to the back, a miss inserts
+    at the back and evicts from the front down to ``limit`` entries.
+    Each call counts one hit or one miss in
+    :data:`~repro.obs.kernel.KERNEL` (a miss before it builds, so a
+    ``build`` that raises still counts).
+    """
+    value = cache.get(key)
+    if value is not None:
+        KERNEL.lut_hits += 1
+        cache.move_to_end(key)
+        return value
+    KERNEL.lut_misses += 1
+    value = cache[key] = build(*args)
+    while len(cache) > limit:
+        cache.popitem(last=False)
+    return value
+
+
 #: code-lookup cache for small-gate conjugation: a bounded LRU keyed on the
 #: gate tableau's canonical *contents* (so equal gates share one entry and a
 #: long tail of distinct gates evicts one-by-one instead of wholesale).
@@ -207,23 +229,17 @@ def _conjugation_lut(gate: CliffordTableau
     conjugating M rows costs a handful of integer gathers instead of four
     masked row multiplications.
     """
-    key = _gate_lut_key(gate)
-    cached = _LUT_CACHE.get(key)
-    if cached is not None:
-        KERNEL.lut_hits += 1
-        _LUT_CACHE.move_to_end(key)
-        return cached
-    KERNEL.lut_misses += 1
+    return _lru(_LUT_CACHE, _LUT_CACHE_MAX, _gate_lut_key(gate),
+                _build_conjugation_lut, gate)
+
+
+def _build_conjugation_lut(gate: CliffordTableau) -> tuple:
     codes = np.arange(4 ** gate.num_qubits)
     image = gate.conjugate_table(
         PauliTable.from_bits(_code_bits(codes, gate.num_qubits, 0),
                              _code_bits(codes, gate.num_qubits, 1),
                              np.zeros(len(codes), dtype=np.int64)))
-    lut = (image.unpack_x(), image.unpack_z(), image.phase_exp)
-    _LUT_CACHE[key] = lut
-    while len(_LUT_CACHE) > _LUT_CACHE_MAX:
-        _LUT_CACHE.popitem(last=False)
-    return lut
+    return image.unpack_x(), image.unpack_z(), image.phase_exp
 
 
 def _code_bits(codes: np.ndarray, k: int, plane: int) -> np.ndarray:
@@ -338,14 +354,12 @@ def _leveled_lut(entries, k: int
     columns swapped, which is exactly the LUT of the gate applied in that
     target order.
     """
+    return _lru(_LEVELED_LUT_CACHE, _LUT_CACHE_MAX,
+                (k, _entries_key(entries)), _build_leveled_lut, entries, k)
+
+
+def _build_leveled_lut(entries, k: int) -> tuple:
     size = 4 ** k
-    key = (k, _entries_key(entries))
-    cached = _LEVELED_LUT_CACHE.get(key)
-    if cached is not None:
-        KERNEL.lut_hits += 1
-        _LEVELED_LUT_CACHE.move_to_end(key)
-        return cached
-    KERNEL.lut_misses += 1
     codes = np.arange(size)
     xs, zs, dqs = [], [], []
     for entry in entries:
@@ -368,13 +382,9 @@ def _leveled_lut(entries, k: int
         xs.append(lut_x)
         zs.append(lut_z)
         dqs.append(lut_dq)
-    result = (np.ascontiguousarray(np.concatenate(xs)),
-              np.ascontiguousarray(np.concatenate(zs)),
-              np.ascontiguousarray(np.concatenate(dqs)))
-    _LEVELED_LUT_CACHE[key] = result
-    while len(_LEVELED_LUT_CACHE) > _LUT_CACHE_MAX:
-        _LEVELED_LUT_CACHE.popitem(last=False)
-    return result
+    return (np.ascontiguousarray(np.concatenate(xs)),
+            np.ascontiguousarray(np.concatenate(zs)),
+            np.ascontiguousarray(np.concatenate(dqs)))
 
 
 def apply_gate_levels_to_table(table: PauliTable, entries,
@@ -431,13 +441,12 @@ def _pair_plane_luts(entries, local_pairs: tuple, k: int
             Z-only input off the Z plane, or adds a phase -- i.e. it is
             not in the CNOT group, and a per-plane pass cannot run it.
     """
-    key = (_entries_key(entries), local_pairs, k)
-    cached = _PAIR_PLANE_CACHE.get(key)
-    if cached is not None:
-        KERNEL.lut_hits += 1
-        _PAIR_PLANE_CACHE.move_to_end(key)
-        return cached
-    KERNEL.lut_misses += 1
+    return _lru(_PAIR_PLANE_CACHE, _LUT_CACHE_MAX,
+                (_entries_key(entries), local_pairs, k),
+                _build_pair_plane_luts, entries, local_pairs, k)
+
+
+def _build_pair_plane_luts(entries, local_pairs: tuple, k: int) -> tuple:
     for entry in entries:
         if entry is not None and entry[0].num_qubits != 2:
             raise ValueError("pair-ring entries must be 2-qubit gates")
@@ -467,11 +476,7 @@ def _pair_plane_luts(entries, local_pairs: tuple, k: int
             or basis.phase_exp.any()):
         raise ValueError("a pair-ring gate mixes the X and Z planes or adds "
                          "a phase; the per-plane pass needs CNOT-group gates")
-    luts = (basis.x[:half, 0].copy(), basis.z[half:, 0].copy())
-    _PAIR_PLANE_CACHE[key] = luts
-    while len(_PAIR_PLANE_CACHE) > _LUT_CACHE_MAX:
-        _PAIR_PLANE_CACHE.popitem(last=False)
-    return luts
+    return basis.x[:half, 0].copy(), basis.z[half:, 0].copy()
 
 
 def _ring_windows(pairs: list) -> list[list[int]]:
@@ -551,24 +556,19 @@ class PairRing:
         Cached on the entries' contents and the pairs (bounded LRU).
         """
         pairs = tuple(map(tuple, pairs))
-        key = (_entries_key(entries), pairs, num_qubits)
-        ring = _PAIR_RING_CACHE.get(key)
-        if ring is not None:
-            KERNEL.lut_hits += 1
-            _PAIR_RING_CACHE.move_to_end(key)
-            return ring
-        KERNEL.lut_misses += 1
+        return _lru(_PAIR_RING_CACHE, _PAIR_RING_CACHE_MAX,
+                    (_entries_key(entries), pairs, num_qubits),
+                    cls._compile, entries, pairs, num_qubits)
+
+    @classmethod
+    def _compile(cls, entries, pairs: tuple, num_qubits: int) -> "PairRing":
         if any(q < 0 or q >= num_qubits for pair in pairs for q in pair) \
                 or any(a == b for a, b in pairs):
             raise ValueError("a pair slot is outside the register or repeats "
                              "a qubit")
         windows = [cls._window(entries, pairs, run)
                    for run in _ring_windows(list(pairs))]
-        ring = cls(windows, len(pairs), num_qubits)
-        _PAIR_RING_CACHE[key] = ring
-        while len(_PAIR_RING_CACHE) > _PAIR_RING_CACHE_MAX:
-            _PAIR_RING_CACHE.popitem(last=False)
-        return ring
+        return cls(windows, len(pairs), num_qubits)
 
     @staticmethod
     def _window(entries, pairs: tuple, run: list) -> _RingWindow:
@@ -762,17 +762,8 @@ class StaticBlock:
         steps = list(steps)
         key = (num_qubits, locations,
                tuple((inst, _gate_lut_key(gate)) for inst, gate in steps))
-        block = _BLOCK_CACHE.get(key)
-        if block is not None:
-            KERNEL.lut_hits += 1
-            _BLOCK_CACHE.move_to_end(key)
-            return block
-        KERNEL.lut_misses += 1
-        block = cls._compile(steps, num_qubits, locations)
-        _BLOCK_CACHE[key] = block
-        while len(_BLOCK_CACHE) > _BLOCK_CACHE_MAX:
-            _BLOCK_CACHE.popitem(last=False)
-        return block
+        return _lru(_BLOCK_CACHE, _BLOCK_CACHE_MAX, key, cls._compile,
+                    steps, num_qubits, locations)
 
     @classmethod
     def _compile(cls, steps: list, num_qubits: int, locations: bool

@@ -24,7 +24,7 @@ from repro.circuits.ansatz import (
     hardware_efficient_ansatz,
 )
 from repro.circuits.gates import get_gate
-from repro.core import ClaptonLoss
+from repro.core import ClaptonLoss, NcafqaLoss
 from repro.noise.twirling import (
     pauli_channel_attenuation,
     twirled_relaxation_probabilities,
@@ -269,7 +269,7 @@ def clapton_components(loss, gamma) -> tuple[float, float]:
 
 
 def cafqa_components(loss, genome) -> tuple[float, float]:
-    """``(L_N, L_0)`` of one CAFQA genome (L_N is 0 unless noise-aware)."""
+    """``(L_N, L_0)`` of one CAFQA genome (L_N is 0 unless nCAFQA's)."""
     problem = loss.problem
     theta = cafqa_angles(genome)
     logical = drop_identity_rotations(hardware_efficient_ansatz(
@@ -277,7 +277,7 @@ def cafqa_components(loss, genome) -> tuple[float, float]:
     table = pull_back(BoolTable.of(problem.hamiltonian.table), logical)
     noiseless = float(problem.hamiltonian.coefficients
                       @ expectation_all_zeros(table))
-    if not loss.noise_aware:
+    if not isinstance(loss, NcafqaLoss):
         return 0.0, noiseless
     mapped = problem.mapped_hamiltonian()
     noisy = float(mapped.coefficients @ noisy_term_values(

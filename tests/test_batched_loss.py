@@ -16,7 +16,7 @@ import pauli_oracle as oracle
 import pytest
 
 from repro.backends import FakeNairobi
-from repro.circuits import Circuit, cafqa_angles
+from repro.circuits import Circuit, Parameter, cafqa_angles
 from repro.core import (
     CafqaLoss,
     ClaptonLoss,
@@ -174,14 +174,6 @@ class TestBatchedLosses:
             n_serial, l_serial = loss.components(gamma)
             assert noisy[p] == n_serial
             assert noiseless[p] == l_serial
-
-    def test_ncafqa_loss_is_noise_aware_cafqa(self):
-        problem = logical_problem()
-        named = NcafqaLoss(problem)
-        flagged = CafqaLoss(problem, noise_aware=True)
-        genome = genome_batch(np.random.default_rng(3), 1,
-                              problem.num_vqe_parameters)[0]
-        assert named(genome) == flagged(genome)
 
     def test_transform_table_many_stacks_serial_tables(self):
         h = ising_model(5, 0.75)
@@ -565,6 +557,66 @@ class TestEstimatorBatches:
         thetas[2, 1] += 0.4
         with pytest.raises(ValueError, match="Clifford parameter point"):
             estimator.estimate_many(thetas)
+
+    def test_clifford_estimator_checks_clifford_ness_once(self):
+        """The plan checks its static gates when it compiles and
+        ``reverse_schedule`` the angles, once per batch; the estimator
+        raises its own message for either, and the "need N" message for
+        a short point."""
+        problem = logical_problem()
+        estimator = make_estimator(problem, mode="clifford")
+        d = problem.num_vqe_parameters
+        thetas = self.clifford_thetas(problem, 3, seed=21)
+        for bad_angle in (0.3, np.nan):
+            bad = thetas.copy()
+            bad[1, 2] = bad_angle
+            with pytest.raises(ValueError, match="Clifford parameter point"):
+                estimator.estimate_many(bad)
+            with pytest.raises(ValueError, match="Clifford parameter point"):
+                estimator.estimate(bad[1])
+        with pytest.raises(ValueError, match=f"need {d} parameter values"):
+            estimator.estimate_many(thetas[:, :-1])
+        with pytest.raises(ValueError, match=f"need {d} parameter values"):
+            estimator.estimate(thetas[0, :-1])
+        assert estimator.num_evaluations == 0
+
+        static = Circuit(problem.num_eval_qubits)
+        static.rz(0.3, 0)
+        non_clifford = dataclasses.replace(
+            problem, eval_ansatz=problem.eval_ansatz.compose(static))
+        estimator = make_estimator(non_clifford, mode="clifford")
+        with pytest.raises(ValueError, match="Clifford parameter point"):
+            estimator.estimate_many(thetas)
+        # the same template still binds, for an engine that needs no
+        # Clifford walk
+        exact = make_estimator(non_clifford, mode="exact")
+        assert np.isfinite(exact.estimate(thetas[0]).value)
+
+    def test_clifford_estimator_edge_angles_bit_identical(self):
+        """Angles within ``tol`` of 0 (mod 2 pi) drop as identities, and a
+        parameter no rotation reads is not checked: the values are the
+        oracle's on the bound, identity-dropped circuits, byte for byte."""
+        template = Circuit(3)
+        template.ry(Parameter(0), 0).ry(Parameter(1), 1).cx(0, 1)
+        template.rz(Parameter(3), 2).cx(1, 2).rx(Parameter(4), 0)
+        problem = dataclasses.replace(logical_problem(3),
+                                      eval_ansatz=template)
+        estimator = make_estimator(problem, mode="clifford",
+                                   clifford_model=relaxing_model(problem))
+        half = np.pi / 2
+        thetas = np.array([
+            [half, 1e-13, 0.3, np.pi, -1e-13],
+            [2 * np.pi - 1e-13, -half, 0.3, 1e-13, 3 * half],
+            [0.0, np.pi, 0.0, half, np.pi],
+        ])
+        terms = self.oracle_terms(estimator, thetas)
+        batch = estimator.estimate_many(thetas)
+        assert batch.term_expectations.tobytes() == terms.tobytes()
+        coefficients = estimator.observable.coefficients
+        assert batch.values.tobytes() == np.array(
+            [float(coefficients @ row) for row in terms]).tobytes()
+        for theta, value in zip(thetas, batch.values):
+            assert estimator.estimate(theta).value == value
 
     def test_exact_shot_noise_draw_order_matches_serial(self):
         """estimate_many must consume the rng exactly like the serial loop.

@@ -1099,7 +1099,9 @@ class TestStaticBlock:
                "ncafqa": NcafqaLoss}[loss_name]
         dim = (problem.num_transformation_parameters
                if loss_name == "clapton" else problem.num_vqe_parameters)
-        loss = cls(problem, clifford_model=model)
+        # CAFQA's L_0 has no noise model
+        loss = (cls(problem) if loss_name == "cafqa"
+                else cls(problem, clifford_model=model))
         genomes = np.random.default_rng(12).integers(0, 4, size=(13, dim))
         np.testing.assert_array_equal(
             loss.evaluate_many(genomes),

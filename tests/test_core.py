@@ -8,6 +8,7 @@ from repro.circuits import clapton_transformation_circuit, num_transformation_pa
 from repro.core import (
     CafqaLoss,
     ClaptonLoss,
+    NcafqaLoss,
     VQEProblem,
     cafqa,
     clapton,
@@ -107,14 +108,14 @@ class TestClaptonLoss:
 class TestCafqaLoss:
     def test_zero_genome_is_all_zeros_energy(self):
         problem = small_problem()
-        loss = CafqaLoss(problem, noise_aware=False)
+        loss = CafqaLoss(problem)
         genome = np.zeros(problem.num_vqe_parameters, dtype=int)
         assert loss(genome) == pytest.approx(
             problem.hamiltonian.expectation_all_zeros())
 
     def test_noiseless_term_matches_statevector(self):
         problem = small_problem()
-        loss = CafqaLoss(problem, noise_aware=False)
+        loss = CafqaLoss(problem)
         rng = np.random.default_rng(3)
         genome = rng.integers(0, 4, size=problem.num_vqe_parameters)
         from repro.circuits import cafqa_angles, hardware_efficient_ansatz
@@ -124,10 +125,10 @@ class TestCafqaLoss:
         expected = pauli_sum_expectation(problem.hamiltonian, state)
         assert loss(genome) == pytest.approx(expected, abs=1e-9)
 
-    def test_noise_aware_adds_noisy_term(self):
+    def test_ncafqa_adds_noisy_term(self):
         problem = small_problem()
-        plain = CafqaLoss(problem, noise_aware=False)
-        aware = CafqaLoss(problem, noise_aware=True)
+        plain = CafqaLoss(problem)
+        aware = NcafqaLoss(problem)
         # zero genome: |0...0> has non-zero Ising energy, so the attenuated
         # noisy term must differ from the noiseless one
         genome = np.zeros(problem.num_vqe_parameters, dtype=int)
@@ -177,7 +178,7 @@ class TestDrivers:
         problem = small_problem()
         result = ncafqa(problem, config=SMALL_ENGINE)
         assert result.method == "ncafqa"
-        aware = CafqaLoss(problem, noise_aware=True)
+        aware = NcafqaLoss(problem)
         assert aware(result.genome) == pytest.approx(result.loss, abs=1e-9)
 
     def test_from_backend_problem(self):

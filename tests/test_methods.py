@@ -63,7 +63,7 @@ class EveryOtherQubit(InitializationMethod):
         return problem.num_vqe_parameters
 
     def make_loss(self, problem):
-        return CafqaLoss(problem, noise_aware=False)
+        return CafqaLoss(problem)
 
     def decode(self, problem, genome):
         from repro.circuits import cafqa_angles
@@ -346,7 +346,7 @@ class TestExtraMethods:
         genomes = np.random.default_rng(11).integers(
             0, method.num_values,
             size=(300, method.num_parameters(problem)))
-        loss = CafqaLoss(problem, noise_aware=False)
+        loss = CafqaLoss(problem)
         losses = np.array([float(loss(g)) for g in genomes])
         best = int(np.argmin(losses))
         np.testing.assert_array_equal(result.best_genome, genomes[best])

@@ -12,7 +12,6 @@ import pytest
 
 from repro.circuits import Circuit, ansatz_skeleton
 from repro.densesim import channels, evolve_with_noise, noisy_energy
-from repro.densesim.evaluator import measurement_attenuations
 from repro.noise import (
     CliffordNoiseModel,
     NoiseModel,
@@ -231,13 +230,38 @@ class TestFullModelEvaluator:
         assert full < 1.0  # device model: both qubits decay
 
     def test_measurement_attenuations_shared_with_clifford_model(self):
-        n = 3
-        rng = np.random.default_rng(4)
-        h = random_hamiltonian(n, 8, rng)
-        nm = NoiseModel.uniform(n, depol_1q=2e-3, depol_2q=2e-2, readout=0.04)
-        from_full = measurement_attenuations(h, nm)
-        from_clifford = CliffordNoiseModel(nm).measurement_attenuations(h.table)
-        np.testing.assert_allclose(from_full, from_clifford)
+        """One implementation, pinned byte for byte: per term, the readout
+        factor of each support qubit and then the basis-prep factor of
+        each X/Y qubit, each product qubit by qubit in ascending order."""
+        for n in (3, 10, 70):
+            rng = np.random.default_rng(4 + n)
+            h = random_hamiltonian(n, 12, rng)
+            nm = NoiseModel(num_qubits=n, depol_1q=rng.uniform(0, 0.01, n),
+                            depol_2q_default=2e-2,
+                            readout_p01=rng.uniform(0, 0.05, n),
+                            readout_p10=rng.uniform(0, 0.05, n))
+            readout = nm.readout_z_attenuation()
+            prep = 1.0 - 4.0 * nm.depol_1q / 3.0
+            with_prep, without_prep = [], []
+            for pauli in h.table.to_paulis():
+                factor = 1.0
+                for q in range(n):
+                    if pauli.x[q] or pauli.z[q]:
+                        factor *= readout[q]
+                without_prep.append(factor)
+                basis = 1.0
+                for q in range(n):
+                    if pauli.x[q]:
+                        basis *= prep[q]
+                with_prep.append(factor * basis)
+            for include_prep, expected in ((True, with_prep),
+                                           (False, without_prep)):
+                got = nm.measurement_attenuations(h.table, include_prep)
+                assert got.tobytes() == np.array(expected).tobytes()
+                clifford = CliffordNoiseModel(
+                    nm, include_basis_prep_error=include_prep)
+                assert clifford.measurement_attenuations(
+                    h.table).tobytes() == got.tobytes()
 
     def test_evolve_register_check(self):
         nm = NoiseModel.uniform(2, depol_1q=0.0, depol_2q=0.0)

@@ -388,7 +388,7 @@ class TestInstrumentation:
         """Traced, every loss batch's span carries its page faults;
         untraced, the batch runs through the no-op span."""
         from repro.core import VQEProblem
-        from repro.core.loss import CafqaLoss, ClaptonLoss
+        from repro.core.loss import CafqaLoss, ClaptonLoss, NcafqaLoss
         from repro.hamiltonians import ising_model
         from repro.noise import NoiseModel
 
@@ -398,7 +398,7 @@ class TestInstrumentation:
         losses = [(ClaptonLoss(problem),
                    problem.num_transformation_parameters),
                   (CafqaLoss(problem), 16),
-                  (CafqaLoss(problem, noise_aware=True), 16)]
+                  (NcafqaLoss(problem), 16)]
         batches = [rng.integers(0, 4, size=(6, d)) for _, d in losses]
         with use_tracer(RecordingTracer()) as tracer:
             traced = [loss.evaluate_many(g)

@@ -79,7 +79,7 @@ def measure_reach(ga: GAConfig | None = None) -> dict:
     evaluations = []
     for seed in REACH_SEEDS:
         result = get_strategy("multi_ga").minimize(
-            CafqaLoss(problem, noise_aware=False),
+            CafqaLoss(problem),
             problem.num_vqe_parameters, budget=budget,
             config=replace(config, seed=seed))
         reached = result.best_loss <= target + 1e-12
