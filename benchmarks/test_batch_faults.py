@@ -17,9 +17,12 @@ loss runs warm-up batches and counts ``ru_minflt`` over ten more
 seeded batches.  A last case does the same for Clapton on the 12-qubit
 Ising problem transpiled onto FakeToronto (as perfbench's
 ``tabu-toronto12``), the one shape whose batches run the layout embed
-(logical -> physical register) and so hold its buffers too.  A fault count does not depend on machine load the way
-wall time does, so the bound is hard.  glibc only: other allocators
-trim by other rules.
+(logical -> physical register) and so hold its buffers too, once on
+random batches and once on tabu-style neighbourhoods (each genome one
+gene off a shared current genome), whose batches walk only the rows
+that differ from genome 0's and copy the rest.  A fault count does not
+depend on machine load the way wall time does, so the bound is hard.
+glibc only: other allocators trim by other rules.
 
 Run it directly to print the counts::
 
@@ -77,10 +80,22 @@ def count_faults() -> dict:
         "clapton_toronto12": (ClaptonLoss(device),
                               device.num_transformation_parameters),
     }
+    losses["clapton_toronto12_tabu"] = losses["clapton_toronto12"]
     rng = np.random.default_rng(2024)
+
+    def neighbourhood(length):
+        """``POPULATION`` genomes, each one gene off a random current."""
+        genomes = np.tile(rng.integers(0, 4, size=length), (POPULATION, 1))
+        rows = np.arange(POPULATION)
+        genes = rng.integers(0, length, size=POPULATION)
+        genomes[rows, genes] += rng.integers(1, 4, size=POPULATION)
+        genomes %= 4
+        return genomes
+
     faults = {}
     for name, (loss, length) in losses.items():
-        batches = [rng.integers(0, 4, size=(POPULATION, length))
+        batches = [neighbourhood(length) if name.endswith("_tabu")
+                   else rng.integers(0, 4, size=(POPULATION, length))
                    for _ in range(WARMUP_BATCHES + MEASURED_BATCHES)]
         for genomes in batches[:WARMUP_BATCHES]:
             loss.evaluate_many(genomes)

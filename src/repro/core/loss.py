@@ -19,6 +19,8 @@ stabilizer evaluations, nCAFQA's read off the end of its L_N walk.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..circuits.ansatz import entanglement_pairs
@@ -32,6 +34,7 @@ from ..obs import REGISTRY, get_tracer, minor_faults
 from ..obs.kernel import kernel_event
 from ..paulis.pauli_sum import _coefficient_dots
 from ..stabilizer.tableau import (
+    StaticBlock,
     pull_back_rotation_layer,
     rotation_layer_cliffords,
 )
@@ -43,25 +46,65 @@ _LOSS_BATCHES = REGISTRY.counter(
 _LOSS_EVALS = REGISTRY.counter(
     "repro_loss_evaluations_total",
     "Genomes evaluated through batched losses")
+_WALK_SHARED_ROWS = REGISTRY.counter(
+    "repro_walk_shared_rows_total",
+    "Clapton rows whose noisy value was copied from block 0's equal row "
+    "instead of walked")
 
 
 def _traced_batch(loss, name: str, genomes: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``loss.components_many(genomes)`` under one ``loss.evaluate_many``
     span, counted in the loss metrics.  While tracing is on, the span
-    also carries the batch's minor page faults (``minor_faults``; the
-    count is per process, so a thread running beside the batch adds
-    its own)."""
+    also carries the batch's minor page faults (``minor_faults``) and
+    the Clapton rows it did not walk (``shared_rows``, 0 for the other
+    losses).  Both counts are per process, so a thread running beside
+    the batch adds its own."""
     tracer = get_tracer()
     with tracer.span("loss.evaluate_many", loss=name, batch=len(genomes),
                      qubits=loss.problem.num_logical_qubits) as span:
-        faults = minor_faults() if tracer.enabled else None
+        if tracer.enabled:
+            faults = minor_faults()
+            shared = _WALK_SHARED_ROWS.total()
         components = loss.components_many(genomes)
-        if faults is not None:
-            span.tag(minor_faults=minor_faults() - faults)
+        if tracer.enabled:
+            span.tag(minor_faults=minor_faults() - faults,
+                     shared_rows=int(_WALK_SHARED_ROWS.total() - shared))
     _LOSS_BATCHES.inc()
     _LOSS_EVALS.inc(len(genomes))
     return components
+
+
+def _walked_rows(table, num_blocks: int) -> np.ndarray | None:
+    """The rows of a stacked batch that Clapton's skeleton walk must run.
+
+    ``table`` stacks ``num_blocks`` blocks of ``M`` rows, one per genome.
+    Every row of blocks 1.. is compared, word by word and on its phase,
+    with its term's row in block 0.  When at least half of all rows
+    equal theirs, the walk needs only block 0's rows and the rows that
+    differ: the result is their ascending indices, block 0 first.  The
+    walk is row-wise, so an equal row's value is block 0's, bit for bit.
+    Otherwise (fewer equal rows, or fewer than two blocks) the result is
+    ``None``, and every row is walked.  A tabu neighbourhood changes one
+    gene per genome, so most of its rows repeat; a GA population's
+    mostly do not, and the compare stops after its first word.
+    """
+    num_rows = table.num_rows
+    if num_blocks < 2:
+        return None
+    num_terms = num_rows // num_blocks
+    same = None
+    for column in (*table.x.T, *table.z.T, table.phase_exp):
+        column = column.reshape(num_blocks, num_terms)
+        if same is None:
+            same = column[1:] == column[0]
+        else:
+            same &= column[1:] == column[0]
+        # the walk runs block 0 plus every row that differs from it
+        if 2 * (num_rows - np.count_nonzero(same)) > num_rows:
+            return None
+    differ = np.flatnonzero(~same) + num_terms
+    return np.concatenate((np.arange(num_terms), differ))
 
 
 class ClaptonLoss:
@@ -104,22 +147,38 @@ class ClaptonLoss:
         One stacked ``(P*M, n)`` transformation pass plus one stacked
         backward noise walk through the shared skeleton, which is a
         single compiled block step.  Every step is row-wise, so a
-        genome's values do not depend on its batch.
+        genome's values do not depend on its batch, and a row equal to
+        another has its value: when at least half of the batch's rows
+        equal their term's row in genome 0's block (:func:`_walked_rows`,
+        a tabu neighbourhood), only block 0 and the rows that differ are
+        embedded and walked, and block 0's values are copied into the
+        equal rows.  The sums run over all ``P*M`` values either way.
         """
         problem = self.problem
         coeffs = problem.hamiltonian.coefficients
         gammas = np.asarray(gammas, dtype=np.int64)
         stacked = transform_table_many(problem.hamiltonian, gammas,
                                        problem.entanglement)
+        num_genomes = len(gammas)
         noiseless = _coefficient_dots(stacked.expectation_all_zeros(),
-                                      coeffs, len(gammas))
+                                      coeffs, num_genomes)
+        walked = _walked_rows(stacked, num_genomes)
+        if walked is not None:
+            stacked = stacked.take(walked)
         # the walk copies its table: dropping the logical stack first
         # keeps the batch at two copies of it, not three
         stacked = embed_table(stacked, problem.positions,
                               problem.num_eval_qubits)
         values = self.clifford_model.noisy_zero_state_term_values_steps(
             [(self._skeleton, None)], stacked)
-        return _coefficient_dots(values, coeffs, len(gammas)), noiseless
+        if walked is not None:
+            # block 0 leads the walked rows; every row not walked equals
+            # block 0's row of its term
+            shared = np.tile(values[:len(coeffs)], num_genomes)
+            shared[walked] = values
+            values = shared
+            _WALK_SHARED_ROWS.inc(len(values) - len(walked))
+        return _coefficient_dots(values, coeffs, num_genomes), noiseless
 
     def evaluate_many(self, gammas) -> np.ndarray:
         """``(P,)`` losses of a genome population in one batched pass."""
@@ -141,12 +200,16 @@ class CafqaLoss:
 
     def __init__(self, problem: VQEProblem):
         self.problem = problem
-        n = problem.num_logical_qubits
+
+    @cached_property
+    def _ring(self) -> StaticBlock:
+        """The ansatz's CX ring as one compiled block, built on first use
+        (nCAFQA's batches never read it)."""
+        n = self.problem.num_logical_qubits
         ring = Circuit(n)
-        for pair in entanglement_pairs(n, problem.entanglement):
+        for pair in entanglement_pairs(n, self.problem.entanglement):
             ring.cx(*pair)
-        self._ring = static_block(reversed(ring.instructions), n,
-                                  locations=False)
+        return static_block(reversed(ring.instructions), n, locations=False)
 
     def components(self, genome) -> tuple[float, float]:
         """``(L_N, L_0)`` at one genome (a batch of one)."""

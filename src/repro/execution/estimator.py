@@ -276,19 +276,20 @@ class ExactEstimator(BaseEstimator):
         num_points = len(thetas)
         plan = self._plan
 
-        groups: dict[tuple[bool, ...], list[int]] = {}
-        for b in range(num_points):
-            groups.setdefault(plan.keep_mask(thetas[b]), []).append(b)
+        masks = plan.keep_masks(thetas)
+        groups: dict[bytes, list[int]] = {}
+        for b, mask in enumerate(masks):
+            groups.setdefault(mask.tobytes(), []).append(b)
 
         num_terms = len(self._paulis)
         exact_values = np.empty(num_points)
         term_matrix = np.empty((num_points, num_terms))
         point_seconds = np.empty(num_points)
-        for mask, members in groups.items():
+        for members in groups.values():
             for lo in range(0, len(members), chunk_size):
                 chunk = members[lo:lo + chunk_size]
                 chunk_start = time.perf_counter()
-                steps = plan.steps_for(mask, thetas[chunk])
+                steps = plan.steps_for(masks[members[0]], thetas[chunk])
                 sim = evolve_steps_with_noise(
                     steps, num_qubits, len(chunk), self.noise_model)
                 values = sim.pauli_expectations(self._paulis)

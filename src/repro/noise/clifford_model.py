@@ -651,7 +651,7 @@ class CliffordCircuitPlan:
     :class:`~repro.stabilizer.tableau.StaticBlock`).  Per point only the
     parameterized rotations are re-dispatched: :meth:`bind` rebuilds one
     bound circuit (the one bind path of every estimator),
-    :meth:`keep_mask` / :meth:`steps_for` group points for the batched
+    :meth:`keep_masks` / :meth:`steps_for` group points for the batched
     density-matrix evolver, and :meth:`reverse_leveled_schedule` turns a
     ``(P, d)`` batch of integer rotation levels into the one schedule the
     noisy Clifford walk runs
@@ -687,10 +687,13 @@ class CliffordCircuitPlan:
             else:
                 self._items.append(tuple(inst for inst, _ in run))
         self._walk_items: list | None = None
+        #: the parameter each rotation reads, in circuit order
+        self._rotation_params = np.array(
+            [index for _, index in self.steps if index is not None],
+            dtype=np.int64)
         #: parameters no rotation reads (a gap in the template's indices)
-        self._unread = np.setdiff1d(
-            np.arange(self.num_parameters),
-            [index for _, index in self.steps if index is not None])
+        self._unread = np.setdiff1d(np.arange(self.num_parameters),
+                                    self._rotation_params)
         #: whether every static gate is Clifford (a schedule needs it)
         self._static_clifford = all(
             inst.spec.is_clifford(tuple(float(p) for p in inst.params))
@@ -703,40 +706,44 @@ class CliffordCircuitPlan:
                              f"got {thetas.shape[1]}")
         return thetas
 
-    def _kept(self, angle: float) -> bool:
-        folded = angle % _TWO_PI
-        return min(folded, _TWO_PI - folded) >= self.tol
+    def _kept_flags(self, thetas: np.ndarray) -> np.ndarray:
+        """Which angles of a matrix a bound rotation keeps: those whose
+        fold into ``[0, π]`` (mod 2π) is at least ``tol``.  NaN and
+        infinite angles fold to NaN and are not kept."""
+        with np.errstate(invalid="ignore"):
+            folded = np.remainder(thetas, _TWO_PI)
+        return np.minimum(folded, _TWO_PI - folded) >= self.tol
 
     def bind(self, theta: np.ndarray) -> Circuit:
         """The bound, identity-dropped circuit at one point."""
         theta = self._check_thetas(theta)[0]
+        kept = iter(self._kept_flags(theta[self._rotation_params]))
         out = Circuit(self.num_qubits)
         instructions = out.instructions
         for inst, index in self.steps:
             if index is None:
                 instructions.append(inst)
-                continue
-            angle = float(theta[index])
-            if self._kept(angle):
-                instructions.append(replace(inst, params=(angle,)))
+            elif next(kept):
+                instructions.append(replace(inst,
+                                            params=(float(theta[index]),)))
         return out
 
-    def keep_mask(self, theta: np.ndarray) -> tuple[bool, ...]:
-        """Which parameterized steps survive identity-dropping at ``theta``.
+    def keep_masks(self, thetas: np.ndarray) -> np.ndarray:
+        """``(P, R)``: which parameterized steps survive identity-dropping
+        at each point of a batch, one row per point.
 
-        The mask is the point's circuit-structure signature: points with
-        equal masks share an instruction sequence and can be evolved as
-        one batch.
+        A row is the point's circuit-structure signature: points with
+        equal rows share an instruction sequence and can be evolved as
+        one batch.  The batch's angles are folded in one pass.
         """
-        theta = self._check_thetas(theta)[0]
-        return tuple(self._kept(float(theta[index]))
-                     for _, index in self.steps if index is not None)
+        thetas = self._check_thetas(thetas)
+        return self._kept_flags(thetas[:, self._rotation_params])
 
-    def steps_for(self, mask: tuple[bool, ...], thetas: np.ndarray
-                  ) -> list[tuple]:
+    def steps_for(self, mask, thetas: np.ndarray) -> list[tuple]:
         """The shared instruction sequence of one structure group.
 
-        Returns ``(instruction, angles)`` pairs for the batched evolver:
+        ``mask`` is one row of :meth:`keep_masks`.  Returns
+        ``(instruction, angles)`` pairs for the batched evolver:
         ``angles`` is the group's ``(B,)`` per-point angle vector for kept
         rotations and ``None`` for static instructions.  The
         representative instruction of a rotation carries the first point's
@@ -780,11 +787,12 @@ class CliffordCircuitPlan:
             thetas[:, self._unread] = 0.0
         turns = thetas / _HALF_PI
         levels = np.rint(turns)
-        if not np.all(np.abs(turns - levels) < 1e-9):
+        # a non-finite angle is rejected before ``inf - inf`` can warn
+        if not (np.all(np.isfinite(turns))
+                and np.all(np.abs(turns - levels) < 1e-9)):
             raise NonCliffordError("a rotation angle is not a multiple of "
                                    "pi/2")
-        folded = np.remainder(thetas, _TWO_PI)
-        kept = np.minimum(folded, _TWO_PI - folded) >= self.tol
+        kept = self._kept_flags(thetas)
         levels = levels.astype(np.int64)
         levels %= 4
         return self.reverse_leveled_schedule(levels, kept)

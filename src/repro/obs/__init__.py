@@ -20,7 +20,8 @@ waits) into the current span.  The span vocabulary, bottom up::
     noise_walk              one noisy Clifford walk     (loss_eval;
                             tags: rows, live_rows)
     loss.evaluate_many      one batched loss call       (loss_eval;
-                            tags: loss, batch, qubits, minor_faults)
+                            tags: loss, batch, qubits, minor_faults,
+                            shared_rows)
     engine.round            one engine round (tags: evaluations, best)
     search.round            one strategy round loop iteration
     search.minimize         a whole SearchStrategy.minimize call

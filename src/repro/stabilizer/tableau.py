@@ -1000,17 +1000,13 @@ class SingleQubitCliffords(NamedTuple):
     * ``compose``: ``(24, 24)``; ``compose[a, b]`` pulls back through
       ``a``, then through ``b``;
     * ``rotations``: ``{"rx" | "ry" | "rz": (4,)}`` -- the pull-back
-      through that rotation at angle ``level·π/2``, per level;
-    * ``mask_bits``: ``(10, 24)`` bool -- ``bits.T``, contiguous, so the
-      layer pass (:func:`pull_back_rotation_layer`) gathers its ten mask
-      planes in one ``take`` with no transpose copy.
+      through that rotation at angle ``level·π/2``, per level.
     """
 
     bits: np.ndarray
     codes: np.ndarray
     compose: np.ndarray
     rotations: dict
-    mask_bits: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -1060,10 +1056,27 @@ def single_qubit_cliffords() -> SingleQubitCliffords:
                         for a in elements], dtype=np.int64)
     rotations = {kind: np.array([index[a] for a in actions], dtype=np.int64)
                  for kind, actions in rotation_actions.items()}
-    mask_bits = np.ascontiguousarray(bits.T)
-    for table in (bits, codes, compose, mask_bits, *rotations.values()):
+    for table in (bits, codes, compose, *rotations.values()):
         table.flags.writeable = False
-    return SingleQubitCliffords(bits, codes, compose, rotations, mask_bits)
+    return SingleQubitCliffords(bits, codes, compose, rotations)
+
+
+@lru_cache(maxsize=64)
+def _mask_words(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layer pass's pre-shifted mask bits on ``num_qubits`` qubits.
+
+    Row ``24q + c`` of the ``(24n, 10)`` uint64 table holds element
+    ``c``'s ten ``bits`` at bit ``q % 64``, the column of qubit ``q`` in
+    its word; the ``(n, 1)`` offsets ``24q`` index a qubit's rows.
+    """
+    q = np.arange(num_qubits)
+    shifts = (q % 64).astype(np.uint64)
+    table = (single_qubit_cliffords().bits.astype(np.uint64)[None, :, :]
+             << shifts[:, None, None]).reshape(24 * num_qubits, 10)
+    offsets = 24 * q[:, None]
+    table.flags.writeable = False
+    offsets.flags.writeable = False
+    return table, offsets
 
 
 def _follow_codes(luts, code: int) -> tuple[int, int]:
@@ -1103,7 +1116,9 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
     Gates on different qubits commute, so one pass applies the whole
     layer: the Aaronson-Gottesman column updates (arXiv:quant-ph/0406196),
     made per-row by mask words.  Each point's elements gather their bits
-    into ten ``(P, W)`` masks, and on ``(P, M, W)`` views of the words
+    into ten ``(P, W)`` masks (one row gather of pre-shifted bits,
+    :func:`_mask_words`, ORed over each word's qubits), and on
+    ``(P, M, W)`` views of the words
 
         x' = (x & A) ^ (z & B),    z' = (x & C) ^ (z & D),
 
@@ -1130,11 +1145,14 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
     KERNEL.rows += num_rows
     KERNEL.words += num_rows * words
     KERNEL.fused_passes += 1
-    masks = bitops.pack_bits(single_qubit_cliffords().mask_bits
-                             .take(cliffords, axis=1)
-                             .reshape(10 * num_points, n), n)
-    (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.reshape(
-        10, num_points, 1, words)
+    mask_words, offsets = _mask_words(n)
+    shifted = mask_words.take(cliffords.T + offsets, axis=0)  # (n, P, 10)
+    masks = np.empty((words, num_points, 10), dtype=np.uint64)
+    for w in range(words):
+        np.bitwise_or.reduce(shifted[64 * w:64 * (w + 1)], axis=0,
+                             out=masks[w])
+    (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.T[
+        :, :, None, :]
     y_lo = x_lo ^ y_lo ^ z_lo
     y_hi = x_hi ^ y_hi ^ z_hi
     shape = (num_points, num_rows // num_points, words)

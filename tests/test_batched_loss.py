@@ -24,9 +24,11 @@ from repro.core import (
     VQEProblem,
     transform_table_many,
 )
+from repro.core import loss as loss_module
 from repro.execution import make_estimator, memoize_loss
 from repro.hamiltonians import get_benchmark, ising_model, xxz_model
 from repro.noise import CliffordNoiseModel, NoiseModel
+from repro.obs import REGISTRY
 from repro.optim import GAConfig, GeneticAlgorithm
 from repro.paulis import PauliString
 from repro.paulis.pauli_sum import _coefficient_dots
@@ -266,6 +268,138 @@ class TestBatchedLosses:
 # ----------------------------------------------------------------------
 # The noisy layer walk: nCAFQA's L_N and CliffordEstimator
 # ----------------------------------------------------------------------
+class TestSharedRowWalk:
+    """Clapton walks block 0 and the rows that differ from it once half
+    of a batch's rows repeat block 0's (``_walked_rows``), and copies
+    block 0's values into the rest.  Every batch must give, byte for
+    byte, the values of walking each genome on its own (P = 1)."""
+
+    SHARED = REGISTRY.get("repro_walk_shared_rows_total")
+
+    @staticmethod
+    def crafted_blocks(problem, num_blocks, differing, seed):
+        """``num_blocks`` copies of one transformed block, with the rows
+        ``differing`` (indices into the stack, past block 0) replaced:
+        even ones by their sign flip, odd ones by another genome's row
+        where it differs (by the sign flip where it does not)."""
+        rng = np.random.default_rng(seed)
+        length = problem.num_transformation_parameters
+        base, other = (transform_table_many(
+            problem.hamiltonian, rng.integers(0, 4, size=(1, length)),
+            problem.entanglement) for _ in range(2))
+        table = base.tile(num_blocks)
+        num_terms = base.num_rows
+        for k, row in enumerate(sorted(differing)):
+            assert row >= num_terms
+            term = row % num_terms
+            if k % 2 and (other.x[term] != base.x[term]).any():
+                table.x[row] = other.x[term]
+                table.z[row] = other.z[term]
+                table.phase_exp[row] = other.phase_exp[term]
+            else:
+                table.phase_exp[row] = (base.phase_exp[term] + 2) % 4
+        return table
+
+    @staticmethod
+    def fake_transform(monkeypatch, table, num_blocks):
+        """Make genome ``[p]`` stand for block ``p`` of ``table``."""
+        num_terms = table.num_rows // num_blocks
+
+        def transform(hamiltonian, gammas, entanglement):
+            rows = (gammas[:, :1] * num_terms + np.arange(num_terms)).ravel()
+            return table.take(rows)
+
+        monkeypatch.setattr(loss_module, "transform_table_many", transform)
+
+    def assert_matches_single_walks(self, loss, genomes):
+        noisy, noiseless = loss.components_many(genomes)
+        for p, genome in enumerate(genomes):
+            single = loss.components_many(genome[None, :])
+            assert noisy[p:p + 1].tobytes() == single[0].tobytes()
+            assert noiseless[p:p + 1].tobytes() == single[1].tobytes()
+
+    @pytest.mark.parametrize("make_problem", [logical_problem,
+                                              transpiled_problem])
+    @pytest.mark.parametrize("case", ["none_equal", "all_equal", "p1",
+                                      "p2_equal", "p2_one_differs",
+                                      "just_under", "just_over"])
+    def test_crafted_batches_match_single_walks(self, monkeypatch,
+                                                make_problem, case):
+        problem = make_problem()
+        num_terms = problem.hamiltonian.num_terms
+        num_blocks = {"p1": 1, "p2_equal": 2, "p2_one_differs": 2}.get(
+            case, 4)
+        num_rows = num_blocks * num_terms
+        past_block0 = list(range(num_terms, num_rows))
+        # shared iff walked rows (block 0 plus the differing ones) are at
+        # most half of the rows: at 4 blocks, iff at most M rows differ
+        differing, shared = {
+            "none_equal": (past_block0, False),
+            "all_equal": ([], True),
+            "p1": ([], False),
+            "p2_equal": ([], True),
+            "p2_one_differs": (past_block0[-1:], False),
+            "just_under": (past_block0[::2][:num_terms + 1], False),
+            "just_over": (past_block0[::2][:num_terms], True),
+        }[case]
+        table = self.crafted_blocks(problem, num_blocks, differing, seed=3)
+        walked = loss_module._walked_rows(table, num_blocks)
+        if shared:
+            np.testing.assert_array_equal(
+                walked, [*range(num_terms), *sorted(differing)])
+        else:
+            assert walked is None
+        self.fake_transform(monkeypatch, table, num_blocks)
+        loss = ClaptonLoss(problem)
+        genomes = np.arange(num_blocks)[:, None]
+        before = self.SHARED.total()
+        loss.evaluate_many(genomes)
+        assert self.SHARED.total() - before == (
+            num_rows - len(walked) if shared else 0)
+        self.assert_matches_single_walks(loss, genomes)
+
+    @pytest.mark.parametrize("make_problem", [logical_problem,
+                                              transpiled_problem])
+    def test_neighbourhood_batch_takes_the_shared_path(self, make_problem):
+        """A tabu-style batch (one gene changed per genome) shares most
+        rows; values match P = 1 walks and the boolean oracle."""
+        problem = make_problem()
+        length = problem.num_transformation_parameters
+        rng = np.random.default_rng(12)
+        current = rng.integers(0, 4, size=length)
+        genomes = np.tile(current, (length, 1))
+        genomes[np.arange(length), np.arange(length)] += 1
+        genomes %= 4
+        stacked = transform_table_many(problem.hamiltonian, genomes,
+                                       problem.entanglement)
+        assert loss_module._walked_rows(stacked, length) is not None
+        loss = ClaptonLoss(problem)
+        self.assert_matches_single_walks(loss, genomes)
+        np.testing.assert_array_equal(
+            loss.evaluate_many(genomes),
+            [oracle.loss_value(loss, g) for g in genomes])
+
+    def test_ncafqa_skips_the_cx_ring_but_can_still_build_it(self):
+        """nCAFQA's batches never read CAFQA's CX-ring block, so its
+        constructor does not compile it; ``logical_tables_many`` still
+        builds it on first use and pulls back like CAFQA's."""
+        problem = logical_problem()
+        ncafqa = NcafqaLoss(problem)
+        genomes = genome_batch(np.random.default_rng(5), 9,
+                               problem.num_vqe_parameters)
+        assert "_ring" not in vars(ncafqa)
+        values = ncafqa.evaluate_many(genomes)
+        assert "_ring" not in vars(ncafqa)
+        np.testing.assert_array_equal(
+            values, [oracle.loss_value(ncafqa, g) for g in genomes])
+        tables = ncafqa.logical_tables_many(genomes)
+        expected = CafqaLoss(problem).logical_tables_many(genomes)
+        for plane in ("x", "z", "phase_exp"):
+            np.testing.assert_array_equal(getattr(tables, plane),
+                                          getattr(expected, plane))
+        assert ncafqa.evaluate_many(genomes).tobytes() == values.tobytes()
+
+
 class TestLayerWalk:
     """Each run of rotations is one layer step of the noisy walk; its
     values must equal gate-by-gate walks exactly."""

@@ -7,6 +7,8 @@ bytes, so a ``-0.0`` where the oracle has ``+0.0`` fails too
 (``assert_array_equal`` alone treats them as equal).
 """
 
+import warnings
+
 import numpy as np
 import pauli_oracle as oracle
 import pytest
@@ -21,7 +23,10 @@ from repro.hamiltonians import ising_model, xxz_model
 from repro.methods import get_method
 from repro.mitigation.folding import fold_template_global
 from repro.noise import CliffordNoiseModel, NoiseModel
-from repro.noise.clifford_model import CliffordCircuitPlan
+from repro.noise.clifford_model import (
+    CliffordCircuitPlan,
+    NonCliffordError,
+)
 from repro.obs import (
     REGISTRY,
     RecordingTracer,
@@ -344,7 +349,7 @@ class TestIntegerLevels:
         self.assert_same_schedule(
             schedule, plan.reverse_leveled_schedule(levels, kept))
         assert len(self.layers(schedule)) == 1
-        assert plan.keep_mask(thetas[1]).count(True) == 1
+        assert plan.keep_masks(thetas)[1].sum() == 1
         table = ising_model(4, 1.0).table
         values = model.noisy_term_values_many(plan, thetas, table)
         dropped = model.noisy_term_values_many(plan, thetas[:1], table)
@@ -374,6 +379,45 @@ class TestIntegerLevels:
         with pytest.raises(ValueError, match="not a multiple of pi/2"):
             model.noisy_term_values_many(plan, thetas,
                                          ising_model(4, 1.0).table)
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_non_finite_angle_raises_without_a_warning(self, angle):
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))
+        thetas = np.zeros((2, plan.num_parameters))
+        thetas[1, 5] = angle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonCliffordError,
+                               match="not a multiple of pi/2"):
+                plan.reverse_schedule(thetas)
+
+    def test_keep_masks_fold_like_python_floats(self):
+        """One vectorized fold gives, per point, the rotations a fold of
+        each angle in Python floats keeps, and :meth:`bind` keeps them
+        (edge angles, non-finite ones included)."""
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(3))
+        edge = [0.0, -0.0, 1e-13, -1e-13, 5e-10, 2 * np.pi - 1e-13,
+                2 * np.pi, -2 * np.pi, np.pi, 0.3, -7.5, 1e17, np.inf,
+                -np.inf, np.nan]
+        rng = np.random.default_rng(6)
+        thetas = rng.choice(edge, size=(40, plan.num_parameters))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masks = plan.keep_masks(thetas)
+        rotations = [index for _, index in plan.steps if index is not None]
+        assert masks.shape == (40, len(rotations))
+
+        def kept(angle):
+            folded = angle % (2 * np.pi)
+            return min(folded, 2 * np.pi - folded) >= plan.tol
+
+        for theta, mask in zip(thetas, masks):
+            expected = [kept(float(theta[index])) for index in rotations]
+            assert list(mask) == expected
+            assert len(plan.bind(theta)) == (
+                len(plan.steps) - len(rotations) + sum(expected))
+        with pytest.raises(ValueError, match="parameter values"):
+            plan.keep_masks(thetas[:, :-1])
 
     def test_a_parameter_no_rotation_reads_is_not_checked(self):
         template = Circuit(2)

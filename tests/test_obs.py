@@ -414,6 +414,33 @@ class TestInstrumentation:
         for (loss, _), g, values in zip(losses, batches, traced):
             np.testing.assert_array_equal(loss.evaluate_many(g), values)
 
+    def test_loss_spans_carry_shared_rows(self):
+        """A traced Clapton batch tags the rows it copied from block 0
+        instead of walking them, as the shared-rows counter counts them;
+        the other losses never share."""
+        from repro.core import VQEProblem
+        from repro.core.loss import CafqaLoss, ClaptonLoss
+        from repro.hamiltonians import ising_model
+        from repro.noise import NoiseModel
+
+        problem = VQEProblem.logical(ising_model(4, 1.0),
+                                     NoiseModel.uniform(4))
+        rng = np.random.default_rng(2)
+        copies = np.tile(rng.integers(
+            0, 4, size=problem.num_transformation_parameters), (5, 1))
+        shared = REGISTRY.get("repro_walk_shared_rows_total")
+        before = shared.total()
+        with use_tracer(RecordingTracer()) as tracer:
+            ClaptonLoss(problem).evaluate_many(copies)
+            ClaptonLoss(problem).evaluate_many(copies[:1])
+            CafqaLoss(problem).evaluate_many(rng.integers(0, 4, (5, 16)))
+        spans = [s for s in tracer.spans
+                 if s["name"] == "loss.evaluate_many"]
+        num_terms = problem.hamiltonian.num_terms
+        assert [s["tags"]["shared_rows"] for s in spans] \
+            == [4 * num_terms, 0, 0]
+        assert shared.total() - before == 4 * num_terms
+
     def test_loss_batch_counters_increment(self):
         batches = REGISTRY.get("repro_loss_batches_total")
         evals = REGISTRY.get("repro_loss_evaluations_total")
