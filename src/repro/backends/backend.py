@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..noise.model import NoiseModel
 from .calibration import CalibrationData, perturb_calibration
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

@@ -8,7 +8,10 @@ data here; error rates come from :mod:`repro.backends.calibration`.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: 7-qubit heavy-hex "H" layout:
 #:
@@ -32,6 +35,8 @@ EDGES_27Q_FALCON: list[tuple[int, int]] = [
 
 def coupling_graph(edges: list[tuple[int, int]], num_qubits: int) -> nx.Graph:
     """Undirected coupling graph with every qubit present as a node."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(num_qubits))
     graph.add_edges_from(edges)

@@ -9,13 +9,18 @@ is comfortable.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def pauli_to_sparse(pauli) -> sp.csr_matrix:
     """Sparse matrix of one Pauli string (2^n rows, one entry per column)."""
+    import scipy.sparse as sp
+
     n = pauli.num_qubits
     dim = 1 << n
     xmask = 0
@@ -36,6 +41,8 @@ def pauli_to_sparse(pauli) -> sp.csr_matrix:
 
 def pauli_sum_to_sparse(hamiltonian) -> sp.csr_matrix:
     """Sparse matrix of a whole :class:`~repro.paulis.pauli_sum.PauliSum`."""
+    import scipy.sparse as sp
+
     dim = 1 << hamiltonian.num_qubits
     total = sp.csr_matrix((dim, dim), dtype=complex)
     for coeff, pauli in hamiltonian.terms():
@@ -49,6 +56,8 @@ def ground_state_energy(hamiltonian) -> float:
     dim = matrix.shape[0]
     if dim <= 64:
         return float(np.linalg.eigvalsh(matrix.toarray()).min())
+    import scipy.sparse.linalg as spla
+
     value = spla.eigsh(matrix.real if _is_real(matrix) else matrix,
                        k=1, which="SA", return_eigenvectors=False)
     return float(value[0])
@@ -61,6 +70,8 @@ def ground_state(hamiltonian) -> tuple[float, np.ndarray]:
     if dim <= 64:
         values, vectors = np.linalg.eigh(matrix.toarray())
         return float(values[0]), vectors[:, 0]
+    import scipy.sparse.linalg as spla
+
     values, vectors = spla.eigsh(matrix, k=1, which="SA")
     return float(values[0]), vectors[:, 0]
 

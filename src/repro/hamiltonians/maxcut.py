@@ -13,10 +13,14 @@ classical enumeration for small graphs -- which the tests exploit.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..paulis.pauli_sum import PauliSum
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def maxcut_hamiltonian(graph: nx.Graph) -> PauliSum:
@@ -66,6 +70,8 @@ def random_maxcut_instance(num_nodes: int, edge_probability: float,
                            rng: np.random.Generator,
                            weighted: bool = False) -> nx.Graph:
     """Erdos-Renyi MaxCut instance (optionally with uniform [0,1] weights)."""
+    import networkx as nx
+
     graph = nx.erdos_renyi_graph(num_nodes, edge_probability,
                                  seed=int(rng.integers(0, 2 ** 31)))
     while graph.number_of_edges() == 0:

@@ -793,8 +793,9 @@ class CliffordCircuitPlan:
             raise NonCliffordError("a rotation angle is not a multiple of "
                                    "pi/2")
         kept = self._kept_flags(thetas)
-        levels = levels.astype(np.int64)
-        levels %= 4
+        # reduced in float (exact for integer values), so a huge finite
+        # angle cannot overflow the cast
+        levels = np.mod(levels, 4).astype(np.int64)
         return self.reverse_leveled_schedule(levels, kept)
 
     def reverse_leveled_schedule(self, levels: np.ndarray, kept: np.ndarray

@@ -13,7 +13,6 @@ path wins.  A node budget keeps worst-case work bounded on larger graphs.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..backends.backend import Backend
@@ -97,6 +96,8 @@ def find_chain_layout(backend: Backend, length: int) -> list[int]:
         return find_line_layout(backend, length)
     except ValueError:
         pass
+    import networkx as nx
+
     graph = backend.graph
     cal = backend.calibration
     best: list[int] | None = None

@@ -14,10 +14,12 @@ paper's flow (transpile first, then feed ``A'`` to Clapton, Sec. 5.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..circuits.circuit import Circuit
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -52,6 +54,8 @@ def route_circuit(circuit: Circuit, graph: nx.Graph,
         edge_weight: Optional per-edge cost used to pick among shortest
             paths (two-qubit error rates); unweighted hops when omitted.
     """
+    import networkx as nx
+
     placed = set(initial_layout.values())
     if len(placed) != len(initial_layout):
         raise ValueError("initial layout maps two logical qubits to one physical")

@@ -18,6 +18,7 @@ from repro.circuits.ansatz import (
     hardware_efficient_ansatz,
     layered_hardware_efficient_ansatz,
 )
+from repro.circuits.gates import get_gate
 from repro.core import ClaptonLoss, NcafqaLoss, VQEProblem
 from repro.hamiltonians import ising_model, xxz_model
 from repro.methods import get_method
@@ -390,6 +391,24 @@ class TestIntegerLevels:
             with pytest.raises(NonCliffordError,
                                match="not a multiple of pi/2"):
                 plan.reverse_schedule(thetas)
+
+    @pytest.mark.parametrize("angle", [1e20, -1e20])
+    def test_huge_finite_angle_gets_a_defined_level(self, angle):
+        """Every float this large is a multiple of pi/2 to the checks'
+        1e-9, so it is Clifford; its level is its turns mod 4, with no
+        overflowing cast."""
+        assert get_gate("ry").is_clifford((angle,))
+        plan = CliffordCircuitPlan(hardware_efficient_ansatz(4))
+        thetas = np.zeros((2, plan.num_parameters))
+        thetas[1, 5] = angle
+        levels = np.zeros(thetas.shape, dtype=np.int64)
+        levels[1, 5] = int(np.rint(angle / (np.pi / 2))) % 4
+        kept = thetas != 0  # the angle folds to about 1.9 rad, so it is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            schedule = plan.reverse_schedule(thetas)
+        self.assert_same_schedule(
+            schedule, plan.reverse_leveled_schedule(levels, kept))
 
     def test_keep_masks_fold_like_python_floats(self):
         """One vectorized fold gives, per point, the rotations a fold of
