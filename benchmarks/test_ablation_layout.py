@@ -17,8 +17,6 @@ from repro.transpiler.layout import path_score
 
 def _worst_line(backend, length: int) -> list[int]:
     """Highest-error simple path (exhaustive over DFS enumeration)."""
-    import networkx as nx
-
     worst, worst_score = None, -1.0
     graph = backend.graph
 

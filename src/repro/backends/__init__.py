@@ -3,6 +3,7 @@
 from .topologies import (
     EDGES_27Q_FALCON,
     EDGES_7Q_FALCON,
+    CouplingGraph,
     coupling_graph,
     line_topology,
 )
@@ -24,8 +25,9 @@ from .fake import (
 )
 
 __all__ = [
-    "ALL_BACKENDS", "Backend", "CalibrationData", "DeviceProfile",
-    "EDGES_27Q_FALCON", "EDGES_7Q_FALCON", "FakeHanoi", "FakeLine",
-    "FakeMumbai", "FakeNairobi", "FakeToronto", "PROFILES", "coupling_graph",
-    "generate_calibration", "line_topology", "perturb_calibration",
+    "ALL_BACKENDS", "Backend", "CalibrationData", "CouplingGraph",
+    "DeviceProfile", "EDGES_27Q_FALCON", "EDGES_7Q_FALCON", "FakeHanoi",
+    "FakeLine", "FakeMumbai", "FakeNairobi", "FakeToronto", "PROFILES",
+    "coupling_graph", "generate_calibration", "line_topology",
+    "perturb_calibration",
 ]

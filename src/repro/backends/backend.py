@@ -3,15 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..noise.model import NoiseModel
 from .calibration import CalibrationData, perturb_calibration
+from .topologies import CouplingGraph
 
-if TYPE_CHECKING:
-    import networkx as nx
+
+def _median(values) -> float:
+    """``float(np.median(values))`` without the ``numpy.ma`` import that
+    numpy's median makes: the middle value, or the mean of the middle two
+    (``(a + b) / 2``, the same rounding as ``np.mean``)."""
+    ordered = sorted(values)
+    if not ordered:
+        return float("nan")
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
 @dataclass
@@ -20,14 +30,15 @@ class Backend:
 
     Attributes:
         name: Device name (e.g. ``"toronto"``).
-        graph: Undirected coupling graph on physical qubit ids.
+        graph: Undirected coupling graph on physical qubit ids; a hardware
+            twin shares its parent's (graphs are immutable).
         calibration: Current snapshot of device parameters.
         is_hardware: True for "real device" twins whose parameters are *not*
             the ones optimization saw (Sec. 6.1's hanoi experiments).
     """
 
     name: str
-    graph: nx.Graph
+    graph: CouplingGraph
     calibration: CalibrationData
     is_hardware: bool = False
 
@@ -62,7 +73,7 @@ class Backend:
         return NoiseModel(
             num_qubits=len(physical_qubits),
             depol_1q=cal.error_1q[sel],
-            depol_2q_default=float(np.median(list(cal.error_2q.values()))),
+            depol_2q_default=_median(cal.error_2q.values()),
             depol_2q=depol_2q,
             t1=cal.t1[sel],
             t2=cal.t2[sel],

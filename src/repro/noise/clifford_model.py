@@ -692,8 +692,9 @@ class CliffordCircuitPlan:
             [index for _, index in self.steps if index is not None],
             dtype=np.int64)
         #: parameters no rotation reads (a gap in the template's indices)
-        self._unread = np.setdiff1d(np.arange(self.num_parameters),
-                                    self._rotation_params)
+        unread = np.ones(self.num_parameters, dtype=bool)
+        unread[self._rotation_params] = False
+        self._unread = np.flatnonzero(unread)
         #: whether every static gate is Clifford (a schedule needs it)
         self._static_clifford = all(
             inst.spec.is_clifford(tuple(float(p) for p in inst.params))

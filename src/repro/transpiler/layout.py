@@ -96,18 +96,16 @@ def find_chain_layout(backend: Backend, length: int) -> list[int]:
         return find_line_layout(backend, length)
     except ValueError:
         pass
-    import networkx as nx
-
     graph = backend.graph
     cal = backend.calibration
+    hops = {node: graph.hop_distances(node) for node in graph.nodes}
     best: list[int] | None = None
     best_score = float("inf")
     for start in graph.nodes:
-        order = list(nx.dfs_preorder_nodes(graph, source=start))[:length]
+        order = graph.dfs_preorder(start)[:length]
         if len(order) < length:
             continue
-        score = sum(nx.shortest_path_length(graph, a, b)
-                    for a, b in zip(order, order[1:]))
+        score = sum(hops[a][b] for a, b in zip(order, order[1:]))
         score += float(np.sum(cal.readout_p01[order] + cal.readout_p10[order]) / 2)
         if score < best_score:
             best_score = score

@@ -14,12 +14,9 @@ paper's flow (transpile first, then feed ``A'`` to Clapton, Sec. 5.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ..backends.topologies import CouplingGraph
 from ..circuits.circuit import Circuit
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass
@@ -41,7 +38,7 @@ class RoutingResult:
     num_swaps: int
 
 
-def route_circuit(circuit: Circuit, graph: nx.Graph,
+def route_circuit(circuit: Circuit, graph: CouplingGraph,
                   initial_layout: dict[int, int],
                   edge_weight: dict[tuple[int, int], float] | None = None
                   ) -> RoutingResult:
@@ -49,13 +46,13 @@ def route_circuit(circuit: Circuit, graph: nx.Graph,
 
     Args:
         circuit: Logical circuit (may contain symbolic parameters).
-        graph: Physical coupling graph.
+        graph: Physical coupling graph.  SWAP paths come from
+            :meth:`CouplingGraph.shortest_path` (bidirectional Dijkstra),
+            so among equal-cost paths the graph's neighbour order decides.
         initial_layout: Placement of each logical qubit.
         edge_weight: Optional per-edge cost used to pick among shortest
             paths (two-qubit error rates); unweighted hops when omitted.
     """
-    import networkx as nx
-
     placed = set(initial_layout.values())
     if len(placed) != len(initial_layout):
         raise ValueError("initial layout maps two logical qubits to one physical")
@@ -83,8 +80,7 @@ def route_circuit(circuit: Circuit, graph: nx.Graph,
         la, lb = inst.qubits
         pa, pb = log_to_phys[la], log_to_phys[lb]
         if not graph.has_edge(pa, pb):
-            path = nx.shortest_path(graph, pa, pb,
-                                    weight=lambda u, v, d: weight(u, v))
+            path = graph.shortest_path(pa, pb, weight)
             # swap the first qubit down the path until adjacent to pb
             for hop in path[1:-1]:
                 out.swap(pa, hop)

@@ -92,7 +92,8 @@ def transpile(circuit: Circuit, backend: Backend,
             at ``layout[q]``); found with the noise-aware search otherwise.
         decompose_swap_gates: Lower SWAPs to 3 CX (native cost accounting).
         restrict_to_layout: Route only within the subgraph induced by the
-            layout qubits (when it is connected).  This keeps the physical
+            layout qubits (when :meth:`CouplingGraph.is_connected` holds
+            for it).  This keeps the physical
             register width equal to the logical width so downstream
             density-matrix evaluation stays affordable; disable to let the
             router borrow neighbouring ancilla qubits for shortcuts.
@@ -106,9 +107,7 @@ def transpile(circuit: Circuit, backend: Backend,
     graph = backend.graph
     if restrict_to_layout:
         induced = graph.subgraph(layout)
-        import networkx as nx
-
-        if nx.is_connected(induced):
+        if induced.is_connected():
             graph = induced
     routed = route_circuit(circuit, graph, initial, edge_weight=weights)
     physical_circuit = (decompose_swaps(routed.circuit)

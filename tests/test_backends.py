@@ -13,10 +13,19 @@ from repro.backends import (
     FakeNairobi,
     FakeToronto,
     PROFILES,
+    CouplingGraph,
     coupling_graph,
     generate_calibration,
     perturb_calibration,
 )
+
+
+def as_networkx(graph):
+    """The same graph as a networkx ``Graph`` (the tests' oracle)."""
+    copy = nx.Graph()
+    copy.add_nodes_from(graph.nodes)
+    copy.add_edges_from(graph.edges)
+    return copy
 
 
 class TestTopologies:
@@ -27,8 +36,14 @@ class TestTopologies:
         assert g27.number_of_edges() == 28
 
     def test_connected(self):
-        assert nx.is_connected(coupling_graph(EDGES_7Q_FALCON, 7))
-        assert nx.is_connected(coupling_graph(EDGES_27Q_FALCON, 27))
+        for graph in (coupling_graph(EDGES_7Q_FALCON, 7),
+                      coupling_graph(EDGES_27Q_FALCON, 27)):
+            assert nx.is_connected(as_networkx(graph))
+            assert graph.is_connected()
+
+    def test_adjacency_must_be_symmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            CouplingGraph({0: [1], 1: []})
 
     def test_heavy_hex_degree_bound(self):
         g27 = coupling_graph(EDGES_27Q_FALCON, 27)
@@ -89,6 +104,15 @@ class TestBackends:
         for a, b in backend.edges:
             assert nm.two_qubit_depol(a, b) == backend.calibration.error_2q[(a, b)]
 
+    @pytest.mark.parametrize("backend", [f() for f in ALL_BACKENDS.values()]
+                             + [FakeLine(12), FakeLine(2)],
+                             ids=lambda b: b.name)
+    def test_default_2q_error_is_numpy_median(self, backend):
+        """Even (28 and 6) and odd (11 and 1) edge counts, bit for bit."""
+        want = float(np.median(list(backend.calibration.error_2q.values())))
+        got = backend.noise_model().depol_2q_default
+        assert float.hex(got) == float.hex(want)
+
     def test_noise_model_compact_register(self):
         backend = FakeToronto()
         subset = [3, 5, 8]
@@ -113,7 +137,8 @@ class TestBackends:
     def test_fake_line(self):
         backend = FakeLine(12)
         assert backend.num_qubits == 12
-        assert nx.is_connected(backend.graph)
+        assert nx.is_connected(as_networkx(backend.graph))
+        assert backend.graph.is_connected()
         assert backend.graph.has_edge(4, 5)
         assert not backend.graph.has_edge(0, 5)
 

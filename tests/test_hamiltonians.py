@@ -85,6 +85,19 @@ class TestExact:
         # weak coupling: ground state near all-|1> (Z eigenvalue -1 per site)
         assert e_sparse < -11.0
 
+    def test_sparse_e0_is_reproducible(self):
+        """Above 64 rows E0 comes from ARPACK; a fixed start vector makes
+        every call return the same bits."""
+        h = ising_model(8, 1.0)
+        values = {float.hex(ground_state_energy(h)) for _ in range(5)}
+        assert len(values) == 1
+        matrix = pauli_sum_to_sparse(h)
+        dense = float(np.linalg.eigvalsh(matrix.toarray()).min())
+        assert abs(float.fromhex(values.pop()) - dense) < 1e-9
+        energy, vector = ground_state(h)
+        assert abs(energy - dense) < 1e-9
+        assert np.linalg.norm(matrix @ vector - energy * vector) < 1e-8
+
     def test_variational_bound(self):
         """E0 lower-bounds every state's energy, in particular <0|H|0>."""
         for coupling in PAPER_COUPLINGS:

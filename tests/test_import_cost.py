@@ -1,11 +1,14 @@
-"""``import repro`` loads neither scipy nor networkx.
+"""Neither ``import repro`` nor a search loads scipy, networkx or numpy.ma.
 
 Every CLI command, campaign worker and benchmark run starts a fresh
-interpreter, and the two packages would be most of its import time.  A
+interpreter, and these packages would be most of its import time.  A
 third-party package beyond numpy is imported by the function that uses
-it: scipy by exact energies and chemistry integrals, networkx by the
-coupling graphs, the transpiler and maxcut.  Each test runs its script in
-a fresh interpreter, since this process has long since loaded both.
+it: scipy by exact energies and chemistry integrals, networkx by maxcut
+(whose graphs are networkx graphs).  Device problems route on
+:class:`repro.backends.CouplingGraph` and need neither.  numpy loads
+``numpy.ma`` lazily from ``np.unique`` and ``np.median``, which setup and
+search paths avoid.  Each test runs its script in a fresh interpreter,
+since this process has long since loaded all three.
 """
 
 import json
@@ -14,14 +17,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-BLOCK = 'import sys\nsys.modules["scipy"] = sys.modules["networkx"] = None\n'
+HEAVY = ("scipy", "networkx", "numpy.ma")
 
-LOADED = """
+#: any import of a heavy package, even one made at call time, raises
+#: ``ImportError`` after this
+BLOCK = f"""
+import sys
+for name in {HEAVY!r}:
+    sys.modules[name] = None
+"""
+
+LOADED = f"""
 import json
 import sys
-print(json.dumps(sorted(name for name, module in sys.modules.items()
-                        if name.split(".")[0] in ("scipy", "networkx")
-                        and module is not None)))
+print(json.dumps(sorted(
+    name for name, module in sys.modules.items()
+    if module is not None
+    and any(name == heavy or name.startswith(heavy + ".")
+            for heavy in {HEAVY!r}))))
 """
 
 LOGICAL_SEARCHES = """
@@ -42,15 +55,28 @@ for strategy, extra in (("multi_ga", {}),
         assert result.num_evaluations > 0, (strategy, name)
 """
 
-DEVICE_PROBLEM = """
-from repro import FakeToronto, VQEProblem, ising_model
+DEVICE_SEARCHES = """
+from repro import EngineConfig, FakeNairobi, FakeToronto, SearchBudget
+from repro import VQEProblem, ising_model
+from repro.methods import get_method
 
+VQEProblem.from_backend(ising_model(12, 1.0), FakeToronto())
+VQEProblem.from_backend(ising_model(7, 1.0), FakeNairobi())
 problem = VQEProblem.from_backend(ising_model(4, 1.0), FakeToronto())
+config = EngineConfig(num_instances=1, generations_per_round=1,
+                      population_size=10, max_rounds=1, retry_rounds=1,
+                      seed=3)
+for strategy, extra in (("multi_ga", {}),
+                        ("tabu", {"budget": SearchBudget(max_rounds=2)})):
+    for name in ("clapton", "cafqa", "ncafqa"):
+        result = get_method(name).search(problem, config=config,
+                                         strategy=strategy, **extra)
+        assert result.num_evaluations > 0, (strategy, name)
 """
 
 
 def run(script):
-    """The loaded scipy/networkx modules a fresh interpreter lists after
+    """The loaded heavy modules a fresh interpreter lists after
     ``script``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -66,8 +92,7 @@ def test_import_repro_loads_neither_package():
 
 
 def test_logical_searches_run_with_both_packages_blocked():
-    """Any import of either package, even one a search makes at call
-    time, raises ``ImportError`` here."""
+    """scipy and networkx, and numpy.ma too (see ``BLOCK``)."""
     assert run(BLOCK + LOGICAL_SEARCHES) == []
 
 
@@ -82,7 +107,7 @@ except SystemExit as done:
     assert run(script) == []
 
 
-def test_device_problem_loads_networkx_but_not_scipy():
-    loaded = run(DEVICE_PROBLEM)
-    assert "networkx" in loaded
-    assert not [name for name in loaded if name.split(".")[0] == "scipy"]
+def test_device_problems_and_searches_run_with_heavy_packages_blocked():
+    """FakeToronto-12 and FakeNairobi-7 transpile (the latter through the
+    DFS layout fallback), and every method searches a device problem."""
+    assert run(BLOCK + DEVICE_SEARCHES) == []
