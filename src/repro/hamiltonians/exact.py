@@ -52,31 +52,44 @@ def pauli_sum_to_sparse(hamiltonian) -> sp.csr_matrix:
 
 def ground_state_energy(hamiltonian) -> float:
     """Smallest eigenvalue E0 of the Hamiltonian."""
-    matrix = pauli_sum_to_sparse(hamiltonian)
-    dim = matrix.shape[0]
-    if dim <= 64:
-        return float(np.linalg.eigvalsh(matrix.toarray()).min())
-    import scipy.sparse.linalg as spla
-
-    if _is_real(matrix):
-        matrix = matrix.real
-    value = spla.eigsh(matrix, k=1, which="SA", return_eigenvectors=False,
-                       v0=_start_vector(dim, matrix.dtype))
-    return float(value[0])
+    return _lowest_eigenpair(hamiltonian, vector=False)[0]
 
 
 def ground_state(hamiltonian) -> tuple[float, np.ndarray]:
-    """Ground energy and a ground-state vector."""
+    """Ground energy (the bits of :func:`ground_state_energy`) and a
+    complex ground-state vector."""
+    value, vector = _lowest_eigenpair(hamiltonian, vector=True)
+    return value, vector.astype(complex)
+
+
+def _lowest_eigenpair(hamiltonian, vector: bool
+                      ) -> tuple[float, np.ndarray | None]:
+    """E0 and, with ``vector``, a ground-state vector: the one solve
+    behind both public functions, so they return the same E0 bits.
+
+    The matrix's real part is solved when it has no imaginary entries.
+    Up to 64 rows E0 is LAPACK's ``eigvalsh`` of the dense matrix and
+    the vector comes from ``eigh`` (another driver, whose eigenvalue can
+    differ in the last bits); beyond that ARPACK runs from
+    :func:`_start_vector`, and its eigenvalue has the same bits with or
+    without the vector.
+    """
     matrix = pauli_sum_to_sparse(hamiltonian)
+    if _is_real(matrix):
+        matrix = matrix.real
     dim = matrix.shape[0]
     if dim <= 64:
-        values, vectors = np.linalg.eigh(matrix.toarray())
-        return float(values[0]), vectors[:, 0]
+        dense = matrix.toarray()
+        return (float(np.linalg.eigvalsh(dense)[0]),
+                np.linalg.eigh(dense)[1][:, 0] if vector else None)
     import scipy.sparse.linalg as spla
 
-    values, vectors = spla.eigsh(matrix, k=1, which="SA",
-                                 v0=_start_vector(dim, matrix.dtype))
-    return float(values[0]), vectors[:, 0]
+    result = spla.eigsh(matrix, k=1, which="SA",
+                        return_eigenvectors=vector,
+                        v0=_start_vector(dim, matrix.dtype))
+    if vector:
+        return float(result[0][0]), result[1][:, 0]
+    return float(result[0]), None
 
 
 def _start_vector(dim: int, dtype) -> np.ndarray:

@@ -663,14 +663,18 @@ class PairRing:
 _BLOCK_CACHE: OrderedDict[tuple, "StaticBlock"] = OrderedDict()
 _BLOCK_CACHE_MAX = 32
 
-#: A block pass gathers at most about this many image words at a time
-#: (:meth:`StaticBlock.apply`), in row chunks of one size (the last may
-#: be shorter), so its buffers stay at most 128 KiB each however many
-#: rows a batch stacks.  A batch whose transient heap grows past glibc's
-#: trim threshold (twice the largest mmapped chunk freed so far) has its
-#: heap top trimmed on free and faults the pages back in on the next
-#: one: at 32 qubits and 6,300 rows, one chunk's 400 KB of buffers made
-#: every steady-state Clapton batch fault ~165 pages back in
+#: A block pass gathers at most about this many image words of the
+#: phase form (``4T`` a row) at a time (:meth:`StaticBlock.apply`), in
+#: row chunks of one size (the last may be shorter), so its buffers stay
+#: at most 128 KiB each however many rows a batch stacks; a CNOT-group
+#: block's chunks are as many rows, in buffers of ``T`` words a row.
+#: The rotation-layer pass (:func:`pull_back_rotation_layer`) takes
+#: ``_BLOCK_CELLS // 2`` rows a chunk, its stacked buffer four words a
+#: row.  A batch whose transient heap grows past glibc's trim threshold
+#: (twice the largest mmapped chunk freed so far) has its heap top
+#: trimmed on free and faults the pages back in on the next one: at 32
+#: qubits and 6,300 rows, one chunk's 400 KB of buffers made every
+#: steady-state Clapton batch fault ~165 pages back in
 #: (``benchmarks/test_batch_faults.py``); two chunks fault none and ran
 #: no slower in perfbench's searches.
 _BLOCK_CELLS = 1 << 14
@@ -708,6 +712,17 @@ class StaticBlock:
     :meth:`locations` gathers the location bits of just the rows a caller
     needs (a noisy walk's live rows).
 
+    A block of CNOT-group gates (CX, SWAP: every static block of the
+    ansatz rings and Clapton's skeletons) maps ``Z**z X**x`` to
+    ``Z**(A⁻ᵀz) X**(Ax)`` with no phase, as :class:`PairRing` uses.
+    :meth:`compile` finds such a block in its own tables: ``Q`` and the
+    ``l`` words are zero, no x byte reaches ``z'`` and no z byte ``x'``.
+    It then keeps one ``T``-word image table per input byte, the x
+    bytes' ``x'`` and the z bytes' ``z'``, and the pass is ``x' ^=
+    table[c][byte_c]`` over the x bytes and ``z' ^= table[c][byte_c]``
+    over the z bytes, with no phase step: the same loop, its gathered
+    width read off the tables.
+
     A block reads only the bytes holding its support qubits and rewrites
     only those bits: the other qubits map to themselves and add nothing
     to the phase, as in the LUT kernel.
@@ -739,7 +754,8 @@ class StaticBlock:
         #: ``l`` of the generator X_q (p = 0) or Z_q (p = 1)
         self._parity = parity
         #: (C, 256, 4T) image words per input byte value: x', z', Qv on
-        #: x, Qv on z
+        #: x, Qv on z; (C, 256, T) for a CNOT-group block: x' per x
+        #: byte, z' per z byte
         self._tables = tables
         #: (C, 256, E) location nibbles per input byte value (``None``:
         #: compiled without locations)
@@ -842,6 +858,15 @@ class StaticBlock:
         parity = np.zeros((2, n), dtype=bool)
         parity[0, qubits] = low[nq:]
         parity[1, qubits] = low[:nq]
+        tables = bitops.byte_tables(image, rows)
+        half = len(byte_ids)
+        num_words = len(words)
+        if not (quad.any() or low.any() or image_z[nq:].any()
+                or image_x[:nq].any()):
+            # a CNOT-group block: x bytes feed only x', z bytes only z'
+            tables = np.concatenate(
+                [tables[:half, :, :num_words],
+                 tables[half:, :, num_words:2 * num_words]])
         byte_columns = np.tile(np.array(byte_ids, dtype=np.int64), 2)
         covered = np.zeros(64 * bitops.num_words(n), dtype=bool)
         covered[n:] = True  # the zero tail counts as covered
@@ -853,7 +878,7 @@ class StaticBlock:
         return cls(instructions, n, num_locations, byte_columns,
                    np.array(words, dtype=np.int64), keep,
                    bitops.pack_bits(parity, n)[:, words],
-                   bitops.byte_tables(image, rows), location_tables)
+                   np.ascontiguousarray(tables), location_tables)
 
     def apply(self, table: PauliTable) -> np.ndarray:
         """In place, conjugate every row of ``table`` through the block.
@@ -881,15 +906,20 @@ class StaticBlock:
         half = len(columns) // 2
         in_bytes[:half] = bitops.word_bytes(table.x)[:, columns[:half]].T
         in_bytes[half:] = bitops.word_bytes(table.z)[:, columns[half:]].T
-        # the rows go through in chunks of at most _BLOCK_CELLS gathered
-        # words, so the pass's buffers stay small however many rows the
-        # table has
+        # the rows go through in chunks of at most _BLOCK_CELLS words of
+        # the general form's width, so the pass's buffers stay small
+        # however many rows the table has
         chunks = -(-num_rows * 4 * num_words // _BLOCK_CELLS)
         size = -(-num_rows // chunks)
+        # x' and z' accumulate in one buffer each, side by side in the
+        # general form's 4T-word gathers and apart in a CNOT-group
+        # block's T-word ones
+        width = self._tables.shape[2]
+        planes = 1 if width > num_words else 2
         # one intp index buffer: take would convert each uint8 row anew
         buffers = (np.empty(size, dtype=np.intp),
-                   np.empty((size, 4 * num_words), dtype=np.uint64),
-                   np.empty((size, 4 * num_words), dtype=np.uint64))
+                   np.empty((planes, size, width), dtype=np.uint64),
+                   np.empty((size, width), dtype=np.uint64))
         for start in range(0, num_rows, size):
             self._apply_rows(table, in_bytes, start,
                              min(start + size, num_rows), buffers)
@@ -899,16 +929,22 @@ class StaticBlock:
                     start: int, stop: int, buffers: tuple) -> None:
         """:meth:`apply` on the rows ``start:stop``, in ``buffers``."""
         count = stop - start
-        index, acc, gathered = (buffer[:count] for buffer in buffers)
+        index, acc, gathered = buffers
+        index, gathered = index[:count], gathered[:count]
+        acc = acc[:, :count]
+        # a CNOT-group block's x bytes go to plane 0 (x'), its z bytes
+        # to plane 1 (z'); the general form has one plane
+        per_plane = len(self._tables) // len(acc)
         for c, (table_c, bytes_c) in enumerate(
                 zip(self._tables, in_bytes[:, start:stop])):
             index[...] = bytes_c
+            plane, later = divmod(c, per_plane)
             # the indices are in range by construction; "clip" lets take
             # write into its output without an intermediate buffer
-            np.take(table_c, index, axis=0, out=gathered if c else acc,
-                    mode="clip")
-            if c:
-                acc ^= gathered
+            np.take(table_c, index, axis=0,
+                    out=gathered if later else acc[plane], mode="clip")
+            if later:
+                acc[plane] ^= gathered
         words = self._words
         num_words = len(words)
         x, z = table.x[start:stop], table.z[start:stop]
@@ -916,11 +952,34 @@ class StaticBlock:
             old_x, old_z = x, z
         else:
             old_x, old_z = x[:, words], z[:, words]
-        # the phase: parity(v & Qv) and parity(v & l), in gathered's room
+        if len(acc) == 2:
+            new_x, new_z = acc
+        else:
+            acc = acc[0]
+            new_x, new_z = acc[:, :num_words], acc[:, num_words:2 * num_words]
+            self._add_phase(table.phase_exp[start:stop], old_x, old_z,
+                            acc[:, 2 * num_words:], gathered)
+        if self._keep is None:
+            x[...] = new_x
+            z[...] = new_z
+        else:
+            old_x &= self._keep
+            old_x |= new_x
+            x[:, words] = old_x
+            old_z &= self._keep
+            old_z |= new_z
+            z[:, words] = old_z
+
+    def _add_phase(self, phase: np.ndarray, old_x: np.ndarray,
+                   old_z: np.ndarray, qv: np.ndarray,
+                   gathered: np.ndarray) -> None:
+        """Add ``parity(v & l) + 2 parity(v & Qv)`` to ``phase``, in
+        ``gathered``'s room; ``qv`` is ``Qv`` on x, then on z."""
+        num_words = len(self._words)
         odd, low, part = (gathered[:, k * num_words:(k + 1) * num_words]
                           for k in range(3))
-        np.bitwise_and(old_x, acc[:, 2 * num_words:3 * num_words], out=odd)
-        np.bitwise_and(old_z, acc[:, 3 * num_words:], out=part)
+        np.bitwise_and(old_x, qv[:, :num_words], out=odd)
+        np.bitwise_and(old_z, qv[:, num_words:], out=part)
         odd ^= part
         l_x, l_z = self._parity
         np.bitwise_and(old_x, l_x, out=low)
@@ -935,19 +994,8 @@ class StaticBlock:
         dq = bitops.popcount(odd) & np.uint8(1)
         dq <<= np.uint8(1)
         dq |= bitops.popcount(low) & np.uint8(1)
-        phase = table.phase_exp[start:stop]
         phase += dq
         np.bitwise_and(phase, 3, out=phase)
-        if self._keep is None:
-            x[...] = acc[:, :num_words]
-            z[...] = acc[:, num_words:2 * num_words]
-        else:
-            old_x &= self._keep
-            old_x |= acc[:, :num_words]
-            x[:, words] = old_x
-            old_z &= self._keep
-            old_z |= acc[:, num_words:2 * num_words]
-            z[:, words] = old_z
 
     def locations(self, in_bytes: np.ndarray, rows=None) -> np.ndarray:
         """The ``(L, R)`` uint8 location bits of rows ``rows`` of a table.
@@ -1061,22 +1109,48 @@ def single_qubit_cliffords() -> SingleQubitCliffords:
     return SingleQubitCliffords(bits, codes, compose, rotations)
 
 
+#: the layer pass's mask columns, read from ``bits``: the x operand's
+#: (x' from x, z' from x, X-class increment high bit), the z operand's
+#: (x' from z, z' from z, Z-class high bit), and the high bit of the
+#: X ^ Y ^ Z fold, the y operand's
+_MASK_COLUMNS = (0, 2, 5, 1, 3, 9, 7)
+
+
 @lru_cache(maxsize=64)
 def _mask_words(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """The layer pass's pre-shifted mask bits on ``num_qubits`` qubits.
 
-    Row ``24q + c`` of the ``(24n, 10)`` uint64 table holds element
-    ``c``'s ten ``bits`` at bit ``q % 64``, the column of qubit ``q`` in
-    its word; the ``(n, 1)`` offsets ``24q`` index a qubit's rows.
+    Row ``24q + c`` of the ``(24n, 7)`` uint64 table holds element
+    ``c``'s seven mask bits (:data:`_MASK_COLUMNS` of its ``bits``, the
+    Y-class high bit folded into X ^ Y ^ Z) at bit ``q % 64``, the
+    column of qubit ``q`` in its word; the ``(n, 1)`` offsets ``24q``
+    index a qubit's rows.
     """
+    bits = single_qubit_cliffords().bits.copy()
+    bits[:, 7] ^= bits[:, 5] ^ bits[:, 9]
     q = np.arange(num_qubits)
     shifts = (q % 64).astype(np.uint64)
-    table = (single_qubit_cliffords().bits.astype(np.uint64)[None, :, :]
-             << shifts[:, None, None]).reshape(24 * num_qubits, 10)
+    table = (bits[:, _MASK_COLUMNS].astype(np.uint64)[None, :, :]
+             << shifts[:, None, None]).reshape(24 * num_qubits, 7)
     offsets = 24 * q[:, None]
     table.flags.writeable = False
     offsets.flags.writeable = False
     return table, offsets
+
+
+def _layer_masks(cliffords: np.ndarray, words: int) -> np.ndarray:
+    """The ``(W, 7, P, 1)`` mask words of a layer's points.
+
+    Each point's elements gather their pre-shifted bits in one row
+    gather (:func:`_mask_words`), ORed over each word's qubits.
+    """
+    mask_words, offsets = _mask_words(cliffords.shape[1])
+    shifted = mask_words.take(cliffords.T + offsets, axis=0)  # (n, P, 7)
+    masks = np.empty((words, len(cliffords), 7), dtype=np.uint64)
+    for w in range(words):
+        np.bitwise_or.reduce(shifted[64 * w:64 * (w + 1)], axis=0,
+                             out=masks[w])
+    return masks.transpose(0, 2, 1)[..., None]
 
 
 def _follow_codes(luts, code: int) -> tuple[int, int]:
@@ -1116,17 +1190,23 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
     Gates on different qubits commute, so one pass applies the whole
     layer: the Aaronson-Gottesman column updates (arXiv:quant-ph/0406196),
     made per-row by mask words.  Each point's elements gather their bits
-    into ten ``(P, W)`` masks (one row gather of pre-shifted bits,
-    :func:`_mask_words`, ORed over each word's qubits), and on
-    ``(P, M, W)`` views of the words
+    into seven ``(P, W)`` masks (:func:`_layer_masks`), and word by word,
+    on ``(P, M)`` views of that word's column,
 
         x' = (x & A) ^ (z & B),    z' = (x & C) ^ (z & D),
 
     while the phase gains ``popcount(low) + 2 popcount(high)`` mod 4,
-    ``low``/``high`` being the X-, Y- and Z-class bits, each ANDed with
-    its increment-bit mask.  The classes are disjoint, so with ``y = x &
-    z`` that is ``(x & X) ^ (z & Z) ^ (y & (X ^ Y ^ Z))``, and the pass
-    works in two ``(P, M, W)`` buffers.
+    ``low``/``high`` being the bits of each qubit's increment.  A 1q
+    Clifford keeps a Pauli Hermitian, so ``low = (x' & z') ^ (x & z)``
+    needs no mask.  ``high`` is the X-, Y- and Z-class bits, each ANDed
+    with its mask; the classes are disjoint, so with ``y = x & z`` that
+    is ``(x & X) ^ (z & Z) ^ (y & (X ^ Y ^ Z))``, the fold compiled into
+    the masks.  So ``x``'s three masks (``A``, ``C``, ``X``) are one
+    stacked AND, ``z``'s three another, and the two popcounts one call;
+    they accumulate over the words in uint8 (which wraps mod 256, a
+    multiple of 4).  The points go through in chunks of at most
+    ``_BLOCK_CELLS // 2`` rows (and as many qubit columns), so the
+    pass's buffers stay bounded however many points a batch stacks.
     """
     cliffords = np.asarray(cliffords)
     if cliffords.ndim != 2 or not np.issubdtype(cliffords.dtype, np.integer):
@@ -1145,51 +1225,45 @@ def pull_back_rotation_layer(table: PauliTable, cliffords) -> None:
     KERNEL.rows += num_rows
     KERNEL.words += num_rows * words
     KERNEL.fused_passes += 1
-    mask_words, offsets = _mask_words(n)
-    shifted = mask_words.take(cliffords.T + offsets, axis=0)  # (n, P, 10)
-    masks = np.empty((words, num_points, 10), dtype=np.uint64)
-    for w in range(words):
-        np.bitwise_or.reduce(shifted[64 * w:64 * (w + 1)], axis=0,
-                             out=masks[w])
-    (ax, bx, az, bz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) = masks.T[
-        :, :, None, :]
-    y_lo = x_lo ^ y_lo ^ z_lo
-    y_hi = x_hi ^ y_hi ^ z_hi
-    shape = (num_points, num_rows // num_points, words)
-    x = table.x.reshape(shape)
-    z = table.z.reshape(shape)
-    part = np.empty(shape, dtype=np.uint64)
-    bit = np.empty(shape, dtype=np.uint64)
-    # at most 64 + 2 * 64 per word, so the per-word count fits uint8
-    dq = None
-    for x_mask, y_mask, z_mask in ((x_hi, y_hi, z_hi), (x_lo, y_lo, z_lo)):
-        np.bitwise_and(x, z, out=bit)
-        bit &= y_mask
-        np.bitwise_and(x, x_mask, out=part)
-        bit ^= part
-        np.bitwise_and(z, z_mask, out=part)
-        bit ^= part
-        count = bitops.popcount(bit)
-        if dq is None:
-            dq = count
-            dq <<= np.uint8(1)
-        else:
-            dq += count
-    # x' goes back into x once z' no longer needs the old x
-    np.bitwise_and(x, ax, out=bit)
-    np.bitwise_and(z, bx, out=part)
-    bit ^= part
-    np.bitwise_and(x, az, out=part)
-    x[...] = bit
-    np.bitwise_and(z, bz, out=bit)
-    part ^= bit
-    z[...] = part
-    phase = table.phase_exp
-    if words == 1:
-        phase += dq.reshape(num_rows)
-    else:
-        phase += dq.sum(axis=2, dtype=np.int64).reshape(num_rows)
-    np.bitwise_and(phase, 3, out=phase)
+    m = num_rows // num_points
+    x = table.x.reshape(num_points, m, words)
+    z = table.z.reshape(num_points, m, words)
+    phase = table.phase_exp.reshape(num_points, m)
+    step = max(1, _BLOCK_CELLS // (2 * max(m, n)))
+    for start in range(0, num_points, step):
+        stop = min(start + step, num_points)
+        masks = _layer_masks(cliffords[start:stop], words)
+        # one stack: x & A, x & C, high, y (then low); the counts in uint8
+        shape = (stop - start, m)
+        stack = np.empty((4,) + shape, dtype=np.uint64)
+        dq = np.empty((2,) + shape, dtype=np.uint8)
+        count = np.empty((2,) + shape, dtype=np.uint8) if words > 1 else dq
+        x_a, x_c, high, y = stack
+        for w in range(words):
+            b, d, z_high, fold = masks[w, 3:]
+            xw, zw = x[start:stop, :, w], z[start:stop, :, w]
+            np.bitwise_and(xw, zw, out=y)
+            np.bitwise_and(xw, masks[w, :3], out=stack[:3])
+            # x is spent: x' and z' go straight back into the table
+            np.bitwise_and(zw, b, out=xw)
+            xw ^= x_a
+            np.bitwise_and(zw, z_high, out=x_a)
+            high ^= x_a
+            np.bitwise_and(zw, d, out=zw)
+            zw ^= x_c
+            np.bitwise_and(y, fold, out=x_a)
+            high ^= x_a
+            np.bitwise_and(xw, zw, out=x_c)
+            y ^= x_c  # low
+            np.bitwise_count(stack[2:], out=count if w else dq)
+            if w:
+                dq += count
+        dq_high, dq_low = dq
+        dq_high <<= np.uint8(1)
+        dq_high += dq_low
+        phase_c = phase[start:stop]
+        phase_c += dq_high
+        np.bitwise_and(phase_c, 3, out=phase_c)
 
 
 def conjugate_pauli_sum(circuit: Circuit, hamiltonian) -> "PauliSum":

@@ -604,9 +604,13 @@ def assert_packed_equal(table, expected):
 class TestRotationLayer:
     """The bit-sliced RY/RZ layer pass against gate-by-gate references."""
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100])
-    @pytest.mark.parametrize("num_points", [1, 7])
-    def test_matches_oracle_for_every_combo(self, n, num_points):
+    @pytest.mark.parametrize("num_points, n", [
+        *((p, n) for p in [1, 7]
+          for n in [1, 2, 12, 63, 64, 65, 100, 128, 129]),
+        # the Figure-4 population, in one chunk at n = 12 and in four
+        # (the last one short) at n = 129
+        (100, 12), (100, 65), (100, 129)])
+    def test_matches_oracle_for_every_combo(self, num_points, n):
         m = 9
         table, packed, _ = random_tables(n, num_points * m,
                                          1000 * n + num_points)
@@ -621,6 +625,32 @@ class TestRotationLayer:
                 packed, rotation_layer_cliffords(levels // 4, levels % 4))
             oracle_rotation_layer(table, levels // 4, levels % 4)
         assert_tables_equal(packed, table)
+
+    @pytest.mark.parametrize("n", [12, 65])
+    def test_pass_in_point_chunks(self, n, monkeypatch):
+        """A layer over more points than one chunk holds (each chunk a
+        few points, the last one short) matches the oracle."""
+        import repro.stabilizer.tableau as tableau_mod
+
+        num_points, m = 11, 9
+        table, packed, rng = random_tables(n, num_points * m, 300 + n)
+        # 2 * max(M, n) = 2n rows per point: chunks of 3 points
+        monkeypatch.setattr(tableau_mod, "_BLOCK_CELLS", 6 * n + 1)
+        levels = rng.integers(0, 16, (num_points, n))
+        pull_back_rotation_layer(
+            packed, rotation_layer_cliffords(levels // 4, levels % 4))
+        oracle_rotation_layer(table, levels // 4, levels % 4)
+        assert_tables_equal(packed, table)
+
+    def test_low_phase_bit_needs_no_mask(self):
+        """Each element's low increment bit of a class is ``x'z' ^ xz``
+        of its image: the pass derives it from the words, with no mask."""
+        group = single_qubit_cliffords()
+        for element, codes in zip(group.bits, group.codes):
+            for code, low in ((1, element[4]), (3, element[6]),
+                              (2, element[8])):
+                image = codes[code]
+                assert low == bool((image & 1) & (image >> 1)) ^ (code == 3)
 
     def test_rejects_bad_shapes_and_levels(self):
         packed = PauliTable.from_labels(["XZ", "ZX", "YY"])
@@ -777,6 +807,30 @@ def random_block_steps(n, num_gates, rng, qubits=None):
     return steps
 
 
+def cnot_group_steps(n, num_gates, rng, kind, qubits=None):
+    """Random steps of one CNOT-group kind: ``"cx"`` (control below the
+    target), ``"reversed_cx"`` (control above) or ``"swap"``."""
+    from repro.circuits.circuit import Instruction
+
+    qubits = np.arange(n) if qubits is None else np.asarray(qubits)
+    if len(qubits) < 2:
+        return []
+    name = "swap" if kind == "swap" else "cx"
+    steps = []
+    for _ in range(num_gates):
+        pair = sorted(int(q) for q in rng.choice(qubits, 2, replace=False))
+        if kind == "reversed_cx":
+            pair.reverse()
+        steps.append((Instruction(name, tuple(pair)), gate_tableau(name)))
+    return steps
+
+
+def is_per_plane(block):
+    """Whether a block compiled to the CNOT-group form: one T-word image
+    table per input byte instead of the 4T-word phase form."""
+    return block._tables.shape[2] == len(block._words)
+
+
 def assert_block_matches_oracle(block, steps, table, packed):
     """One block pass equals the oracle's gate-by-gate walk, and each
     location's bits, read back from the bytes the pass returns, are the
@@ -916,6 +970,9 @@ class TestPairRing:
             ring.apply(packed, np.zeros((4, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="register"):
             PairRing.compile(RING_ENTRIES, [(0, 3)], 3)
+
+
+CNOT_KINDS = ["cx", "reversed_cx", "swap"]
 
 
 class TestStaticBlock:
@@ -1058,6 +1115,79 @@ class TestStaticBlock:
         assert StaticBlock.compile(list(steps), 12) is block
         assert StaticBlock.compile(steps, 12, locations=False) is not block
         assert StaticBlock.compile(steps[1:], 12) is not block
+
+    @pytest.mark.parametrize("kind", CNOT_KINDS)
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100])
+    @pytest.mark.parametrize("locations", [True, False])
+    def test_cnot_group_block_matches_oracle(self, n, kind, locations):
+        table, packed, rng = random_tables(n, 37, 900 + n)
+        assert set(table.phase_exp) == {0, 1, 2, 3}
+        steps = cnot_group_steps(n, 40, rng, kind)
+        block = StaticBlock.compile(steps, n, locations=locations)
+        assert is_per_plane(block)
+        if locations:
+            assert_block_matches_oracle(block, steps, table, packed)
+            return
+        before = packed.phase_exp.copy()
+        block.apply(packed)
+        np.testing.assert_array_equal(packed.phase_exp, before)
+        for inst, _ in steps:
+            oracle.apply_gate(table, inst.name, inst.params, inst.qubits)
+        assert_tables_equal(packed, table)
+
+    @pytest.mark.parametrize("kind", CNOT_KINDS)
+    @pytest.mark.parametrize("n, qubits", [(9, None), (100, None),
+                                           (100, [3, 5, 70])])
+    def test_cnot_group_pass_in_row_chunks(self, n, qubits, kind,
+                                           monkeypatch):
+        """Chunks are sized as for the phase form (4T words a row), so
+        the per-plane buffers are smaller; every chunk matches."""
+        import repro.stabilizer.tableau as tableau_mod
+
+        table, packed, rng = random_tables(n, 45, 990 + n)
+        steps = cnot_group_steps(n, 20, rng, kind, qubits)
+        block = StaticBlock.compile(steps, n)
+        assert is_per_plane(block)
+        monkeypatch.setattr(tableau_mod, "_BLOCK_CELLS", 28)
+        assert_block_matches_oracle(block, steps, table, packed)
+
+    @pytest.mark.parametrize("kind", CNOT_KINDS)
+    @pytest.mark.parametrize("qubits", [[60, 61, 62, 63, 64, 65, 66],
+                                        [3, 5], [128, 129]])
+    def test_cnot_group_support_restricted_block(self, qubits, kind):
+        from repro.obs.kernel import KERNEL
+
+        n = 130
+        table, packed, rng = random_tables(n, 29, 50 + qubits[0])
+        steps = cnot_group_steps(n, 12, rng, kind, qubits)
+        block = StaticBlock.compile(steps, n)
+        assert is_per_plane(block)
+        before = KERNEL.snapshot()
+        assert_block_matches_oracle(block, steps, table, packed)
+        touched_words = len({q // 64 for q in qubits})
+        delta = KERNEL.delta(before)
+        assert (delta["fused_passes"], delta["rows"], delta["words"]) \
+            == (1, 29, 29 * touched_words)
+
+    @pytest.mark.parametrize("name", ["h", "s"])
+    @pytest.mark.parametrize("n", [9, 65])
+    def test_one_non_cnot_gate_keeps_the_phase_form(self, n, name):
+        """A CX/SWAP block compiles to the per-plane form; one H or S
+        among its gates puts it back on the phase form.  Both match."""
+        from repro.circuits.circuit import Instruction
+
+        table, packed, rng = random_tables(n, 31, 40 + n)
+        steps = (cnot_group_steps(n, 6, rng, "cx")
+                 + cnot_group_steps(n, 6, rng, "swap"))
+        block = StaticBlock.compile(steps, n)
+        assert is_per_plane(block)
+        assert_block_matches_oracle(block, steps, table.copy(),
+                                    packed.copy())
+        steps.insert(6, (Instruction(name, (n - 1,)), gate_tableau(name)))
+        block = StaticBlock.compile(steps, n)
+        assert not is_per_plane(block)
+        assert block._tables.shape[2] == 4 * len(block._words)
+        assert_block_matches_oracle(block, steps, table, packed)
 
     def test_compile_cost(self):
         """Vectorized table building: a 100-qubit, 100-gate block

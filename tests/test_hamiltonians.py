@@ -98,6 +98,24 @@ class TestExact:
         assert abs(energy - dense) < 1e-9
         assert np.linalg.norm(matrix @ vector - energy * vector) < 1e-8
 
+    @pytest.mark.parametrize("hamiltonian", [
+        ising_model(4, 1.0),  # 16 rows: dense
+        ising_model(8, 1.0),  # 256 rows: ARPACK on the real part
+        # a Y term makes the matrix complex (128 rows: ARPACK)
+        PauliSum.from_terms([(1.0, "ZZIIIII"), (0.5, "IXIIIII"),
+                             (0.7, "YZIIIII"), (-0.3, "IIYXIII"),
+                             (0.4, "IIIZZII"), (0.2, "IIIIIXY")]),
+        PauliSum.from_terms([(1.0, "ZZ"), (0.7, "YI"), (0.3, "XY")]),
+    ], ids=["ising4-dense", "ising8-sparse", "complex7-sparse",
+            "complex2-dense"])
+    def test_both_functions_return_the_same_e0_bits(self, hamiltonian):
+        energy = ground_state_energy(hamiltonian)
+        state_energy, vector = ground_state(hamiltonian)
+        assert float.hex(state_energy) == float.hex(energy)
+        assert vector.dtype == complex
+        matrix = pauli_sum_to_sparse(hamiltonian)
+        assert np.linalg.norm(matrix @ vector - energy * vector) < 1e-8
+
     def test_variational_bound(self):
         """E0 lower-bounds every state's energy, in particular <0|H|0>."""
         for coupling in PAPER_COUPLINGS:
